@@ -2,8 +2,9 @@
 
 Two interchangeable implementations live here: a numba @njit version and a
 pure-numpy one.  Selection happens once at import time; set the environment
-variable ``TRACTDIM_NO_NUMBA=1`` to force the numpy path (also used by the
-benchmark in benchmarks/bench_kernels.py to compare both).
+variable ``TRACTDIM_NO_NUMBA=1`` to force the numpy path.  Compare both with
+``python3 perfbench/run.py --workload poly_side``, which reports the path in
+use and times the kernel in its ``aberth_batch`` operation.
 
 Both paths are deterministic and produce identical root orderings: the
 iteration is a fixed-point map started from the same perturbed-circle

@@ -155,9 +155,10 @@ MEANS_RADII = (1.01, 1.003, 1.001)
 def check_arc_pressure_identity():
     """Boundary means exponent vs the tree-pressure prediction, p = z^2-1."""
     cache = poly._TreeCache(BASILICA, 5.0 + 0j)
+    ts = (0.5, 1.0, 1.5)
+    betas = poly.bottcher_means_spectrum(BASILICA, ts, MEANS_RADII)
     errs = []
-    for t in (0.5, 1.0, 1.5):
-        beta_h = poly.bottcher_means_spectrum(BASILICA, t, MEANS_RADII)
+    for t, beta_h in zip(ts, betas):
         P = poly.tree_pressure(BASILICA, t, 5.0, 14, cache=cache).value
         errs.append(abs(beta_h - (t - 1 + P / math.log(2))))
     passed = all(e < 0.05 for e in errs)

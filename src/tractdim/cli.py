@@ -261,6 +261,8 @@ def cmd_spectrum(cfg, handle):
         "violations": report["violations"],
         "seed": cfg.seed,
     }
+    if "reason" in report:
+        summary["reason"] = report["reason"]
     written = [
         _write(cfg, "spectrum.csv", curve.to_csv()),
         _write(cfg, "spectrum.json", json.dumps(
@@ -270,17 +272,27 @@ def cmd_spectrum(cfg, handle):
     return {"written": written, "summary": summary}
 
 
+def _positive_t_grid(cfg):
+    """The t grid of a transfer-sum command, which needs every t > 0."""
+    grid = cfg.t_grid()
+    if grid[0] <= 0:
+        raise InvalidGrid("t grid starts at t = %g, but transfer sums need "
+                          "t > 0; pass --tmin above 0" % grid[0])
+    return grid
+
+
 def cmd_transfer(cfg, handle):
+    t_grid = _positive_t_grid(cfg)
     atlas = tr.find_tracts(handle, cfg.radius)
     k_budget = cfg.k_budget or None
     w = complex(math.e ** 2)
     rows = []
-    for t in cfg.t_grid():
+    for t in t_grid:
         s = tf.transfer_apply_point(atlas, t, w, k_budget)
         rows.append((t, s.value, s.terms_used, s.tail_estimate))
     csv = "t,value,terms,tail\n" + "".join(
         "%.9g,%.17g,%d,%.3g\n" % r for r in rows)
-    profile = tf.transfer_dyadic_profile(atlas, cfg.t_grid()[-1], w, k_budget)
+    profile = tf.transfer_dyadic_profile(atlas, t_grid[-1], w, k_budget)
     written = [
         _write(cfg, "transfer.csv", csv),
         _write(cfg, "transfer.json", json.dumps(
@@ -291,8 +303,9 @@ def cmd_transfer(cfg, handle):
 
 
 def cmd_pressure(cfg, handle):
+    t_grid = _positive_t_grid(cfg)
     atlas = tr.find_tracts(handle, cfg.radius)
-    curve = tf.pressure_curve_entire(atlas, cfg.t_grid(),
+    curve = tf.pressure_curve_entire(atlas, t_grid,
                                      branch_budget=cfg.branch_budget)
     csv = "t,pressure,residual\n" + "".join(
         "%.9g,%.17g,%.3g\n" % (t, p, r)

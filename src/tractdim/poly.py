@@ -418,9 +418,11 @@ def _log_phi_and_deriv(q, z):
 
 
 def _bottcher_batch(p, z, start=None, tol=1e-12, maxit=60):
-    """h(z) with phi(h(z)) = z on |z| > 1, Newton on the log residual.
+    """(h(z), h'(z)) with phi(h(z)) = z on |z| > 1, Newton on the log residual.
 
-    start is an optional warm start (same shape as z) for continuation.
+    The derivative comes from the Newton solve itself: with u = s*h the root
+    of log phi_q(u) = log z, h'(z) = 1/(s*z*(log phi_q)'(u)).  start is an
+    optional warm start for h (same shape as z) for continuation.
     """
     s, q = _monic_scale(p)
     z = np.asarray(z, dtype=complex)
@@ -444,7 +446,10 @@ def _bottcher_batch(p, z, start=None, tol=1e-12, maxit=60):
     if not ok.all():
         raise BranchLoss("Boettcher Newton did not converge (z too close to |z|=1?)")
     h = u / s
-    return complex(h[0]) if scalar else h
+    hp = 1.0 / (s * zz * dlogphi)
+    if scalar:
+        return complex(h[0]), complex(hp[0])
+    return h, hp
 
 
 def bottcher_outer_radius(p):
@@ -463,12 +468,12 @@ def bottcher_inverse(p, z, tol=1e-12):
         raise ValueError("Boettcher coordinate requires |z| > 1")
     rho0 = bottcher_outer_radius(p)
     if abs(z) >= rho0:
-        return _bottcher_batch(p, z)
-    return complex(_bottcher_ray_batch(p, np.array([z]), tol=tol)[0])
+        return _bottcher_batch(p, z)[0]
+    return complex(_bottcher_ray_batch(p, np.array([z]), tol=tol)[0][0])
 
 
 def _bottcher_ray_batch(p, z, tol=1e-12):
-    """Vectorized h(z) for |z| in (1, rho0): radius continuation per node."""
+    """Vectorized (h, h') for |z| in (1, rho0): radius continuation per node."""
     z = np.asarray(z, dtype=complex)
     rho0 = bottcher_outer_radius(p)
     radii = np.abs(z)
@@ -477,13 +482,13 @@ def _bottcher_ray_batch(p, z, tol=1e-12):
     phases = z / radii
     r = rho0
     cur = phases * r
-    h = _bottcher_batch(p, cur)
+    h = _bottcher_batch(p, cur)[0]
     # geometric descent of r-1 toward the smallest requested radius
     rmin = radii.min()
     while r > rmin:
         r = max(rmin, 1.0 + (r - 1.0) * 0.7)
         cur = phases * np.maximum(radii, r)
-        h = _bottcher_batch(p, cur, start=h, tol=tol)
+        h = _bottcher_batch(p, cur, start=h, tol=tol)[0]
     return _bottcher_batch(p, z, start=h, tol=tol)
 
 
@@ -497,8 +502,10 @@ def bottcher_residual(p, z):
 def bottcher_circle_means(p, r, t, arc=(0.0, 2.0 * np.pi), n_nodes=None):
     """Quadrature of |h'|^t along the arc of the circle |z| = r.
 
-    h' by central differences along the circle with angular step scaled to
-    (r-1), per the module contract.
+    h' is exact, taken from the Newton solve for h at each node.  The nodes
+    do not depend on t, so one solve serves every exponent: t is a scalar
+    (returns a float) or an array (returns an ndarray of the same shape,
+    one integral per exponent).
     """
     if r - 1.0 < 1e-4:
         raise ValueError("r - 1 below minimum resolvable offset 1e-4")
@@ -513,16 +520,11 @@ def bottcher_circle_means(p, r, t, arc=(0.0, 2.0 * np.pi), n_nodes=None):
     half = 0.5 * (edges[1:] - edges[:-1])
     theta = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
     weight = (half[:, None] * wts[None, :]).reshape(-1)
-    delta = (r - 1.0) / 100.0
-    zc = r * np.exp(1j * theta)
-    zp = r * np.exp(1j * (theta + delta))
-    zm = r * np.exp(1j * (theta - delta))
-    allz = np.concatenate([zc, zp, zm])
-    h = _bottcher_ray_batch(p, allz)
-    m = len(theta)
-    hp = (h[m : 2 * m] - h[2 * m :]) / (zc * (np.exp(1j * delta) - np.exp(-1j * delta)))
-    integrand = np.abs(hp) ** t
-    return float(np.sum(weight * integrand * r))
+    _, hp = _bottcher_ray_batch(p, r * np.exp(1j * theta))
+    t = np.asarray(t, dtype=float)
+    integrand = np.abs(hp) ** t[..., None]
+    means = np.sum(weight * integrand * r, axis=-1)
+    return float(means) if t.ndim == 0 else means
 
 
 def bottcher_means_spectrum(p, t, r_list=(1.1, 1.03, 1.01)):
@@ -530,11 +532,11 @@ def bottcher_means_spectrum(p, t, r_list=(1.1, 1.03, 1.01)):
 
     Fits log of the circle integral against |log(r-1)| over the given
     radii; the slope is the finite-size estimate of the arc spectrum.
+    Each circle is solved once for all exponents: t is a scalar (returns a
+    float) or a 1-D array (returns an ndarray of slopes, one per exponent).
     """
-    xs, ys = [], []
-    for r in r_list:
-        integral = bottcher_circle_means(p, r, t)
-        xs.append(abs(np.log(r - 1.0)))
-        ys.append(np.log(integral))
+    t = np.asarray(t, dtype=float)
+    xs = [abs(np.log(r - 1.0)) for r in r_list]
+    ys = np.log([bottcher_circle_means(p, r, t) for r in r_list])
     slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)
+    return float(slope) if t.ndim == 0 else slope

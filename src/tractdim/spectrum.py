@@ -201,8 +201,9 @@ def theta_f(branch, T_grid=DEFAULT_T_GRID, width=1e-3):
             break
         lo, b_lo = t, bt
     if hi is None:
-        curve = [(0.1 * k, b_hat(0.1 * k)) for k in range(21)]
-        raise NoSignChange("b has no zero on (0, 2]; curve: %r" % (curve,))
+        curve = ", ".join("(%.6g, %.6g)" % (0.1 * k, b_hat(0.1 * k))
+                          for k in range(21))
+        raise NoSignChange("b has no zero on (0, 2]; curve: [%s]" % curve)
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if b_hat(mid) <= 0:
@@ -213,7 +214,11 @@ def theta_f(branch, T_grid=DEFAULT_T_GRID, width=1e-3):
 
 
 def negative_spectrum_check(branch, curve, tol=0.02, margin=0.05):
-    """b(t) < tol for every grid t above theta_hat + margin."""
+    """b(t) < tol for every grid t above theta_hat + margin.
+
+    Without a finite theta_hat there is no grid point above it to test, so
+    the check fails and the report's "reason" says why.
+    """
     violations = [
         (t, b)
         for t, b in zip(curve.t_grid, curve.b_inf)
@@ -224,6 +229,9 @@ def negative_spectrum_check(branch, curve, tol=0.02, margin=0.05):
         "tolerance": tol,
         "violations": violations,
     }
+    if not np.isfinite(curve.theta_hat):
+        report["reason"] = "theta_hat is not finite: no threshold to test"
+        return False, report
     return len(violations) == 0, report
 
 

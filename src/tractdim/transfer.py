@@ -282,8 +282,8 @@ def pressure_root(pfun, lo, hi, width=0.02):
 
     p_lo, p_hi = signed(lo), signed(hi)
     if p_lo <= 0 or p_hi > 0:
-        curve = [(lo, p_lo), (hi, p_hi)]
-        raise NoSignChange("no sign change on bracket; endpoints: %r" % curve)
+        raise NoSignChange("no sign change on bracket; endpoints: "
+                           "[(%.6g, %.6g), (%.6g, %.6g)]" % (lo, p_lo, hi, p_hi))
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if signed(mid) <= 0:

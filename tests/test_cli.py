@@ -1,12 +1,14 @@
 """Configuration, exporters, and exit codes of the command-line front end."""
 
 import json
+import math
 
 import pytest
 
 import tractdim.cli as cli
+import tractdim.spectrum as sp
 from tractdim.cli import ConfigError, RunConfig
-from tractdim.errors import InvalidGrid
+from tractdim.errors import InvalidGrid, NoSignChange
 
 
 def run_cli(argv, capsys):
@@ -120,6 +122,17 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "InvalidGrid"
 
+    @pytest.mark.parametrize("command", ["transfer", "pressure"])
+    def test_nonpositive_t_exits_2(self, command, tmp_path, capsys):
+        # the default grid starts at t = 0, where transfer sums diverge
+        code, out = run_cli([command, "--function", "exp",
+                             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "InvalidGrid"
+        assert "--tmin" in err["detail"]
+        assert not (tmp_path / (command + ".csv")).exists()
+
 
 class TestCommands:
     def test_spectrum_outputs(self, tmp_path, capsys):
@@ -132,6 +145,20 @@ class TestCommands:
         assert summary["negative_spectrum"] is True
         csv = (tmp_path / "spectrum.csv").read_text()
         assert csv.startswith("t,beta_inf,b_inf")
+
+    def test_spectrum_without_theta(self, tmp_path, capsys, monkeypatch):
+        def no_zero(branch, T_grid):
+            raise NoSignChange("b has no zero on (0, 2]")
+
+        monkeypatch.setattr(sp, "theta_f", no_zero)
+        code, out = run_cli(["spectrum", "--function", "exp",
+                             "--tmin", "1.5", "--tstep", "0.5",
+                             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert math.isnan(summary["theta_hat"])
+        assert summary["negative_spectrum"] is False
+        assert "theta_hat" in summary["reason"]
 
     def test_transfer_outputs(self, tmp_path, capsys):
         code, out = run_cli(["transfer", "--function", "exp",

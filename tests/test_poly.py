@@ -188,7 +188,26 @@ class TestBottcher:
         v = poly.bottcher_circle_means(CHEB, r, 2.0)
         assert v == pytest.approx(oracle, abs=1e-4)
 
+    def test_ray_derivative_cheb_oracle(self):
+        # h(z) = z + 1/z for z^2 - 2, so h'(z) = 1 - z^-2
+        theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        for r in (1.001, 1.01, 1.1):
+            z = r * np.exp(1j * theta)
+            h, hp = poly._bottcher_ray_batch(CHEB, z)
+            assert np.abs(h - (z + 1 / z)).max() < 1e-8
+            assert np.abs(hp - (1 - z**-2)).max() < 1e-8
+
+    def test_circle_means_batched_t(self):
+        ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        batched = poly.bottcher_circle_means(BASILICA, 1.1, ts)
+        assert isinstance(batched, np.ndarray) and batched.shape == ts.shape
+        for t, v in zip(ts, batched):
+            single = poly.bottcher_circle_means(BASILICA, 1.1, float(t))
+            assert isinstance(single, float)
+            assert v == pytest.approx(single, rel=1e-12)
+
     def test_means_spectrum_flat_for_exceptional(self):
         for p in (Z2, CHEB):
-            for t in (0.5, 1.0, 1.5):
-                assert abs(poly.bottcher_means_spectrum(p, t)) < 0.05
+            slopes = poly.bottcher_means_spectrum(p, (0.5, 1.0, 1.5))
+            assert slopes.shape == (3,)
+            assert np.all(np.abs(slopes) < 0.05)

@@ -120,6 +120,16 @@ class TestSpectrumShape:
         assert not ok
         assert len(report["violations"]) == 2
 
+    def test_negative_spectrum_fails_without_theta(self, exp_branch):
+        # theta_hat stays NaN; "t > NaN + margin" would select no grid point
+        curve = sp.spectrum_curve(exp_branch, [1.5, 2.0],
+                                  sp.DEFAULT_T_GRID[:6], with_theta=False)
+        assert math.isnan(curve.theta_hat)
+        ok, report = sp.negative_spectrum_check(exp_branch, curve)
+        assert not ok
+        assert report["violations"] == []
+        assert "theta_hat" in report["reason"]
+
 
 class TestTheta:
     def test_exp_family(self, exp_branch, square_branch, quarter_branch):
@@ -142,10 +152,15 @@ class TestTheta:
 
     def test_no_sign_change(self, exp_branch, monkeypatch):
         # beta(t) = t keeps b(t) = 1 everywhere: no zero on (0, 2].
-        fake = lambda branch, t, T_grid: sp.BetaEstimate(t, 0.0, [], [])
+        fake = lambda branch, t, T_grid: sp.BetaEstimate(
+            np.float64(t), 0.0, [], [])
         monkeypatch.setattr(sp, "beta_infinity", fake)
-        with pytest.raises(NoSignChange):
+        with pytest.raises(NoSignChange) as info:
             sp.theta_f(exp_branch)
+        detail = str(info.value)
+        assert detail.split(";")[0] == "b has no zero on (0, 2]"
+        assert "np.float64" not in detail
+        assert "(0.1, 1)" in detail
 
     def test_inconsistent_at_zero(self, exp_branch, monkeypatch):
         fake = lambda branch, t, T_grid: sp.BetaEstimate(t - 2.0, 0.0, [], [])

@@ -170,8 +170,12 @@ class TestBowenZero:
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            tf.pressure_root(lambda t: -t, 0.1, 2.5)
+        with pytest.raises(NoSignChange) as info:
+            tf.pressure_root(lambda t: np.float64(-t), 0.1, 2.5)
+        detail = str(info.value)
+        assert detail.split(";")[0] == "no sign change on bracket"
+        assert "np.float64" not in detail
+        assert detail.endswith("[(0.1, -0.1), (2.5, -2.5)]")
         with pytest.raises(NoSignChange):
             tf.pressure_root(lambda t: 1.0, 0.1, 2.5)
 
