@@ -12,6 +12,7 @@ Three families share one evaluation interface:
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -91,7 +92,9 @@ def make_koenigs(p, z0, kappa=1.0 + 0j):
         if abs(taylor[-1]) * r0 ** K < _TAIL_TOL or K >= _MAX_SERIES_K:
             break
         K *= 2
-    return KoenigsLinearizer(p, z0, lam, tuple(taylor), r0, complex(kappa))
+    # Python complex coefficients keep the scalar series at interpreter speed
+    return KoenigsLinearizer(p, z0, lam, tuple(complex(a) for a in taylor),
+                             r0, complex(kappa))
 
 
 def _series_eval(L, u):
@@ -131,6 +134,39 @@ def linearizer_derivative(L, z):
     return linearizer_eval(L, z, _with_derivative=True)[1]
 
 
+def _exp_neg(logf):
+    """exp(-logf), or 0 once exp(logf) is past the float range."""
+    return cmath.exp(-logf) if logf.real < _EXP_CAP else 0j
+
+
+def _exp_neg_array(logf):
+    return np.where(np.real(logf) < _EXP_CAP, np.exp(-logf), 0j)
+
+
+def _escape_ladder(L, u0, max_abs, log, exp_neg):
+    """Series at u0/lam^n inside the series disk, then n escape steps."""
+    n = 0
+    biggest = max_abs(u0)
+    while biggest > L.series_radius:
+        u0 = u0 / L.lam
+        biggest /= abs(L.lam)
+        n += 1
+    g, dg = _series_eval(L, u0)
+    logf = log(g)
+    q = dg * (L.kappa / L.lam**n) / g
+    coeffs = L.p.coefficients
+    d = L.p.degree
+    for _ in range(n):
+        u = exp_neg(logf)
+        s1 = s2 = 0j
+        for k, c in enumerate(coeffs):  # u^d coeff is p's constant term
+            s1 = s1 * u + c
+            s2 = s2 * u + k * c
+        q = (s2 / s1) * q
+        logf = d * logf + log(s1)
+    return logf, q
+
+
 def linearizer_log_eval(L, z):
     """(log f(kappa z), f'/f at kappa z times kappa) without overflow.
 
@@ -141,30 +177,19 @@ def linearizer_log_eval(L, z):
 
     Accepts scalars or arrays; the descent count n is uniform over a batch
     (extra lam-divisions are exact, the series just sees a smaller argument).
+    A scalar runs the ladder on Python complex numbers with cmath.
     """
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
+    scalar = np.ndim(z) == 0
+    if scalar:
+        try:
+            return _escape_ladder(L, L.kappa * complex(z), abs, cmath.log,
+                                  _exp_neg)
+        except (ArithmeticError, ValueError):
+            pass  # cmath raises where numpy returns inf or nan: keep numpy's
     u0 = L.kappa * np.asarray(z, dtype=complex)
-    n = 0
-    biggest = np.max(np.abs(u0))
-    while biggest > L.series_radius:
-        u0 = u0 / L.lam
-        biggest /= abs(L.lam)
-        n += 1
-    g, dg = _series_eval(L, u0)
-    logf = np.log(g)
-    q = dg * (L.kappa / L.lam**n) / g
-    coeffs = L.p.coefficients
-    d = L.p.degree
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _ in range(n):
-            u = np.where(np.real(logf) < _EXP_CAP, np.exp(-logf), 0j)
-            s1 = np.zeros_like(u)
-            s2 = np.zeros_like(u)
-            for k, c in enumerate(coeffs):  # u^d coeff is p's constant term
-                s1 = s1 * u + c
-                s2 = s2 * u + k * c
-            q = (s2 / s1) * q
-            logf = d * logf + np.log(s1)
+        logf, q = _escape_ladder(L, u0, lambda u: np.max(np.abs(u)), np.log,
+                                 _exp_neg_array)
     if scalar:
         return complex(logf), complex(q)
     return logf, q

@@ -37,9 +37,7 @@ def _node_table(branch, T, r):
     absolute quadrature tolerance; the table is then cached on the branch
     and shared by every exponent t.
     """
-    cache = getattr(branch, "_node_tables", None)
-    if cache is None:
-        cache = branch._node_tables = {}
+    cache = branch._node_tables
     key = (float(T), float(r))
     if key in cache:
         return cache[key]

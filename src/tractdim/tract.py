@@ -20,6 +20,7 @@ from .errors import ContinuationStall, NoTractFound, ZeroDenominator
 MIN_OFFSET = 0.05  # Re xi floor; phi extends only continuously to the boundary
 _NEWTON_TOL = 1e-11
 _NEWTON_MAXIT = 50
+_MAX_ANCHORS = 4096
 _TWO_PI = 2 * np.pi
 
 
@@ -45,7 +46,11 @@ class TractBranch:
     """One tract with its inverse map.
 
     closed_phi/closed_dphi hold analytic formulas when the family admits
-    them; otherwise phi is continued numerically from cached anchors.
+    them; otherwise phi is continued numerically from cached anchors: the
+    first _n_anchors columns of _anchors are solved (xi, phi(xi)) pairs, the
+    base point first.  _trust is the continuation step size the last walk
+    ended with; _scales caches |phi(T)| and _node_tables the spectrum's
+    quadrature tables.
     """
 
     handle: object
@@ -53,12 +58,15 @@ class TractBranch:
     base_log: complex
     closed_phi: object = None
     closed_dphi: object = None
-    _anchors: list = field(default_factory=list)
+    _anchors: np.ndarray = field(init=False, repr=False, compare=False)
+    _n_anchors: int = field(init=False, default=1)
+    _trust: float = field(init=False, default=None)
     _scales: dict = field(default_factory=dict)
+    _node_tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self._anchors:
-            self._anchors.append((self.base_log, self.base_point))
+        self._anchors = np.empty((2, _MAX_ANCHORS), dtype=complex)
+        self._anchors[:, 0] = self.base_log, self.base_point
 
 
 @dataclass
@@ -145,21 +153,27 @@ def phi_refine(branch, xi, z_guess):
     Used by quadrature refinement where interleaved nodes inherit
     interpolated guesses from the coarser level; the wrapped residual keeps
     each point on its own 2 pi i sheet.
+    Only the points not yet converged are evaluated again; each returned
+    phi' is 1/(log f)' at the returned z.
     """
     xi = np.asarray(xi, dtype=complex)
     z = np.asarray(z_guess, dtype=complex).copy()
+    q = np.empty_like(z)
+    active = np.arange(z.size)
     for _ in range(_NEWTON_MAXIT):
-        lf, q = _log_f_and_q(branch.handle, z)
-        res = lf - xi
+        lf, q[active] = _log_f_and_q(branch.handle, z[active])
+        res = lf - xi[active]
         res = np.real(res) + 1j * ((np.imag(res) + np.pi) % _TWO_PI - np.pi)
-        done = np.abs(res) < _NEWTON_TOL * (1.0 + np.abs(xi))
-        if done.all():
+        # a nan residual stays active
+        todo = ~(np.abs(res) < _NEWTON_TOL * (1.0 + np.abs(xi[active])))
+        if not todo.any():
             break
-        step = res / q
-        cap = 2.0 * np.maximum(np.abs(z), 1.0)
+        active = active[todo]
+        step = res[todo] / q[active]
+        cap = 2.0 * np.maximum(np.abs(z[active]), 1.0)
         big = np.abs(step) > cap
         step = np.where(big, step * (cap / np.where(big, np.abs(step), 1.0)), step)
-        z = np.where(done, z, z - step)
+        z[active] -= step
     else:
         raise ContinuationStall("batched refinement did not converge")
     return z, 1.0 / q
@@ -171,11 +185,8 @@ def _sampled_branches(handle, R, max_rho=1e12):
     angles = np.linspace(0.0, _TWO_PI, n_angles, endpoint=False)
     rho = 1.0
     while rho <= max_rho:
-        logmod = np.empty(n_angles)
-        for i, a in enumerate(angles):
-            lf, _ = _log_f_and_q(handle, rho * np.exp(1j * a))
-            logmod[i] = lf.real
-        mask = logmod > threshold
+        lf, _ = _log_f_and_q(handle, rho * np.exp(1j * angles))
+        mask = lf.real > threshold
         if mask.any():
             break
         rho *= 1.5
@@ -236,10 +247,13 @@ def phi_eval(branch, xi):
     if branch.closed_phi is not None:
         return branch.closed_phi(xi)
     xi = complex(xi)  # continuation path is scalar
-    anchor_xi, z = min(branch._anchors, key=lambda a: abs(a[0] - xi))
+    n = branch._n_anchors
+    i = int(np.argmin(np.abs(branch._anchors[0, :n] - xi)))  # first nearest
+    anchor_xi, z = branch._anchors[:, i].tolist()
     z = _continue_to(branch, anchor_xi, z, xi)
-    if len(branch._anchors) < 4096:
-        branch._anchors.append((xi, z))
+    if n < _MAX_ANCHORS:
+        branch._anchors[:, n] = xi, z
+        branch._n_anchors = n + 1
     return z
 
 
@@ -250,7 +264,7 @@ def _continue_to(branch, current, z, xi):
     when it rejects, so affine-like tracts take O(log) steps per decade while
     curved geometry self-limits.
     """
-    trust = getattr(branch, "_trust", None)
+    trust = branch._trust
     if trust is None:
         trust = 0.4 * max(current.real, 1.0)
     while current != xi:
@@ -308,15 +322,22 @@ def phi_path(branch, xis):
     return zs, ds
 
 
-def phi_derivative(branch, xi):
-    """phi'(xi) = 1 / (log f)'(phi(xi)), the exact chain rule for f o phi = exp."""
-    if branch.closed_dphi is not None:
-        return branch.closed_dphi(xi)
+def _phi_and_derivative(branch, xi):
+    """(phi(xi), phi'(xi)) from one continuation; phi' = 1 / (log f)'(phi)."""
+    if branch.closed_phi is not None:
+        return phi_eval(branch, xi), branch.closed_dphi(xi)
     z = phi_eval(branch, complex(xi))
     _, q = _log_f_and_q(branch.handle, z)
     if abs(q) < 1e-300:
         raise ZeroDenominator("vanishing f'/f at phi(xi)")
-    return 1.0 / q
+    return z, 1.0 / q
+
+
+def phi_derivative(branch, xi):
+    """phi'(xi) = 1 / (log f)'(phi(xi)), the exact chain rule for f o phi = exp."""
+    if branch.closed_dphi is not None:
+        return branch.closed_dphi(xi)
+    return _phi_and_derivative(branch, xi)[1]
 
 
 def tract_scale(branch, T):
@@ -433,7 +454,8 @@ def el_violations(branch, T=16.0, samples=10000):
     im = (2 * h3 - 1) * 4 * T
     bad = 0
     for xi in re + 1j * im:
-        ratio = abs(phi_derivative(branch, xi) / phi_eval(branch, xi))
+        z, dphi = _phi_and_derivative(branch, xi)
+        ratio = abs(dphi / z)
         if ratio > 4 * np.pi / xi.real * (1 + 1e-9):
             bad += 1
     return bad

@@ -93,6 +93,54 @@ class TestLadderEval:
         assert lz.linearizer_derivative(Lc, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def sample_ring(n, rmin, rmax, seed=0):
+    rng = np.random.default_rng(seed)
+    r = rmin * (rmax / rmin) ** rng.random(n)
+    return r * np.exp(2j * np.pi * rng.random(n))
+
+
+class TestLogEval:
+    @pytest.mark.parametrize("kappa", [1.0, 0.25])
+    def test_exp_oracle(self, kappa):
+        # z^2 at z0 = 1 linearizes to exp: log f(kappa z) = kappa z, q = kappa
+        L = lz.make_koenigs(P_SQUARE, 1.0, kappa)
+        zs = sample_ring(300, 1.0, 1e5, seed=4)
+        for z in zs[(kappa * zs).real > -300]:  # f(kappa z) stays above 1e-130
+            logf, q = lz.linearizer_log_eval(L, complex(z))
+            assert type(logf) is complex and type(q) is complex
+            res = logf - kappa * z
+            res = complex(res.real, (res.imag + np.pi) % (2 * np.pi) - np.pi)
+            assert abs(res) <= 1e-12 * (1 + abs(kappa * z))
+            assert abs(q - kappa) <= 1e-12 * kappa
+
+    def test_scalar_matches_array(self):
+        linearizers = [
+            lz.make_koenigs(P_SQUARE, 1.0, 0.25),
+            lz.make_koenigs(P_COSH, 1.0, 0.125),
+            lz.make_koenigs(Polynomial.from_string("z^2-1"), (1 + np.sqrt(5)) / 2,
+                            0.1),
+        ]
+        for L in linearizers:
+            for z in sample_ring(200, 1.0, 1e5, seed=5):
+                scalar = lz.linearizer_log_eval(L, complex(z))
+                batch = lz.linearizer_log_eval(L, np.array([z]))
+                for a, b in zip(scalar, batch):
+                    if np.isfinite(b[0]):
+                        assert abs(a - b[0]) <= 1e-12 * abs(b[0])
+                    else:
+                        assert not np.isfinite(a)
+
+    def test_scalar_keeps_numpy_nan(self):
+        # exp(-log f) overflows midway, where cmath raises and numpy
+        # returns nan: the scalar call returns numpy's result
+        L = lz.make_koenigs(P_SQUARE, 1.0)
+        with np.errstate(all="ignore"):
+            want = lz.linearizer_log_eval(L, np.array([-2000.0]))
+        got = lz.linearizer_log_eval(L, -2000.0)
+        assert np.isnan(want[0][0]) and np.isnan(got[0])
+        assert np.isnan(want[1][0]) == np.isnan(got[1])
+
+
 class TestDisjointType:
     def test_exp_family(self):
         L = lz.make_koenigs(P_SQUARE, 1.0)

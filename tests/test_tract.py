@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tractdim import checks, cli
 from tractdim import linearizer as lz
 from tractdim import tract as tr
 from tractdim.errors import NoTractFound
@@ -50,6 +51,27 @@ class TestFindTracts:
             tr.find_tracts(h, 1e30, max_rho=100.0)
 
 
+class TestSampledBranches:
+    @pytest.mark.parametrize("spec", ["check8", "koenigs:z^2-1",
+                                      "koenigs:z^2-2"])
+    def test_ring_batch_matches_scalar_loop(self, spec, monkeypatch):
+        h = (lz.koenigs_handle(checks.Z2, 1.0, kappa=0.25) if spec == "check8"
+             else cli.function_from_spec(spec))
+        batched = tr.find_tracts(h, np.e).tracts
+        log_f_and_q = tr._log_f_and_q
+
+        def scalar_loop(handle, z):
+            if np.ndim(z) == 0:
+                return log_f_and_q(handle, z)
+            lf, q = zip(*(log_f_and_q(handle, complex(v)) for v in z))
+            return np.array(lf), np.array(q)
+
+        monkeypatch.setattr(tr, "_log_f_and_q", scalar_loop)
+        looped = tr.find_tracts(h, np.e).tracts
+        assert [(b.base_point, b.base_log) for b in batched] == \
+            [(b.base_point, b.base_log) for b in looped]
+
+
 class TestPhiEval:
     def test_exp_identity(self, exp_branch):
         assert tr.phi_eval(exp_branch, 3 + 2j) == pytest.approx(3 + 2j)
@@ -91,6 +113,52 @@ class TestPhiEval:
     def test_koenigs_derivative(self, koenigs_branch):
         d = tr.phi_derivative(koenigs_branch, 5 + 1j)
         assert d == pytest.approx(8.0, abs=1e-9)
+
+
+def _full_newton(branch, xi, z):
+    """Newton over the whole array every iteration, the reference loop."""
+    for _ in range(tr._NEWTON_MAXIT):
+        lf, q = tr._log_f_and_q(branch.handle, z)
+        res = lf - xi
+        res = np.real(res) + 1j * ((np.imag(res) + np.pi) % (2 * np.pi) - np.pi)
+        done = np.abs(res) < tr._NEWTON_TOL * (1.0 + np.abs(xi))
+        if done.all():
+            return z, q
+        step = res / q
+        cap = 2.0 * np.maximum(np.abs(z), 1.0)
+        big = np.abs(step) > cap
+        step = np.where(big, step * (cap / np.where(big, np.abs(step), 1.0)), step)
+        z = np.where(done, z, z - step)
+    raise AssertionError("reference Newton did not converge")
+
+
+class TestRefine:
+    def test_active_set_matches_full_newton(self, monkeypatch):
+        branch = tr.find_tracts(lz.koenigs_handle(checks.Z2, 1.0, kappa=0.25),
+                                np.e).tracts[0]
+        T = 64.0
+        y = np.linspace(1.0, 2.0, 33)
+        xi = T * (1.0 / T + 1j * y)
+        z_true, _ = tr.phi_path(branch, xi)
+        # guesses off by 0 to 10% so points converge after different counts
+        guess = z_true * (1 + 0.1 * np.linspace(0.0, 1.0, len(y)) ** 3)
+        sizes = []
+        log_f_and_q = tr._log_f_and_q
+
+        def counting(handle, z):
+            sizes.append(np.size(z))
+            return log_f_and_q(handle, z)
+
+        monkeypatch.setattr(tr, "_log_f_and_q", counting)
+        z, dphi = tr.phi_refine(branch, xi, guess)
+        monkeypatch.undo()
+        assert sizes[0] == len(y) and sizes[-1] < sizes[0]
+        assert all(b <= a for a, b in zip(sizes, sizes[1:]))
+        z_ref, q_ref = _full_newton(branch, xi, guess.copy())
+        assert np.all(np.abs(z - z_ref) <= 1e-12 * np.abs(z_ref))
+        assert np.all(np.abs(dphi * q_ref - 1) <= 1e-12)
+        _, q = tr._log_f_and_q(branch.handle, z)
+        assert np.all(np.abs(dphi * q - 1) <= 1e-12)
 
 
 class TestRescaling:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tractdim.cli as cli
 import tractdim.linearizer as lz
 import tractdim.tract as tr
 import tractdim.transfer as tf
@@ -80,6 +81,29 @@ class TestApplyPoint:
             tf.transfer_apply_point(exp_atlas, 0.0, E2)
         with pytest.raises(ValueError):
             tf.transfer_apply_point(exp_atlas, 2.0, 1.0 + 0j)
+
+
+@pytest.mark.xfail(strict=True, reason="the wrapped residual lets phi_path "
+                   "accept a neighbouring 2 pi i sheet: k = -32 and k = -33 "
+                   "share one preimage (ROADMAP items 2 and 5)")
+def test_koenigs_preimages_distinct(monkeypatch):
+    atlas = tr.find_tracts(cli.function_from_spec("koenigs:z^2-1"), math.e)
+    walked = []
+    phi_path = tr.phi_path
+
+    def recording(branch, xis):
+        z, dphi = phi_path(branch, xis)
+        walked.append(z)
+        return z, dphi
+
+    monkeypatch.setattr(tr, "phi_path", recording)
+    sample = tf.transfer_apply_point(atlas, 2.0, E2)
+    z = np.concatenate(walked)
+    assert sample.terms_used == len(z) == 2049
+    for i in range(len(z) - 1):
+        rest = z[i + 1:]
+        gap = np.abs(rest - z[i]) / np.maximum(np.abs(rest), abs(z[i]))
+        assert gap.min() > 1e-6
 
 
 class TestDyadicProfile:
