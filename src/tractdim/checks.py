@@ -33,10 +33,6 @@ CHEB = Polynomial.from_string("z^2-2")
 BASILICA = Polynomial.from_string("z^2-1")
 COSH = Polynomial.from_string("2z^2-1")
 
-#: T-grid for sampled (non-closed-form) contour maps, where the quadrature
-#: walker makes the very large panels of the default grid too slow.
-SAMPLED_T_GRID = tuple(float(2 ** j) for j in range(3, 10))
-
 HANDLE_NAMES = ("exp", "quarter", "square", "composite", "koenigs")
 
 _handles = {}
@@ -69,7 +65,7 @@ def test_atlas(name):
 
 
 def _t_grid_for(name):
-    return SAMPLED_T_GRID if name in ("composite", "koenigs") \
+    return sp.SAMPLED_T_GRID if name in ("composite", "koenigs") \
         else sp.DEFAULT_T_GRID
 
 
@@ -176,15 +172,14 @@ def check_koenigs_goldens():
     L_exp = lz.make_koenigs(Z2, 1.0)
     L_cosh = lz.make_koenigs(COSH, 1.0)
     pts = _disk_points(200, 2.0)
-    err_exp = max(abs(lz.linearizer_eval(L_exp, z) - np.exp(z)) for z in pts)
+    err_exp = max(abs(L_exp.eval(z) - np.exp(z)) for z in pts)
     cosh_ref = lambda z: np.cosh(2 * np.sqrt(complex(z) / 2))
-    err_cosh = max(abs(lz.linearizer_eval(L_cosh, z) - cosh_ref(z))
-                   for z in pts)
+    err_cosh = max(abs(L_cosh.eval(z) - cosh_ref(z)) for z in pts)
     resid = 0.0
     for L, p in ((L_exp, Z2), (L_cosh, COSH)):
         for z in _disk_points(100, 10.0):
-            lhs = lz.linearizer_eval(L, L.lam * z)
-            rhs = p(lz.linearizer_eval(L, z))
+            lhs = L.eval(L.lam * z)
+            rhs = p(L.eval(z))
             resid = max(resid, abs(lhs - rhs) / (1 + abs(rhs)))
     passed = err_exp < 1e-9 and err_cosh < 1e-8 and resid < 1e-9
     return passed, "err_exp=%.2e err_cosh=%.2e resid=%.2e" % (
@@ -258,8 +253,7 @@ def check_composite_comparison():
 def basilica_disjoint_handle():
     """Koenigs handle for z^2-1 at its positive fixed point, disjoint type."""
     z0 = (1 + math.sqrt(5)) / 2
-    L = lz.make_disjoint_type(lz.make_koenigs(BASILICA, z0), math.e)
-    return lz.koenigs_handle(BASILICA, z0, kappa=L.kappa)
+    return lz.make_disjoint_type(lz.make_koenigs(BASILICA, z0), math.e)
 
 
 def check_boundary_figures():

@@ -21,10 +21,6 @@ from . import transfer as tf
 from .errors import InvalidGrid, NoSignChange, TractdimError
 from .poly import Polynomial
 
-#: Largest dyadic exponent usable for contour maps without a closed-form
-#: evaluator; larger panels make the sequential quadrature walker too slow.
-SAMPLED_TJ_CAP = 9
-
 DEFAULT_T_LIST = (1.0, 5.0, 20.0)
 
 
@@ -89,7 +85,7 @@ class RunConfig:
         return grid
 
     def T_grid(self, sampled=False):
-        hi = min(self.Tjmax, SAMPLED_TJ_CAP) if sampled else self.Tjmax
+        hi = min(self.Tjmax, sp.SAMPLED_TJ_CAP) if sampled else self.Tjmax
         if self.Tjmin > hi:
             raise InvalidGrid("empty T grid after sampled-handle cap")
         return [float(2 ** j) for j in range(self.Tjmin, hi + 1)]
@@ -127,8 +123,7 @@ def function_from_spec(text):
     if text.startswith("koenigs:"):
         p = Polynomial.from_string(text[len("koenigs:"):])
         z0 = _largest_repelling_fixed_point(p)
-        L = lz.make_disjoint_type(lz.make_koenigs(p, z0), math.e)
-        return lz.koenigs_handle(p, z0, kappa=L.kappa)
+        return lz.make_disjoint_type(lz.make_koenigs(p, z0), math.e)
     raise ConfigError("unknown function shorthand %r" % text)
 
 
@@ -139,10 +134,9 @@ def load_config(args):
     else:
         if not args.function:
             raise ConfigError("need --config or --function")
-        cfg = RunConfig(function=lz.handle_to_json(
-            function_from_spec(args.function)))
+        cfg = RunConfig(function=function_from_spec(args.function).to_json())
     if args.config and args.function:
-        cfg.function = lz.handle_to_json(function_from_spec(args.function))
+        cfg.function = function_from_spec(args.function).to_json()
     for flag, field in (("radius", "radius"), ("tmin", "tmin"),
                         ("tmax", "tmax"), ("tstep", "tstep"),
                         ("Tjmin", "Tjmin"), ("Tjmax", "Tjmax"),
@@ -252,7 +246,7 @@ def cmd_tract_plot(cfg, handle, T_list):
 def cmd_spectrum(cfg, handle):
     atlas = tr.find_tracts(handle, cfg.radius)
     branch = atlas.tracts[0]
-    T_grid = cfg.T_grid(sampled=branch.closed_phi is None)
+    T_grid = cfg.T_grid(sampled=branch.sampled)
     curve = sp.spectrum_curve(branch, cfg.t_grid(), T_grid)
     ok, report = sp.negative_spectrum_check(branch, curve)
     summary = {
@@ -322,7 +316,7 @@ def cmd_hypdim(cfg, handle, poly_text=None):
                            "bracket": list(bz.bracket)}}
     atlas = tr.find_tracts(handle, cfg.radius)
     branch = atlas.tracts[0]
-    sampled = branch.closed_phi is None
+    sampled = branch.sampled
     T_grid = cfg.T_grid(sampled=sampled)
     theta = sp.theta_f(branch, T_grid)
     # Without a closed-form contour map every tree node walks the
@@ -343,8 +337,8 @@ def cmd_hypdim(cfg, handle, poly_text=None):
                                      branch_budget=branch_budget)
     diagnostics = {"tracts": len(atlas.tracts), "T_grid": T_grid,
                    "bracket_lowered": lowered, "seed": cfg.seed}
-    if handle.variant == "Koenigs":
-        cross = poly.bowen_zero_poly(handle.payload.p, 12,
+    if isinstance(handle, lz.KoenigsLinearizer):
+        cross = poly.bowen_zero_poly(handle.p, 12,
                                      node_budget=cfg.node_budget)
         diagnostics["poly_bowen_zero"] = cross.value
     result = {"theta_hat": theta, "bowen_zero": float(bowen),

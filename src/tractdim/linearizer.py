@@ -1,13 +1,20 @@
 """Entire-function handles: exponential family, Koenigs linearizers, composites.
 
-Three families share one evaluation interface:
+Each family is a handle class of its own, and every handle has the same
+interface: ``eval(z)`` and ``derivative(z)`` give f and f' at a scalar;
+``log_f_and_q(z)`` gives log f (up to 2 pi i) and f'/f without overflow,
+for scalars or arrays; ``metric_derivative(z)`` is the cylindrical-metric
+derivative; ``to_json()`` is the descriptor ``handle_from_json`` reads
+back; ``singular_radius`` bounds the singular values.
 
-* ``ExpPower``: z -> lam * exp(z**d).
-* ``KoenigsLinearizer``: the entire solution f of f(lam*z) = p(f(z)),
-  f(0) = z0, f'(0) = 1 at a repelling fixed point z0 of a polynomial p,
-  optionally precomposed with a scale kappa (f_kappa = f(kappa*z)).
-* ``CompositeExpModel``: F = inner o exp, an infinite-order model built
-  over an inner handle whose tract sits deep in the right half-plane.
+* ``ExpPower`` (built by ``exp_power``): z -> lam * exp(z**d).
+* ``KoenigsLinearizer`` (built by ``make_koenigs``): the entire solution f
+  of f(lam*z) = p(f(z)), f(0) = z0, f'(0) = 1 at a repelling fixed point
+  z0 of a polynomial p, optionally precomposed with a scale kappa
+  (f_kappa = f(kappa*z)).
+* ``CompositeExpModel`` (built by ``composite_exp``): F = inner o exp, an
+  infinite-order model built over an inner handle whose tract sits deep
+  in the right half-plane.
 """
 
 from __future__ import annotations
@@ -25,6 +32,33 @@ from .poly import Polynomial
 _EXP_CAP = 700.0  # log of float range, with headroom
 _TAIL_TOL = 1e-14
 _MAX_SERIES_K = 256
+
+
+class _Handle:
+    """Interface shared by the function families (see the module docstring)."""
+
+    def metric_derivative(self, z):
+        """|f'(z)|_1 = |f'(z)| |z| / |f(z)|, the cylindrical-metric derivative."""
+        z = _nonzero(z)
+        fz = self.eval(z)
+        if abs(fz) < 1e-300:
+            raise ZeroDenominator("|f(z)| below floor")
+        return abs(self.derivative(z)) * abs(z) / abs(fz)
+
+
+def _nonzero(z):
+    z = complex(z)
+    if z == 0:
+        raise ZeroDenominator("metric derivative undefined at z = 0")
+    return z
+
+
+def _checked_exp(z):
+    """exp(z) at a scalar, refusing arguments past the float range."""
+    z = complex(z)
+    if z.real > _EXP_CAP:
+        raise Overflow("exp argument real part %g" % z.real)
+    return np.exp(z)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +94,7 @@ def koenigs_coefficients(p, z0, K):
 
 
 @dataclass(frozen=True)
-class KoenigsLinearizer:
+class KoenigsLinearizer(_Handle):
     p: Polynomial
     z0: complex
     lam: complex
@@ -71,6 +105,44 @@ class KoenigsLinearizer:
     @property
     def K(self):
         return len(self.taylor)
+
+    @property
+    def singular_radius(self):
+        return _postcritical_radius(self.p, self.z0)
+
+    def eval(self, z, _with_derivative=False):
+        """f(kappa*z) by ladder descent: series at kappa*z/lam^n, then p^n."""
+        u = self.kappa * complex(z)
+        n = 0
+        r0 = self.series_radius
+        while abs(u) > r0:
+            u /= self.lam
+            n += 1
+        val, dser = _series_eval(self, u)
+        dval = dser * self.kappa / self.lam**n
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n):
+                if _with_derivative:
+                    dval = dval * self.p.derivative(val)
+                val = self.p(val)
+                if not np.isfinite(val):
+                    raise Overflow("linearizer value escaped floating range")
+        if _with_derivative:
+            if not np.isfinite(dval):
+                raise Overflow("linearizer derivative escaped floating range")
+            return val, dval
+        return val
+
+    def derivative(self, z):
+        return self.eval(z, _with_derivative=True)[1]
+
+    def log_f_and_q(self, z):
+        # handle-level z is the linearizer's own variable; kappa is inside
+        return linearizer_log_eval(self, z)
+
+    def to_json(self):
+        return {"family": "koenigs", "poly": self.p.to_json(),
+                "z0": _c2pair(self.z0), "kappa": _c2pair(self.kappa)}
 
 
 def _series_radius(p, z0, lam):
@@ -104,34 +176,6 @@ def _series_eval(L, u):
         ds = ds * u + s
         s = s * u + a
     return L.z0 + u * s, s + u * ds
-
-
-def linearizer_eval(L, z, _with_derivative=False):
-    """Evaluate f(kappa*z) by ladder descent: series at kappa*z/lam^n, then p^n."""
-    u = L.kappa * complex(z)
-    n = 0
-    r0 = L.series_radius
-    while abs(u) > r0:
-        u /= L.lam
-        n += 1
-    val, dser = _series_eval(L, u)
-    dval = dser * L.kappa / L.lam**n
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n):
-            if _with_derivative:
-                dval = dval * L.p.derivative(val)
-            val = L.p(val)
-            if not np.isfinite(val):
-                raise Overflow("linearizer value escaped floating range")
-    if _with_derivative:
-        if not np.isfinite(dval):
-            raise Overflow("linearizer derivative escaped floating range")
-        return val, dval
-    return val
-
-
-def linearizer_derivative(L, z):
-    return linearizer_eval(L, z, _with_derivative=True)[1]
 
 
 def _exp_neg(logf):
@@ -209,7 +253,7 @@ def make_disjoint_type(L, R, grid=48):
     while abs(kappa) >= 1e-12:
         trial = dataclasses.replace(L, kappa=kappa)
         try:
-            escaped = any(abs(linearizer_eval(trial, z)) > R for z in pts)
+            escaped = any(abs(trial.eval(z)) > R for z in pts)
         except Overflow:
             escaped = True
         if not escaped:
@@ -218,26 +262,8 @@ def make_disjoint_type(L, R, grid=48):
     raise ScaleFloor("no disjoint-type kappa above 1e-12")
 
 
-# ---------------------------------------------------------------------------
-# The exponential family and the composite model
-
-
-@dataclass(frozen=True)
-class ExpPower:
-    lam: complex
-    d: int
-
-
-@dataclass(frozen=True)
-class CompositeExpModel:
-    inner: "EntireFunctionHandle"
-
-
-@dataclass(frozen=True)
-class EntireFunctionHandle:
-    variant: str  # ExpPower | Koenigs | CompositeExp
-    payload: object
-    singular_radius: float
+# make_koenigs under a name like exp_power and composite_exp
+koenigs_handle = make_koenigs
 
 
 def _postcritical_radius(p, z0, iters=50):
@@ -252,70 +278,71 @@ def _postcritical_radius(p, z0, iters=50):
     return rad
 
 
+# ---------------------------------------------------------------------------
+# The exponential family and the composite model
+
+
+@dataclass(frozen=True)
+class ExpPower(_Handle):
+    lam: complex
+    d: int
+
+    @property
+    def singular_radius(self):
+        return max(abs(self.lam), 1e-6) if self.d > 1 else 1e-6
+
+    def eval(self, z):
+        return self.lam * _checked_exp(complex(z) ** self.d)
+
+    def derivative(self, z):
+        z = complex(z)
+        return self.lam * self.d * z ** (self.d - 1) * _checked_exp(z**self.d)
+
+    def log_f_and_q(self, z):
+        z = np.asarray(z, dtype=complex) if not np.isscalar(z) else complex(z)
+        return cmath.log(self.lam) + z**self.d, self.d * z ** (self.d - 1)
+
+    def metric_derivative(self, z):
+        # closed form d*|z|^d is overflow-free
+        return self.d * abs(_nonzero(z)) ** self.d
+
+    def to_json(self):
+        return {"family": "exp_power", "lambda": _c2pair(self.lam),
+                "d": self.d}
+
+
 def exp_power(lam=1.0, d=1):
     if d < 1:
         raise ValueError("d must be >= 1")
-    return EntireFunctionHandle("ExpPower", ExpPower(complex(lam), int(d)),
-                                max(abs(lam), 1e-6) if d > 1 else 1e-6)
+    return ExpPower(complex(lam), int(d))
 
 
-def koenigs_handle(p, z0, kappa=1.0 + 0j):
-    L = make_koenigs(p, z0, kappa)
-    return EntireFunctionHandle("Koenigs", L, _postcritical_radius(p, z0))
+@dataclass(frozen=True)
+class CompositeExpModel(_Handle):
+    inner: _Handle
+
+    @property
+    def singular_radius(self):
+        return self.inner.singular_radius
+
+    def eval(self, z):
+        return self.inner.eval(_checked_exp(z))
+
+    def derivative(self, z):
+        ez = _checked_exp(z)
+        return self.inner.derivative(ez) * ez
+
+    def log_f_and_q(self, z):
+        ez = (np.exp(np.asarray(z, dtype=complex)) if not np.isscalar(z)
+              else cmath.exp(z))
+        lf, q = self.inner.log_f_and_q(ez)
+        return lf, q * ez
+
+    def to_json(self):
+        return {"family": "composite_exp", "inner": self.inner.to_json()}
 
 
-def composite_exp(inner):
-    return EntireFunctionHandle("CompositeExp", CompositeExpModel(inner),
-                                inner.singular_radius)
-
-
-def function_eval(h, z):
-    z = complex(z)
-    if h.variant == "ExpPower":
-        f = h.payload
-        w = z**f.d
-        if w.real > _EXP_CAP:
-            raise Overflow("exp argument real part %g" % w.real)
-        return f.lam * np.exp(w)
-    if h.variant == "Koenigs":
-        return linearizer_eval(h.payload, z)
-    if h.variant == "CompositeExp":
-        if z.real > _EXP_CAP:
-            raise Overflow("exp argument real part %g" % z.real)
-        return function_eval(h.payload.inner, np.exp(z))
-    raise ValueError("unknown variant %r" % h.variant)
-
-
-def function_derivative(h, z):
-    z = complex(z)
-    if h.variant == "ExpPower":
-        f = h.payload
-        w = z**f.d
-        if w.real > _EXP_CAP:
-            raise Overflow("exp argument real part %g" % w.real)
-        return f.lam * f.d * z ** (f.d - 1) * np.exp(w)
-    if h.variant == "Koenigs":
-        return linearizer_derivative(h.payload, z)
-    if h.variant == "CompositeExp":
-        if z.real > _EXP_CAP:
-            raise Overflow("exp argument real part %g" % z.real)
-        ez = np.exp(z)
-        return function_derivative(h.payload.inner, ez) * ez
-    raise ValueError("unknown variant %r" % h.variant)
-
-
-def metric_derivative(h, z):
-    """|f'(z)|_1 = |f'(z)| |z| / |f(z)|, the cylindrical-metric derivative."""
-    z = complex(z)
-    if z == 0:
-        raise ZeroDenominator("metric derivative undefined at z = 0")
-    if h.variant == "ExpPower":
-        # closed form d*|z|^d is overflow-free
-        return h.payload.d * abs(z) ** h.payload.d
-    fz = function_eval(h, z)
-    if abs(fz) < 1e-300:
-        raise ZeroDenominator("|f(z)| below floor")
-    return abs(function_derivative(h, z)) * abs(z) / abs(fz)
+composite_exp = CompositeExpModel
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +359,6 @@ def _pair2c(v):
     return complex(v[0], v[1])
 
 
-def handle_to_json(h):
-    if h.variant == "ExpPower":
-        return {"family": "exp_power", "lambda": _c2pair(h.payload.lam),
-                "d": h.payload.d}
-    if h.variant == "Koenigs":
-        L = h.payload
-        return {"family": "koenigs", "poly": L.p.to_json(),
-                "z0": _c2pair(L.z0), "kappa": _c2pair(L.kappa)}
-    if h.variant == "CompositeExp":
-        return {"family": "composite_exp", "inner": handle_to_json(h.payload.inner)}
-    raise ValueError("unknown variant %r" % h.variant)
-
-
 def handle_from_json(desc):
     if isinstance(desc, str):
         desc = json.loads(desc)
@@ -353,8 +367,8 @@ def handle_from_json(desc):
         return exp_power(_pair2c(desc.get("lambda", 1.0)), int(desc.get("d", 1)))
     if fam == "koenigs":
         p = Polynomial.from_json(desc["poly"])
-        return koenigs_handle(p, _pair2c(desc["z0"]),
-                              _pair2c(desc.get("kappa", 1.0)))
+        return make_koenigs(p, _pair2c(desc["z0"]),
+                            _pair2c(desc.get("kappa", 1.0)))
     if fam == "composite_exp":
-        return composite_exp(handle_from_json(desc["inner"]))
+        return CompositeExpModel(handle_from_json(desc["inner"]))
     raise ValueError("unknown family %r" % fam)

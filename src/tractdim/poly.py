@@ -343,14 +343,24 @@ def bowen_zero_poly(
             f"pressure has no sign change on {bracket}: P({lo})={plo:.4g}, "
             f"P({hi})={phi:.4g}"
         )
+    lo, hi = bisect_bracket(lambda t: cache.pressure(t, depth).value > 0.0,
+                            lo, hi, width)
+    return BowenZero(0.5 * (lo + hi), (lo, hi), hi - lo)
+
+
+def bisect_bracket(positive, lo, hi, width):
+    """Halve [lo, hi] around a sign change until it is at most width wide.
+
+    A midpoint where positive(mid) holds replaces lo, any other replaces
+    hi, so the predicate decides where a NaN value goes.  Returns (lo, hi).
+    """
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        pm = cache.pressure(mid, depth).value
-        if pm > 0.0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid
-    return BowenZero(0.5 * (lo + hi), (lo, hi), hi - lo)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,13 @@ from scipy.special import logsumexp
 
 from . import tract as tr
 from .errors import InvalidGrid, NoSignChange
+from .poly import bisect_bracket
 
 DEFAULT_T_GRID = tuple(float(2**j) for j in range(3, 15))
+#: Largest dyadic exponent of the T grid on sampled (continued) branches,
+#: where the quadrature walker makes the very large panels too slow.
+SAMPLED_TJ_CAP = 9
+SAMPLED_T_GRID = tuple(T for T in DEFAULT_T_GRID if T <= 2**SAMPLED_TJ_CAP)
 _QUAD_ABS_TOL = 1e-8
 _MAX_PANELS = 4096  # per unit interval
 _REF_T = 2.0  # adaptivity reference exponent
@@ -55,18 +60,15 @@ def _node_table(branch, T, r):
             y = (mids[:, None] + half * _GL_X[None, :]).ravel()
             w = np.broadcast_to(half * _GL_W[None, :], (panels_per_unit, 4)).ravel()
             xi = T * (r + 1j * y)
-            if branch.closed_dphi is not None:
-                dphi = np.asarray(branch.closed_dphi(xi))
-            elif (a, b) not in guesses:
+            if (a, b) not in guesses:
                 z, dphi = tr.phi_path(branch, xi)
-                guesses[(a, b)] = (y, z)
             else:
                 # refined nodes inherit interpolated guesses from the
                 # coarser level; one batched Newton polishes them all
                 y0, z0 = guesses[(a, b)]
                 guess = np.interp(y, y0, z0.real) + 1j * np.interp(y, y0, z0.imag)
                 z, dphi = tr.phi_refine(branch, xi, guess)
-                guesses[(a, b)] = (y, z)
+            guesses[(a, b)] = (y, z)
             logw.append(np.log(w))
             logd.append(np.log(np.abs(dphi)) + log_norm)
         return np.concatenate(logw), np.concatenate(logd)
@@ -202,12 +204,7 @@ def theta_f(branch, T_grid=DEFAULT_T_GRID, width=1e-3):
         curve = ", ".join("(%.6g, %.6g)" % (0.1 * k, b_hat(0.1 * k))
                           for k in range(21))
         raise NoSignChange("b has no zero on (0, 2]; curve: [%s]" % curve)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if b_hat(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect_bracket(lambda t: not b_hat(t) <= 0, lo, hi, width)
     return 0.5 * (lo + hi)
 
 

@@ -4,7 +4,10 @@ A tract of a handle f at radius R is an unbounded component of
 f^{-1}({|w| > R}).  On each tract f = exp o tau with tau = log f conformal
 onto a right half-plane region, and phi = tau^{-1} is evaluated either in
 closed form (exponential and composite families) or by predictor-corrector
-continuation on the wrapped residual log f(z) - xi (Koenigs family).
+continuation on the wrapped residual log f(z) - xi (Koenigs family).  This
+module alone knows which: callers go through phi_eval, phi_path,
+phi_refine and phi_derivative, and ask TractBranch.sampled where the cost
+of continuation matters to them.
 """
 
 from __future__ import annotations
@@ -43,14 +46,16 @@ def _halton(n, base):
 
 @dataclass
 class TractBranch:
-    """One tract with its inverse map.
+    """One tract of a handle with its inverse map phi.
 
-    closed_phi/closed_dphi hold analytic formulas when the family admits
-    them; otherwise phi is continued numerically from cached anchors: the
-    first _n_anchors columns of _anchors are solved (xi, phi(xi)) pairs, the
-    base point first.  _trust is the continuation step size the last walk
-    ended with; _scales caches |phi(T)| and _node_tables the spectrum's
-    quadrature tables.
+    base_point lies in the tract and base_log = log f(base_point).
+    closed_phi/closed_dphi hold phi and phi' in closed form when the family
+    admits them (they take arrays of any shape).  Otherwise the branch is
+    sampled: phi is continued numerically from cached anchors, the first
+    _n_anchors columns of _anchors being solved (xi, phi(xi)) pairs, the
+    base point first, and _trust is the continuation step size the last
+    walk ended with.  _scales caches |phi(T)| and _node_tables the
+    spectrum's quadrature tables.
     """
 
     handle: object
@@ -67,6 +72,11 @@ class TractBranch:
     def __post_init__(self):
         self._anchors = np.empty((2, _MAX_ANCHORS), dtype=complex)
         self._anchors[:, 0] = self.base_log, self.base_point
+
+    @property
+    def sampled(self):
+        """True when phi is continued numerically, not known in closed form."""
+        return self.closed_phi is None
 
 
 @dataclass
@@ -87,9 +97,8 @@ class RescaledBoundary:
 # Tract location
 
 
-def _closed_branches_exp_power(handle, R):
-    f = handle.payload
-    d, lam = f.d, f.lam
+def _closed_branches_exp_power(handle, R, max_rho):
+    d, lam = handle.d, handle.lam
     # f(z) = e^xi  <=>  z^d = xi - log lam; one tract per d-th root sector
     shift = cmath.log(lam)
     branches = []
@@ -109,9 +118,8 @@ def _closed_branches_exp_power(handle, R):
     return branches
 
 
-def _closed_branches_composite(handle, R):
-    inner = handle.payload.inner
-    inner_atlas = find_tracts(inner, R)
+def _closed_branches_composite(handle, R, max_rho):
+    inner_atlas = find_tracts(handle.inner, R, max_rho)
     branches = []
     for ib in inner_atlas.tracts:
         def phi(xi, ib=ib):
@@ -128,23 +136,10 @@ def _closed_branches_composite(handle, R):
     return branches
 
 
-def _log_f_and_q(handle, z):
-    """(log f(z) up to 2 pi i, logarithmic derivative f'/f) without overflow.
-
-    Accepts scalars or arrays.
-    """
-    if handle.variant == "ExpPower":
-        f = handle.payload
-        z = np.asarray(z, dtype=complex) if not np.isscalar(z) else complex(z)
-        return cmath.log(f.lam) + z**f.d, f.d * z ** (f.d - 1)
-    if handle.variant == "Koenigs":
-        # handle-level z is the linearizer's own variable; kappa is inside L
-        return lz.linearizer_log_eval(handle.payload, z)
-    if handle.variant == "CompositeExp":
-        ez = np.exp(np.asarray(z, dtype=complex)) if not np.isscalar(z) else cmath.exp(z)
-        lf, q = _log_f_and_q(handle.payload.inner, ez)
-        return lf, q * ez
-    raise ValueError("unknown variant %r" % handle.variant)
+def _closed(branch, xi):
+    """phi and phi' in closed form at an array of xi of any shape."""
+    xi = np.asarray(xi, dtype=complex)
+    return np.asarray(branch.closed_phi(xi)), np.asarray(branch.closed_dphi(xi))
 
 
 def phi_refine(branch, xi, z_guess):
@@ -154,14 +149,17 @@ def phi_refine(branch, xi, z_guess):
     interpolated guesses from the coarser level; the wrapped residual keeps
     each point on its own 2 pi i sheet.
     Only the points not yet converged are evaluated again; each returned
-    phi' is 1/(log f)' at the returned z.
+    phi' is 1/(log f)' at the returned z.  A closed-form branch ignores the
+    guesses and returns exact values.
     """
+    if not branch.sampled:
+        return _closed(branch, xi)
     xi = np.asarray(xi, dtype=complex)
     z = np.asarray(z_guess, dtype=complex).copy()
     q = np.empty_like(z)
     active = np.arange(z.size)
     for _ in range(_NEWTON_MAXIT):
-        lf, q[active] = _log_f_and_q(branch.handle, z[active])
+        lf, q[active] = branch.handle.log_f_and_q(z[active])
         res = lf - xi[active]
         res = np.real(res) + 1j * ((np.imag(res) + np.pi) % _TWO_PI - np.pi)
         # a nan residual stays active
@@ -185,7 +183,7 @@ def _sampled_branches(handle, R, max_rho=1e12):
     angles = np.linspace(0.0, _TWO_PI, n_angles, endpoint=False)
     rho = 1.0
     while rho <= max_rho:
-        lf, _ = _log_f_and_q(handle, rho * np.exp(1j * angles))
+        lf, _ = handle.log_f_and_q(rho * np.exp(1j * angles))
         mask = lf.real > threshold
         if mask.any():
             break
@@ -203,21 +201,26 @@ def _sampled_branches(handle, R, max_rho=1e12):
     for run in runs:
         center = angles[run[len(run) // 2] % n_angles]
         z_b = rho * np.exp(1j * center)
-        lf, _ = _log_f_and_q(handle, z_b)
+        lf, _ = handle.log_f_and_q(z_b)
         branches.append(TractBranch(handle, complex(z_b), _wrap_imag(lf)))
     return branches
 
 
+_BRANCH_BUILDERS = {
+    lz.ExpPower: _closed_branches_exp_power,
+    lz.CompositeExpModel: _closed_branches_composite,
+    lz.KoenigsLinearizer: _sampled_branches,
+}
+
+
 def find_tracts(handle, R, max_rho=1e12):
-    """Atlas of tracts at radius R, one TractBranch per located component."""
+    """Atlas of tracts at radius R, one TractBranch per located component.
+
+    max_rho bounds the search annulus of a sampled family.
+    """
     if R < max(1.0, handle.singular_radius):
         raise ValueError("R below the singular radius")
-    if handle.variant == "ExpPower":
-        tracts = _closed_branches_exp_power(handle, R)
-    elif handle.variant == "CompositeExp":
-        tracts = _closed_branches_composite(handle, R)
-    else:
-        tracts = _sampled_branches(handle, R, max_rho)
+    tracts = _BRANCH_BUILDERS[type(handle)](handle, R, max_rho)
     return TractAtlas(handle, float(R), tracts)
 
 
@@ -226,40 +229,52 @@ def find_tracts(handle, R, max_rho=1e12):
 
 
 def _newton(handle, z, xi, cap):
+    """(z, q) with q = (log f)'(z) once the residual converges, else (z, None)."""
     for _ in range(_NEWTON_MAXIT):
-        lf, q = _log_f_and_q(handle, z)
+        lf, q = handle.log_f_and_q(z)
         res = _wrap_imag(lf - xi)
         if abs(res) < _NEWTON_TOL * (1.0 + abs(xi)):
-            return z, True
+            return z, q
         if abs(q) < 1e-300:
             raise ZeroDenominator("vanishing f'/f during correction")
         step = res / q
         if abs(step) > cap:
             step *= cap / abs(step)
         z = z - step
-    return z, False
+    return z, None
+
+
+def _check_offset(xi):
+    if np.min(np.real(xi)) < MIN_OFFSET:
+        raise ValueError("Re xi below the minimum offset %g" % MIN_OFFSET)
 
 
 def phi_eval(branch, xi):
     """z in the tract with log f(z) = xi, by continuation from cached anchors."""
-    if np.min(np.real(xi)) < MIN_OFFSET:
-        raise ValueError("Re xi below the minimum offset %g" % MIN_OFFSET)
-    if branch.closed_phi is not None:
-        return branch.closed_phi(xi)
-    xi = complex(xi)  # continuation path is scalar
+    if branch.sampled:
+        return _from_anchor(branch, complex(xi))[0]
+    _check_offset(xi)
+    return branch.closed_phi(xi)
+
+
+def _from_anchor(branch, xi):
+    """(phi(xi), q or None) walked from the nearest anchor; xi is stored."""
+    _check_offset(xi)
     n = branch._n_anchors
     i = int(np.argmin(np.abs(branch._anchors[0, :n] - xi)))  # first nearest
     anchor_xi, z = branch._anchors[:, i].tolist()
-    z = _continue_to(branch, anchor_xi, z, xi)
+    z, q = _continue_to(branch, anchor_xi, z, None, xi)
     if n < _MAX_ANCHORS:
         branch._anchors[:, n] = xi, z
         branch._n_anchors = n + 1
-    return z
+    return z, q
 
 
-def _continue_to(branch, current, z, xi):
+def _continue_to(branch, current, z, q, xi):
     """Walk z = phi(current) to phi(xi) with trust-region predictor steps.
 
+    q is (log f)'(z) when the caller has it, else None; the walk returns
+    (phi(xi), q at it), q still None when no step was taken.
     Step sizes grow geometrically while the winding guard accepts and halve
     when it rejects, so affine-like tracts take O(log) steps per decade while
     curved geometry self-limits.
@@ -275,17 +290,17 @@ def _continue_to(branch, current, z, xi):
             if abs(step) > max_step:
                 step *= max_step / abs(step)
             target = current + step
-            _, q = _log_f_and_q(branch.handle, z)
+            if q is None:
+                _, q = branch.handle.log_f_and_q(z)
             if abs(q) < 1e-300:
                 raise ZeroDenominator("vanishing f'/f on continuation path")
             z_pred = z + step / q  # tangent predictor: dz/dxi = 1/(log f)'
             cap = 2.0 * max(abs(z_pred), 1.0)
-            z_new, ok = _newton(branch.handle, z_pred, target, cap)
-            if ok:
+            z_new, q_new = _newton(branch.handle, z_pred, target, cap)
+            if q_new is not None:
                 # adjacent 2 pi i sheets sit ~ 2 pi |phi'| away; a correction
                 # larger than a third of that means the predictor may have
                 # hopped windings
-                _, q_new = _log_f_and_q(branch.handle, z_new)
                 sheet = _TWO_PI / max(abs(q_new), 1e-300)
                 if abs(z_new - z_pred) <= 0.3 * sheet or abs(step) < 1e-10:
                     trust = max_step * 1.5
@@ -294,29 +309,31 @@ def _continue_to(branch, current, z, xi):
             trust = max_step
             if max_step < 1e-12:
                 raise ContinuationStall("step underflow near xi = %s" % xi)
-        current, z = target, z_new
+        current, z, q = target, z_new, q_new
     branch._trust = trust
-    return z
+    return z, q
 
 
 def phi_path(branch, xis):
     """phi and phi' along an ordered sequence of nearby xi values.
 
-    Sequential continuation carrying state from node to node; much cheaper
-    than independent phi_eval calls for quadrature contours.
+    The one batch entry for both kinds of branch.  A closed-form branch
+    takes an array of any shape.  A sampled branch continues sequentially,
+    carrying state from node to node; much cheaper than independent
+    phi_eval calls for quadrature contours.
     """
+    if not branch.sampled:
+        return _closed(branch, xis)
     xis = [complex(x) for x in xis]
-    if branch.closed_phi is not None:
-        arr = np.asarray(xis)
-        return np.asarray(branch.closed_phi(arr)), np.asarray(branch.closed_dphi(arr))
     zs = np.empty(len(xis), dtype=complex)
     ds = np.empty(len(xis), dtype=complex)
-    z = phi_eval(branch, xis[0])
+    z, q = _from_anchor(branch, xis[0])
     current = xis[0]
     for i, xi in enumerate(xis):
-        z = _continue_to(branch, current, z, xi)
+        z, q = _continue_to(branch, current, z, q, xi)
         current = xi
-        _, q = _log_f_and_q(branch.handle, z)
+        if q is None:
+            _, q = branch.handle.log_f_and_q(z)
         zs[i] = z
         ds[i] = 1.0 / q
     return zs, ds
@@ -324,10 +341,11 @@ def phi_path(branch, xis):
 
 def _phi_and_derivative(branch, xi):
     """(phi(xi), phi'(xi)) from one continuation; phi' = 1 / (log f)'(phi)."""
-    if branch.closed_phi is not None:
+    if not branch.sampled:
         return phi_eval(branch, xi), branch.closed_dphi(xi)
-    z = phi_eval(branch, complex(xi))
-    _, q = _log_f_and_q(branch.handle, z)
+    z, q = _from_anchor(branch, complex(xi))
+    if q is None:
+        _, q = branch.handle.log_f_and_q(z)
     if abs(q) < 1e-300:
         raise ZeroDenominator("vanishing f'/f at phi(xi)")
     return z, 1.0 / q
@@ -335,7 +353,7 @@ def _phi_and_derivative(branch, xi):
 
 def phi_derivative(branch, xi):
     """phi'(xi) = 1 / (log f)'(phi(xi)), the exact chain rule for f o phi = exp."""
-    if branch.closed_dphi is not None:
+    if not branch.sampled:
         return branch.closed_dphi(xi)
     return _phi_and_derivative(branch, xi)[1]
 
@@ -387,7 +405,7 @@ def _sample_annulus_qt(T, samples, inner_frac=0.125):
 
     Drawn in normalized (xi/T) coordinates with a fixed normalized floor so
     the sample scales exactly with T: reported ratios are bitwise
-    T-independent for scale-invariant phi.
+    T-independent for homogeneous phi (phi(T xi) = T^a phi(xi)).
     """
     h2, h3 = _halton(4 * samples, 2), _halton(4 * samples, 3)
     re_n = MIN_OFFSET + (4 - MIN_OFFSET) * h2

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tract as tr
 from .errors import BudgetExceeded, DivergenceDetected, NoSignChange
+from .poly import bisect_bracket
 
 _TWO_PI = 2.0 * math.pi
 _REL_STOP = 1e-10
@@ -27,19 +28,19 @@ _FRONTIER_CAP = 1 << 24
 
 
 def _default_budget(atlas):
-    if all(b.closed_phi is not None for b in atlas.tracts):
-        return DEFAULT_K_CLOSED
-    return DEFAULT_K_SAMPLED
+    if any(b.sampled for b in atlas.tracts):
+        return DEFAULT_K_SAMPLED
+    return DEFAULT_K_CLOSED
 
 
 def _log_weight_terms(branch, logw, argw, ks):
-    """Per-preimage z and log|phi'/phi| for an ordered k-array."""
+    """Per-preimage z and log|phi'/phi| for an ordered k-array.
+
+    xi = logw + i(argw + 2 pi k) broadcasts, so column arrays of logw and
+    argw give one row of preimages per point.
+    """
     xi = logw + 1j * (argw + _TWO_PI * np.asarray(ks, dtype=float))
-    if branch.closed_phi is not None:
-        z = np.asarray(branch.closed_phi(xi))
-        dphi = np.asarray(branch.closed_dphi(xi))
-    else:
-        z, dphi = tr.phi_path(branch, xi)
+    z, dphi = tr.phi_path(branch, xi)
     return z, np.log(np.abs(dphi)) - np.log(np.abs(z))
 
 
@@ -175,7 +176,7 @@ def transfer_iterate(atlas, t, w, n, branch_budget=128):
         return transfer_apply_point(atlas, t, w, k_budget=branch_budget).value
     budgets = level_budgets(branch_budget, n)
     log_radius = math.log(atlas.radius)
-    closed = all(b.closed_phi is not None for b in atlas.tracts)
+    sampled = any(b.sampled for b in atlas.tracts)
     zs = np.array([complex(w)])
     logwt = np.array([0.0])
     for level, B in enumerate(budgets):
@@ -189,23 +190,19 @@ def transfer_iterate(atlas, t, w, n, branch_budget=128):
             raise BudgetExceeded(
                 "iterate frontier exceeds cap at level %d" % (level + 1)
             )
-        new_z, new_logwt = [], []
-        if closed:
-            xi = (np.log(np.abs(zs))[:, None]
-                  + 1j * (np.angle(zs)[:, None] + _TWO_PI * ks[None, :]))
-            for branch in atlas.tracts:
-                child = np.asarray(branch.closed_phi(xi))
-                dphi = np.asarray(branch.closed_dphi(xi))
-                logterm = np.log(np.abs(dphi)) - np.log(np.abs(child))
-                new_z.append(child.ravel())
-                new_logwt.append((logwt[:, None] + t * logterm).ravel())
+        if sampled:
+            # continuation walks one point at a time, in frontier order,
+            # because each walk starts from the anchors the last one left
+            points = [(*_split_point(z0), lw) for z0, lw in zip(zs, logwt)]
         else:
-            for z0, lw in zip(zs, logwt):
-                logw, argw = _split_point(z0)
-                for branch in atlas.tracts:
-                    child, logterm = _log_weight_terms(branch, logw, argw, ks)
-                    new_z.append(child)
-                    new_logwt.append(lw + t * logterm)
+            points = [(np.log(np.abs(zs))[:, None], np.angle(zs)[:, None],
+                       logwt[:, None])]
+        new_z, new_logwt = [], []
+        for logw, argw, lw in points:
+            for branch in atlas.tracts:
+                child, logterm = _log_weight_terms(branch, logw, argw, ks)
+                new_z.append(child.ravel())
+                new_logwt.append((lw + t * logterm).ravel())
         zs = np.concatenate(new_z)
         logwt = np.concatenate(new_logwt)
     return float(np.sum(np.exp(np.sort(logwt))))
@@ -284,12 +281,7 @@ def pressure_root(pfun, lo, hi, width=0.02):
     if p_lo <= 0 or p_hi > 0:
         raise NoSignChange("no sign change on bracket; endpoints: "
                            "[(%.6g, %.6g), (%.6g, %.6g)]" % (lo, p_lo, hi, p_hi))
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if signed(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect_bracket(lambda t: not signed(t) <= 0, lo, hi, width)
     return 0.5 * (lo + hi)
 
 

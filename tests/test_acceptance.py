@@ -2,13 +2,18 @@
 
 Criteria 1-12 run through the shared check functions; criterion 13 runs
 the ``verify`` subcommand twice with the same seed and different thread
-counts and compares the reports byte for byte.
+counts, compares the reports byte for byte, and pins them to a golden
+report, so a refactor that moves any figure in them fails here.
 """
+
+import os
 
 import pytest
 
 import tractdim.checks as checks
 import tractdim.cli as cli
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verify_subset.txt")
 
 
 @pytest.mark.parametrize(
@@ -28,3 +33,5 @@ def test_criterion_13_verify_determinism(tmp_path, capsys):
         assert code == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+    with open(GOLDEN) as fh:
+        assert reports[0] == fh.read()

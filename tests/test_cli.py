@@ -6,6 +6,7 @@ import math
 import pytest
 
 import tractdim.cli as cli
+import tractdim.linearizer as lz
 import tractdim.spectrum as sp
 from tractdim.cli import ConfigError, RunConfig
 from tractdim.errors import InvalidGrid, NoSignChange
@@ -39,7 +40,7 @@ class TestRunConfig:
     def test_T_grid_sampled_cap(self):
         cfg = RunConfig(function={}, Tjmin=3, Tjmax=14)
         assert cfg.T_grid()[-1] == 2.0 ** 14
-        assert cfg.T_grid(sampled=True)[-1] == 2.0 ** cli.SAMPLED_TJ_CAP
+        assert cfg.T_grid(sampled=True)[-1] == 2.0 ** sp.SAMPLED_TJ_CAP
 
     def test_validation(self):
         with pytest.raises(InvalidGrid):
@@ -52,19 +53,20 @@ class TestRunConfig:
 
 class TestFunctionSpec:
     def test_shorthands(self):
-        assert cli.function_from_spec("exp").variant == "ExpPower"
-        assert cli.function_from_spec("square").payload.d == 2
-        assert cli.function_from_spec("composite").variant == "CompositeExp"
+        assert isinstance(cli.function_from_spec("exp"), lz.ExpPower)
+        assert cli.function_from_spec("square").d == 2
+        assert isinstance(cli.function_from_spec("composite"),
+                          lz.CompositeExpModel)
 
     def test_koenigs_shorthand(self):
         h = cli.function_from_spec("koenigs:z^2")
-        assert h.variant == "Koenigs"
-        assert h.payload.z0 == pytest.approx(1.0, abs=1e-8)
+        assert isinstance(h, lz.KoenigsLinearizer)
+        assert h.z0 == pytest.approx(1.0, abs=1e-8)
 
     def test_json_descriptor(self):
         h = cli.function_from_spec(
             '{"family": "exp_power", "lambda": [0.25, 0.0], "d": 1}')
-        assert h.payload.lam == 0.25
+        assert h.lam == 0.25
 
     def test_bad_spec(self):
         with pytest.raises(ConfigError):

@@ -150,6 +150,21 @@ class TestBowenZero:
             poly.bowen_zero_poly(Z2, 8, bracket=(1.5, 2.0))
 
 
+class TestBisectBracket:
+    def test_brackets_the_sign_change(self):
+        lo, hi = poly.bisect_bracket(lambda t: 0.3 - t > 0, 0.0, 1.0, 1e-3)
+        assert lo <= 0.3 <= hi and hi - lo <= 1e-3
+
+    def test_predicate_routes_nan(self):
+        # the callers' two NaN rules: "not v <= 0" sends NaN to lo,
+        # "v > 0" sends it to hi
+        nan = float("nan")
+        lo, hi = poly.bisect_bracket(lambda t: not nan <= 0, 0.0, 1.0, 0.1)
+        assert hi == 1.0 and lo > 0.9
+        lo, hi = poly.bisect_bracket(lambda t: nan > 0, 0.0, 1.0, 0.1)
+        assert lo == 0.0 and hi < 0.1
+
+
 class TestBottcher:
     def test_identity_map(self):
         assert poly.bottcher_inverse(Z2, 2.0) == pytest.approx(2 + 0j)

@@ -58,7 +58,7 @@ class TestSampledBranches:
         h = (lz.koenigs_handle(checks.Z2, 1.0, kappa=0.25) if spec == "check8"
              else cli.function_from_spec(spec))
         batched = tr.find_tracts(h, np.e).tracts
-        log_f_and_q = tr._log_f_and_q
+        log_f_and_q = lz.KoenigsLinearizer.log_f_and_q
 
         def scalar_loop(handle, z):
             if np.ndim(z) == 0:
@@ -66,7 +66,7 @@ class TestSampledBranches:
             lf, q = zip(*(log_f_and_q(handle, complex(v)) for v in z))
             return np.array(lf), np.array(q)
 
-        monkeypatch.setattr(tr, "_log_f_and_q", scalar_loop)
+        monkeypatch.setattr(lz.KoenigsLinearizer, "log_f_and_q", scalar_loop)
         looped = tr.find_tracts(h, np.e).tracts
         assert [(b.base_point, b.base_log) for b in batched] == \
             [(b.base_point, b.base_log) for b in looped]
@@ -98,7 +98,7 @@ class TestPhiEval:
         h = koenigs_branch.handle
         for xi in (0.3 + 1j, 7.0, 12 - 5j):
             z = tr.phi_eval(koenigs_branch, xi)
-            val = lz.function_eval(h, z)
+            val = h.eval(z)
             assert abs(val - np.exp(xi)) < 1e-9 * (1 + abs(val))
 
     def test_cold_cache_coherence(self):
@@ -118,7 +118,7 @@ class TestPhiEval:
 def _full_newton(branch, xi, z):
     """Newton over the whole array every iteration, the reference loop."""
     for _ in range(tr._NEWTON_MAXIT):
-        lf, q = tr._log_f_and_q(branch.handle, z)
+        lf, q = branch.handle.log_f_and_q(z)
         res = lf - xi
         res = np.real(res) + 1j * ((np.imag(res) + np.pi) % (2 * np.pi) - np.pi)
         done = np.abs(res) < tr._NEWTON_TOL * (1.0 + np.abs(xi))
@@ -143,13 +143,13 @@ class TestRefine:
         # guesses off by 0 to 10% so points converge after different counts
         guess = z_true * (1 + 0.1 * np.linspace(0.0, 1.0, len(y)) ** 3)
         sizes = []
-        log_f_and_q = tr._log_f_and_q
+        log_f_and_q = lz.KoenigsLinearizer.log_f_and_q
 
         def counting(handle, z):
             sizes.append(np.size(z))
             return log_f_and_q(handle, z)
 
-        monkeypatch.setattr(tr, "_log_f_and_q", counting)
+        monkeypatch.setattr(lz.KoenigsLinearizer, "log_f_and_q", counting)
         z, dphi = tr.phi_refine(branch, xi, guess)
         monkeypatch.undo()
         assert sizes[0] == len(y) and sizes[-1] < sizes[0]
@@ -157,7 +157,7 @@ class TestRefine:
         z_ref, q_ref = _full_newton(branch, xi, guess.copy())
         assert np.all(np.abs(z - z_ref) <= 1e-12 * np.abs(z_ref))
         assert np.all(np.abs(dphi * q_ref - 1) <= 1e-12)
-        _, q = tr._log_f_and_q(branch.handle, z)
+        _, q = branch.handle.log_f_and_q(z)
         assert np.all(np.abs(dphi * q - 1) <= 1e-12)
 
 
