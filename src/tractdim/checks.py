@@ -1,9 +1,10 @@
 """End-to-end check suite: closed-form oracles and property checks.
 
 Every check returns a CheckResult with a deterministic detail string, so a
-report assembled from the suite is byte-identical across reruns and thread
-counts.  The suite is shared by the ``verify`` subcommand and the test
-suite.
+report assembled from the suite is byte-identical across reruns, whatever
+the order of the checks and whether the module's handle and atlas caches
+are cold or warm.  The suite is shared by the ``verify`` subcommand and
+the test suite.
 """
 
 import math
@@ -42,19 +43,10 @@ _atlases = {}
 def test_handle(name):
     """Named function handles exercised throughout the suite."""
     if name not in _handles:
-        if name == "exp":
-            h = lz.exp_power(1.0, 1)
-        elif name == "quarter":
-            h = lz.exp_power(0.25, 1)
-        elif name == "square":
-            h = lz.exp_power(1.0, 2)
-        elif name == "composite":
-            h = lz.composite_exp(lz.exp_power(math.exp(-6.0), 1))
-        elif name == "koenigs":
-            h = lz.koenigs_handle(Z2, 1.0, kappa=0.25)
+        if name == "koenigs":
+            _handles[name] = lz.koenigs_handle(Z2, 1.0, kappa=0.25)
         else:
-            raise KeyError(name)
-        _handles[name] = h
+            _handles[name] = lz.SHORTHANDS[name]()
     return _handles[name]
 
 
@@ -127,11 +119,10 @@ def check_elementary_spectrum():
 def check_tree_pressure(node_budget=poly.DEFAULT_NODE_BUDGET):
     """Dyadic tree pressure and its zero for exactly solvable polynomials."""
     try:
-        cache = poly._TreeCache(Z2, 3.0 + 0j)
-        perr = max(
-            abs(poly.tree_pressure(Z2, t, 3.0, 14, node_budget=node_budget,
-                                   cache=cache).value - (1 - t) * math.log(2))
-            for t in (0.0, 0.5, 1.0, 1.5))
+        curve = poly.pressure_curve(Z2, (0.0, 0.5, 1.0, 1.5), 3.0, 14,
+                                    node_budget=node_budget)
+        perr = max(abs(P - (1 - t) * math.log(2))
+                   for t, P in zip(curve.t_grid, curve.values))
         zeros = [float(poly.bowen_zero_poly(p, 12, node_budget=node_budget))
                  for p in (Z2, CHEB, COSH)]
     except BudgetExceeded as exc:
@@ -150,13 +141,11 @@ MEANS_RADII = (1.01, 1.003, 1.001)
 
 def check_arc_pressure_identity():
     """Boundary means exponent vs the tree-pressure prediction, p = z^2-1."""
-    cache = poly._TreeCache(BASILICA, 5.0 + 0j)
     ts = (0.5, 1.0, 1.5)
     betas = poly.bottcher_means_spectrum(BASILICA, ts, MEANS_RADII)
-    errs = []
-    for t, beta_h in zip(ts, betas):
-        P = poly.tree_pressure(BASILICA, t, 5.0, 14, cache=cache).value
-        errs.append(abs(beta_h - (t - 1 + P / math.log(2))))
+    pressures = poly.pressure_curve(BASILICA, ts, 5.0, 14).values
+    errs = [abs(beta_h - (t - 1 + P / math.log(2)))
+            for t, beta_h, P in zip(ts, betas, pressures)]
     passed = all(e < 0.05 for e in errs)
     return passed, "errs=%.3f,%.3f,%.3f tol 0.05" % tuple(errs)
 
@@ -242,7 +231,7 @@ def check_scaling_band():
 
 def check_composite_comparison():
     """Composite model spectrum bounded by the inner map's spectrum."""
-    inner = tr.find_tracts(lz.exp_power(math.exp(-6.0), 1), math.e).tracts[0]
+    inner = tr.find_tracts(test_handle("composite").inner, math.e).tracts[0]
     comp = test_atlas("composite").tracts[0]
     rep = sp.composite_spectrum_compare(inner, comp, [0.5, 1.0, 1.5, 2.0],
                                         sp.DEFAULT_T_GRID[:8])

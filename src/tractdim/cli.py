@@ -1,8 +1,9 @@
 """Command-line front end: configuration, pipeline commands, exporters.
 
-Deterministic by construction: outputs carry no timestamps, sampling uses
-fixed low-discrepancy sequences, and the thread-count flag never changes
-results, so identical configurations yield byte-identical files.
+Deterministic by construction: outputs carry no timestamps and sampling
+uses fixed low-discrepancy sequences, so identical configurations yield
+byte-identical files.  Every RunConfig field but ``function`` has a flag
+of the same name (``node_budget`` is ``--node-budget``).
 """
 
 import argparse
@@ -44,17 +45,15 @@ class RunConfig:
     node_budget: int = poly.DEFAULT_NODE_BUDGET
     k_budget: int = 0  # 0 = per-handle default
     branch_budget: int = 128
-    quad_tol: float = 1e-9
     out: str = "out"
-    seed: int = 0
-    threads: int = 0  # 0 = available cores; results never depend on it
+    seed: int = 0  # echoed into the output files
 
     def validate(self):
         for name in ("node_budget", "branch_budget"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be positive" % name)
-        if self.k_budget < 0 or self.quad_tol <= 0:
-            raise ConfigError("budgets must be positive")
+        if self.k_budget < 0:
+            raise ConfigError("k_budget must be >= 0 (0 = per-handle default)")
         if self.radius < 1:
             raise ConfigError("radius must be >= 1")
         if self.Tjmin > self.Tjmax:
@@ -91,6 +90,11 @@ class RunConfig:
         return [float(2 ** j) for j in range(self.Tjmin, hi + 1)]
 
 
+#: The RunConfig fields set by a flag; ``function`` takes a spec string.
+_FLAG_FIELDS = tuple(f for f in dataclasses.fields(RunConfig)
+                     if f.name != "function")
+
+
 def _largest_repelling_fixed_point(p):
     recs = [r for r in poly.find_repelling_fixed_points(p) if r.is_repelling]
     if not recs:
@@ -112,14 +116,8 @@ def function_from_spec(text):
             return lz.handle_from_json(json.loads(text))
         except (ValueError, KeyError) as exc:
             raise ConfigError("bad function descriptor: %s" % exc)
-    if text == "exp":
-        return lz.exp_power(1.0, 1)
-    if text == "quarter":
-        return lz.exp_power(0.25, 1)
-    if text == "square":
-        return lz.exp_power(1.0, 2)
-    if text == "composite":
-        return lz.composite_exp(lz.exp_power(math.exp(-6.0), 1))
+    if text in lz.SHORTHANDS:
+        return lz.SHORTHANDS[text]()
     if text.startswith("koenigs:"):
         p = Polynomial.from_string(text[len("koenigs:"):])
         z0 = _largest_repelling_fixed_point(p)
@@ -137,20 +135,11 @@ def load_config(args):
         cfg = RunConfig(function=function_from_spec(args.function).to_json())
     if args.config and args.function:
         cfg.function = function_from_spec(args.function).to_json()
-    for flag, field in (("radius", "radius"), ("tmin", "tmin"),
-                        ("tmax", "tmax"), ("tstep", "tstep"),
-                        ("Tjmin", "Tjmin"), ("Tjmax", "Tjmax"),
-                        ("out", "out"), ("seed", "seed"),
-                        ("threads", "threads"),
-                        ("node_budget", "node_budget"),
-                        ("branch_budget", "branch_budget"),
-                        ("k_budget", "k_budget")):
-        val = getattr(args, flag, None)
+    for f in _FLAG_FIELDS:
+        val = getattr(args, f.name)
         if val is not None:
-            setattr(cfg, field, val)
+            setattr(cfg, f.name, val)
     cfg.out = os.environ.get("TRACTDIM_OUT", cfg.out)
-    if "TRACTDIM_THREADS" in os.environ:
-        cfg.threads = int(os.environ["TRACTDIM_THREADS"])
     cfg.validate()
     try:
         handle = lz.handle_from_json(cfg.function)
@@ -223,8 +212,16 @@ def _boundary_csv(boundaries):
 # Commands
 
 
+def _find_tracts(handle, cfg):
+    """find_tracts at --radius; a radius or handle it refuses is a ConfigError."""
+    try:
+        return tr.find_tracts(handle, cfg.radius)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def cmd_tract_plot(cfg, handle, T_list):
-    atlas = tr.find_tracts(handle, cfg.radius)
+    atlas = _find_tracts(handle, cfg)
     written = []
     for T in T_list:
         if T <= 0:
@@ -244,7 +241,7 @@ def cmd_tract_plot(cfg, handle, T_list):
 
 
 def cmd_spectrum(cfg, handle):
-    atlas = tr.find_tracts(handle, cfg.radius)
+    atlas = _find_tracts(handle, cfg)
     branch = atlas.tracts[0]
     T_grid = cfg.T_grid(sampled=branch.sampled)
     curve = sp.spectrum_curve(branch, cfg.t_grid(), T_grid)
@@ -277,7 +274,7 @@ def _positive_t_grid(cfg):
 
 def cmd_transfer(cfg, handle):
     t_grid = _positive_t_grid(cfg)
-    atlas = tr.find_tracts(handle, cfg.radius)
+    atlas = _find_tracts(handle, cfg)
     k_budget = cfg.k_budget or None
     w = complex(math.e ** 2)
     rows = []
@@ -298,7 +295,7 @@ def cmd_transfer(cfg, handle):
 
 def cmd_pressure(cfg, handle):
     t_grid = _positive_t_grid(cfg)
-    atlas = tr.find_tracts(handle, cfg.radius)
+    atlas = _find_tracts(handle, cfg)
     curve = tf.pressure_curve_entire(atlas, t_grid,
                                      branch_budget=cfg.branch_budget)
     csv = "t,pressure,residual\n" + "".join(
@@ -314,7 +311,7 @@ def cmd_hypdim(cfg, handle, poly_text=None):
         bz = poly.bowen_zero_poly(p, 12, node_budget=cfg.node_budget)
         return {"result": {"bowen_zero": bz.value, "width": bz.width,
                            "bracket": list(bz.bracket)}}
-    atlas = tr.find_tracts(handle, cfg.radius)
+    atlas = _find_tracts(handle, cfg)
     branch = atlas.tracts[0]
     sampled = branch.sampled
     T_grid = cfg.T_grid(sampled=sampled)
@@ -351,6 +348,9 @@ def cmd_hypdim(cfg, handle, poly_text=None):
 def cmd_verify(cfg, idents=None):
     from . import checks
 
+    unknown = sorted(set(idents or ()) - {cid for cid, _, _ in checks.CHECKS})
+    if unknown:
+        raise ConfigError("unknown check ids: %s" % unknown)
     results = checks.run_all(node_budget=cfg.node_budget, idents=idents)
     header = "tractdim verify  seed=%d\n" % cfg.seed
     report = header + checks.format_report(results)
@@ -366,18 +366,8 @@ def cmd_verify(cfg, idents=None):
 def _add_common(p):
     p.add_argument("--config")
     p.add_argument("--function")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--tmin", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--tstep", type=float)
-    p.add_argument("--Tjmin", type=int)
-    p.add_argument("--Tjmax", type=int)
-    p.add_argument("--node-budget", dest="node_budget", type=int)
-    p.add_argument("--branch-budget", dest="branch_budget", type=int)
-    p.add_argument("--k-budget", dest="k_budget", type=int)
-    p.add_argument("--out")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--seed", type=int)
+    for f in _FLAG_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=f.type)
 
 
 def build_parser():
@@ -408,6 +398,14 @@ def build_parser():
     return parser
 
 
+def _number_list(text, kind, flag):
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError("%s takes comma-separated %s values, got %r"
+                          % (flag, kind.__name__, text))
+
+
 def _emit_error(exc):
     sys.stdout.write(json.dumps(
         {"error": type(exc).__name__, "detail": str(exc)},
@@ -421,7 +419,7 @@ def main(argv=None):
             args.function = "exp"  # the suite fixes its own handles
         cfg, handle = load_config(args)
         if args.command == "tract-plot":
-            T_list = (tuple(float(x) for x in args.Tlist.split(","))
+            T_list = (_number_list(args.Tlist, float, "--Tlist")
                       if args.Tlist else DEFAULT_T_LIST)
             out = cmd_tract_plot(cfg, handle, T_list)
         elif args.command == "spectrum":
@@ -433,7 +431,7 @@ def main(argv=None):
         elif args.command == "hypdim":
             out = cmd_hypdim(cfg, handle, args.poly)
         elif args.command == "verify":
-            idents = ([int(x) for x in args.only.split(",")]
+            idents = (_number_list(args.only, int, "--only")
                       if args.only else None)
             return cmd_verify(cfg, idents)
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")

@@ -22,12 +22,13 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotRepelling, Overflow, ScaleFloor, ZeroDenominator
-from .poly import Polynomial
+from .poly import Polynomial, escape_sums
 
 _EXP_CAP = 700.0  # log of float range, with headroom
 _TAIL_TOL = 1e-14
@@ -201,11 +202,7 @@ def _escape_ladder(L, u0, max_abs, log, exp_neg):
     coeffs = L.p.coefficients
     d = L.p.degree
     for _ in range(n):
-        u = exp_neg(logf)
-        s1 = s2 = 0j
-        for k, c in enumerate(coeffs):  # u^d coeff is p's constant term
-            s1 = s1 * u + c
-            s2 = s2 * u + k * c
+        s1, s2 = escape_sums(coeffs, exp_neg(logf))
         q = (s2 / s1) * q
         logf = d * logf + log(s1)
     return logf, q
@@ -343,6 +340,14 @@ class CompositeExpModel(_Handle):
 
 
 composite_exp = CompositeExpModel
+
+#: Named handles shared by the command line and the check suite.
+SHORTHANDS = {
+    "exp": lambda: exp_power(1.0, 1),
+    "quarter": lambda: exp_power(0.25, 1),  # e^z / 4
+    "square": lambda: exp_power(1.0, 2),  # e^{z^2}
+    "composite": lambda: composite_exp(exp_power(math.exp(-6.0), 1)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ class TreePressure:
 
 
 def _pressure_sequence(log_derivs, t):
-    """Raw per-depth values from cached log|cumulative derivative| arrays."""
+    """Raw per-depth values from per-level log|cumulative derivative| arrays."""
     out = []
     for k, ld in enumerate(log_derivs, start=1):
         out.append(float(logsumexp(-t * ld) / k))
@@ -258,36 +258,24 @@ def _extrapolate(seq):
     return max(rich[-3:])
 
 
-class _TreeCache:
-    """Per-(polynomial, base point) cache of log|cumulative derivative| levels."""
-
-    def __init__(self, p, w, node_budget=DEFAULT_NODE_BUDGET):
-        self.p = p
-        self.w = complex(w)
-        self.node_budget = node_budget
-        self._log_derivs = []
-
-    def ensure(self, n):
-        if len(self._log_derivs) >= n:
-            return
-        levels = _preimage_levels(self.p, self.w, n, self.node_budget)
-        self._log_derivs = [np.log(np.abs(cum)) for _, cum in levels]
-
-    def pressure(self, t, n):
-        self.ensure(n)
-        seq = _pressure_sequence(self._log_derivs[:n], t)
-        return TreePressure(_extrapolate(seq), seq, n)
+def tree_log_derivs(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
+    """log|(p^k)'| over the fiber p^{-k}(w), one array per depth k = 1..n."""
+    return [np.log(np.abs(cum))
+            for _, cum in _preimage_levels(p, w, n, node_budget)]
 
 
-def tree_pressure(p, t, w, n, node_budget=DEFAULT_NODE_BUDGET, cache=None):
+def _pressure_from(log_derivs, t):
+    seq = _pressure_sequence(log_derivs, t)
+    return TreePressure(_extrapolate(seq), seq, len(log_derivs))
+
+
+def tree_pressure(p, t, w, n, node_budget=DEFAULT_NODE_BUDGET):
     """Tree pressure (1/n) log sum over p^{-n}(w) of |(p^n)'|^{-t}.
 
     Returns a TreePressure whose value is the Richardson-extrapolated
     limsup proxy and whose per_depth member is the raw sequence.
     """
-    if cache is None:
-        cache = _TreeCache(p, w, node_budget)
-    return cache.pressure(t, n)
+    return _pressure_from(tree_log_derivs(p, w, n, node_budget), t)
 
 
 @dataclass
@@ -299,10 +287,11 @@ class PressureCurve:
 
 
 def pressure_curve(p, t_grid, w, n, node_budget=DEFAULT_NODE_BUDGET):
-    cache = _TreeCache(p, w, node_budget)
+    """Tree pressure at every t of t_grid, from one depth-n tree."""
+    log_derivs = tree_log_derivs(p, w, n, node_budget)
     values, per_depth = [], []
     for t in t_grid:
-        res = cache.pressure(float(t), n)
+        res = _pressure_from(log_derivs, float(t))
         values.append(res.value)
         per_depth.append(res.per_depth)
     return PressureCurve(list(t_grid), values, n, per_depth)
@@ -310,11 +299,8 @@ def pressure_curve(p, t_grid, w, n, node_budget=DEFAULT_NODE_BUDGET):
 
 def poincare_series_partial(p, t, xi, n_max, node_budget=DEFAULT_NODE_BUDGET):
     """Per-level sums sum_{eta in p^{-N}(xi)} |(p^N)'(eta)|^{-t}, N=1..n_max."""
-    cache = _TreeCache(p, xi, node_budget)
-    cache.ensure(n_max)
-    return [
-        float(np.exp(logsumexp(-t * ld))) for ld in cache._log_derivs[:n_max]
-    ]
+    return [float(np.exp(logsumexp(-t * ld)))
+            for ld in tree_log_derivs(p, xi, n_max, node_budget)]
 
 
 @dataclass
@@ -332,10 +318,10 @@ def bowen_zero_poly(
     node_budget=DEFAULT_NODE_BUDGET,
 ):
     """Bisection zero of t -> tree_pressure(p, t, w, depth) on the bracket."""
-    cache = _TreeCache(p, w, node_budget)
+    log_derivs = tree_log_derivs(p, w, depth, node_budget)
     lo, hi = bracket
-    plo = cache.pressure(lo, depth).value
-    phi = cache.pressure(hi, depth).value
+    plo = _pressure_from(log_derivs, lo).value
+    phi = _pressure_from(log_derivs, hi).value
     if plo == 0.0:
         return BowenZero(lo, (lo, lo), 0.0)
     if not (plo > 0.0 > phi):
@@ -343,8 +329,8 @@ def bowen_zero_poly(
             f"pressure has no sign change on {bracket}: P({lo})={plo:.4g}, "
             f"P({hi})={phi:.4g}"
         )
-    lo, hi = bisect_bracket(lambda t: cache.pressure(t, depth).value > 0.0,
-                            lo, hi, width)
+    lo, hi = bisect_bracket(
+        lambda t: _pressure_from(log_derivs, t).value > 0.0, lo, hi, width)
     return BowenZero(0.5 * (lo + hi), (lo, hi), hi - lo)
 
 
@@ -366,6 +352,20 @@ def bisect_bracket(positive, lo, hi, width):
 # ---------------------------------------------------------------------------
 # Boettcher coordinates of the basin of infinity.
 # ---------------------------------------------------------------------------
+
+def escape_sums(coeffs, u):
+    """S1 = u^d p(1/u) and S2 = sum_k k c_k u^(d-k) by reverse Horner.
+
+    coeffs are p's coefficients, constant first; at v = 1/u, S1 = p(v)/v^d
+    and S2 = v p'(v)/v^d.  The sums start from 0j, so u may be a Python
+    complex or an array.
+    """
+    s1 = s2 = 0j
+    for k, c in enumerate(coeffs):
+        s1 = s1 * u + c
+        s2 = s2 * u + k * c
+    return s1, s2
+
 
 _ESCAPE_BIG = 1e100
 _SERIES_EPS = 1e-17
@@ -392,7 +392,6 @@ def _log_phi_and_deriv(q, z):
     finite after the orbit escapes floating range.
     """
     d = q.degree
-    coeffs = list(q.coefficients)  # constant first, monic
     w = np.asarray(z, dtype=complex)
     scalar = w.ndim == 0
     w = np.atleast_1d(w).astype(complex)
@@ -405,11 +404,7 @@ def _log_phi_and_deriv(q, z):
             u = 1.0 / w
             u = np.where(np.isfinite(u), u, 0.0)
             # S1 = q(w)/w^d and S2 = w q'(w)/w^d as polynomials in u = 1/w
-            s1 = np.zeros(w.shape, dtype=complex)
-            s2 = np.zeros(w.shape, dtype=complex)
-            for k in range(0, d + 1):
-                s1 = s1 * u + coeffs[k]
-                s2 = s2 * u + k * coeffs[k]
+            s1, s2 = escape_sums(q.coefficients, u)
             term = factor * np.log(s1)
             gfac = s2 / s1
             gnew = gfac * glog

@@ -122,6 +122,10 @@ def _closed_branches_composite(handle, R, max_rho):
     inner_atlas = find_tracts(handle.inner, R, max_rho)
     branches = []
     for ib in inner_atlas.tracts:
+        if ib.sampled:
+            raise ValueError(
+                "composite_exp needs an inner handle with closed-form tracts")
+
         def phi(xi, ib=ib):
             return np.log(phi_eval(ib, xi))
 
@@ -218,8 +222,9 @@ def find_tracts(handle, R, max_rho=1e12):
 
     max_rho bounds the search annulus of a sampled family.
     """
-    if R < max(1.0, handle.singular_radius):
-        raise ValueError("R below the singular radius")
+    floor = max(1.0, handle.singular_radius)
+    if R < floor:
+        raise ValueError("R = %g is below the singular radius %g" % (R, floor))
     tracts = _BRANCH_BUILDERS[type(handle)](handle, R, max_rho)
     return TractAtlas(handle, float(R), tracts)
 

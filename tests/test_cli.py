@@ -110,6 +110,44 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--function", "koenigs:z^2-2", "--radius", "1.5"],
+        ["verify", "--only", "99"],
+        ["verify", "--only", "x"],
+        ["tract-plot", "--function", "exp", "--Tlist", "a"],
+    ], ids=["radius-below-singular", "unknown-check", "bad-only",
+            "bad-Tlist"])
+    def test_bad_input_exits_2(self, argv, tmp_path, capsys):
+        code, out = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ConfigError"
+
+    def test_composite_over_koenigs_exits_2(self, tmp_path, capsys):
+        desc = {"family": "composite_exp",
+                "inner": {"family": "koenigs",
+                          "poly": {"coeffs": [[-1.0, 0.0], [0.0, 0.0],
+                                              [1.0, 0.0]]},
+                          "z0": [(1 + math.sqrt(5)) / 2, 0.0],
+                          "kappa": [0.25, 0.0]}}
+        code, out = run_cli(["spectrum", "--function", json.dumps(desc),
+                             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "ConfigError"
+        assert "closed-form" in err["detail"]
+
+    @pytest.mark.parametrize("key", ["threads", "quad_tol"])
+    def test_removed_config_key_refused(self, key, tmp_path, capsys):
+        cfg = json.loads(RunConfig(function={"family": "exp_power"}).to_json())
+        cfg[key] = 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run_cli(["spectrum", "--config", str(path),
+                             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "ConfigError" and key in err["detail"]
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         code, out = run_cli(["transfer", "--function", "exp",
                              "--tmin", "0.5", "--tmax", "0.5",
@@ -222,12 +260,9 @@ class TestVerify:
         assert code == 1
         assert "FAIL   4" in out and "BudgetExceeded" in out
 
-    def test_report_deterministic_across_threads(self, tmp_path, capsys):
-        reports = []
-        for threads in ("1", "8"):
-            out = str(tmp_path / ("t" + threads))
-            code, text = run_cli(["verify", "--only", "1,2", "--seed", "7",
-                                  "--threads", threads, "--out", out], capsys)
-            assert code == 0
-            reports.append(text)
-        assert reports[0] == reports[1]
+    def test_node_budget_reaches_every_tree(self, tmp_path, capsys):
+        # the depth-14 tree of check 4 has 16,384 nodes
+        code, out = run_cli(["verify", "--only", "4", "--node-budget",
+                             "10000", "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "FAIL   4" in out and "BudgetExceeded" in out

@@ -87,9 +87,8 @@ class TestFixedPoints:
 
 class TestTreePressure:
     def test_z2_exact_line(self):
-        cache = poly._TreeCache(Z2, 3.0 + 0j)
-        for t in (0.0, 0.5, 1.0, 1.5):
-            val = poly.tree_pressure(Z2, t, 3.0, 14, cache=cache).value
+        curve = poly.pressure_curve(Z2, (0.0, 0.5, 1.0, 1.5), 3.0, 14)
+        for t, val in zip(curve.t_grid, curve.values):
             assert val == pytest.approx((1 - t) * np.log(2), abs=1e-3)
 
     def test_counting_measure(self):
