@@ -49,6 +49,9 @@ class RunConfig:
     seed: int = 0  # echoed into the output files
 
     def validate(self):
+        for f in _FLAG_FIELDS:
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError("%s must be finite" % f.name)
         for name in ("node_budget", "branch_budget"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be positive" % name)
@@ -67,13 +70,24 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config is not valid JSON: %s" % exc)
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object, not %s"
+                              % type(data).__name__)
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(data) - known
         if extra:
             raise ConfigError("unknown config keys: %s" % sorted(extra))
         if "function" not in data:
             raise ConfigError("config requires a function descriptor")
+        for f in _FLAG_FIELDS:
+            if f.name in data and not _is_json_type(data[f.name], f.type):
+                raise ConfigError("config key %s must be %s, got %s"
+                                  % (f.name, f.type.__name__,
+                                     json.dumps(data[f.name])))
         return cls(**data)
 
     def t_grid(self):
@@ -93,6 +107,13 @@ class RunConfig:
 #: The RunConfig fields set by a flag; ``function`` takes a spec string.
 _FLAG_FIELDS = tuple(f for f in dataclasses.fields(RunConfig)
                      if f.name != "function")
+
+
+def _is_json_type(value, kind):
+    """Whether a parsed JSON value fits a field type (an int fits float)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _largest_repelling_fixed_point(p):
@@ -127,8 +148,12 @@ def function_from_spec(text):
 
 def load_config(args):
     if args.config:
-        with open(args.config) as fh:
-            cfg = RunConfig.from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot read config %s: %s" % (args.config, exc))
+        cfg = RunConfig.from_json(text)
     else:
         if not args.function:
             raise ConfigError("need --config or --function")
@@ -355,6 +380,10 @@ def cmd_verify(cfg, idents=None):
     header = "tractdim verify  seed=%d\n" % cfg.seed
     report = header + checks.format_report(results)
     _write(cfg, "verify.txt", report)
+    # durations vary run to run, so they stay out of verify.txt
+    seconds = {r.ident: r.seconds for r in results}
+    _write(cfg, "verify_seconds.json",
+           json.dumps(seconds, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(report)
     return 0 if all(r.passed for r in results) else 1
 
@@ -436,7 +465,7 @@ def main(argv=None):
             return cmd_verify(cfg, idents)
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
         return 0
-    except (ConfigError, InvalidGrid, FileNotFoundError) as exc:
+    except (ConfigError, InvalidGrid) as exc:
         _emit_error(exc)
         return 2
     except TractdimError as exc:

@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import _kernels
 from .errors import (
@@ -347,6 +346,26 @@ def bisect_bracket(positive, lo, hi, width):
         else:
             hi = mid
     return lo, hi
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) over a whole real array, without overflow.
+
+    scipy.special.logsumexp's algorithm, to the last bit: every tied
+    maximum is masked to -inf where it stands (numpy's pairwise summation
+    order stays the same) and counted.  The direct log(sum(exp(a)))
+    replaces that result where it is not finite, which is exactly when
+    the maximum is +-inf or nan or a is empty, so only then is it taken.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, initial=-np.inf)
+    if not np.isfinite(a_max):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.log(np.sum(np.exp(a)))
+    tied = a == a_max
+    m = np.count_nonzero(tied)
+    s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max)) / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import logsumexp
 
 from . import tract as tr
 from .errors import InvalidGrid, NoSignChange
-from .poly import bisect_bracket
+from .poly import bisect_bracket, logsumexp
 
 DEFAULT_T_GRID = tuple(float(2**j) for j in range(3, 15))
 #: Largest dyadic exponent of the T grid on sampled (continued) branches,

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +52,13 @@ class TestRunConfig:
             RunConfig(function={}, tstep=0.0).validate()
         with pytest.raises(ConfigError):
             RunConfig(function={}, node_budget=0).validate()
+
+    @pytest.mark.parametrize("field", ["radius", "tmin", "tmax", "tstep"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # an infinite tstep would give an empty t grid
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(function={}, **{field: value}).validate()
 
 
 class TestFunctionSpec:
@@ -147,6 +157,30 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(out)
         assert err["error"] == "ConfigError" and key in err["detail"]
+
+    @pytest.mark.parametrize("text", [
+        '{"function": {"family": "exp_power"}, "radius": ',
+        '{"function": {"family": "exp_power"}, "radius": "x"}',
+        '{"function": {"family": "exp_power"}, "tstep": null}',
+        '[{"function": {"family": "exp_power"}}]',
+    ], ids=["malformed-json", "string-radius", "null-tstep", "top-level-list"])
+    def test_bad_config_file_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            RunConfig.from_json(text)
+        code, out = run_cli(["spectrum", "--config", str(path),
+                             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "ConfigError"
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(["spectrum", "--config", str(tmp_path),
+                             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "ConfigError"
+        assert "cannot read config" in err["detail"]
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         code, out = run_cli(["transfer", "--function", "exp",
@@ -254,6 +288,17 @@ class TestVerify:
         assert "PASS   1" in out
         assert (tmp_path / "verify.txt").read_text() == out
 
+    def test_seconds_file_lists_checks_run(self, tmp_path, capsys):
+        code, out = run_cli(["verify", "--only", "6,1",
+                             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        text = (tmp_path / "verify_seconds.json").read_text()
+        seconds = json.loads(text)
+        assert list(seconds) == ["1", "6"]
+        assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
+        assert "seconds" not in out
+        assert (tmp_path / "verify.txt").read_text() == out
+
     def test_budget_one_fails(self, tmp_path, capsys):
         code, out = run_cli(["verify", "--only", "4", "--node-budget", "1",
                              "--out", str(tmp_path)], capsys)
@@ -266,3 +311,13 @@ class TestVerify:
                              "10000", "--out", str(tmp_path)], capsys)
         assert code == 1
         assert "FAIL   4" in out and "BudgetExceeded" in out
+
+
+def test_cli_import_leaves_scipy_out():
+    """numpy is the only runtime dependency; nothing may pull scipy in."""
+    code = "import sys, tractdim.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

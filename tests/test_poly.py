@@ -164,6 +164,46 @@ class TestBisectBracket:
         assert lo == 0.0 and hi < 0.1
 
 
+class TestLogSumExp:
+    def test_closed_forms(self):
+        for n in (1, 2, 7, 64, 1000):
+            assert poly.logsumexp(np.zeros(n)) == pytest.approx(
+                np.log(n), rel=1e-15)
+        # two tied maxima of 1 and a third term e^0
+        assert poly.logsumexp(np.array([1.0, 0.0, 1.0])) == pytest.approx(
+            1.0 + np.log(2.0 + np.exp(-1.0)), rel=1e-15)
+        assert poly.logsumexp(np.full(4, -np.inf)) == -np.inf
+        assert poly.logsumexp(np.array([])) == -np.inf
+        assert poly.logsumexp(np.array([0.0, np.inf])) == np.inf
+        assert np.isnan(poly.logsumexp(np.array([0.0, np.nan])))
+
+    def test_no_overflow_at_800(self):
+        a = np.array([800.0, 800.0, 799.0, -800.0])
+        want = 800.0 + np.log(2.0 + np.exp(-1.0))
+        assert poly.logsumexp(a) == pytest.approx(want, rel=1e-15)
+        assert poly.logsumexp(a - 1600.0) == pytest.approx(want - 1600.0,
+                                                           rel=1e-15)
+
+    def test_input_untouched(self):
+        a = np.array([2.0, 2.0, 1.0])
+        poly.logsumexp(a)
+        assert a.tolist() == [2.0, 2.0, 1.0]
+
+    def test_bitwise_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 4096,
+                  16384):
+            for scale in (1.0, 30.0, 800.0):
+                a = rng.normal(size=n) * scale
+                # rounding makes many tied maxima
+                for arr in (a, np.round(a), np.round(2.0 * a / scale)):
+                    got = poly.logsumexp(arr)
+                    want = special.logsumexp(arr)
+                    assert np.float64(got).tobytes() == \
+                        np.float64(want).tobytes(), (n, scale)
+
+
 class TestBottcher:
     def test_identity_map(self):
         assert poly.bottcher_inverse(Z2, 2.0) == pytest.approx(2 + 0j)
