@@ -351,11 +351,12 @@ def bisect_bracket(positive, lo, hi, width):
 def logsumexp(a):
     """log(sum(exp(a))) over a whole real array, without overflow.
 
-    scipy.special.logsumexp's algorithm, to the last bit: every tied
-    maximum is masked to -inf where it stands (numpy's pairwise summation
-    order stays the same) and counted.  The direct log(sum(exp(a)))
-    replaces that result where it is not finite, which is exactly when
-    the maximum is +-inf or nan or a is empty, so only then is it taken.
+    The reference algorithm that tests/test_poly.py compares against,
+    to the last bit: every tied maximum is masked to -inf where it
+    stands (numpy's pairwise summation order stays the same) and
+    counted.  The direct log(sum(exp(a))) replaces that result where it
+    is not finite, which is exactly when the maximum is +-inf or nan or
+    a is empty, so only then is it taken.
     """
     a = np.asarray(a, dtype=float)
     a_max = np.max(a, initial=-np.inf)
