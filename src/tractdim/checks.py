@@ -2,9 +2,9 @@
 
 Every check returns a CheckResult with a deterministic detail string, so a
 report assembled from the suite is byte-identical across reruns, whatever
-the order of the checks and whether the module's handle and atlas caches
-are cold or warm.  The suite is shared by the ``verify`` subcommand and
-the test suite.
+the order of the checks.  Each check builds its own handles and atlases, so
+no check sees the anchors another one walked.  The suite is shared by the
+``verify`` subcommand and the test suite.
 """
 
 import math
@@ -36,24 +36,17 @@ COSH = Polynomial.from_string("2z^2-1")
 
 HANDLE_NAMES = ("exp", "quarter", "square", "composite", "koenigs")
 
-_handles = {}
-_atlases = {}
-
 
 def test_handle(name):
-    """Named function handles exercised throughout the suite."""
-    if name not in _handles:
-        if name == "koenigs":
-            _handles[name] = lz.koenigs_handle(Z2, 1.0, kappa=0.25)
-        else:
-            _handles[name] = lz.SHORTHANDS[name]()
-    return _handles[name]
+    """A fresh handle of one of the named families the suite exercises."""
+    if name == "koenigs":
+        return lz.koenigs_handle(Z2, 1.0, kappa=0.25)
+    return lz.SHORTHANDS[name]()
 
 
 def test_atlas(name):
-    if name not in _atlases:
-        _atlases[name] = tr.find_tracts(test_handle(name), math.e)
-    return _atlases[name]
+    """A fresh atlas of a named handle at radius e."""
+    return tr.find_tracts(test_handle(name), math.e)
 
 
 def _t_grid_for(name):
@@ -256,7 +249,7 @@ def check_boundary_figures():
         first = render_boundary_svg(branch, T)
         second = render_boundary_svg(branch, T)
         stable = stable and first == second
-        marker = abs(tr.phi_eval(branch, complex(T)) / tr.tract_scale(
+        marker = abs(tr.phi_eval(branch, complex(T))[0] / tr.tract_scale(
             branch, T))
         marker_err = max(marker_err, abs(marker - 1.0))
     passed = stable and marker_err <= 1e-6

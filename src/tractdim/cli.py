@@ -221,7 +221,7 @@ def _svg_document(polylines, marker):
 def render_boundary_svg(branch, T, n_points=512):
     """Stroke-only SVG of one rescaled tract boundary with a unit marker."""
     rb = tr.trace_boundary(branch, T, n_points)
-    marker = tr.phi_eval(branch, complex(T)) / rb.scale
+    marker = tr.phi_eval(branch, complex(T))[0] / rb.scale
     return _svg_document([rb.polyline], marker)
 
 
@@ -256,7 +256,7 @@ def cmd_tract_plot(cfg, handle, T_list):
             rb = tr.trace_boundary(branch, T)
             polylines.append(rb.polyline)
             rows.append((T, idx, rb.polyline))
-        marker = tr.phi_eval(atlas.tracts[0], complex(T)) / tr.tract_scale(
+        marker = tr.phi_eval(atlas.tracts[0], complex(T))[0] / tr.tract_scale(
             atlas.tracts[0], T)
         stem = "tract_T%g" % T
         written.append(_write(cfg, stem + ".svg",

@@ -5,9 +5,14 @@ f^{-1}({|w| > R}).  On each tract f = exp o tau with tau = log f conformal
 onto a right half-plane region, and phi = tau^{-1} is evaluated either in
 closed form (exponential and composite families) or by predictor-corrector
 continuation on the wrapped residual log f(z) - xi (Koenigs family).  This
-module alone knows which: callers go through phi_eval, phi_path,
-phi_refine and phi_derivative, and ask TractBranch.sampled where the cost
-of continuation matters to them.
+module alone knows which.  Callers go through three entries with one
+contract: phi_eval, phi_path and phi_refine each take xi as a scalar or an
+array of any shape and return (phi, phi') of that shape.  On a closed-form
+branch all three are the same call of TractBranch.closed; on a sampled
+branch they differ only in how z is found.  phi_eval walks each point
+independently from its nearest cached anchor, phi_path walks the points in
+order, and phi_refine polishes given guesses by batched Newton.  Callers
+ask TractBranch.sampled where the cost of continuation matters to them.
 """
 
 from __future__ import annotations
@@ -48,35 +53,31 @@ def _halton(n, base):
 class TractBranch:
     """One tract of a handle with its inverse map phi.
 
-    base_point lies in the tract and base_log = log f(base_point).
-    closed_phi/closed_dphi hold phi and phi' in closed form when the family
-    admits them (they take arrays of any shape).  Otherwise the branch is
-    sampled: phi is continued numerically from cached anchors, the first
-    _n_anchors columns of _anchors being solved (xi, phi(xi)) pairs, the
-    base point first, and _trust is the continuation step size the last
-    walk ended with.  _scales caches |phi(T)| and _node_tables the
+    base_point lies in the tract and base_log = log f(base_point).  closed
+    maps an array of xi of any shape to (phi, phi') when the family has
+    them in closed form.  Otherwise the branch is sampled: phi is continued
+    numerically from cached anchors, the first _n_anchors columns of the
+    3-row _anchors table being solved (xi, phi(xi), q) triples with
+    q = (log f)'(phi(xi)), the base point first, and _trust is the
+    continuation step size the last walk ended with.  A closed-form branch
+    has no anchor table.  _scales caches |phi(T)| and _node_tables the
     spectrum's quadrature tables.
     """
 
     handle: object
     base_point: complex
     base_log: complex
-    closed_phi: object = None
-    closed_dphi: object = None
-    _anchors: np.ndarray = field(init=False, repr=False, compare=False)
+    closed: object = None
+    _anchors: np.ndarray = field(default=None, repr=False, compare=False)
     _n_anchors: int = field(init=False, default=1)
     _trust: float = field(init=False, default=None)
     _scales: dict = field(default_factory=dict)
     _node_tables: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        self._anchors = np.empty((2, _MAX_ANCHORS), dtype=complex)
-        self._anchors[:, 0] = self.base_log, self.base_point
-
     @property
     def sampled(self):
         """True when phi is continued numerically, not known in closed form."""
-        return self.closed_phi is None
+        return self.closed is None
 
 
 @dataclass
@@ -101,20 +102,17 @@ def _closed_branches_exp_power(handle, R, max_rho):
     d, lam = handle.d, handle.lam
     # f(z) = e^xi  <=>  z^d = xi - log lam; one tract per d-th root sector
     shift = cmath.log(lam)
+    base_log = max(2.0 * np.log(R), 4.0)
     branches = []
     for j in range(d):
         rot = cmath.exp(2j * np.pi * j / d)
 
-        def phi(xi, rot=rot):
-            return rot * (np.asarray(xi, dtype=complex) - shift) ** (1.0 / d)
+        def closed(xi, rot=rot):
+            w = np.asarray(xi, dtype=complex) - shift
+            return rot * w ** (1.0 / d), rot * w ** (1.0 / d - 1.0) / d
 
-        def dphi(xi, rot=rot):
-            return rot * (np.asarray(xi, dtype=complex) - shift) ** (1.0 / d - 1.0) / d
-
-        base_log = max(2.0 * np.log(R), 4.0)
-        branches.append(
-            TractBranch(handle, phi(base_log), complex(base_log), phi, dphi)
-        )
+        branches.append(TractBranch(handle, closed(base_log)[0],
+                                    complex(base_log), closed))
     return branches
 
 
@@ -126,59 +124,13 @@ def _closed_branches_composite(handle, R, max_rho):
             raise ValueError(
                 "composite_exp needs an inner handle with closed-form tracts")
 
-        def phi(xi, ib=ib):
-            return np.log(phi_eval(ib, xi))
+        def closed(xi, ib=ib):
+            z, dz = ib.closed(xi)
+            return np.log(z), dz / z
 
-        def dphi(xi, ib=ib):
-            z = phi_eval(ib, xi)
-            return phi_derivative(ib, xi) / z
-
-        base_log = ib.base_log
-        branches.append(
-            TractBranch(handle, phi(base_log), complex(base_log), phi, dphi)
-        )
+        branches.append(TractBranch(handle, closed(ib.base_log)[0],
+                                    complex(ib.base_log), closed))
     return branches
-
-
-def _closed(branch, xi):
-    """phi and phi' in closed form at an array of xi of any shape."""
-    xi = np.asarray(xi, dtype=complex)
-    return np.asarray(branch.closed_phi(xi)), np.asarray(branch.closed_dphi(xi))
-
-
-def phi_refine(branch, xi, z_guess):
-    """Vectorized Newton polish of phi at an array of xi given nearby guesses.
-
-    Used by quadrature refinement where interleaved nodes inherit
-    interpolated guesses from the coarser level; the wrapped residual keeps
-    each point on its own 2 pi i sheet.
-    Only the points not yet converged are evaluated again; each returned
-    phi' is 1/(log f)' at the returned z.  A closed-form branch ignores the
-    guesses and returns exact values.
-    """
-    if not branch.sampled:
-        return _closed(branch, xi)
-    xi = np.asarray(xi, dtype=complex)
-    z = np.asarray(z_guess, dtype=complex).copy()
-    q = np.empty_like(z)
-    active = np.arange(z.size)
-    for _ in range(_NEWTON_MAXIT):
-        lf, q[active] = branch.handle.log_f_and_q(z[active])
-        res = lf - xi[active]
-        res = np.real(res) + 1j * ((np.imag(res) + np.pi) % _TWO_PI - np.pi)
-        # a nan residual stays active
-        todo = ~(np.abs(res) < _NEWTON_TOL * (1.0 + np.abs(xi[active])))
-        if not todo.any():
-            break
-        active = active[todo]
-        step = res[todo] / q[active]
-        cap = 2.0 * np.maximum(np.abs(z[active]), 1.0)
-        big = np.abs(step) > cap
-        step = np.where(big, step * (cap / np.where(big, np.abs(step), 1.0)), step)
-        z[active] -= step
-    else:
-        raise ContinuationStall("batched refinement did not converge")
-    return z, 1.0 / q
 
 
 def _sampled_branches(handle, R, max_rho=1e12):
@@ -205,8 +157,11 @@ def _sampled_branches(handle, R, max_rho=1e12):
     for run in runs:
         center = angles[run[len(run) // 2] % n_angles]
         z_b = rho * np.exp(1j * center)
-        lf, _ = handle.log_f_and_q(z_b)
-        branches.append(TractBranch(handle, complex(z_b), _wrap_imag(lf)))
+        lf, q = handle.log_f_and_q(z_b)
+        anchors = np.empty((3, _MAX_ANCHORS), dtype=complex)
+        anchors[:, 0] = _wrap_imag(lf), z_b, q
+        branches.append(TractBranch(handle, complex(z_b), _wrap_imag(lf),
+                                    _anchors=anchors))
     return branches
 
 
@@ -250,39 +205,28 @@ def _newton(handle, z, xi, cap):
 
 
 def _check_offset(xi):
-    if np.min(np.real(xi)) < MIN_OFFSET:
+    if np.any(np.real(xi) < MIN_OFFSET):
         raise ValueError("Re xi below the minimum offset %g" % MIN_OFFSET)
 
 
-def phi_eval(branch, xi):
-    """z in the tract with log f(z) = xi, by continuation from cached anchors."""
-    if branch.sampled:
-        return _from_anchor(branch, complex(xi))[0]
-    _check_offset(xi)
-    return branch.closed_phi(xi)
-
-
 def _from_anchor(branch, xi):
-    """(phi(xi), q or None) walked from the nearest anchor; xi is stored."""
-    _check_offset(xi)
+    """(phi(xi), q) walked from the nearest anchor; xi is stored."""
     n = branch._n_anchors
     i = int(np.argmin(np.abs(branch._anchors[0, :n] - xi)))  # first nearest
-    anchor_xi, z = branch._anchors[:, i].tolist()
-    z, q = _continue_to(branch, anchor_xi, z, None, xi)
+    anchor_xi, z, q = branch._anchors[:, i].tolist()
+    z, q = _continue_to(branch, anchor_xi, z, q, xi)
     if n < _MAX_ANCHORS:
-        branch._anchors[:, n] = xi, z
+        branch._anchors[:, n] = xi, z, q
         branch._n_anchors = n + 1
     return z, q
 
 
 def _continue_to(branch, current, z, q, xi):
-    """Walk z = phi(current) to phi(xi) with trust-region predictor steps.
+    """Walk z = phi(current), q = (log f)'(z) to (phi(xi), q at it).
 
-    q is (log f)'(z) when the caller has it, else None; the walk returns
-    (phi(xi), q at it), q still None when no step was taken.
-    Step sizes grow geometrically while the winding guard accepts and halve
-    when it rejects, so affine-like tracts take O(log) steps per decade while
-    curved geometry self-limits.
+    Trust-region predictor steps: step sizes grow geometrically while the
+    winding guard accepts and halve when it rejects, so affine-like tracts
+    take O(log) steps per decade while curved geometry self-limits.
     """
     trust = branch._trust
     if trust is None:
@@ -295,8 +239,6 @@ def _continue_to(branch, current, z, q, xi):
             if abs(step) > max_step:
                 step *= max_step / abs(step)
             target = current + step
-            if q is None:
-                _, q = branch.handle.log_f_and_q(z)
             if abs(q) < 1e-300:
                 raise ZeroDenominator("vanishing f'/f on continuation path")
             z_pred = z + step / q  # tangent predictor: dz/dxi = 1/(log f)'
@@ -319,55 +261,97 @@ def _continue_to(branch, current, z, q, xi):
     return z, q
 
 
-def phi_path(branch, xis):
-    """phi and phi' along an ordered sequence of nearby xi values.
+def _walk(branch, xi, chained):
+    """(phi, phi') of a sampled branch at each xi, in ravel order.
 
-    The one batch entry for both kinds of branch.  A closed-form branch
-    takes an array of any shape.  A sampled branch continues sequentially,
-    carrying state from node to node; much cheaper than independent
-    phi_eval calls for quadrature contours.
+    Each point is walked from its nearest anchor, or, when chained, every
+    point after the first from the one before it.
     """
+    zs = np.empty(xi.shape, dtype=complex)
+    ds = np.empty(xi.shape, dtype=complex)
+    for i, x in enumerate(xi.ravel().tolist()):
+        if i and chained:
+            z, q = _continue_to(branch, prev, z, q, x)
+        else:
+            z, q = _from_anchor(branch, x)
+        if abs(q) < 1e-300:
+            raise ZeroDenominator("vanishing f'/f at phi(xi)")
+        zs.flat[i], ds.flat[i] = z, 1.0 / q
+        prev = x
+    return zs[()], ds[()]
+
+
+def phi_eval(branch, xi):
+    """(phi, phi') at xi, one point at a time.
+
+    phi' = 1 / (log f)'(phi), the exact chain rule for f o phi = exp.  On a
+    sampled branch each point, in ravel order, is walked from its nearest
+    cached anchor and then stored as one, exactly as a loop of scalar calls
+    would do.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    _check_offset(xi)
     if not branch.sampled:
-        return _closed(branch, xis)
-    xis = [complex(x) for x in xis]
-    zs = np.empty(len(xis), dtype=complex)
-    ds = np.empty(len(xis), dtype=complex)
-    z, q = _from_anchor(branch, xis[0])
-    current = xis[0]
-    for i, xi in enumerate(xis):
-        z, q = _continue_to(branch, current, z, q, xi)
-        current = xi
-        if q is None:
-            _, q = branch.handle.log_f_and_q(z)
-        zs[i] = z
-        ds[i] = 1.0 / q
-    return zs, ds
+        return branch.closed(xi)
+    return _walk(branch, xi, chained=False)
 
 
-def _phi_and_derivative(branch, xi):
-    """(phi(xi), phi'(xi)) from one continuation; phi' = 1 / (log f)'(phi)."""
+def phi_path(branch, xis):
+    """(phi, phi') along an ordered sequence of nearby xi values.
+
+    A sampled branch walks the first point from its nearest anchor and each
+    later one from the point before, in ravel order; much cheaper than
+    phi_eval for quadrature contours.
+    """
+    xis = np.asarray(xis, dtype=complex)
+    _check_offset(xis)
     if not branch.sampled:
-        return phi_eval(branch, xi), branch.closed_dphi(xi)
-    z, q = _from_anchor(branch, complex(xi))
-    if q is None:
-        _, q = branch.handle.log_f_and_q(z)
-    if abs(q) < 1e-300:
-        raise ZeroDenominator("vanishing f'/f at phi(xi)")
-    return z, 1.0 / q
+        return branch.closed(xis)
+    return _walk(branch, xis, chained=True)
 
 
-def phi_derivative(branch, xi):
-    """phi'(xi) = 1 / (log f)'(phi(xi)), the exact chain rule for f o phi = exp."""
+def phi_refine(branch, xi, z_guess):
+    """(phi, phi') at xi by batched Newton polish of nearby guesses.
+
+    Used by quadrature refinement where interleaved nodes inherit
+    interpolated guesses from the coarser level; the wrapped residual keeps
+    each point on its own 2 pi i sheet.
+    Only the points not yet converged are evaluated again; each returned
+    phi' is 1/(log f)' at the returned z.  A closed-form branch ignores the
+    guesses and returns exact values.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    _check_offset(xi)
     if not branch.sampled:
-        return branch.closed_dphi(xi)
-    return _phi_and_derivative(branch, xi)[1]
+        return branch.closed(xi)
+    shape, xi = xi.shape, xi.ravel()
+    z = np.array(z_guess, dtype=complex).ravel()
+    q = np.empty_like(z)
+    active = np.arange(z.size)
+    for _ in range(_NEWTON_MAXIT):
+        lf, q[active] = branch.handle.log_f_and_q(z[active])
+        res = lf - xi[active]
+        res = np.real(res) + 1j * ((np.imag(res) + np.pi) % _TWO_PI - np.pi)
+        # a nan residual stays active
+        todo = ~(np.abs(res) < _NEWTON_TOL * (1.0 + np.abs(xi[active])))
+        if not todo.any():
+            break
+        active = active[todo]
+        step = res[todo] / q[active]
+        cap = 2.0 * np.maximum(np.abs(z[active]), 1.0)
+        big = np.abs(step) > cap
+        step = np.where(big, step * (cap / np.where(big, np.abs(step), 1.0)), step)
+        z[active] -= step
+    else:
+        raise ContinuationStall("batched refinement did not converge")
+    return z.reshape(shape)[()], (1.0 / q).reshape(shape)[()]
 
 
 def tract_scale(branch, T):
     """|phi(T)|, the normalization of Eq-style rescaling; cached per T."""
     key = float(T)
     if key not in branch._scales:
-        branch._scales[key] = abs(phi_eval(branch, complex(key)))
+        branch._scales[key] = abs(phi_eval(branch, complex(key))[0])
     return branch._scales[key]
 
 
@@ -375,7 +359,7 @@ def rescaled_map(branch, T, xi):
     """phi_T(xi) = phi(T xi) / |phi(T)|; satisfies |phi_T(1)| = 1."""
     if T < 1:
         raise ValueError("T must be >= 1")
-    return phi_eval(branch, T * complex(xi)) / tract_scale(branch, T)
+    return phi_eval(branch, T * complex(xi))[0] / tract_scale(branch, T)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +382,9 @@ def _rectangle_path(n_points, eps=MIN_OFFSET):
 def trace_boundary(branch, T, n_points=512):
     if n_points < 64:
         raise ValueError("n_points must be >= 64")
-    path = _rectangle_path(n_points)
     scale = tract_scale(branch, T)
-    poly = [phi_eval(branch, T * xi) / scale for xi in path]
+    xi = T * np.asarray(_rectangle_path(n_points))
+    poly = (phi_eval(branch, xi)[0] / scale).tolist()
     poly.append(poly[0])
     return RescaledBoundary(float(T), scale, poly)
 
@@ -424,8 +408,8 @@ def check_condition_42(branch, T, samples=400):
     certify the geometric condition used for distortion control."""
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    mods = [abs(phi_eval(branch, xi)) for xi in _sample_annulus_qt(T, samples)]
-    return max(mods) / min(mods)
+    mods = np.abs(phi_eval(branch, _sample_annulus_qt(T, samples))[0])
+    return float(mods.max() / mods.min())
 
 
 def estimate_holder(branch, T, pairs=2000):
@@ -444,20 +428,14 @@ def estimate_holder(branch, T, pairs=2000):
     z2[:half] = (MIN_OFFSET + (4 - MIN_OFFSET) * h5[:half]) + 1j * (8 * h7[:half] - 4)
     z2[half:] = z1[half:] + sep * np.exp(2j * np.pi * h7[half:])
     inside = (z2.real >= MIN_OFFSET) & (z2.real <= 4) & (np.abs(z2.imag) <= 4)
+    inside &= z1 != z2  # a degenerate pair carries no slope information
     z1, z2 = z1[inside], z2[inside]
-    norm = T * abs(phi_derivative(branch, complex(T)))
-    xs, ys = [], []
-    for a, b in zip(z1, z2):
-        if a == b:
-            continue  # degenerate pair carries no slope information
-        ga = phi_eval(branch, T * a)
-        gb = phi_eval(branch, T * b)
-        gap = abs(ga - gb) / norm
-        if gap == 0:
-            continue
-        xs.append(np.log(abs(a - b)))
-        ys.append(np.log(gap))
-    xs, ys = np.asarray(xs), np.asarray(ys)
+    norm = T * abs(phi_eval(branch, complex(T))[1])
+    # rows (a, b): a sampled branch walks a0, b0, a1, b1, ... in that order
+    g = phi_eval(branch, T * np.stack([z1, z2], axis=1))[0]
+    gap = np.abs(g[:, 0] - g[:, 1]) / norm
+    keep = gap != 0
+    xs, ys = np.log(np.abs(z1 - z2)[keep]), np.log(gap[keep])
     bins = np.linspace(xs.min(), xs.max() + 1e-9, 13)
     ex, ey = [], []
     for i in range(12):
@@ -475,10 +453,7 @@ def el_violations(branch, T=16.0, samples=10000):
     h2, h3 = _halton(samples, 2), _halton(samples, 3)
     re = MIN_OFFSET + (4 * T - MIN_OFFSET) * h2
     im = (2 * h3 - 1) * 4 * T
-    bad = 0
-    for xi in re + 1j * im:
-        z, dphi = _phi_and_derivative(branch, xi)
-        ratio = abs(dphi / z)
-        if ratio > 4 * np.pi / xi.real * (1 + 1e-9):
-            bad += 1
-    return bad
+    xi = re + 1j * im
+    z, dphi = phi_eval(branch, xi)
+    return int(np.count_nonzero(
+        np.abs(dphi / z) > 4 * np.pi / xi.real * (1 + 1e-9)))

@@ -42,7 +42,7 @@ class TestFindTracts:
         atlas = tr.find_tracts(F, np.e)
         (branch,) = atlas.tracts
         # inner tract is {Re z > 7}, so phi_F(xi) = log(xi + 6)
-        assert tr.phi_eval(branch, 4.0) == pytest.approx(np.log(10.0), abs=1e-9)
+        assert tr.phi_eval(branch, 4.0)[0] == pytest.approx(np.log(10.0), abs=1e-9)
 
     def test_no_tract(self):
         # escape requires Re z > 8 (log R + 1); cap the annulus below that
@@ -51,12 +51,22 @@ class TestFindTracts:
             tr.find_tracts(h, 1e30, max_rho=100.0)
 
 
+def _spec_handle(spec):
+    """The check-8 handle, or a handle from a CLI function spec."""
+    if spec == "check8":
+        return lz.koenigs_handle(checks.Z2, 1.0, kappa=0.25)
+    return cli.function_from_spec(spec)
+
+
+def _fresh_branch(spec):
+    return tr.find_tracts(_spec_handle(spec), np.e).tracts[0]
+
+
 class TestSampledBranches:
     @pytest.mark.parametrize("spec", ["check8", "koenigs:z^2-1",
                                       "koenigs:z^2-2"])
     def test_ring_batch_matches_scalar_loop(self, spec, monkeypatch):
-        h = (lz.koenigs_handle(checks.Z2, 1.0, kappa=0.25) if spec == "check8"
-             else cli.function_from_spec(spec))
+        h = _spec_handle(spec)
         batched = tr.find_tracts(h, np.e).tracts
         log_f_and_q = lz.KoenigsLinearizer.log_f_and_q
 
@@ -74,20 +84,20 @@ class TestSampledBranches:
 
 class TestPhiEval:
     def test_exp_identity(self, exp_branch):
-        assert tr.phi_eval(exp_branch, 3 + 2j) == pytest.approx(3 + 2j)
+        assert tr.phi_eval(exp_branch, 3 + 2j)[0] == pytest.approx(3 + 2j)
 
     def test_sqrt(self, sq_branch):
-        assert tr.phi_eval(sq_branch, 4.0) == pytest.approx(2.0)
-        assert tr.phi_derivative(sq_branch, 4.0) == pytest.approx(0.25)
+        assert tr.phi_eval(sq_branch, 4.0)[0] == pytest.approx(2.0)
+        assert tr.phi_eval(sq_branch, 4.0)[1] == pytest.approx(0.25)
 
     def test_quarter_shift(self):
         branch = tr.find_tracts(lz.exp_power(0.25, 1), np.e).tracts[0]
-        assert tr.phi_eval(branch, 2.0) == pytest.approx(2 + np.log(4), abs=1e-9)
+        assert tr.phi_eval(branch, 2.0)[0] == pytest.approx(2 + np.log(4), abs=1e-9)
 
     def test_koenigs_affine(self, koenigs_branch):
         # f = e^{z/8} so phi(xi) = 8 xi, over a wide range of scales
         for xi in (1.0, 3 + 2j, 0.05 - 100j, 2000 + 500j, 1.0 + 32768j, 16384.0):
-            got = tr.phi_eval(koenigs_branch, xi)
+            got = tr.phi_eval(koenigs_branch, xi)[0]
             assert abs(got - 8 * complex(xi)) < 1e-9 * (1 + abs(8 * xi))
 
     def test_offset_guard(self, exp_branch):
@@ -97,21 +107,21 @@ class TestPhiEval:
     def test_round_trip(self, koenigs_branch):
         h = koenigs_branch.handle
         for xi in (0.3 + 1j, 7.0, 12 - 5j):
-            z = tr.phi_eval(koenigs_branch, xi)
+            z = tr.phi_eval(koenigs_branch, xi)[0]
             val = h.eval(z)
             assert abs(val - np.exp(xi)) < 1e-9 * (1 + abs(val))
 
     def test_cold_cache_coherence(self):
         h = lz.koenigs_handle(Polynomial.from_string("2z^2-1"), 1.0, kappa=0.125)
         xi = 9 + 4j
-        a = tr.phi_eval(tr.find_tracts(h, np.e).tracts[0], xi)
+        a = tr.phi_eval(tr.find_tracts(h, np.e).tracts[0], xi)[0]
         warm = tr.find_tracts(h, np.e).tracts[0]
         tr.phi_eval(warm, 2.0)  # populate cache along a different path
-        b = tr.phi_eval(warm, xi)
+        b = tr.phi_eval(warm, xi)[0]
         assert abs(a - b) < 1e-9
 
     def test_koenigs_derivative(self, koenigs_branch):
-        d = tr.phi_derivative(koenigs_branch, 5 + 1j)
+        d = tr.phi_eval(koenigs_branch, 5 + 1j)[1]
         assert d == pytest.approx(8.0, abs=1e-9)
 
 
@@ -246,13 +256,77 @@ class TestDistortion:
 
     def test_real_axis_distortion(self, sq_branch, koenigs_branch):
         for branch in (sq_branch, koenigs_branch):
-            d1 = abs(tr.phi_derivative(branch, 1.0))
+            d1 = abs(tr.phi_eval(branch, 1.0)[1])
             for x in (2.0, 10.0, 100.0):
-                ratio = abs(tr.phi_derivative(branch, x)) / d1
+                ratio = abs(tr.phi_eval(branch, x)[1]) / d1
                 assert 1e-4 * x**-3 <= ratio <= 1e4 * x
 
     def test_growth_bound(self, koenigs_branch):
-        p1 = tr.phi_eval(koenigs_branch, 1.0)
-        d1 = abs(tr.phi_derivative(koenigs_branch, 1.0))
+        p1 = tr.phi_eval(koenigs_branch, 1.0)[0]
+        d1 = abs(tr.phi_eval(koenigs_branch, 1.0)[1])
         for T in (2.0, 8.0, 64.0):
-            assert abs(tr.phi_eval(koenigs_branch, T) - p1) <= 1e4 * d1 * T**2
+            assert abs(tr.phi_eval(koenigs_branch, T)[0] - p1) <= 1e4 * d1 * T**2
+
+
+def _xi_grid(shape):
+    n = int(np.prod(shape))
+    re = tr.MIN_OFFSET + 60.0 * tr._halton(n, 2)
+    im = 120.0 * tr._halton(n, 3) - 60.0
+    return (re + 1j * im).reshape(shape)
+
+
+class TestPhiContract:
+    @pytest.mark.parametrize("spec", ["check8", "koenigs:z^2-1"])
+    def test_array_eval_matches_point_loop(self, spec):
+        xi = _xi_grid((8, 6))
+        looped, batched = _fresh_branch(spec), _fresh_branch(spec)
+        pairs = [tr.phi_eval(looped, x) for x in xi.ravel()]
+        z, dphi = tr.phi_eval(batched, xi)
+        assert z.shape == dphi.shape == xi.shape
+        assert z.ravel().tolist() == [p[0] for p in pairs]
+        assert dphi.ravel().tolist() == [p[1] for p in pairs]
+        n = looped._n_anchors
+        assert batched._n_anchors == n == 1 + xi.size
+        assert batched._anchors[:, :n].tolist() == \
+            looped._anchors[:, :n].tolist()
+
+    @pytest.mark.parametrize("name", ["exp", "quarter", "square", "composite"])
+    def test_entries_agree_on_closed_branches(self, name):
+        branch = _fresh_branch(name)
+        xi = _xi_grid((4, 50))
+        z, dphi = tr.phi_eval(branch, xi)
+        for other in (tr.phi_path(branch, xi),
+                      tr.phi_refine(branch, xi, np.zeros_like(xi))):
+            assert other[0].tolist() == z.tolist()
+            assert other[1].tolist() == dphi.tolist()
+
+    def test_anchors_carry_q(self, monkeypatch):
+        branch = _fresh_branch("check8")
+        calls = []
+        log_f_and_q = lz.KoenigsLinearizer.log_f_and_q
+
+        def counting(handle, z):
+            calls.append(z)
+            return log_f_and_q(handle, z)
+
+        monkeypatch.setattr(lz.KoenigsLinearizer, "log_f_and_q", counting)
+        # the base point is an anchor: no log f evaluation to read it back
+        z, dphi = tr.phi_eval(branch, branch.base_log)
+        assert calls == []
+        assert (z, dphi) == (branch.base_point,
+                             1.0 / complex(branch._anchors[2, 0]))
+        tr.phi_eval(branch, _xi_grid((16,)))
+        monkeypatch.undo()
+        n = branch._n_anchors
+        for x, z, q in branch._anchors[:, :n].T.tolist():
+            assert q == branch.handle.log_f_and_q(z)[1]
+        assert _fresh_branch("exp")._anchors is None
+
+    @pytest.mark.parametrize("entry", ["phi_eval", "phi_path", "phi_refine"])
+    @pytest.mark.parametrize("spec", ["exp", "check8"])
+    def test_offset_guard_on_every_point(self, spec, entry):
+        branch = _fresh_branch(spec)
+        xi = np.array([2.0 + 1j, 3.0, 0.01 - 1j, 4.0 + 2j])
+        args = (xi, 2.0 * xi) if entry == "phi_refine" else (xi,)
+        with pytest.raises(ValueError):
+            getattr(tr, entry)(branch, *args)
