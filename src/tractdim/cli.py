@@ -301,14 +301,15 @@ def cmd_transfer(cfg, handle):
     t_grid = _positive_t_grid(cfg)
     atlas = _find_tracts(handle, cfg)
     k_budget = cfg.k_budget or None
-    w = complex(math.e ** 2)
+    w = tf.BASE_POINT
     rows = []
     for t in t_grid:
         s = tf.transfer_apply_point(atlas, t, w, k_budget)
         rows.append((t, s.value, s.terms_used, s.tail_estimate))
     csv = "t,value,terms,tail\n" + "".join(
         "%.9g,%.17g,%d,%.3g\n" % r for r in rows)
-    profile = tf.transfer_dyadic_profile(atlas, t_grid[-1], w, k_budget)
+    # the profile is the last sample's, so its blocks are not walked again
+    profile = tf.dyadic_exponents(s.block_sums)
     written = [
         _write(cfg, "transfer.csv", csv),
         _write(cfg, "transfer.json", json.dumps(
@@ -347,16 +348,16 @@ def cmd_hypdim(cfg, handle, poly_text=None):
     n_max = 2 if sampled else 3
     branch_budget = min(cfg.branch_budget, 32) if sampled \
         else cfg.branch_budget
+    # one frontier serves every t of both bracket attempts
+    frontier = tf.iterate_frontier(atlas, tf.BASE_POINT, n_max, branch_budget)
     lowered = False
     try:
-        bowen = tf.bowen_zero_entire(atlas, theta, n_max=n_max,
-                                     branch_budget=branch_budget)
+        bowen = tf.bowen_zero_entire(frontier, theta)
     except NoSignChange:
         # The zero can sit inside the threshold estimate's own error bar;
         # retry once with the bracket floor dropped by that margin.
         lowered = True
-        bowen = tf.bowen_zero_entire(atlas, theta - 0.1, n_max=n_max,
-                                     branch_budget=branch_budget)
+        bowen = tf.bowen_zero_entire(frontier, theta - 0.1)
     diagnostics = {"tracts": len(atlas.tracts), "T_grid": T_grid,
                    "bracket_lowered": lowered, "seed": cfg.seed}
     if isinstance(handle, lz.KoenigsLinearizer):

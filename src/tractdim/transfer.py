@@ -5,6 +5,12 @@ The operator acts on the constant function: its value at w is the sum of
 xi_k = log|w| + i(arg w + 2 pi k), accumulated per tract branch in dyadic
 k-blocks so that truncation and divergence are both visible from the
 block-sum profile.
+
+Iterated powers split into a t-independent part and a per-t sum:
+``iterate_frontier`` walks the preimage tree at w once and keeps each
+level's log|phi'/phi| rows, and ``transfer_iterate`` and
+``pressure_entire`` evaluate one t on that frontier.  A pressure curve or
+a Bowen-zero bisection therefore walks phi once, not once per t.
 """
 
 import json
@@ -25,6 +31,7 @@ _RATIO_CAP = 0.9
 DEFAULT_K_CLOSED = 1 << 19
 DEFAULT_K_SAMPLED = 1 << 10
 _FRONTIER_CAP = 1 << 24
+BASE_POINT = complex(math.e ** 2)
 
 
 def _default_budget(atlas):
@@ -156,8 +163,14 @@ def transfer_dyadic_profile(atlas, t, w, k_budget=None):
     if k_budget is None:
         k_budget = _default_budget(atlas)
     blocks, _ = _dyadic_blocks(atlas, t, w, k_budget, detect_divergence=False)
+    return dyadic_exponents(blocks)
+
+
+def dyadic_exponents(block_sums):
+    """Exponents e_n with block_n = 2^(n e_n), for n >= 1 and block_n > 0."""
     return [
-        (n, math.log2(b) / n) for n, b in enumerate(blocks) if n >= 1 and b > 0
+        (n, math.log2(b) / n)
+        for n, b in enumerate(block_sums) if n >= 1 and b > 0
     ]
 
 
@@ -166,45 +179,97 @@ def level_budgets(branch_budget, n):
     return [max(8, branch_budget >> (2 * level)) for level in range(n)]
 
 
-def transfer_iterate(atlas, t, w, n, branch_budget=128):
-    """n-th operator power on the constant function at w."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+@dataclass(frozen=True, eq=False)
+class IterateFrontier:
+    """The t-independent part of the iterated operator at w.
+
+    ``levels[j]`` is ``(parents, logterms)`` for the preimages of level
+    j + 1: row r of ``logterms`` holds log|phi'/phi| at the preimages,
+    under one tract branch and for |k| <= ``level_budgets(...)[j]``, of
+    point ``parents[r]`` of level j (level 0 is w itself).  Rows are in
+    walk order, so level j + 1 is the rows raveled.
+    """
+
+    atlas: object
+    w: complex
+    branch_budget: int
+    levels: tuple
+
+    @property
+    def depth(self):
+        return len(self.levels)
+
+
+def iterate_frontier(atlas, w, n, branch_budget=128):
+    """Walk the preimage tree of the n-th operator power at w once.
+
+    The preimages and their log|phi'/phi| do not depend on t, so one
+    frontier serves ``transfer_iterate`` at every t and every depth up to
+    n (``level_budgets`` is prefix-stable).
+    """
     if not 1 <= n <= 4:
         raise ValueError("iterate depth limited to 1..4")
-    if n == 1:
-        return transfer_apply_point(atlas, t, w, k_budget=branch_budget).value
-    budgets = level_budgets(branch_budget, n)
     log_radius = math.log(atlas.radius)
     sampled = any(b.sampled for b in atlas.tracts)
     zs = np.array([complex(w)])
-    logwt = np.array([0.0])
-    for level, B in enumerate(budgets):
+    levels = []
+    for level, B in enumerate(level_budgets(branch_budget, n)):
         ks = np.arange(-B, B + 1)
         # a preimage lies in a tract only while its image stays outside
         # the reference circle, so shallower points have no expandable
         # children
-        keep = np.log(np.abs(zs)) > log_radius
-        zs, logwt = zs[keep], logwt[keep]
-        if len(zs) * (2 * B + 1) * len(atlas.tracts) > _FRONTIER_CAP:
+        kept = np.flatnonzero(np.log(np.abs(zs)) > log_radius)
+        if len(kept) * (2 * B + 1) * len(atlas.tracts) > _FRONTIER_CAP:
             raise BudgetExceeded(
                 "iterate frontier exceeds cap at level %d" % (level + 1)
             )
         if sampled:
             # continuation walks one point at a time, in frontier order,
             # because each walk starts from the anchors the last one left
-            points = [(*_split_point(z0), lw) for z0, lw in zip(zs, logwt)]
+            groups = [(np.array([i]), *_split_point(zs[i])) for i in kept]
         else:
-            points = [(np.log(np.abs(zs))[:, None], np.angle(zs)[:, None],
-                       logwt[:, None])]
-        new_z, new_logwt = [], []
-        for logw, argw, lw in points:
+            groups = [(kept, np.log(np.abs(zs[kept]))[:, None],
+                       np.angle(zs[kept])[:, None])]
+        # the last level's preimages expand no further, so only their
+        # log terms are kept
+        expand = level < n - 1
+        parents, rows, children = [], [], []
+        for idx, logw, argw in groups:
             for branch in atlas.tracts:
                 child, logterm = _log_weight_terms(branch, logw, argw, ks)
-                new_z.append(child.ravel())
-                new_logwt.append((lw + t * logterm).ravel())
-        zs = np.concatenate(new_z)
-        logwt = np.concatenate(new_logwt)
+                parents.append(idx)
+                rows.append(np.atleast_2d(logterm))
+                if expand:
+                    children.append(child.ravel())
+        levels.append(tuple(_read_only(np.concatenate(a))
+                            for a in (parents, rows)))
+        if expand:
+            zs = np.concatenate(children)
+    return IterateFrontier(atlas, complex(w), branch_budget, tuple(levels))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def transfer_iterate(frontier, t, n):
+    """n-th operator power on the constant function at the frontier's w.
+
+    Depth 1 is ``transfer_apply_point``, with its divergence check; deeper
+    powers sum e^(t sum log|phi'/phi|) over the frontier's level n.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if not 1 <= n <= frontier.depth:
+        raise ValueError("iterate depth limited to 1..%d by the frontier"
+                         % frontier.depth)
+    if n == 1:
+        return transfer_apply_point(frontier.atlas, t, frontier.w,
+                                    k_budget=frontier.branch_budget).value
+    logwt = np.array([0.0])
+    for parents, logterms in frontier.levels[:n]:
+        logwt = (logwt[parents][:, None] + t * logterms).ravel()
     return float(np.sum(np.exp(np.sort(logwt))))
 
 
@@ -218,15 +283,11 @@ class PressureFit:
         return float(self.value)
 
 
-def pressure_entire(atlas, t, w=None, n_max=3, branch_budget=128):
-    """Slope of log of iterated-operator values against the depth."""
-    if w is None:
-        w = complex(math.e ** 2)
-    logs = [
-        math.log(transfer_iterate(atlas, t, w, n, branch_budget))
-        for n in range(1, n_max + 1)
-    ]
-    ns = np.arange(1, n_max + 1, dtype=float)
+def pressure_entire(frontier, t):
+    """Slope of log of iterated-operator values against the depth, at t."""
+    logs = [math.log(transfer_iterate(frontier, t, n))
+            for n in range(1, frontier.depth + 1)]
+    ns = np.arange(1, frontier.depth + 1, dtype=float)
     slope, intercept = np.polyfit(ns, logs, 1)
     residual = float(np.max(np.abs(slope * ns + intercept - logs)))
     return PressureFit(float(slope), residual, logs)
@@ -253,8 +314,11 @@ class EntirePressureCurve:
         )
 
 
-def pressure_curve_entire(atlas, t_grid, w=None, n_max=3, branch_budget=128):
-    fits = [pressure_entire(atlas, t, w, n_max, branch_budget) for t in t_grid]
+def pressure_curve_entire(atlas, t_grid, w=BASE_POINT, n_max=3,
+                          branch_budget=128):
+    """Pressure along a t grid, all from one frontier at w."""
+    frontier = iterate_frontier(atlas, w, n_max, branch_budget)
+    fits = [pressure_entire(frontier, t) for t in t_grid]
     return EntirePressureCurve(
         t_grid=list(t_grid),
         values=[f.value for f in fits],
@@ -285,14 +349,13 @@ def pressure_root(pfun, lo, hi, width=0.02):
     return 0.5 * (lo + hi)
 
 
-def bowen_zero_entire(atlas, theta_hat, w=None, n_max=3, branch_budget=128,
-                      width=0.02):
-    """Hyperbolic-dimension estimate: zero of the pressure above theta."""
-    lo = theta_hat + 0.05
-    return pressure_root(
-        lambda t: pressure_entire(atlas, t, w, n_max, branch_budget).value,
-        lo, 2.5, width,
-    )
+def bowen_zero_entire(frontier, theta_hat, width=0.02):
+    """Hyperbolic-dimension estimate: zero of the pressure above theta.
+
+    Every bisection step evaluates the one prebuilt frontier.
+    """
+    return pressure_root(lambda t: pressure_entire(frontier, t).value,
+                         theta_hat + 0.05, 2.5, width)
 
 
 def decay_check(atlas, t, p_exponent, s_grid=(2.0, 4.0, 8.0, 16.0, 32.0),

@@ -189,6 +189,18 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["error"] == "DivergenceDetected"
 
+    @pytest.mark.parametrize("budget,error", [
+        (None, "DivergenceDetected"), ("4096", "BudgetExceeded")])
+    def test_pressure_error_precedence(self, budget, error, tmp_path, capsys):
+        # the frontier is built before the first t: a budget that no t can
+        # afford is reported ahead of the divergence at t = 0.5
+        argv = ["pressure", "--function", "exp", "--tmin", "0.5",
+                "--out", str(tmp_path)]
+        code, out = run_cli(argv + (["--branch-budget", budget]
+                                    if budget else []), capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == error
+
     def test_empty_t_grid_exits_2(self, tmp_path, capsys):
         code, out = run_cli(["spectrum", "--function", "exp",
                              "--tmin", "2", "--tmax", "1",
@@ -268,6 +280,28 @@ class TestCommands:
         res = json.loads(out)["result"]
         assert 1.0 < res["bowen_zero"] < 2.0
         assert res["bowen_zero"] > res["theta_hat"]
+
+    @pytest.mark.parametrize("function,theta,zero,lowered", [
+        ("square", 1.000390625, 1.0048690795898438, True),
+        ("quarter", 1.003515625, 1.0591659545898438, False),
+        ("exp", 0.999609375, 1.0404525756835938, True),
+    ])
+    def test_hypdim_pinned(self, function, theta, zero, lowered, tmp_path,
+                           capsys):
+        code, out = run_cli(["hypdim", "--function", function,
+                             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert (res["theta_hat"], res["bowen_zero"]) == (theta, zero)
+        assert res["diagnostics"]["bracket_lowered"] is lowered
+
+    def test_pressure_pinned(self, tmp_path, capsys):
+        code, _ = run_cli(["pressure", "--function", "quarter",
+                           "--tmin", "1.5", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rows = (tmp_path / "pressure.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == [
+            -1.0783597064377866, -2.0918765529925887]
 
     def test_config_file(self, tmp_path, capsys):
         cfg = RunConfig(function={"family": "exp_power",

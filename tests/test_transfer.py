@@ -1,5 +1,6 @@
 """Transfer-operator sums, iterated pressure, and the dimension zero."""
 
+import json
 import math
 
 import numpy as np
@@ -126,12 +127,14 @@ class TestIterate:
     def test_depth_one_identity(self, exp_atlas):
         # all first-level preimages of e^4 stay outside the reference
         # circle, so depth 1 and the point operator coincide exactly
-        v = tf.transfer_iterate(exp_atlas, 2.0, E4, 1, 128)
+        v = tf.transfer_iterate(tf.iterate_frontier(exp_atlas, E4, 1, 128),
+                                2.0, 1)
         s = tf.transfer_apply_point(exp_atlas, 2.0, E4, k_budget=128)
         assert v == pytest.approx(s.value, rel=1e-12)
 
     def test_depth_two_oracle(self, exp_atlas):
-        v = tf.transfer_iterate(exp_atlas, 2.0, E2, 2, 128)
+        v = tf.transfer_iterate(tf.iterate_frontier(exp_atlas, E2, 2, 128),
+                                2.0, 2)
         B1, B2 = tf.level_budgets(128, 2)
         ks = np.arange(-B1, B1 + 1)
         xi = 2.0 + 2j * np.pi * ks
@@ -143,41 +146,54 @@ class TestIterate:
         assert v == pytest.approx(brute, abs=1e-8)
 
     def test_normalized_sequence_settles(self, exp_atlas):
-        vals = [tf.transfer_iterate(exp_atlas, 2.0, -E2, n, 64)
-                for n in (1, 2, 3, 4)]
+        frontier = tf.iterate_frontier(exp_atlas, -E2, 4, 64)
+        vals = [tf.transfer_iterate(frontier, 2.0, n) for n in (1, 2, 3, 4)]
         seq = [math.log(v) / n for n, v in zip((1, 2, 3, 4), vals)]
         assert all(-2.6 < x < -1.0 for x in seq)
         assert abs(seq[3] - seq[2]) < 0.5
 
     def test_depth_guard(self, exp_atlas):
         with pytest.raises(ValueError):
-            tf.transfer_iterate(exp_atlas, 2.0, E2, 5)
+            tf.iterate_frontier(exp_atlas, E2, 5)
         with pytest.raises(ValueError):
-            tf.transfer_iterate(exp_atlas, 2.0, E2, 0)
+            tf.iterate_frontier(exp_atlas, E2, 0)
+        frontier = tf.iterate_frontier(exp_atlas, E2, 2, 32)
+        for n in (0, 3):
+            with pytest.raises(ValueError):
+                tf.transfer_iterate(frontier, 2.0, n)
 
     def test_frontier_cap(self, exp_atlas):
         with pytest.raises(BudgetExceeded):
-            tf.transfer_iterate(exp_atlas, 2.0, E2, 4, 4096)
+            tf.iterate_frontier(exp_atlas, E2, 4, 4096)
+
+    def test_frontier_is_frozen(self, exp_atlas):
+        frontier = tf.iterate_frontier(exp_atlas, E2, 2, 32)
+        assert frontier.depth == 2
+        parents, logterms = frontier.levels[1]
+        # no complex preimages are kept, only parents and log|phi'/phi|
+        assert parents.dtype.kind == "i" and logterms.dtype == float
+        with pytest.raises(ValueError):
+            logterms[0, 0] = 0.0
 
 
 class TestPressure:
     def test_monotone_in_t(self, quarter_atlas):
-        ps = [tf.pressure_entire(quarter_atlas, t).value
-              for t in (1.5, 2.0, 2.5)]
+        frontier = tf.iterate_frontier(quarter_atlas, E2, 3)
+        ps = [tf.pressure_entire(frontier, t).value for t in (1.5, 2.0, 2.5)]
         assert ps[0] > ps[1] > ps[2]
 
     def test_base_point_spread(self, exp_atlas):
         # the depth-3 estimator carries the oscillation of near-boundary
         # chains; the spread must stay inside its own reported error bars
-        a = tf.pressure_entire(exp_atlas, 2.0, E2)
-        b = tf.pressure_entire(exp_atlas, 2.0, E3)
+        a = tf.pressure_entire(tf.iterate_frontier(exp_atlas, E2, 3), 2.0)
+        b = tf.pressure_entire(tf.iterate_frontier(exp_atlas, E3, 3), 2.0)
         assert abs(a.value - b.value) <= a.residual + b.residual
         for fit in (a, b):
             assert -2.6 < fit.value < -1.0
 
     def test_quarter_golden_regression(self, quarter_atlas):
-        fit = tf.pressure_entire(quarter_atlas, 2.0, n_max=4,
-                                 branch_budget=128)
+        fit = tf.pressure_entire(
+            tf.iterate_frontier(quarter_atlas, E2, 4, branch_budget=128), 2.0)
         assert fit.value == pytest.approx(-2.096779520521, abs=1e-9)
 
     def test_curve_monotone(self, quarter_atlas):
@@ -185,6 +201,44 @@ class TestPressure:
         diffs = np.diff(curve.values)
         assert np.all(diffs <= 1e-6)
         assert '"pressure"' in curve.to_json()
+
+    @pytest.mark.parametrize("spec", ["exp", "quarter", "square", "composite"])
+    def test_shared_frontier_matches_fresh(self, spec):
+        # one frontier evaluated in any t order gives the bits of a
+        # frontier built for that t alone
+        atlas = tr.find_tracts(cli.function_from_spec(spec), math.e)
+        shared = tf.iterate_frontier(atlas, E2, 3)
+        for t in (2.0, 1.2, 2.5, 1.5):
+            got = tf.pressure_entire(shared, t)
+            fresh = tf.pressure_entire(tf.iterate_frontier(atlas, E2, 3), t)
+            assert (got.value, got.residual, got.per_n) == (
+                fresh.value, fresh.residual, fresh.per_n)
+
+    def test_curve_walks_one_frontier(self, quarter_atlas, monkeypatch):
+        # the depth-1 point operator walks its own k-blocks at every t;
+        # every other phi_path call belongs to the frontier
+        walks, inside = [0], []
+        phi_path, apply_point = tr.phi_path, tf.transfer_apply_point
+
+        def counting(branch, xis):
+            walks[0] += not inside
+            return phi_path(branch, xis)
+
+        def point_operator(*args, **kwargs):
+            inside.append(True)
+            try:
+                return apply_point(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(tr, "phi_path", counting)
+        monkeypatch.setattr(tf, "transfer_apply_point", point_operator)
+        counts = []
+        for grid in ((2.0,), (1.5, 1.75, 2.0, 2.25, 2.5)):
+            walks[0] = 0
+            tf.pressure_curve_entire(quarter_atlas, grid)
+            counts.append(walks[0])
+        assert counts[0] == counts[1] > 0
 
 
 class TestBowenZero:
@@ -204,17 +258,34 @@ class TestBowenZero:
             tf.pressure_root(lambda t: 1.0, 0.1, 2.5)
 
     def test_quarter_map(self, quarter_atlas):
-        h = tf.bowen_zero_entire(quarter_atlas, 1.0035)
+        frontier = tf.iterate_frontier(quarter_atlas, E2, 3)
+        h = tf.bowen_zero_entire(frontier, 1.0035)
         assert 1.0 < h < 2.0
-        assert tf.pressure_entire(quarter_atlas, h - 0.05).value > 0
-        assert tf.pressure_entire(quarter_atlas, h + 0.05).value < 0
+        assert tf.pressure_entire(frontier, h - 0.05).value > 0
+        assert tf.pressure_entire(frontier, h + 0.05).value < 0
 
     def test_koenigs_map(self, koenigs_atlas):
         # the shallow estimator puts the zero barely above the threshold,
         # so the bracket starts from the lower error bar of theta-hat
-        h = tf.bowen_zero_entire(koenigs_atlas, 0.98, n_max=2,
-                                 branch_budget=32)
+        h = tf.bowen_zero_entire(
+            tf.iterate_frontier(koenigs_atlas, E2, 2, branch_budget=32), 0.98)
         assert 1.0 < h < 2.0
+
+    def test_hypdim_builds_one_frontier(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = tf.iterate_frontier
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(tf, "iterate_frontier", counting)
+        code = cli.main(["hypdim", "--function", "square",
+                         "--out", str(tmp_path)])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0
+        assert result["diagnostics"]["bracket_lowered"] is True
+        assert len(built) == 1
 
 
 class TestDecayAndScaling:
