@@ -100,8 +100,8 @@ def check_elementary_spectrum():
     """Flat limit spectrum and unit threshold for the exponential family."""
     rows = []
     for name in ("exp", "quarter", "square"):
-        branch = test_atlas(name).tracts[0]
-        curve = sp.spectrum_curve(branch, [0.5, 1.0, 1.5, 2.0])
+        tables = sp.means_tables(test_atlas(name).tracts[0])
+        curve = sp.spectrum_curve(tables, [0.5, 1.0, 1.5, 2.0])
         worst = max(abs(b) for b in curve.beta_inf)
         rows.append((name, worst, curve.theta_hat))
     passed = all(w <= 0.05 and abs(th - 1.0) <= 0.05 for _, w, th in rows)
@@ -201,9 +201,10 @@ def check_spectrum_shape():
     """Endpoint values and midpoint convexity of the limit spectrum."""
     rows = []
     for name in HANDLE_NAMES:
-        branch = test_atlas(name).tracts[0]
-        curve = sp.spectrum_curve(branch, [0.0, 0.5, 1.0, 1.5, 2.0],
-                                  _t_grid_for(name), with_theta=False)
+        tables = sp.means_tables(test_atlas(name).tracts[0],
+                                 _t_grid_for(name))
+        curve = sp.spectrum_curve(tables, [0.0, 0.5, 1.0, 1.5, 2.0],
+                                  with_theta=False)
         b = curve.beta_inf
         convex = min(
             b[i - 1] + b[i + 1] - 2 * b[i] for i in range(1, len(b) - 1))
@@ -224,10 +225,12 @@ def check_scaling_band():
 
 def check_composite_comparison():
     """Composite model spectrum bounded by the inner map's spectrum."""
+    T_grid = sp.DEFAULT_T_GRID[:8]
     inner = tr.find_tracts(test_handle("composite").inner, math.e).tracts[0]
     comp = test_atlas("composite").tracts[0]
-    rep = sp.composite_spectrum_compare(inner, comp, [0.5, 1.0, 1.5, 2.0],
-                                        sp.DEFAULT_T_GRID[:8])
+    rep = sp.composite_spectrum_compare(sp.means_tables(inner, T_grid),
+                                        sp.means_tables(comp, T_grid),
+                                        [0.5, 1.0, 1.5, 2.0])
     return rep["ok"], "theta %.4f <= %.4f + 0.05: %s" % (
         rep["theta_composite"], rep["theta_inner"], rep["theta_ok"])
 
@@ -249,8 +252,7 @@ def check_boundary_figures():
         first = render_boundary_svg(branch, T)
         second = render_boundary_svg(branch, T)
         stable = stable and first == second
-        marker = abs(tr.phi_eval(branch, complex(T))[0] / tr.tract_scale(
-            branch, T))
+        marker = abs(tr.rescaled_map(branch, T, 1.0))
         marker_err = max(marker_err, abs(marker - 1.0))
     passed = stable and marker_err <= 1e-6
     return passed, "byte_stable=%s marker_err=%.2e" % (stable, marker_err)

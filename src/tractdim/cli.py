@@ -221,8 +221,7 @@ def _svg_document(polylines, marker):
 def render_boundary_svg(branch, T, n_points=512):
     """Stroke-only SVG of one rescaled tract boundary with a unit marker."""
     rb = tr.trace_boundary(branch, T, n_points)
-    marker = tr.phi_eval(branch, complex(T))[0] / rb.scale
-    return _svg_document([rb.polyline], marker)
+    return _svg_document([rb.polyline], tr.rescaled_map(branch, T, 1.0))
 
 
 def _boundary_csv(boundaries):
@@ -249,15 +248,14 @@ def cmd_tract_plot(cfg, handle, T_list):
     atlas = _find_tracts(handle, cfg)
     written = []
     for T in T_list:
-        if T <= 0:
-            raise InvalidGrid("T must be positive")
+        if T < 1:
+            raise InvalidGrid("T must be >= 1, got %g" % T)
         rows, polylines = [], []
         for idx, branch in enumerate(atlas.tracts):
             rb = tr.trace_boundary(branch, T)
             polylines.append(rb.polyline)
             rows.append((T, idx, rb.polyline))
-        marker = tr.phi_eval(atlas.tracts[0], complex(T))[0] / tr.tract_scale(
-            atlas.tracts[0], T)
+        marker = tr.rescaled_map(atlas.tracts[0], T, 1.0)
         stem = "tract_T%g" % T
         written.append(_write(cfg, stem + ".svg",
                               _svg_document(polylines, marker)))
@@ -268,8 +266,8 @@ def cmd_tract_plot(cfg, handle, T_list):
 def cmd_spectrum(cfg, handle):
     atlas = _find_tracts(handle, cfg)
     branch = atlas.tracts[0]
-    T_grid = cfg.T_grid(sampled=branch.sampled)
-    curve = sp.spectrum_curve(branch, cfg.t_grid(), T_grid)
+    tables = sp.means_tables(branch, cfg.T_grid(sampled=branch.sampled))
+    curve = sp.spectrum_curve(tables, cfg.t_grid())
     ok, report = sp.negative_spectrum_check(branch, curve)
     summary = {
         "theta_hat": curve.theta_hat,
@@ -322,8 +320,11 @@ def cmd_transfer(cfg, handle):
 def cmd_pressure(cfg, handle):
     t_grid = _positive_t_grid(cfg)
     atlas = _find_tracts(handle, cfg)
-    curve = tf.pressure_curve_entire(atlas, t_grid,
-                                     branch_budget=cfg.branch_budget)
+    try:
+        curve = tf.pressure_curve_entire(atlas, t_grid,
+                                         branch_budget=cfg.branch_budget)
+    except ValueError as exc:  # the base point lies inside --radius
+        raise ConfigError(str(exc))
     csv = "t,pressure,residual\n" + "".join(
         "%.9g,%.17g,%.3g\n" % (t, p, r)
         for t, p, r in zip(curve.t_grid, curve.values, curve.residuals))
@@ -341,7 +342,7 @@ def cmd_hypdim(cfg, handle, poly_text=None):
     branch = atlas.tracts[0]
     sampled = branch.sampled
     T_grid = cfg.T_grid(sampled=sampled)
-    theta = sp.theta_f(branch, T_grid)
+    theta = sp.theta_f(sp.means_tables(branch, T_grid))
     # Without a closed-form contour map every tree node walks the
     # quadrature path, so deep iteration is priced out; two levels and a
     # small frontier already pin the zero to the reported bracket width.
@@ -349,7 +350,11 @@ def cmd_hypdim(cfg, handle, poly_text=None):
     branch_budget = min(cfg.branch_budget, 32) if sampled \
         else cfg.branch_budget
     # one frontier serves every t of both bracket attempts
-    frontier = tf.iterate_frontier(atlas, tf.BASE_POINT, n_max, branch_budget)
+    try:
+        frontier = tf.iterate_frontier(atlas, tf.BASE_POINT, n_max,
+                                       branch_budget)
+    except ValueError as exc:  # the base point lies inside --radius
+        raise ConfigError(str(exc))
     lowered = False
     try:
         bowen = tf.bowen_zero_entire(frontier, theta)

@@ -5,9 +5,10 @@ I = [-2,-1] u [1,2]; the limit spectrum along the diagonal r = 1/T, its
 shift b(t) = beta(t) - t + 1, the threshold Theta (smallest zero of b),
 and the negative-spectrum diagnostic.
 
-Quadrature node tables (y nodes, weights, log|phi_T'|) are cached per
-(branch, T, r) and reused across every t, so t-scans and bisections cost
-one pass of logsumexp per point.
+The t-independent part of the spectrum, one node table (log weights,
+log|phi_T'|) per T at r = 1/T, is a plain value built once by means_tables;
+beta_infinity, theta_f, spectrum_curve and composite_spectrum_compare take
+that value, so t-scans and bisections cost one pass of logsumexp per T.
 """
 
 from __future__ import annotations
@@ -38,13 +39,8 @@ def _node_table(branch, T, r):
     """(log weights, log|phi_T'| at r+iy nodes) over I, adaptively refined.
 
     Panels double until the reference-t integral moves by less than the
-    absolute quadrature tolerance; the table is then cached on the branch
-    and shared by every exponent t.
+    absolute quadrature tolerance; the table serves every exponent t.
     """
-    cache = branch._node_tables
-    key = (float(T), float(r))
-    if key in cache:
-        return cache[key]
     scale = tr.tract_scale(branch, T)
     log_norm = np.log(T) - np.log(scale)
     guesses = {}  # per subinterval: (y, z) of the previous level
@@ -82,12 +78,11 @@ def _node_table(branch, T, r):
         prev = cur
         if abs(a - b) < max(_QUAD_ABS_TOL, 1e-8 * abs(b)):
             break
-    cache[key] = prev
     return prev
 
 
-def _log_integral(branch, T, r, t):
-    logw, logd = _node_table(branch, T, r)
+def _log_integral(table, t):
+    logw, logd = table
     return float(logsumexp(logw + t * logd))
 
 
@@ -97,7 +92,19 @@ def integral_means(branch, T, r, t):
         raise ValueError("T must be >= 1")
     if not 0 < r < 1:
         raise ValueError("r must lie in (0, 1)")
-    return _log_integral(branch, T, r, t) / np.log(1.0 / r)
+    return _log_integral(_node_table(branch, T, r), t) / np.log(1.0 / r)
+
+
+def means_tables(branch, T_grid=DEFAULT_T_GRID):
+    """((T, node table at r = 1/T), ...) along an increasing T grid.
+
+    The tables are built in grid order and do not depend on t, so one
+    value serves every exponent of a spectrum curve or a bisection.
+    """
+    Ts = [float(T) for T in T_grid]
+    if len(Ts) < 3 or any(b <= a for a, b in zip(Ts, Ts[1:])):
+        raise InvalidGrid("T grid must be increasing with >= 3 points")
+    return tuple((T, _node_table(branch, T, 1.0 / T)) for T in Ts)
 
 
 @dataclass
@@ -111,19 +118,16 @@ class BetaEstimate:
         return float(self.value)
 
 
-def beta_infinity(branch, t, T_grid=DEFAULT_T_GRID):
-    """Limit spectrum along r = 1/T.
+def beta_infinity(tables, t):
+    """Limit spectrum along r = 1/T from the rows of means_tables.
 
     Successive slopes of log-integral against log T remove the
     T-independent factor that pollutes the raw ratio at finite T; the
     limsup proxy is the largest slope over the top half of the grid and
     drift is the spread there.
     """
-    Ts = [float(T) for T in T_grid]
-    if len(Ts) < 3 or any(b <= a for a, b in zip(Ts, Ts[1:])):
-        raise InvalidGrid("T grid must be increasing with >= 3 points")
-    logI = [_log_integral(branch, T, 1.0 / T, t) for T in Ts]
-    x = np.log(Ts)
+    logI = [_log_integral(table, t) for _, table in tables]
+    x = np.log([T for T, _ in tables])
     raw = [li / xi for li, xi in zip(logI, x)]
     slopes = list(np.diff(logI) / np.diff(x))
     top = slopes[len(slopes) // 2:]
@@ -164,47 +168,42 @@ class SpectrumCurve:
         )
 
 
-def spectrum_curve(branch, t_grid, T_grid=DEFAULT_T_GRID, with_theta=True):
-    betas = [beta_infinity(branch, t, T_grid) for t in t_grid]
+def spectrum_curve(tables, t_grid, with_theta=True):
+    betas = [beta_infinity(tables, t) for t in t_grid]
     curve = SpectrumCurve(
         t_grid=list(t_grid),
         beta_inf=[b.value for b in betas],
         b_inf=[b.value - t + 1 for b, t in zip(betas, t_grid)],
-        T_grid=[float(T) for T in T_grid],
+        T_grid=[T for T, _ in tables],
         raw=[b.per_T for b in betas],
         drift=[b.drift for b in betas],
     )
     if with_theta:
         try:
-            curve.theta_hat = theta_f(branch, T_grid)
+            curve.theta_hat = theta_f(tables)
         except NoSignChange:
             pass
     return curve
 
 
-def theta_f(branch, T_grid=DEFAULT_T_GRID, width=1e-3):
+def theta_f(tables, width=1e-3):
     """Smallest zero of t -> b(t) on (0, 2] by scan plus bisection."""
 
     def b_hat(t):
-        return beta_infinity(branch, t, T_grid).value - t + 1
+        return beta_infinity(tables, t).value - t + 1
 
-    if b_hat(0.0) <= 0:
+    scan = [(0.0, b_hat(0.0))]
+    if scan[0][1] <= 0:
         raise NoSignChange("b(0) <= 0: spectrum estimate inconsistent")
-    lo, b_lo = 0.0, b_hat(0.0)
-    hi = None
     for k in range(1, 21):
         t = 0.1 * k
-        bt = b_hat(t)
-        if bt <= 0:
-            hi, b_hi = t, bt
-            break
-        lo, b_lo = t, bt
-    if hi is None:
-        curve = ", ".join("(%.6g, %.6g)" % (0.1 * k, b_hat(0.1 * k))
-                          for k in range(21))
-        raise NoSignChange("b has no zero on (0, 2]; curve: [%s]" % curve)
-    lo, hi = bisect_bracket(lambda t: not b_hat(t) <= 0, lo, hi, width)
-    return 0.5 * (lo + hi)
+        scan.append((t, b_hat(t)))
+        if scan[-1][1] <= 0:
+            lo, hi = bisect_bracket(lambda t: not b_hat(t) <= 0,
+                                    scan[-2][0], t, width)
+            return 0.5 * (lo + hi)
+    curve = ", ".join("(%.6g, %.6g)" % row for row in scan)
+    raise NoSignChange("b has no zero on (0, 2]; curve: [%s]" % curve)
 
 
 def negative_spectrum_check(branch, curve, tol=0.02, margin=0.05):
@@ -229,11 +228,10 @@ def negative_spectrum_check(branch, curve, tol=0.02, margin=0.05):
     return len(violations) == 0, report
 
 
-def composite_spectrum_compare(inner_branch, composite_branch, t_grid,
-                               T_grid=DEFAULT_T_GRID):
+def composite_spectrum_compare(inner_tables, composite_tables, t_grid):
     """Upper comparison of a composite model against its inner map."""
-    inner_curve = spectrum_curve(inner_branch, t_grid, T_grid)
-    comp_curve = spectrum_curve(composite_branch, t_grid, T_grid)
+    inner_curve = spectrum_curve(inner_tables, t_grid)
+    comp_curve = spectrum_curve(composite_tables, t_grid)
     rows = [
         {"t": t, "beta_inner": bi, "beta_composite": bc, "ok": bc <= bi + 0.05}
         for t, bi, bc in zip(t_grid, inner_curve.beta_inf, comp_curve.beta_inf)

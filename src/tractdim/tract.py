@@ -13,6 +13,8 @@ branch they differ only in how z is found.  phi_eval walks each point
 independently from its nearest cached anchor, phi_path walks the points in
 order, and phi_refine polishes given guesses by batched Newton.  Callers
 ask TractBranch.sampled where the cost of continuation matters to them.
+A sampled branch's anchor table is the only state a branch keeps;
+tract_scale and rescaled_map evaluate phi afresh on every call.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ MIN_OFFSET = 0.05  # Re xi floor; phi extends only continuously to the boundary
 _NEWTON_TOL = 1e-11
 _NEWTON_MAXIT = 50
 _MAX_ANCHORS = 4096
+_MAX_TRUST = 1e300  # a finite ceiling: halving an infinite step never ends
 _TWO_PI = 2 * np.pi
 
 
@@ -60,8 +63,7 @@ class TractBranch:
     3-row _anchors table being solved (xi, phi(xi), q) triples with
     q = (log f)'(phi(xi)), the base point first, and _trust is the
     continuation step size the last walk ended with.  A closed-form branch
-    has no anchor table.  _scales caches |phi(T)| and _node_tables the
-    spectrum's quadrature tables.
+    has no anchor table.
     """
 
     handle: object
@@ -71,8 +73,6 @@ class TractBranch:
     _anchors: np.ndarray = field(default=None, repr=False, compare=False)
     _n_anchors: int = field(init=False, default=1)
     _trust: float = field(init=False, default=None)
-    _scales: dict = field(default_factory=dict)
-    _node_tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def sampled(self):
@@ -226,7 +226,10 @@ def _continue_to(branch, current, z, q, xi):
 
     Trust-region predictor steps: step sizes grow geometrically while the
     winding guard accepts and halve when it rejects, so affine-like tracts
-    take O(log) steps per decade while curved geometry self-limits.
+    take O(log) steps per decade while curved geometry self-limits.  The
+    trust carried between walks stops at _MAX_TRUST, and a rejected full
+    step is halved until it is shorter than what remains, since solving it
+    again would be rejected again.
     """
     trust = branch._trust
     if trust is None:
@@ -250,9 +253,11 @@ def _continue_to(branch, current, z, q, xi):
                 # hopped windings
                 sheet = _TWO_PI / max(abs(q_new), 1e-300)
                 if abs(z_new - z_pred) <= 0.3 * sheet or abs(step) < 1e-10:
-                    trust = max_step * 1.5
+                    trust = min(max_step * 1.5, _MAX_TRUST)
                     break
             max_step /= 2
+            while max_step >= abs(remaining):
+                max_step /= 2
             trust = max_step
             if max_step < 1e-12:
                 raise ContinuationStall("step underflow near xi = %s" % xi)
@@ -348,11 +353,8 @@ def phi_refine(branch, xi, z_guess):
 
 
 def tract_scale(branch, T):
-    """|phi(T)|, the normalization of Eq-style rescaling; cached per T."""
-    key = float(T)
-    if key not in branch._scales:
-        branch._scales[key] = abs(phi_eval(branch, complex(key))[0])
-    return branch._scales[key]
+    """|phi(T)|, the normalization of Eq-style rescaling."""
+    return abs(phi_eval(branch, complex(float(T)))[0])
 
 
 def rescaled_map(branch, T, xi):

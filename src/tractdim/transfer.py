@@ -205,10 +205,14 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
 
     The preimages and their log|phi'/phi| do not depend on t, so one
     frontier serves ``transfer_iterate`` at every t and every depth up to
-    n (``level_budgets`` is prefix-stable).
+    n (``level_budgets`` is prefix-stable).  w must lie outside the
+    reference circle, or no preimage of it lies in a tract.
     """
     if not 1 <= n <= 4:
         raise ValueError("iterate depth limited to 1..4")
+    if abs(w) <= atlas.radius:
+        raise ValueError("|w| = %g is not outside the reference circle "
+                         "|w| = %g" % (abs(w), atlas.radius))
     log_radius = math.log(atlas.radius)
     sampled = any(b.sampled for b in atlas.tracts)
     zs = np.array([complex(w)])

@@ -108,10 +108,13 @@ class TestTractPlot:
         assert outs[0] == outs[1]
 
     def test_invalid_T_exits_2(self, tmp_path, capsys):
-        code, out = run_cli(["tract-plot", "--function", "exp",
-                             "--Tlist", "0", "--out", str(tmp_path)], capsys)
-        assert code == 2
-        assert json.loads(out)["error"] == "InvalidGrid"
+        # rescaling needs T >= 1; below it the contour leaves Re xi >= 0.05
+        for T in ("0", "0.5"):
+            code, out = run_cli(["tract-plot", "--function", "exp",
+                                 "--Tlist", T, "--out", str(tmp_path)],
+                                capsys)
+            assert code == 2
+            assert json.loads(out)["error"] == "InvalidGrid"
 
 
 class TestExitCodes:
@@ -125,8 +128,13 @@ class TestExitCodes:
         ["verify", "--only", "99"],
         ["verify", "--only", "x"],
         ["tract-plot", "--function", "exp", "--Tlist", "a"],
+        # the base point e^2 of the frontier lies inside |w| = 8
+        ["pressure", "--function", "quarter", "--tmin", "1.5",
+         "--radius", "8"],
+        ["hypdim", "--function", "quarter", "--radius", "8"],
     ], ids=["radius-below-singular", "unknown-check", "bad-only",
-            "bad-Tlist"])
+            "bad-Tlist", "pressure-radius-over-base",
+            "hypdim-radius-over-base"])
     def test_bad_input_exits_2(self, argv, tmp_path, capsys):
         code, out = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2
@@ -233,7 +241,7 @@ class TestCommands:
         assert csv.startswith("t,beta_inf,b_inf")
 
     def test_spectrum_without_theta(self, tmp_path, capsys, monkeypatch):
-        def no_zero(branch, T_grid):
+        def no_zero(tables):
             raise NoSignChange("b has no zero on (0, 2]")
 
         monkeypatch.setattr(sp, "theta_f", no_zero)
@@ -272,6 +280,24 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["result"]["bowen_zero"] == pytest.approx(
             1.0, abs=0.01)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--function", "exp"],
+        ["hypdim", "--function", "quarter"],
+    ], ids=["spectrum", "hypdim"])
+    def test_one_node_table_per_T(self, argv, tmp_path, capsys, monkeypatch):
+        # every t of the curve and of the bisection reads one table set
+        Ts = []
+        build = sp._node_table
+
+        def counting(branch, T, r):
+            Ts.append(T)
+            return build(branch, T, r)
+
+        monkeypatch.setattr(sp, "_node_table", counting)
+        code, _ = run_cli(argv + ["--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert Ts == RunConfig(function={}).T_grid()
 
     def test_hypdim_quarter(self, tmp_path, capsys):
         code, out = run_cli(["hypdim", "--function", "quarter",

@@ -22,6 +22,11 @@ def exp_branch():
 
 
 @pytest.fixture(scope="module")
+def exp_tables(exp_branch):
+    return sp.means_tables(exp_branch)
+
+
+@pytest.fixture(scope="module")
 def square_branch():
     return tr.find_tracts(lz.exp_power(1.0, 2), np.e).tracts[0]
 
@@ -44,7 +49,7 @@ class TestIntegralMeans:
         # arcsinh(1/r)) / 2 after rescaling, independently of T.
         r = 0.01
         oracle = 0.5 * (math.asinh(2.0 / r) - math.asinh(1.0 / r))
-        logI = sp._log_integral(square_branch, 16.0, r, 2.0)
+        logI = sp._log_integral(sp._node_table(square_branch, 16.0, r), 2.0)
         assert math.exp(logI) == pytest.approx(oracle, rel=1e-6)
 
     def test_domain_checks(self, exp_branch):
@@ -55,33 +60,47 @@ class TestIntegralMeans:
 
 
 class TestBetaInfinity:
-    def test_exp_flat(self, exp_branch):
-        est = sp.beta_infinity(exp_branch, 2.0)
+    def test_exp_flat(self, exp_tables):
+        est = sp.beta_infinity(exp_tables, 2.0)
         assert abs(est.value) <= 1e-9
         assert est.drift <= 1e-9
 
     def test_square_small(self, square_branch):
-        est = sp.beta_infinity(square_branch, 2.0)
+        est = sp.beta_infinity(sp.means_tables(square_branch), 2.0)
         assert abs(est.value) <= 0.01
 
     def test_t_zero_exact(self, exp_branch, square_branch, quarter_branch):
         for branch in (exp_branch, square_branch, quarter_branch):
-            assert abs(sp.beta_infinity(branch, 0.0).value) <= 1e-3
+            est = sp.beta_infinity(sp.means_tables(branch), 0.0)
+            assert abs(est.value) <= 1e-3
 
     def test_radius_independence(self):
         # Rebuilding the exp tract from a different base radius must not
         # move the estimate.
         a = tr.find_tracts(lz.exp_power(1.0, 1), np.e).tracts[0]
         b = tr.find_tracts(lz.exp_power(1.0, 1), 10.0).tracts[0]
-        va = sp.beta_infinity(a, 1.0).value
-        vb = sp.beta_infinity(b, 1.0).value
+        va = sp.beta_infinity(sp.means_tables(a), 1.0).value
+        vb = sp.beta_infinity(sp.means_tables(b), 1.0).value
         assert abs(va - vb) <= 0.02
+
+    @pytest.mark.parametrize("make", [
+        lambda: lz.exp_power(1.0, 2),
+        lambda: lz.composite_exp(lz.exp_power(np.exp(-6.0), 1)),
+    ], ids=["square", "composite"])
+    def test_tables_are_a_value(self, make):
+        # two fresh branches give the same rows, bit for bit
+        grid = sp.DEFAULT_T_GRID[:6]
+        a, b = (sp.means_tables(tr.find_tracts(make(), np.e).tracts[0], grid)
+                for _ in range(2))
+        assert [T for T, _ in a] == [T for T, _ in b] == list(grid)
+        for (_, (wa, da)), (_, (wb, db)) in zip(a, b):
+            assert (wa.tobytes(), da.tobytes()) == (wb.tobytes(), db.tobytes())
 
     def test_grid_validation(self, exp_branch):
         with pytest.raises(InvalidGrid):
-            sp.beta_infinity(exp_branch, 1.0, (8.0, 16.0))
+            sp.means_tables(exp_branch, (8.0, 16.0))
         with pytest.raises(InvalidGrid):
-            sp.beta_infinity(exp_branch, 1.0, (8.0, 4.0, 16.0))
+            sp.means_tables(exp_branch, (8.0, 4.0, 16.0))
 
 
 class TestSpectrumShape:
@@ -100,7 +119,7 @@ class TestSpectrumShape:
     def test_endpoints_and_convexity(self, make):
         branch = tr.find_tracts(make(), np.e).tracts[0]
         t_grid = [0.0, 0.5, 1.0, 1.5, 2.0]
-        curve = sp.spectrum_curve(branch, t_grid, self.T_GRID)
+        curve = sp.spectrum_curve(sp.means_tables(branch, self.T_GRID), t_grid)
         assert curve.b_inf[0] == pytest.approx(1.0, abs=1e-3)
         assert curve.b_inf[-1] <= 0.05
         beta = curve.beta_inf
@@ -109,12 +128,14 @@ class TestSpectrumShape:
 
     def test_negative_spectrum(self, exp_branch, square_branch):
         for branch in (exp_branch, square_branch):
-            curve = sp.spectrum_curve(branch, [0.5, 1.0, 1.5, 2.0])
+            curve = sp.spectrum_curve(sp.means_tables(branch),
+                                      [0.5, 1.0, 1.5, 2.0])
             ok, report = sp.negative_spectrum_check(branch, curve)
             assert ok, report
 
     def test_negative_spectrum_flags_violation(self, exp_branch):
-        curve = sp.spectrum_curve(exp_branch, [1.5, 2.0], sp.DEFAULT_T_GRID[:6])
+        curve = sp.spectrum_curve(
+            sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.5, 2.0])
         curve.b_inf = [0.5, 0.5]  # synthetic: positive above the threshold
         ok, report = sp.negative_spectrum_check(exp_branch, curve)
         assert not ok
@@ -122,8 +143,9 @@ class TestSpectrumShape:
 
     def test_negative_spectrum_fails_without_theta(self, exp_branch):
         # theta_hat stays NaN; "t > NaN + margin" would select no grid point
-        curve = sp.spectrum_curve(exp_branch, [1.5, 2.0],
-                                  sp.DEFAULT_T_GRID[:6], with_theta=False)
+        curve = sp.spectrum_curve(
+            sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.5, 2.0],
+            with_theta=False)
         assert math.isnan(curve.theta_hat)
         ok, report = sp.negative_spectrum_check(exp_branch, curve)
         assert not ok
@@ -134,39 +156,41 @@ class TestSpectrumShape:
 class TestTheta:
     def test_exp_family(self, exp_branch, square_branch, quarter_branch):
         for branch in (exp_branch, square_branch, quarter_branch):
-            assert sp.theta_f(branch) == pytest.approx(1.0, abs=0.05)
+            theta = sp.theta_f(sp.means_tables(branch))
+            assert theta == pytest.approx(1.0, abs=0.05)
 
     def test_koenigs_exp(self):
         h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
         branch = tr.find_tracts(h, np.e).tracts[0]
         # Koenigs(z^2, 1) = e^z, so the threshold matches plain exp.
-        assert sp.theta_f(branch, KOENIGS_T_GRID) == pytest.approx(1.0, abs=0.05)
+        tables = sp.means_tables(branch, KOENIGS_T_GRID)
+        assert sp.theta_f(tables) == pytest.approx(1.0, abs=0.05)
 
     def test_koenigs_chebyshev(self):
         p = Polynomial.from_string("2z^2 - 1")
         h = lz.koenigs_handle(p, 1.0, kappa=0.25)
         branch = tr.find_tracts(h, np.e).tracts[0]
-        got = sp.theta_f(branch, KOENIGS_T_GRID)
+        got = sp.theta_f(sp.means_tables(branch, KOENIGS_T_GRID))
         want = float(bowen_zero_poly(p, 14))
         assert got == pytest.approx(want, abs=0.1)
 
-    def test_no_sign_change(self, exp_branch, monkeypatch):
+    def test_no_sign_change(self, exp_tables, monkeypatch):
         # beta(t) = t keeps b(t) = 1 everywhere: no zero on (0, 2].
-        fake = lambda branch, t, T_grid: sp.BetaEstimate(
+        fake = lambda tables, t: sp.BetaEstimate(
             np.float64(t), 0.0, [], [])
         monkeypatch.setattr(sp, "beta_infinity", fake)
         with pytest.raises(NoSignChange) as info:
-            sp.theta_f(exp_branch)
+            sp.theta_f(exp_tables)
         detail = str(info.value)
         assert detail.split(";")[0] == "b has no zero on (0, 2]"
         assert "np.float64" not in detail
         assert "(0.1, 1)" in detail
 
-    def test_inconsistent_at_zero(self, exp_branch, monkeypatch):
-        fake = lambda branch, t, T_grid: sp.BetaEstimate(t - 2.0, 0.0, [], [])
+    def test_inconsistent_at_zero(self, exp_tables, monkeypatch):
+        fake = lambda tables, t: sp.BetaEstimate(t - 2.0, 0.0, [], [])
         monkeypatch.setattr(sp, "beta_infinity", fake)
         with pytest.raises(NoSignChange):
-            sp.theta_f(exp_branch)
+            sp.theta_f(exp_tables)
 
 
 class TestCompositeComparison:
@@ -174,13 +198,15 @@ class TestCompositeComparison:
         inner = lz.exp_power(np.exp(-6.0), 1)
         bi = tr.find_tracts(inner, np.e).tracts[0]
         bF = tr.find_tracts(lz.composite_exp(inner), np.e).tracts[0]
-        rep = sp.composite_spectrum_compare(bi, bF, [0.5, 1.0, 1.5, 2.0],
-                                            sp.DEFAULT_T_GRID[:8])
+        T_grid = sp.DEFAULT_T_GRID[:8]
+        rep = sp.composite_spectrum_compare(sp.means_tables(bi, T_grid),
+                                            sp.means_tables(bF, T_grid),
+                                            [0.5, 1.0, 1.5, 2.0])
         assert rep["ok"], rep
         assert rep["theta_composite"] <= rep["theta_inner"] + 0.05
 
-    def test_identity_comparison(self, exp_branch):
-        rep = sp.composite_spectrum_compare(exp_branch, exp_branch, [1.0, 2.0])
+    def test_identity_comparison(self, exp_tables):
+        rep = sp.composite_spectrum_compare(exp_tables, exp_tables, [1.0, 2.0])
         assert rep["ok"]
         for row in rep["rows"]:
             assert row["beta_composite"] == pytest.approx(row["beta_inner"])
@@ -188,8 +214,9 @@ class TestCompositeComparison:
 
 class TestSerialization:
     def test_csv(self, exp_branch):
-        curve = sp.spectrum_curve(exp_branch, [0.5, 1.0], sp.DEFAULT_T_GRID[:6],
-                                  with_theta=False)
+        curve = sp.spectrum_curve(
+            sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [0.5, 1.0],
+            with_theta=False)
         lines = curve.to_csv().strip().split("\n")
         assert lines[0] == "t,beta_inf,b_inf"
         assert len(lines) == 3
@@ -197,7 +224,8 @@ class TestSerialization:
         assert (t, beta, b) == (0.5, curve.beta_inf[0], curve.b_inf[0])
 
     def test_json_roundtrip(self, exp_branch):
-        curve = sp.spectrum_curve(exp_branch, [1.0, 2.0], sp.DEFAULT_T_GRID[:6])
+        curve = sp.spectrum_curve(
+            sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.0, 2.0])
         blob = json.loads(curve.to_json())
         assert blob["t_grid"] == [1.0, 2.0]
         assert blob["summary"]["theta_hat"] == pytest.approx(curve.theta_hat)
@@ -205,6 +233,7 @@ class TestSerialization:
         assert len(blob["raw"][0]) == 6
 
     def test_deterministic(self, exp_branch):
-        a = sp.spectrum_curve(exp_branch, [1.0, 2.0], sp.DEFAULT_T_GRID[:6])
-        b = sp.spectrum_curve(exp_branch, [1.0, 2.0], sp.DEFAULT_T_GRID[:6])
+        grid = sp.DEFAULT_T_GRID[:6]
+        a = sp.spectrum_curve(sp.means_tables(exp_branch, grid), [1.0, 2.0])
+        b = sp.spectrum_curve(sp.means_tables(exp_branch, grid), [1.0, 2.0])
         assert a.to_json() == b.to_json()

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -266,6 +270,20 @@ class TestDistortion:
         d1 = abs(tr.phi_eval(koenigs_branch, 1.0)[1])
         for T in (2.0, 8.0, 64.0):
             assert abs(tr.phi_eval(koenigs_branch, T)[0] - p1) <= 1e4 * d1 * T**2
+
+    def test_long_walk_terminates(self):
+        # ~1,750 accepted steps would grow the continuation trust to inf
+        # without a ceiling, and a rejected step would then halve it forever
+        code = ("import math, tractdim.cli as cli, tractdim.tract as tr; "
+                "h = cli.function_from_spec('koenigs:z^2-1'); "
+                "b = tr.find_tracts(h, math.e).tracts[0]; "
+                "print(tr.el_violations(b, samples=3000))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert out.strip() == "0"
 
 
 def _xi_grid(shape):
