@@ -3,6 +3,13 @@
 One numpy implementation.  ``python3 perfbench/run.py --workload
 poly_side`` times it in its ``aberth_batch`` operation.
 
+The iteration works on an active set: each pass evaluates the residual of
+the rows still running, writes the rows that meet their tolerance back into
+the result and drops them, so later passes only touch unconverged rows.  A
+row's arithmetic reads nothing but that row, so its roots and its ``ok``
+flag do not depend on the other targets in the batch: solving a batch
+equals solving each target alone.
+
 The iteration is deterministic and produces identical root orderings: it
 is a fixed-point map started from the same perturbed-circle
 initialization, so the numerics are bitwise reproducible.
@@ -12,6 +19,48 @@ import numpy as np
 
 # No compiled kernel exists; the benchmark's machine line still reports it.
 NUMBA_ENABLED = False
+
+
+def _pairwise_sum(term, lo, hi):
+    """term(lo) + ... + term(hi - 1) in numpy's pairwise order.
+
+    This is the order of numpy's complex ``sum`` along a contiguous axis
+    (sequential below 4 terms, four interleaved accumulators up to 64,
+    halves beyond), so adding the Aberth terms one root at a time gives the
+    ``sum(axis=2)`` of the dense (m, d, d) tensor bit for bit.
+    """
+    n = hi - lo
+    if n < 4:
+        acc = term(lo)
+        for k in range(lo + 1, hi):
+            acc += term(k)
+        return acc
+    if n <= 64:
+        lanes = [term(lo + k) for k in range(4)]
+        full = lo + n - n % 4
+        for k in range(lo + 4, full):
+            lanes[(k - lo) % 4] += term(k)
+        acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+        for k in range(full, hi):
+            acc += term(k)
+        return acc
+    half = (n - n % 8) // 2
+    return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
+
+
+def _aberth_sums(z):
+    """s_j = sum over k != j of 1/(z_j - z_k), for z of shape (d, m).
+
+    Built one root k at a time with the diagonal entry set to 1 and 1
+    subtracted at the end, as the dense (m, d, d) tensor form did.
+    """
+
+    def term(k):
+        diff = z - z[k]
+        diff[k] = 1.0
+        return 1.0 / diff
+
+    return _pairwise_sum(term, 0, len(z)) - 1.0
 
 
 def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10):
@@ -39,26 +88,36 @@ def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10):
 
     rev = coeffs[::-1].copy()
     drev = dcoeffs[::-1].copy()
+    ok = np.zeros(m, dtype=bool)
+    # The active set: indices into roots of the rows still running, with
+    # their targets, tolerances and iterates.  Iterates are held root-major,
+    # (d, active), so the per-root columns are contiguous rows.
+    rows = np.arange(m)
+    w = targets
     wtol = tol * (1.0 + np.abs(targets))
-    done = np.zeros(m, dtype=bool)
+    z = roots.T.copy()
     for _ in range(maxit):
-        pv = np.polyval(rev, roots) - targets[:, None]
-        res = np.abs(pv).max(axis=1)
-        done = res <= wtol
-        if done.all():
-            break
-        dv = np.polyval(drev, roots)
+        pv = np.polyval(rev, z) - w
+        done = np.abs(pv).max(axis=0) <= wtol
+        if done.any():
+            roots[rows[done]] = z[:, done].T
+            ok[rows[done]] = True
+            run = ~done
+            rows, w, wtol = rows[run], w[run], wtol[run]
+            z, pv = z[:, run], pv[:, run]
+            if not len(rows):
+                break
+        dv = np.polyval(drev, z)
         dv = np.where(dv == 0, 1e-300, dv)
         newt = pv / dv
-        diff = roots[:, :, None] - roots[:, None, :]
-        np.einsum("ijj->ij", diff)[...] = 1.0
-        s = (1.0 / diff).sum(axis=2) - 1.0  # remove the unit diagonal
-        diff = None
+        # numpy's complex multiply is not bitwise commutative, and a
+        # temporary right operand may be reused with the operands swapped,
+        # so s is bound to a name and stays on the right of newt.
+        s = _aberth_sums(z)
         denom = 1.0 - newt * s
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = newt / denom
-        roots = roots - np.where(done[:, None], 0.0, step)
-    pv = np.polyval(rev, roots) - targets[:, None]
-    ok = np.abs(pv).max(axis=1) <= wtol
+        z = z - newt / denom
+    pv = np.polyval(rev, z) - w
+    roots[rows] = z.T
+    ok[rows] = np.abs(pv).max(axis=0) <= wtol
     return roots, ok
-

@@ -268,7 +268,7 @@ def cmd_spectrum(cfg, handle):
     branch = atlas.tracts[0]
     tables = sp.means_tables(branch, cfg.T_grid(sampled=branch.sampled))
     curve = sp.spectrum_curve(tables, cfg.t_grid())
-    ok, report = sp.negative_spectrum_check(branch, curve)
+    ok, report = sp.negative_spectrum_check(curve)
     summary = {
         "theta_hat": curve.theta_hat,
         "negative_spectrum": ok,

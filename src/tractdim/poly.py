@@ -161,8 +161,10 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
         if not ok.all():
             raise NonConvergence("preimage fiber solve stalled during tree descent")
         children = roots.reshape(-1)
-        # dp stays bound until the next level: freeing it one statement
-        # earlier raised perfbench poly_side's peak RSS by 8 MB (--seed 5)
+        # dp stays bound until the next level: `del dp` after the product
+        # raised perfbench poly_side's peak RSS by 4 MB (--seed 5), and
+        # inlining the call changes cum's last bits (numpy would reuse the
+        # temporary with the complex factors swapped)
         dp = p.derivative(children)
         cum = dp * np.repeat(cum, d)
         if np.abs(cum).min() < _DERIV_FLOOR:

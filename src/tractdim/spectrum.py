@@ -206,7 +206,7 @@ def theta_f(tables, width=1e-3):
     raise NoSignChange("b has no zero on (0, 2]; curve: [%s]" % curve)
 
 
-def negative_spectrum_check(branch, curve, tol=0.02, margin=0.05):
+def negative_spectrum_check(curve, tol=0.02, margin=0.05):
     """b(t) < tol for every grid t above theta_hat + margin.
 
     Without a finite theta_hat there is no grid point above it to test, so

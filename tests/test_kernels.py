@@ -1,0 +1,164 @@
+"""The active-set Aberth kernel against a frozen copy of the dense loop.
+
+Every comparison is bitwise: roots by their bytes, ok flags exactly.
+"""
+
+import numpy as np
+import pytest
+
+from tractdim import _kernels, poly
+from tractdim.poly import Polynomial
+
+
+def dense_aberth(coeffs, dcoeffs, targets, maxit=800, tol=1e-10):
+    """The dense kernel as it stood before the active set (frozen copy).
+
+    Every row iterates until the slowest row converges; finished rows are
+    masked out of the step, and the correction sum is taken over an
+    (m, d, d) difference tensor.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    dcoeffs = np.ascontiguousarray(dcoeffs, dtype=np.complex128)
+    targets = np.ascontiguousarray(targets, dtype=np.complex128)
+    d = len(coeffs) - 1
+    m = len(targets)
+    lead = coeffs[-1]
+    scale = np.maximum(
+        1.0,
+        np.abs(targets - coeffs[0]) / np.abs(lead),
+    ) ** (1.0 / d)
+    comag = max(np.abs(coeffs[k]) / np.abs(lead) for k in range(d)) if d > 0 else 0.0
+    radius = 1.0 + np.maximum(scale, comag ** (1.0 / d) if comag > 0 else 0.0)
+    angles = 2.0 * np.pi * np.arange(d) / d + 0.45
+    roots = radius[:, None] * np.exp(1j * angles)[None, :]
+
+    rev = coeffs[::-1].copy()
+    drev = dcoeffs[::-1].copy()
+    wtol = tol * (1.0 + np.abs(targets))
+    done = np.zeros(m, dtype=bool)
+    for _ in range(maxit):
+        pv = np.polyval(rev, roots) - targets[:, None]
+        res = np.abs(pv).max(axis=1)
+        done = res <= wtol
+        if done.all():
+            break
+        dv = np.polyval(drev, roots)
+        dv = np.where(dv == 0, 1e-300, dv)
+        newt = pv / dv
+        diff = roots[:, :, None] - roots[:, None, :]
+        np.einsum("ijj->ij", diff)[...] = 1.0
+        s = (1.0 / diff).sum(axis=2) - 1.0  # remove the unit diagonal
+        diff = None
+        denom = 1.0 - newt * s
+        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        step = newt / denom
+        roots = roots - np.where(done[:, None], 0.0, step)
+    pv = np.polyval(rev, roots) - targets[:, None]
+    ok = np.abs(pv).max(axis=1) <= wtol
+    return roots, ok
+
+
+POLYS = {
+    2: Polynomial.from_string("z^2-1"),
+    3: Polynomial.from_string("z^3-0.5z"),
+    5: Polynomial.from_string("z^5-0.3z^2+0.1"),
+}
+
+
+def _arrays(p):
+    return (np.array(p.coefficients, dtype=complex),
+            np.array(p.derivative_coefficients(), dtype=complex))
+
+
+def _targets(seed, m):
+    rng = np.random.default_rng(seed)
+    return 3.0 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+
+
+def _critical_value(p):
+    return complex(p(complex(p.critical_points()[0])))
+
+
+def assert_bitwise(got, want):
+    roots, ok = got
+    assert roots.shape == want[0].shape
+    assert roots.tobytes() == want[0].tobytes()
+    assert ok.dtype == bool and np.array_equal(ok, want[1])
+
+
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_random_targets_match_dense(d):
+    coeffs, dcoeffs = _arrays(POLYS[d])
+    # 9000 rows: enough elements that numpy reuses large temporaries
+    targets = _targets(d, 9000)
+    got = _kernels.aberth_batch(coeffs, dcoeffs, targets)
+    assert_bitwise(got, dense_aberth(coeffs, dcoeffs, targets))
+    assert got[1].all()
+
+
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_random_coefficients_match_dense(d):
+    rng = np.random.default_rng(100 + d)
+    coeffs = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    dcoeffs = coeffs[1:] * np.arange(1, d + 1)
+    targets = _targets(200 + d, 500)
+    assert_bitwise(_kernels.aberth_batch(coeffs, dcoeffs, targets),
+                   dense_aberth(coeffs, dcoeffs, targets))
+
+
+def test_tree_level_matches_dense():
+    p = POLYS[3]
+    coeffs, dcoeffs = _arrays(p)
+    targets, _ = poly._preimage_levels(p, 5.0 + 0j, 6)[-1]
+    assert len(targets) == 3**6
+    assert_bitwise(_kernels.aberth_batch(coeffs, dcoeffs, targets),
+                   dense_aberth(coeffs, dcoeffs, targets))
+
+
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_critical_value_matches_dense(d):
+    """A double root converges slowly; it keeps running after the rest."""
+    p = POLYS[d]
+    coeffs, dcoeffs = _arrays(p)
+    targets = np.concatenate([[_critical_value(p)], _targets(d, 200)])
+    got = _kernels.aberth_batch(coeffs, dcoeffs, targets)
+    assert_bitwise(got, dense_aberth(coeffs, dcoeffs, targets))
+    single = _kernels.aberth_batch(coeffs, dcoeffs, targets[:1])
+    assert_bitwise(single, dense_aberth(coeffs, dcoeffs, targets[:1]))
+
+
+@pytest.mark.parametrize("maxit", [0, 2, 4])
+def test_unconverged_flags_match_dense(maxit):
+    coeffs, dcoeffs = _arrays(POLYS[3])
+    targets = np.concatenate([[_critical_value(POLYS[3])], _targets(7, 300)])
+    got = _kernels.aberth_batch(coeffs, dcoeffs, targets, maxit=maxit)
+    assert_bitwise(got, dense_aberth(coeffs, dcoeffs, targets, maxit=maxit))
+    assert not got[1].all()
+
+
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_empty_targets(d):
+    roots, ok = _kernels.aberth_batch(*_arrays(POLYS[d]), np.array([], complex))
+    assert roots.shape == (0, d)
+    assert ok.shape == (0,)
+
+
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_rows_are_independent(d):
+    p = POLYS[d]
+    coeffs, dcoeffs = _arrays(p)
+    targets = np.concatenate([[_critical_value(p)], _targets(11, 40)])
+    batch = _kernels.aberth_batch(coeffs, dcoeffs, targets)
+    for i, w in enumerate(targets):
+        alone = _kernels.aberth_batch(coeffs, dcoeffs, np.array([w]))
+        assert_bitwise((batch[0][i:i + 1], batch[1][i:i + 1]), alone)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 64, 65, 70, 131, 300])
+def test_pairwise_sum_is_numpy_sum(n):
+    rng = np.random.default_rng(n)
+    terms = rng.standard_normal((n, 7, 3)) + 1j * rng.standard_normal((n, 7, 3))
+    terms *= 10.0 ** rng.integers(-8, 9, terms.shape)
+    got = _kernels._pairwise_sum(lambda k: terms[k].copy(), 0, n)
+    want = np.moveaxis(terms, 0, -1).copy().sum(axis=-1)
+    assert got.tobytes() == want.tobytes()

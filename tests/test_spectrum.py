@@ -130,14 +130,14 @@ class TestSpectrumShape:
         for branch in (exp_branch, square_branch):
             curve = sp.spectrum_curve(sp.means_tables(branch),
                                       [0.5, 1.0, 1.5, 2.0])
-            ok, report = sp.negative_spectrum_check(branch, curve)
+            ok, report = sp.negative_spectrum_check(curve)
             assert ok, report
 
     def test_negative_spectrum_flags_violation(self, exp_branch):
         curve = sp.spectrum_curve(
             sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.5, 2.0])
         curve.b_inf = [0.5, 0.5]  # synthetic: positive above the threshold
-        ok, report = sp.negative_spectrum_check(exp_branch, curve)
+        ok, report = sp.negative_spectrum_check(curve)
         assert not ok
         assert len(report["violations"]) == 2
 
@@ -147,7 +147,7 @@ class TestSpectrumShape:
             sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.5, 2.0],
             with_theta=False)
         assert math.isnan(curve.theta_hat)
-        ok, report = sp.negative_spectrum_check(exp_branch, curve)
+        ok, report = sp.negative_spectrum_check(curve)
         assert not ok
         assert report["violations"] == []
         assert "theta_hat" in report["reason"]
