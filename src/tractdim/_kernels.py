@@ -52,7 +52,8 @@ def _aberth_sums(z):
     """s_j = sum over k != j of 1/(z_j - z_k), for z of shape (d, m).
 
     Built one root k at a time with the diagonal entry set to 1 and 1
-    subtracted at the end, as the dense (m, d, d) tensor form did.
+    subtracted at the end, so the result equals the dense (m, d, d) tensor
+    form bit for bit (tests/test_kernels.py keeps that form as reference).
     """
 
     def term(k):
