@@ -123,6 +123,14 @@ def _largest_repelling_fixed_point(p):
     return max(recs, key=lambda r: (abs(r.location), r.location.real)).location
 
 
+def _parse_poly(text):
+    """Polynomial.from_string, with text it cannot parse as a ConfigError."""
+    try:
+        return Polynomial.from_string(text)
+    except ValueError as exc:
+        raise ConfigError("bad polynomial %r: %s" % (text, exc))
+
+
 def function_from_spec(text):
     """Build a function handle from a JSON descriptor or a shorthand name.
 
@@ -140,7 +148,7 @@ def function_from_spec(text):
     if text in lz.SHORTHANDS:
         return lz.SHORTHANDS[text]()
     if text.startswith("koenigs:"):
-        p = Polynomial.from_string(text[len("koenigs:"):])
+        p = _parse_poly(text[len("koenigs:"):])
         z0 = _largest_repelling_fixed_point(p)
         return lz.make_disjoint_type(lz.make_koenigs(p, z0), math.e)
     raise ConfigError("unknown function shorthand %r" % text)
@@ -334,7 +342,7 @@ def cmd_pressure(cfg, handle):
 
 def cmd_hypdim(cfg, handle, poly_text=None):
     if poly_text is not None:
-        p = Polynomial.from_string(poly_text)
+        p = _parse_poly(poly_text)
         bz = poly.bowen_zero_poly(p, 12, node_budget=cfg.node_budget)
         return {"result": {"bowen_zero": bz.value, "width": bz.width,
                            "bracket": list(bz.bracket)}}

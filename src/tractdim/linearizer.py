@@ -3,9 +3,9 @@
 Each family is a handle class of its own, and every handle has the same
 interface: ``eval(z)`` and ``derivative(z)`` give f and f' at a scalar;
 ``log_f_and_q(z)`` gives log f (up to 2 pi i) and f'/f without overflow,
-for scalars or arrays; ``metric_derivative(z)`` is the cylindrical-metric
-derivative; ``to_json()`` is the descriptor ``handle_from_json`` reads
-back; ``singular_radius`` bounds the singular values.
+for scalars or arrays; ``to_json()`` is the descriptor
+``handle_from_json`` reads back; ``singular_radius`` bounds the singular
+values.
 
 * ``ExpPower`` (built by ``exp_power``): z -> lam * exp(z**d).
 * ``KoenigsLinearizer`` (built by ``make_koenigs``): the entire solution f
@@ -27,31 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRepelling, Overflow, ScaleFloor, ZeroDenominator
+from .errors import NotRepelling, Overflow, ScaleFloor
 from .poly import Polynomial, escape_sums
 
 _EXP_CAP = 700.0  # log of float range, with headroom
 _TAIL_TOL = 1e-14
 _MAX_SERIES_K = 256
-
-
-class _Handle:
-    """Interface shared by the function families (see the module docstring)."""
-
-    def metric_derivative(self, z):
-        """|f'(z)|_1 = |f'(z)| |z| / |f(z)|, the cylindrical-metric derivative."""
-        z = _nonzero(z)
-        fz = self.eval(z)
-        if abs(fz) < 1e-300:
-            raise ZeroDenominator("|f(z)| below floor")
-        return abs(self.derivative(z)) * abs(z) / abs(fz)
-
-
-def _nonzero(z):
-    z = complex(z)
-    if z == 0:
-        raise ZeroDenominator("metric derivative undefined at z = 0")
-    return z
 
 
 def _checked_exp(z):
@@ -95,17 +76,13 @@ def koenigs_coefficients(p, z0, K):
 
 
 @dataclass(frozen=True)
-class KoenigsLinearizer(_Handle):
+class KoenigsLinearizer:
     p: Polynomial
     z0: complex
     lam: complex
     taylor: tuple  # a_1..a_K, a_1 = 1
     series_radius: float
     kappa: complex = 1.0 + 0j
-
-    @property
-    def K(self):
-        return len(self.taylor)
 
     @property
     def singular_radius(self):
@@ -161,7 +138,14 @@ def make_koenigs(p, z0, kappa=1.0 + 0j):
     r0 = _series_radius(p, z0, lam)
     K = 16
     while True:
-        taylor = koenigs_coefficients(p, z0, K)
+        with np.errstate(over="ignore", invalid="ignore"):
+            taylor = koenigs_coefficients(p, z0, K)
+        if not np.all(np.isfinite(taylor)):
+            # a near-parabolic point (|lam| just above 1) divides by
+            # lam**n - lam ~ 0 at every order until the series overflows
+            raise NotRepelling("multiplier |%s| = %.9g is too close to 1: "
+                               "Taylor coefficients overflow at K = %d"
+                               % (lam, abs(lam), K))
         if abs(taylor[-1]) * r0 ** K < _TAIL_TOL or K >= _MAX_SERIES_K:
             break
         K *= 2
@@ -280,7 +264,7 @@ def _postcritical_radius(p, z0, iters=50):
 
 
 @dataclass(frozen=True)
-class ExpPower(_Handle):
+class ExpPower:
     lam: complex
     d: int
 
@@ -299,10 +283,6 @@ class ExpPower(_Handle):
         z = np.asarray(z, dtype=complex) if not np.isscalar(z) else complex(z)
         return cmath.log(self.lam) + z**self.d, self.d * z ** (self.d - 1)
 
-    def metric_derivative(self, z):
-        # closed form d*|z|^d is overflow-free
-        return self.d * abs(_nonzero(z)) ** self.d
-
     def to_json(self):
         return {"family": "exp_power", "lambda": _c2pair(self.lam),
                 "d": self.d}
@@ -315,8 +295,8 @@ def exp_power(lam=1.0, d=1):
 
 
 @dataclass(frozen=True)
-class CompositeExpModel(_Handle):
-    inner: _Handle
+class CompositeExpModel:
+    inner: object
 
     @property
     def singular_radius(self):

@@ -1,14 +1,14 @@
 """Polynomial dynamics kernel.
 
-Evaluation, full preimage fibers, preimage trees with chain-rule
-derivatives, repelling fixed points, Boettcher coordinates of the basin of
-infinity, tree pressure with Richardson extrapolation, Poincare series and
-the Bowen-zero (hyperbolic dimension) estimate on the polynomial side.
+Evaluation, preimage trees with chain-rule derivatives, repelling fixed
+points, Boettcher coordinates of the basin of infinity, tree pressure with
+Richardson extrapolation and the Bowen-zero (hyperbolic dimension)
+estimate on the polynomial side.
 """
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,35 +117,6 @@ class FixedPointRecord:
     is_repelling: bool
 
 
-@dataclass(frozen=True)
-class PreimageNode:
-    point: complex
-    cumulative_derivative: complex
-    depth: int
-
-
-def preimages(p, w, tol=1e-10, maxit=800):
-    """All degree-many roots of p(z) = w (with multiplicity).
-
-    Simultaneous Aberth iteration from a deterministic perturbed circle;
-    raises NonConvergence if the residual tolerance is not met.
-    """
-    roots, ok = _kernels.aberth_batch(
-        np.array(p.coefficients, dtype=complex),
-        np.array(p.derivative_coefficients(), dtype=complex),
-        np.array([complex(w)]),
-        maxit=maxit,
-        tol=tol,
-    )
-    if not ok[0]:
-        raise NonConvergence(
-            f"preimage solve stalled for w={w!r} (ill-conditioned coefficients?)"
-        )
-    out = roots[0]
-    order = np.lexsort((out.imag, out.real))
-    return [complex(z) for z in out[order]]
-
-
 def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     """Level arrays (points, cumulative |derivative| as complex) for depths 1..n."""
     d = p.degree
@@ -172,18 +143,6 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
         pts = children
         levels.append((pts, cum))
     return levels
-
-
-def preimage_tree(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
-    """Depth-n preimage fiber with chain-rule cumulative derivatives."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    levels = _preimage_levels(p, w, n, node_budget)
-    pts, cum = levels[-1]
-    order = np.lexsort((pts.imag, pts.real))
-    return [
-        PreimageNode(complex(pts[i]), complex(cum[i]), n) for i in order
-    ]
 
 
 def find_repelling_fixed_points(p, tol=1e-10):
@@ -223,24 +182,9 @@ class TreePressure:
 
     value: float
     per_depth: list
-    depth_used: int
 
     def __float__(self):
         return float(self.value)
-
-    @property
-    def slope(self):
-        """Least-squares growth rate of log S_n against n over all depths.
-
-        Finite-window companion to `value`: the right-hand side for
-        finite-resolution comparisons against circle-means slope fits,
-        which probe the tree only up to effective depth |log(r-1)|/log d.
-        """
-        n = np.arange(1, self.depth_used + 1, dtype=float)
-        log_sums = n * np.asarray(self.per_depth)
-        if len(n) < 2:
-            return float(log_sums[0])
-        return float(np.polyfit(n, log_sums, 1)[0])
 
 
 def _pressure_sequence(log_derivs, t):
@@ -269,7 +213,7 @@ def tree_log_derivs(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
 
 def _pressure_from(log_derivs, t):
     seq = _pressure_sequence(log_derivs, t)
-    return TreePressure(_extrapolate(seq), seq, len(log_derivs))
+    return TreePressure(_extrapolate(seq), seq)
 
 
 def tree_pressure(p, t, w, n, node_budget=DEFAULT_NODE_BUDGET):
@@ -298,12 +242,6 @@ def pressure_curve(p, t_grid, w, n, node_budget=DEFAULT_NODE_BUDGET):
         values.append(res.value)
         per_depth.append(res.per_depth)
     return PressureCurve(list(t_grid), values, n, per_depth)
-
-
-def poincare_series_partial(p, t, xi, n_max, node_budget=DEFAULT_NODE_BUDGET):
-    """Per-level sums sum_{eta in p^{-N}(xi)} |(p^N)'(eta)|^{-t}, N=1..n_max."""
-    return [float(np.exp(logsumexp(-t * ld)))
-            for ld in tree_log_derivs(p, xi, n_max, node_budget)]
 
 
 @dataclass

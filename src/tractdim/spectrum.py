@@ -86,24 +86,19 @@ def _log_integral(table, t):
     return float(logsumexp(logw + t * logd))
 
 
-def integral_means(branch, T, r, t):
-    """beta_{phi_T}(r, t) = log(int_I |phi_T'(r+iy)|^t dy) / log(1/r)."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if not 0 < r < 1:
-        raise ValueError("r must lie in (0, 1)")
-    return _log_integral(_node_table(branch, T, r), t) / np.log(1.0 / r)
-
-
 def means_tables(branch, T_grid=DEFAULT_T_GRID):
     """((T, node table at r = 1/T), ...) along an increasing T grid.
 
     The tables are built in grid order and do not depend on t, so one
-    value serves every exponent of a spectrum curve or a bisection.
+    value serves every exponent of a spectrum curve or a bisection.  Every
+    T must exceed 1, so that r = 1/T lies in (0, 1) and log(1/r) > 0.
     """
     Ts = [float(T) for T in T_grid]
     if len(Ts) < 3 or any(b <= a for a, b in zip(Ts, Ts[1:])):
         raise InvalidGrid("T grid must be increasing with >= 3 points")
+    if not Ts[0] > 1.0:
+        raise InvalidGrid("T grid must lie above 1 (r = 1/T in (0, 1)), "
+                          "got T = %g" % Ts[0])
     return tuple((T, _node_table(branch, T, 1.0 / T)) for T in Ts)
 
 

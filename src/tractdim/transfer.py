@@ -13,7 +13,6 @@ level's log|phi'/phi| rows, and ``transfer_iterate`` and
 a Bowen-zero bisection therefore walks phi once, not once per t.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -88,21 +87,8 @@ class TransferSample:
     tail_estimate: float
     block_sums: list
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "w": [self.w.real, self.w.imag],
-                "t": self.t,
-                "value": self.value,
-                "terms_used": self.terms_used,
-                "tail_estimate": self.tail_estimate,
-                "block_sums": list(self.block_sums),
-            },
-            sort_keys=True,
-        )
 
-
-def _dyadic_blocks(atlas, t, w, k_budget, detect_divergence=True):
+def _dyadic_blocks(atlas, t, w, k_budget):
     logw, argw = _split_point(w)
     # blocks grow legitimately while 2 pi k < log|w|; divergence is only
     # judged past that knee, where the ratios have settled near 2^(1-t)
@@ -123,7 +109,7 @@ def _dyadic_blocks(atlas, t, w, k_budget, detect_divergence=True):
                 streak += 1
             else:
                 streak = 0
-            if detect_divergence and streak >= _DIVERGENCE_STREAK:
+            if streak >= _DIVERGENCE_STREAK:
                 raise DivergenceDetected(
                     "dyadic block sums growing over %d blocks at t=%g"
                     % (_DIVERGENCE_STREAK, t)
@@ -150,20 +136,6 @@ def transfer_apply_point(atlas, t, w, k_budget=None):
         ratio = _RATIO_CAP
     tail = blocks[-1] / (1.0 - ratio)
     return TransferSample(complex(w), float(t), value, terms, tail, blocks)
-
-
-def transfer_dyadic_profile(atlas, t, w, k_budget=None):
-    """Per-block empirical exponents e_n with block_n ~ 2^(n e_n).
-
-    Diagnostic only: divergent parameters produce growing exponents
-    instead of an error, so borderline decay is inspectable.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if k_budget is None:
-        k_budget = _default_budget(atlas)
-    blocks, _ = _dyadic_blocks(atlas, t, w, k_budget, detect_divergence=False)
-    return dyadic_exponents(blocks)
 
 
 def dyadic_exponents(block_sums):
@@ -302,20 +274,6 @@ class EntirePressureCurve:
     t_grid: list
     values: list
     residuals: list
-    n_levels: int
-    branch_budget: int
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "t_grid": list(self.t_grid),
-                "pressure": list(self.values),
-                "residuals": list(self.residuals),
-                "n_levels": self.n_levels,
-                "branch_budget": self.branch_budget,
-            },
-            sort_keys=True,
-        )
 
 
 def pressure_curve_entire(atlas, t_grid, w=BASE_POINT, n_max=3,
@@ -327,8 +285,6 @@ def pressure_curve_entire(atlas, t_grid, w=BASE_POINT, n_max=3,
         t_grid=list(t_grid),
         values=[f.value for f in fits],
         residuals=[f.residual for f in fits],
-        n_levels=n_max,
-        branch_budget=branch_budget,
     )
 
 
@@ -360,31 +316,6 @@ def bowen_zero_entire(frontier, theta_hat, width=0.02):
     """
     return pressure_root(lambda t: pressure_entire(frontier, t).value,
                          theta_hat + 0.05, 2.5, width)
-
-
-def decay_check(atlas, t, p_exponent, s_grid=(2.0, 4.0, 8.0, 16.0, 32.0),
-                theta_hat=1.0, k_budget=None):
-    """Uniform decay of the operator value against (log|w|)^(1/p)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if p_exponent <= 1:
-        raise ValueError("p exponent must exceed 1")
-    if 1.0 / p_exponent >= t / theta_hat - 1.0:
-        raise ValueError("exponent too aggressive for this t")
-    values = []
-    for s in s_grid:
-        sample = transfer_apply_point(atlas, t, complex(math.exp(s)), k_budget)
-        values.append(sample.value * s ** (1.0 / p_exponent))
-    sup = max(values)
-    passed = sup <= 1.10 * max(values[:2])
-    return {
-        "t": t,
-        "p_exponent": p_exponent,
-        "s_grid": list(s_grid),
-        "values": values,
-        "sup": sup,
-        "passed": passed,
-    }
 
 
 def scaling_band(atlas, t, s_grid=(2.0, 4.0, 8.0, 16.0, 32.0), n_args=4,

@@ -123,22 +123,33 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--function", "koenigs:z^2-2", "--radius", "1.5"],
-        ["verify", "--only", "99"],
-        ["verify", "--only", "x"],
-        ["tract-plot", "--function", "exp", "--Tlist", "a"],
+    @pytest.mark.parametrize("argv,error", [
+        (["spectrum", "--function", "koenigs:z^2-2", "--radius", "1.5"],
+         "ConfigError"),
+        (["verify", "--only", "99"], "ConfigError"),
+        (["verify", "--only", "x"], "ConfigError"),
+        (["tract-plot", "--function", "exp", "--Tlist", "a"], "ConfigError"),
         # the base point e^2 of the frontier lies inside |w| = 8
-        ["pressure", "--function", "quarter", "--tmin", "1.5",
-         "--radius", "8"],
-        ["hypdim", "--function", "quarter", "--radius", "8"],
+        (["pressure", "--function", "quarter", "--tmin", "1.5",
+          "--radius", "8"], "ConfigError"),
+        (["hypdim", "--function", "quarter", "--radius", "8"], "ConfigError"),
+        # T = 1 gives log(1/r) = 0 and T = 1/2 puts r = 1/T at 2
+        (["spectrum", "--function", "exp", "--Tjmin", "0"], "InvalidGrid"),
+        (["hypdim", "--function", "exp", "--Tjmin", "-1"], "InvalidGrid"),
+        (["hypdim", "--poly", "z^", "--function", "exp"], "ConfigError"),
+        (["hypdim", "--poly", "3z", "--function", "exp"], "ConfigError"),
+        (["spectrum", "--function", "koenigs:z"], "ConfigError"),
+        (["spectrum", "--function", "koenigs:z^2+"], "ConfigError"),
     ], ids=["radius-below-singular", "unknown-check", "bad-only",
             "bad-Tlist", "pressure-radius-over-base",
-            "hypdim-radius-over-base"])
-    def test_bad_input_exits_2(self, argv, tmp_path, capsys):
+            "hypdim-radius-over-base", "spectrum-Tjmin-0",
+            "hypdim-Tjmin-negative", "poly-dangling-power",
+            "poly-degree-one", "koenigs-degree-one", "koenigs-dangling-sign"])
+    def test_bad_input_exits_2(self, argv, error, tmp_path, capsys):
         code, out = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2
-        assert json.loads(out)["error"] == "ConfigError"
+        assert json.loads(out)["error"] == error
+        assert not os.listdir(tmp_path)
 
     def test_composite_over_koenigs_exits_2(self, tmp_path, capsys):
         desc = {"family": "composite_exp",
@@ -196,6 +207,17 @@ class TestExitCodes:
                              "--tstep", "1", "--out", str(tmp_path)], capsys)
         assert code == 3
         assert json.loads(out)["error"] == "DivergenceDetected"
+
+    def test_near_parabolic_exits_3(self, tmp_path, capsys):
+        # the double fixed point 1/2 of z^2 + 1/4 splits numerically into
+        # |lam| just below and just above 1; the linearizer refuses the
+        # latter instead of walking a ladder of ~1e6 lam-divisions
+        code, out = run_cli(["spectrum", "--function", "koenigs:z^2+0.25",
+                             "--out", str(tmp_path)], capsys)
+        assert code == 3
+        err = json.loads(out)
+        assert err["error"] == "NotRepelling"
+        assert "too close to 1" in err["detail"]
 
     @pytest.mark.parametrize("budget,error", [
         (None, "DivergenceDetected"), ("4096", "BudgetExceeded")])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tractdim import linearizer as lz
-from tractdim.errors import NotRepelling, Overflow, ZeroDenominator
+from tractdim.errors import NotRepelling, Overflow
 from tractdim.poly import Polynomial
 
 
@@ -37,6 +37,14 @@ class TestCoefficients:
     def test_not_repelling(self):
         with pytest.raises(NotRepelling):
             lz.koenigs_coefficients(P_SQUARE, 0.0, 4)
+
+    def test_near_parabolic_fails_fast(self):
+        # z0 = 1/2 + 1e-6 is a fixed point of z^2 + z0 - z0^2 with
+        # multiplier 2 z0 just above 1; the series overflows before K = 256
+        z0 = 0.5 + 1e-6
+        p = Polynomial((z0 - z0 * z0, 0.0, 1.0))
+        with pytest.raises(NotRepelling, match=r"= 1\.000002 is too close"):
+            lz.make_koenigs(p, z0)
 
     def test_not_fixed(self):
         with pytest.raises(ValueError):
@@ -191,17 +199,6 @@ class TestHandles:
                 num = (handle.eval(z + h) - handle.eval(z - h)) / (2 * h)
                 d = handle.derivative(z)
                 assert d == pytest.approx(num, rel=1e-5)
-
-    def test_metric_derivative(self):
-        assert lz.exp_power(1.0, 1).metric_derivative(3 + 4j) == pytest.approx(5.0)
-        assert lz.exp_power(1.0, 2).metric_derivative(2.0) == pytest.approx(8.0)
-        hk = lz.koenigs_handle(P_SQUARE, 1.0)
-        assert hk.metric_derivative(2.0) == pytest.approx(2.0, abs=1e-9)
-        assert hk.metric_derivative(0.5 + 0.1j) > 0
-
-    def test_metric_derivative_guards(self):
-        with pytest.raises(ZeroDenominator):
-            lz.exp_power(1.0, 1).metric_derivative(0.0)
 
     def test_json_roundtrip(self):
         handles = [

@@ -40,8 +40,9 @@ class TestIntegralMeans:
     def test_exp_constant_integrand(self, exp_branch):
         # For exp the rescaled boundary map is an isometry of the strip,
         # so |phi_T'| == 1 on the contour and the integral is |I| = 2.
+        table = sp._node_table(exp_branch, 8.0, 0.01)
         for t in (0.5, 1.0, 2.0):
-            got = sp.integral_means(exp_branch, 8.0, 0.01, t)
+            got = sp._log_integral(table, t) / math.log(100.0)
             assert got == pytest.approx(math.log(2.0) / math.log(100.0), abs=1e-9)
 
     def test_square_closed_form(self, square_branch):
@@ -53,10 +54,10 @@ class TestIntegralMeans:
         assert math.exp(logI) == pytest.approx(oracle, rel=1e-6)
 
     def test_domain_checks(self, exp_branch):
-        with pytest.raises(ValueError):
-            sp.integral_means(exp_branch, 0.5, 0.01, 1.0)
-        with pytest.raises(ValueError):
-            sp.integral_means(exp_branch, 8.0, 1.5, 1.0)
+        # r = 1/T must lie in (0, 1): log(1/r) = log T divides the integral
+        for low in (-1.0, 0.5, 2.0 / 3.0, 1.0):
+            with pytest.raises(InvalidGrid):
+                sp.means_tables(exp_branch, (low, 8.0, 16.0))
 
 
 class TestBetaInfinity:

@@ -60,7 +60,6 @@ class TestApplyPoint:
         assert s.value >= 0 and s.tail_estimate >= 0
         assert s.value == pytest.approx(math.fsum(s.block_sums), rel=1e-12)
         assert s.terms_used > 0
-        assert '"value"' in s.to_json()
 
     def test_truncation_stability(self, exp_atlas, square_atlas):
         for atlas, t in ((exp_atlas, 1.5), (exp_atlas, 2.0),
@@ -107,19 +106,26 @@ def test_koenigs_preimages_distinct(monkeypatch):
         assert gap.min() > 1e-6
 
 
+def dyadic_profile(atlas, t):
+    """Per-block exponents of the operator's dyadic block sums at e^2."""
+    return tf.dyadic_exponents(tf.transfer_apply_point(atlas, t, E2).block_sums)
+
+
 class TestDyadicProfile:
     def test_exp_exponents_approach_minus_one(self, exp_atlas):
-        prof = tf.transfer_dyadic_profile(exp_atlas, 2.0, E2)
+        prof = dyadic_profile(exp_atlas, 2.0)
         first, last = prof[2][1], prof[-1][1]
         assert abs(last + 1.0) < 0.3
         assert abs(last + 1.0) < abs(first + 1.0)
 
     def test_exp_borderline_flat(self, exp_atlas):
-        prof = tf.transfer_dyadic_profile(exp_atlas, 1.0, E2)
-        assert abs(prof[-1][1]) < 0.15
+        # t = 1 is the exact edge of the dichotomy: the blocks stop
+        # decaying, so the sum is reported divergent
+        with pytest.raises(DivergenceDetected):
+            tf.transfer_apply_point(exp_atlas, 1.0, E2)
 
     def test_square_map_decay(self, square_atlas):
-        prof = tf.transfer_dyadic_profile(square_atlas, 2.0, E2)
+        prof = dyadic_profile(square_atlas, 2.0)
         assert all(e <= -0.8 for n, e in prof if n >= 6)
 
 
@@ -200,7 +206,6 @@ class TestPressure:
         curve = tf.pressure_curve_entire(quarter_atlas, (1.5, 2.0, 2.5))
         diffs = np.diff(curve.values)
         assert np.all(diffs <= 1e-6)
-        assert '"pressure"' in curve.to_json()
 
     @pytest.mark.parametrize("spec", ["exp", "quarter", "square", "composite"])
     def test_shared_frontier_matches_fresh(self, spec):
@@ -290,22 +295,15 @@ class TestBowenZero:
 
 class TestDecayAndScaling:
     def test_exp_decay(self, exp_atlas):
-        rep = tf.decay_check(exp_atlas, 2.0, 2.0)
-        assert rep["passed"]
-        assert rep["sup"] == rep["values"][0]
-        assert all(a > b for a, b in zip(rep["values"], rep["values"][1:]))
+        # the value times (log|w|)^(1/2) decays along |w| = e^s
+        values = [tf.transfer_apply_point(exp_atlas, 2.0,
+                                          complex(math.exp(s))).value
+                  * s ** 0.5 for s in (2.0, 4.0, 8.0, 16.0, 32.0)]
+        assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_exp_fixed_ratio_band(self, exp_atlas):
         band = tf.scaling_band(exp_atlas, 2.0, n_args=1)
         assert band["ratio"] <= 4.0
-
-    def test_guards(self, exp_atlas):
-        with pytest.raises(ValueError):
-            tf.decay_check(exp_atlas, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            tf.decay_check(exp_atlas, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            tf.decay_check(exp_atlas, 1.1, 8.0)
 
     def test_koenigs_scaling_band(self, koenigs_atlas):
         band = tf.scaling_band(koenigs_atlas, 2.0, n_args=2, k_budget=256)
