@@ -3,7 +3,9 @@
 Evaluation, preimage trees with chain-rule derivatives, repelling fixed
 points, Boettcher coordinates of the basin of infinity, tree pressure with
 Richardson extrapolation and the Bowen-zero (hyperbolic dimension)
-estimate on the polynomial side.
+estimate on the polynomial side.  The Boettcher conjugacy has one entry,
+``bottcher_inverse(p, z)``: z is an array of any shape outside the unit
+circle, and one batched ray continuation returns (h, h') of that shape.
 """
 
 import json
@@ -57,8 +59,6 @@ class Polynomial:
 
     def critical_points(self):
         dc = np.array(self.derivative_coefficients(), dtype=complex)
-        if len(dc) == 1:
-            return np.array([], dtype=complex)
         return np.roots(dc[::-1])
 
     @classmethod
@@ -69,7 +69,11 @@ class Polynomial:
 
     @classmethod
     def from_string(cls, text):
-        """Parse shorthand like ``z^2-1`` or ``2z^3 + 0.5z - 1``."""
+        """Parse shorthand like ``z^2-1`` or ``2z^3 + 0.5z - 1``.
+
+        Every term after the first starts with ``+`` or ``-``, so text
+        such as ``z^2z`` or ``2z3`` is refused rather than read as a sum.
+        """
         s = text.replace(" ", "").replace("**", "^")
         if not s:
             raise ValueError("empty polynomial string")
@@ -83,7 +87,7 @@ class Polynomial:
             if m is None or m.end() == pos:
                 raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
             sign, mag, zpart, power = m.groups()
-            if mag is None and zpart is None:
+            if (mag is None and zpart is None) or (pos > 0 and not sign):
                 raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
             c = float(mag) if mag is not None else 1.0
             if sign == "-":
@@ -149,9 +153,7 @@ def find_repelling_fixed_points(p, tol=1e-10):
     """All finite fixed points of p with multipliers and repelling flags."""
     shifted = list(p.coefficients)
     shifted[1] -= 1.0
-    q = Polynomial(tuple(shifted)) if abs(shifted[-1]) > 0 else None
-    if q is None:  # cannot happen for degree >= 2
-        raise ValueError("degenerate fixed-point equation")
+    q = Polynomial(tuple(shifted))
     roots, ok = _kernels.aberth_batch(
         np.array(q.coefficients, dtype=complex),
         np.array(q.derivative_coefficients(), dtype=complex),
@@ -229,19 +231,13 @@ def tree_pressure(p, t, w, n, node_budget=DEFAULT_NODE_BUDGET):
 class PressureCurve:
     t_grid: list
     values: list
-    depth_used: int
-    per_depth: list  # matrix: per t, the raw per-depth sequence
 
 
 def pressure_curve(p, t_grid, w, n, node_budget=DEFAULT_NODE_BUDGET):
     """Tree pressure at every t of t_grid, from one depth-n tree."""
     log_derivs = tree_log_derivs(p, w, n, node_budget)
-    values, per_depth = [], []
-    for t in t_grid:
-        res = _pressure_from(log_derivs, float(t))
-        values.append(res.value)
-        per_depth.append(res.per_depth)
-    return PressureCurve(list(t_grid), values, n, per_depth)
+    values = [_pressure_from(log_derivs, float(t)).value for t in t_grid]
+    return PressureCurve(list(t_grid), values)
 
 
 @dataclass
@@ -329,9 +325,10 @@ def escape_sums(coeffs, u):
     return s1, s2
 
 
-_ESCAPE_BIG = 1e100
 _SERIES_EPS = 1e-17
 _MAX_ORBIT = 120
+_NEWTON_TOL = 1e-12
+_NEWTON_MAXIT = 60
 
 
 def _monic_scale(p):
@@ -346,7 +343,7 @@ def _monic_scale(p):
 
 
 def _log_phi_and_deriv(q, z):
-    """log phi(z) and (log phi)'(z) for monic q, z in the basin (arrays ok).
+    """log phi(z) and (log phi)'(z) for monic q on an array z in the basin.
 
     phi is the Boettcher coordinate with phi(z)/z -> 1: log phi(z) =
     log z + sum_n d^{-(n+1)} log(w_{n+1}/w_n^d) along the escaping orbit.
@@ -355,8 +352,6 @@ def _log_phi_and_deriv(q, z):
     """
     d = q.degree
     w = np.asarray(z, dtype=complex)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w).astype(complex)
     logphi = np.log(w)
     glog = 1.0 / w  # G_n = d(log w_n)/dz
     dlogphi = glog.copy()
@@ -379,44 +374,32 @@ def _log_phi_and_deriv(q, z):
             factor /= d
             if np.abs(term).max() < _SERIES_EPS:
                 break
-    if scalar:
-        return complex(logphi[0]), complex(dlogphi[0])
     return logphi, dlogphi
 
 
-def _bottcher_batch(p, z, start=None, tol=1e-12, maxit=60):
+def _bottcher_batch(p, z, start=None):
     """(h(z), h'(z)) with phi(h(z)) = z on |z| > 1, Newton on the log residual.
 
     The derivative comes from the Newton solve itself: with u = s*h the root
-    of log phi_q(u) = log z, h'(z) = 1/(s*z*(log phi_q)'(u)).  start is an
-    optional warm start for h (same shape as z) for continuation.
+    of log phi_q(u) = log z, h'(z) = 1/(s*z*(log phi_q)'(u)).  z is an
+    array; start is an optional warm start for h (same shape as z) for
+    continuation.
     """
     s, q = _monic_scale(p)
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zz = np.atleast_1d(z)
-    target = np.log(zz)
-    if start is None:
-        u = zz.copy()
-    else:
-        u = np.atleast_1d(np.asarray(start, dtype=complex)) * s
-    ok = np.zeros(u.shape, dtype=bool)
-    for _ in range(maxit):
+    target = np.log(z)
+    u = z.copy() if start is None else start * s
+    for _ in range(_NEWTON_MAXIT):
         logphi, dlogphi = _log_phi_and_deriv(q, u)
         res = logphi - target
         res = res - 2j * np.pi * np.round(res.imag / (2 * np.pi))
-        ok = np.abs(res) < tol
+        ok = np.abs(res) < _NEWTON_TOL
         if ok.all():
             break
         step = res / dlogphi
         u = u - np.where(ok, 0.0, step)
     if not ok.all():
         raise BranchLoss("Boettcher Newton did not converge (z too close to |z|=1?)")
-    h = u / s
-    hp = 1.0 / (s * zz * dlogphi)
-    if scalar:
-        return complex(h[0]), complex(hp[0])
-    return h, hp
+    return u / s, 1.0 / (s * z * dlogphi)
 
 
 def bottcher_outer_radius(p):
@@ -424,50 +407,31 @@ def bottcher_outer_radius(p):
     return 2.0 * (1.0 + max(abs(c) for c in p.coefficients))
 
 
-def bottcher_inverse(p, z, tol=1e-12):
-    """Boettcher conjugacy h with h(z^d) = p(h(z)), h(z)/z -> 1 at infinity.
+def bottcher_inverse(p, z):
+    """(h(z), h'(z)) of the Boettcher conjugacy, h(z^d) = p(h(z)).
 
-    For |z| below the outer radius the Newton start is continued inward
-    along the ray from a safely exterior point.
+    h(z)/z -> 1 at infinity.  z is an array of any shape with every
+    |z| > 1, and h, h' have its shape.  Each Newton start is continued
+    along its ray: the points are first solved at the outer radius (or
+    their own radius, if larger), then r - 1 shrinks geometrically to the
+    smallest requested radius, each point stopping at its own.
     """
-    z = complex(z)
-    if abs(z) <= 1.0:
-        raise ValueError("Boettcher coordinate requires |z| > 1")
-    rho0 = bottcher_outer_radius(p)
-    if abs(z) >= rho0:
-        return _bottcher_batch(p, z)[0]
-    return complex(_bottcher_ray_batch(p, np.array([z]), tol=tol)[0][0])
-
-
-def _bottcher_ray_batch(p, z, tol=1e-12):
-    """Vectorized (h, h') for |z| in (1, rho0): radius continuation per node."""
     z = np.asarray(z, dtype=complex)
-    rho0 = bottcher_outer_radius(p)
     radii = np.abs(z)
     if radii.min() <= 1.0:
         raise ValueError("Boettcher coordinate requires |z| > 1")
     phases = z / radii
-    r = rho0
-    cur = phases * r
-    h = _bottcher_batch(p, cur)[0]
-    # geometric descent of r-1 toward the smallest requested radius
+    r = bottcher_outer_radius(p)
+    h = _bottcher_batch(p, phases * np.maximum(radii, r))[0]
     rmin = radii.min()
     while r > rmin:
         r = max(rmin, 1.0 + (r - 1.0) * 0.7)
-        cur = phases * np.maximum(radii, r)
-        h = _bottcher_batch(p, cur, start=h, tol=tol)[0]
-    return _bottcher_batch(p, z, start=h, tol=tol)
+        h = _bottcher_batch(p, phases * np.maximum(radii, r), start=h)[0]
+    return _bottcher_batch(p, z, start=h)
 
 
-def bottcher_residual(p, z):
-    """|h(z^d) - p(h(z))| / (1 + |h(z)|), the functional-equation residual."""
-    h1 = bottcher_inverse(p, z)
-    h2 = bottcher_inverse(p, z ** p.degree)
-    return abs(h2 - poly_eval(p, h1)) / (1.0 + abs(h1))
-
-
-def bottcher_circle_means(p, r, t, arc=(0.0, 2.0 * np.pi), n_nodes=None):
-    """Quadrature of |h'|^t along the arc of the circle |z| = r.
+def bottcher_circle_means(p, r, t):
+    """Quadrature of |h'|^t around the circle |z| = r.
 
     h' is exact, taken from the Newton solve for h at each node.  The nodes
     do not depend on t, so one solve serves every exponent: t is a scalar
@@ -476,18 +440,15 @@ def bottcher_circle_means(p, r, t, arc=(0.0, 2.0 * np.pi), n_nodes=None):
     """
     if r - 1.0 < 1e-4:
         raise ValueError("r - 1 below minimum resolvable offset 1e-4")
-    th0, th1 = arc
-    if n_nodes is None:
-        n_nodes = int(min(8192, max(256, 8.0 * (th1 - th0) / (r - 1.0))))
+    n_nodes = int(min(8192, max(256, 8.0 * (2.0 * np.pi) / (r - 1.0))))
     # composite Gauss-Legendre, 4-point panels
     nodes, wts = np.polynomial.legendre.leggauss(4)
-    n_panels = max(1, n_nodes // 4)
-    edges = np.linspace(th0, th1, n_panels + 1)
+    edges = np.linspace(0.0, 2.0 * np.pi, n_nodes // 4 + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     theta = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
     weight = (half[:, None] * wts[None, :]).reshape(-1)
-    _, hp = _bottcher_ray_batch(p, r * np.exp(1j * theta))
+    _, hp = bottcher_inverse(p, r * np.exp(1j * theta))
     t = np.asarray(t, dtype=float)
     integrand = np.abs(hp) ** t[..., None]
     means = np.sum(weight * integrand * r, axis=-1)

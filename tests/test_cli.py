@@ -140,11 +140,15 @@ class TestExitCodes:
         (["hypdim", "--poly", "3z", "--function", "exp"], "ConfigError"),
         (["spectrum", "--function", "koenigs:z"], "ConfigError"),
         (["spectrum", "--function", "koenigs:z^2+"], "ConfigError"),
+        # a term after the first needs its sign: z^2z is not z^2 + z
+        (["hypdim", "--poly", "z^2z", "--function", "exp"], "ConfigError"),
+        (["spectrum", "--function", "koenigs:z^2z"], "ConfigError"),
     ], ids=["radius-below-singular", "unknown-check", "bad-only",
             "bad-Tlist", "pressure-radius-over-base",
             "hypdim-radius-over-base", "spectrum-Tjmin-0",
             "hypdim-Tjmin-negative", "poly-dangling-power",
-            "poly-degree-one", "koenigs-degree-one", "koenigs-dangling-sign"])
+            "poly-degree-one", "koenigs-degree-one", "koenigs-dangling-sign",
+            "poly-unsigned-term", "koenigs-unsigned-term"])
     def test_bad_input_exits_2(self, argv, error, tmp_path, capsys):
         code, out = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2

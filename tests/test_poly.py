@@ -26,6 +26,12 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Polynomial((1.0, 2.0))  # degree 1
 
+    @pytest.mark.parametrize("text", ["z^2z", "z^2 z", "2z3"])
+    def test_unsigned_term_refused(self, text):
+        # juxtaposed terms are not a sum: z^2z once parsed as z^2 + z
+        with pytest.raises(ValueError):
+            Polynomial.from_string(text)
+
     def test_critical_points(self):
         cps = BASILICA.critical_points()
         assert len(cps) == 1
@@ -207,33 +213,48 @@ class TestLogSumExp:
 
 class TestBottcher:
     def test_identity_map(self):
-        assert poly.bottcher_inverse(Z2, 2.0) == pytest.approx(2 + 0j)
+        h, _ = poly.bottcher_inverse(Z2, np.array([2.0]))
+        assert h[0] == pytest.approx(2 + 0j)
 
     def test_joukowski(self):
-        for z in (1.2, 2.0, 4.0, 2.0 + 1.5j):
-            h = poly.bottcher_inverse(CHEB, z)
-            assert h == pytest.approx(z + 1 / z, abs=1e-8)
+        z = np.array([1.2, 2.0, 4.0, 2.0 + 1.5j])
+        h, _ = poly.bottcher_inverse(CHEB, z)
+        for zk, hk in zip(z, h):
+            assert hk == pytest.approx(zk + 1 / zk, abs=1e-8)
 
     def test_functional_equation(self):
         rng = np.random.default_rng(7)
         for p in (Z2, CHEB, BASILICA):
-            for _ in range(20):
-                z = (1.2 + rng.random() * 3) * np.exp(2j * np.pi * rng.random())
-                assert poly.bottcher_residual(p, z) < 1e-8
+            z = np.array([(1.2 + rng.random() * 3)
+                          * np.exp(2j * np.pi * rng.random())
+                          for _ in range(20)])
+            h, _ = poly.bottcher_inverse(p, z)
+            h_d, _ = poly.bottcher_inverse(p, z ** p.degree)
+            resid = np.abs(h_d - p(h)) / (1.0 + np.abs(h))
+            assert np.all(resid < 1e-8)
 
     def test_leading_order(self):
         # h(z) = z + 1/(2z) + O(1/z^3) for z^2 - 1, so the gap at |z| = 4
         # peaks slightly above 1/8
-        for ang in np.linspace(0, 2 * np.pi, 9):
-            z = 4.0 * np.exp(1j * ang)
-            assert abs(poly.bottcher_inverse(BASILICA, z) - z) < 0.15
+        z = 4.0 * np.exp(1j * np.linspace(0, 2 * np.pi, 9))
+        h, _ = poly.bottcher_inverse(BASILICA, z)
+        assert np.all(np.abs(h - z) < 0.15)
+
+    def test_shape_kept_across_outer_radius(self):
+        # z^2 - 2 has outer radius 6: the row at 8 starts on its own
+        # radius, the row at 1.001 is continued in from 6
+        z = np.outer((1.001, 8.0), np.exp(2j * np.pi * np.arange(16) / 16))
+        h, hp = poly.bottcher_inverse(CHEB, z)
+        assert h.shape == hp.shape == (2, 16)
+        assert np.abs(h - (z + 1 / z)).max() < 1e-8
+        assert np.abs(hp - (1 - z**-2)).max() < 1e-8
 
     def test_circle_means_trivial(self):
         v = poly.bottcher_circle_means(Z2, 1.01, 2.0)
         assert v == pytest.approx(2 * np.pi * 1.01, rel=1e-6)
         # t = 0 gives arc length regardless of the polynomial
-        v0 = poly.bottcher_circle_means(BASILICA, 1.1, 0.0, arc=(0.0, np.pi))
-        assert v0 == pytest.approx(np.pi * 1.1, rel=1e-6)
+        v0 = poly.bottcher_circle_means(BASILICA, 1.1, 0.0)
+        assert v0 == pytest.approx(2 * np.pi * 1.1, rel=1e-6)
 
     def test_circle_means_cheb_oracle(self):
         r = 1.1
@@ -248,7 +269,7 @@ class TestBottcher:
         theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         for r in (1.001, 1.01, 1.1):
             z = r * np.exp(1j * theta)
-            h, hp = poly._bottcher_ray_batch(CHEB, z)
+            h, hp = poly.bottcher_inverse(CHEB, z)
             assert np.abs(h - (z + 1 / z)).max() < 1e-8
             assert np.abs(hp - (1 - z**-2)).max() < 1e-8
 

@@ -1,10 +1,11 @@
-"""Every public function and class of src/tractdim has a caller that is not a test.
+"""Every top-level function and class of src/tractdim has a caller that is not a test.
 
 A name counts as reached when code in src/tractdim uses it (as a name or
 an attribute) outside its own definition, or when the benchmark harness
 in perfbench/ names it.  Code that only tests reach has to be kept alive
 through every refactor of the layers it wraps, so it either gets a job in
-the pipeline or goes.
+the pipeline or goes.  Private helpers are held to the same rule, so a
+helper that a refactor leaves without a caller fails here too.
 """
 
 import ast
@@ -25,12 +26,11 @@ ALLOWED = {
 }
 
 
-def _public_definitions():
-    """(module file, top-level node) for each public function and class."""
+def _definitions():
+    """(module file, top-level node) for each function and class."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield path.name, node
 
 
@@ -50,12 +50,13 @@ def _perfbench_text():
                      if not p.name.startswith("test_"))
 
 
-def test_every_public_name_has_a_caller():
+def _unreached(private):
+    """module:name for each definition whose name no other code uses."""
     uses = list(_uses())
     bench = _perfbench_text()
     unreached = []
-    for module, node in _public_definitions():
-        if node.name in ALLOWED:
+    for module, node in _definitions():
+        if node.name.startswith("_") != private or node.name in ALLOWED:
             continue
         # a use inside the definition itself (recursion) does not count
         if any(name == node.name and (where, line) != (module, node.lineno)
@@ -64,10 +65,18 @@ def test_every_public_name_has_a_caller():
         if re.search(r"\b%s\b" % re.escape(node.name), bench):
             continue
         unreached.append("%s:%s" % (module, node.name))
-    assert unreached == []
+    return unreached
+
+
+def test_every_public_name_has_a_caller():
+    assert _unreached(private=False) == []
+
+
+def test_every_private_helper_has_a_caller():
+    assert _unreached(private=True) == []
 
 
 def test_allowed_names_still_exist():
     # an exception outlives its name only by mistake
-    names = {node.name for _, node in _public_definitions()}
+    names = {node.name for _, node in _definitions()}
     assert ALLOWED <= names
