@@ -173,12 +173,14 @@ def check_bottcher_golden():
     z = np.outer((1.2, 2.0, 4.0), np.exp(2j * np.pi * np.arange(8) / 8))
     err = float(np.abs(poly.bottcher_inverse(CHEB, z)[0] - (z + 1 / z)).max())
     # functional equation h(z^d) = p(h(z)), relative to 1 + |h(z)|
-    z = (1.2 + 3.0 * tr._halton(20, 2)) * np.exp(2j * np.pi * tr._halton(20, 3))
+    z = (1.2 + 3.0 * tr._halton(20, 2)) * np.exp(
+        2j * np.pi * tr._halton(20, 3))
     resid = 0.0
     for p in (Z2, CHEB, BASILICA, COSH):
         h = poly.bottcher_inverse(p, z)[0]
         h_d = poly.bottcher_inverse(p, z ** p.degree)[0]
-        resid = max(resid, float((np.abs(h_d - p(h)) / (1.0 + np.abs(h))).max()))
+        resid = max(resid,
+                    float((np.abs(h_d - p(h)) / (1.0 + np.abs(h))).max()))
     passed = err < 1e-8 and resid < 1e-8
     return passed, "joukowski_err=%.2e resid=%.2e" % (err, resid)
 
