@@ -420,9 +420,19 @@ def bottcher_inverse(p, z):
     radii = np.abs(z)
     if radii.min() <= 1.0:
         raise ValueError("Boettcher coordinate requires |z| > 1")
-    phases = z / radii
     r = bottcher_outer_radius(p)
-    h = _bottcher_batch(p, phases * np.maximum(radii, r))[0]
+    h = _bottcher_batch(p, z / radii * np.maximum(radii, r))[0]
+    return _continue_inward(p, z, r, h)
+
+
+def _continue_inward(p, z, r, h):
+    """(h(z), h'(z)) continued along the rays of z from h, solved at radius r.
+
+    r - 1 shrinks by 0.7 per step down to the smallest |z|; a point
+    stops at its own radius, and the last solve is at z itself.
+    """
+    radii = np.abs(z)
+    phases = z / radii
     rmin = radii.min()
     while r > rmin:
         r = max(rmin, 1.0 + (r - 1.0) * 0.7)
@@ -430,41 +440,62 @@ def bottcher_inverse(p, z):
     return _bottcher_batch(p, z, start=h)
 
 
-def bottcher_circle_means(p, r, t):
-    """Quadrature of |h'|^t around the circle |z| = r.
-
-    h' is exact, taken from the Newton solve for h at each node.  The nodes
-    do not depend on t, so one solve serves every exponent: t is a scalar
-    (returns a float) or an array (returns an ndarray of the same shape,
-    one integral per exponent).
-    """
-    if r - 1.0 < 1e-4:
-        raise ValueError("r - 1 below minimum resolvable offset 1e-4")
-    n_nodes = int(min(8192, max(256, 8.0 * (2.0 * np.pi) / (r - 1.0))))
-    # composite Gauss-Legendre, 4-point panels
+def _circle_nodes(n_nodes):
+    """Composite 4-point Gauss-Legendre nodes and weights on [0, 2 pi]."""
     nodes, wts = np.polynomial.legendre.leggauss(4)
     edges = np.linspace(0.0, 2.0 * np.pi, n_nodes // 4 + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     theta = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
     weight = (half[:, None] * wts[None, :]).reshape(-1)
-    _, hp = bottcher_inverse(p, r * np.exp(1j * theta))
+    return theta, weight
+
+
+def bottcher_circle_means(p, r, t):
+    """Quadrature of |h'|^t around each circle |z| = r.
+
+    h' is exact, taken from the Newton solve for h at each node.  The nodes
+    do not depend on t, so one solve serves every exponent.  r is a radius
+    or an array of radii, all checked before any solve; the circles are
+    solved largest first, and a circle with the same nodes as the one
+    before it is continued inward from that circle's solution instead of
+    from the outer radius.  Returns an array of shape r.shape + t.shape, or
+    a float when r and t are scalars.
+    """
+    radii = np.asarray(r, dtype=float)
+    if (radii - 1.0).min() < 1e-4:
+        raise ValueError("r - 1 below minimum resolvable offset 1e-4")
     t = np.asarray(t, dtype=float)
-    integrand = np.abs(hp) ** t[..., None]
-    means = np.sum(weight * integrand * r, axis=-1)
-    return float(means) if t.ndim == 0 else means
+    flat = radii.reshape(-1)
+    means = np.empty(flat.shape + t.shape)
+    prev = None
+    for i in np.argsort(-flat, kind="stable"):
+        rad = flat[i]
+        n_nodes = int(min(8192, max(256, 8.0 * (2.0 * np.pi) / (rad - 1.0))))
+        theta, weight = _circle_nodes(n_nodes)
+        z = rad * np.exp(1j * theta)
+        if prev is not None and prev[0] == n_nodes:
+            h, hp = _continue_inward(p, z, prev[1], prev[2])
+        else:
+            h, hp = bottcher_inverse(p, z)
+        prev = (n_nodes, rad, h)
+        integrand = np.abs(hp) ** t[..., None]
+        means[i] = np.sum(weight * integrand * rad, axis=-1)
+    means = means.reshape(radii.shape + t.shape)
+    return float(means) if means.ndim == 0 else means
 
 
-def bottcher_means_spectrum(p, t, r_list=(1.1, 1.03, 1.01)):
+def bottcher_means_spectrum(p, t, r_list):
     """Slope estimate of the boundary integral-means exponent of h.
 
     Fits log of the circle integral against |log(r-1)| over the given
     radii; the slope is the finite-size estimate of the arc spectrum.
-    Each circle is solved once for all exponents: t is a scalar (returns a
+    Each circle is solved once for all exponents, and circles with equal
+    nodes share one inward ray continuation: t is a scalar (returns a
     float) or a 1-D array (returns an ndarray of slopes, one per exponent).
     """
     t = np.asarray(t, dtype=float)
     xs = [abs(np.log(r - 1.0)) for r in r_list]
-    ys = np.log([bottcher_circle_means(p, r, t) for r in r_list])
+    ys = np.log(bottcher_circle_means(p, r_list, t))
     slope = np.polyfit(xs, ys, 1)[0]
     return float(slope) if t.ndim == 0 else slope

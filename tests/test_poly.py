@@ -284,6 +284,7 @@ class TestBottcher:
 
     def test_means_spectrum_flat_for_exceptional(self):
         for p in (Z2, CHEB):
-            slopes = poly.bottcher_means_spectrum(p, (0.5, 1.0, 1.5))
+            slopes = poly.bottcher_means_spectrum(p, (0.5, 1.0, 1.5),
+                                                  (1.1, 1.03, 1.01))
             assert slopes.shape == (3,)
             assert np.all(np.abs(slopes) < 0.05)
