@@ -411,10 +411,8 @@ def bottcher_inverse(p, z):
     """(h(z), h'(z)) of the Boettcher conjugacy, h(z^d) = p(h(z)).
 
     h(z)/z -> 1 at infinity.  z is an array of any shape with every
-    |z| > 1, and h, h' have its shape.  Each Newton start is continued
-    along its ray: the points are first solved at the outer radius (or
-    their own radius, if larger), then r - 1 shrinks geometrically to the
-    smallest requested radius, each point stopping at its own.
+    |z| > 1, and h, h' have its shape.  The points are solved at the outer
+    radius (or their own, if larger) and continued inward along their rays.
     """
     z = np.asarray(z, dtype=complex)
     radii = np.abs(z)
@@ -426,11 +424,8 @@ def bottcher_inverse(p, z):
 
 
 def _continue_inward(p, z, r, h):
-    """(h(z), h'(z)) continued along the rays of z from h, solved at radius r.
-
-    r - 1 shrinks by 0.7 per step down to the smallest |z|; a point
-    stops at its own radius, and the last solve is at z itself.
-    """
+    """(h(z), h'(z)) from h solved at radius r: r - 1 shrinks by 0.7 per
+    step, each point of z stopping at its own radius, then a solve at z."""
     radii = np.abs(z)
     phases = z / radii
     rmin = radii.min()
@@ -440,47 +435,39 @@ def _continue_inward(p, z, r, h):
     return _bottcher_batch(p, z, start=h)
 
 
-def _circle_nodes(n_nodes):
-    """Composite 4-point Gauss-Legendre nodes and weights on [0, 2 pi]."""
-    nodes, wts = np.polynomial.legendre.leggauss(4)
-    edges = np.linspace(0.0, 2.0 * np.pi, n_nodes // 4 + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    theta = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-    weight = (half[:, None] * wts[None, :]).reshape(-1)
-    return theta, weight
-
-
 def bottcher_circle_means(p, r, t):
     """Quadrature of |h'|^t around each circle |z| = r.
 
-    h' is exact, taken from the Newton solve for h at each node.  The nodes
-    do not depend on t, so one solve serves every exponent.  r is a radius
-    or an array of radii, all checked before any solve; the circles are
-    solved largest first, and a circle with the same nodes as the one
-    before it is continued inward from that circle's solution instead of
-    from the outer radius.  Returns an array of shape r.shape + t.shape, or
-    a float when r and t are scalars.
+    h' is exact, taken from the Newton solve for h at each node, and one
+    solve serves every exponent.  r is a radius or an array of radii, all
+    checked before any solve.  Circles are solved largest first; one with
+    the same nodes as the circle before is continued inward from that
+    circle's h instead of from the outer radius.  Returns an ndarray of
+    shape r.shape + t.shape, or a float when r and t are scalars.
     """
     radii = np.asarray(r, dtype=float)
     if (radii - 1.0).min() < 1e-4:
         raise ValueError("r - 1 below minimum resolvable offset 1e-4")
     t = np.asarray(t, dtype=float)
-    flat = radii.reshape(-1)
-    means = np.empty(flat.shape + t.shape)
-    prev = None
-    for i in np.argsort(-flat, kind="stable"):
-        rad = flat[i]
+    means = np.empty((radii.size,) + t.shape)
+    prev = (0, None, None)  # node count, radius and h of the last circle
+    for i in np.argsort(-radii, axis=None, kind="stable"):
+        rad = radii.flat[i]
         n_nodes = int(min(8192, max(256, 8.0 * (2.0 * np.pi) / (rad - 1.0))))
-        theta, weight = _circle_nodes(n_nodes)
+        # composite Gauss-Legendre, 4-point panels
+        nodes, wts = np.polynomial.legendre.leggauss(4)
+        edges = np.linspace(0.0, 2.0 * np.pi, n_nodes // 4 + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        theta = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
+        weight = (half[:, None] * wts[None, :]).reshape(-1)
         z = rad * np.exp(1j * theta)
-        if prev is not None and prev[0] == n_nodes:
+        if n_nodes == prev[0]:
             h, hp = _continue_inward(p, z, prev[1], prev[2])
         else:
             h, hp = bottcher_inverse(p, z)
         prev = (n_nodes, rad, h)
-        integrand = np.abs(hp) ** t[..., None]
-        means[i] = np.sum(weight * integrand * rad, axis=-1)
+        means[i] = np.sum(weight * np.abs(hp) ** t[..., None] * rad, axis=-1)
     means = means.reshape(radii.shape + t.shape)
     return float(means) if means.ndim == 0 else means
 
@@ -488,14 +475,16 @@ def bottcher_circle_means(p, r, t):
 def bottcher_means_spectrum(p, t, r_list):
     """Slope estimate of the boundary integral-means exponent of h.
 
-    Fits log of the circle integral against |log(r-1)| over the given
-    radii; the slope is the finite-size estimate of the arc spectrum.
-    Each circle is solved once for all exponents, and circles with equal
-    nodes share one inward ray continuation: t is a scalar (returns a
-    float) or a 1-D array (returns an ndarray of slopes, one per exponent).
+    Fits log I = a + beta |log(r-1)| + c (r-1) to the circle integrals I
+    over at least 3 radii; beta is the estimate, and c absorbs the first
+    finite-r correction.  t is a scalar (returns a float) or a 1-D array
+    (returns an ndarray of slopes, one per exponent).
     """
+    x = np.asarray(r_list, dtype=float) - 1.0
+    if x.size < 3:
+        raise ValueError("the r -> 1 fit needs at least 3 radii")
     t = np.asarray(t, dtype=float)
-    xs = [abs(np.log(r - 1.0)) for r in r_list]
     ys = np.log(bottcher_circle_means(p, r_list, t))
-    slope = np.polyfit(xs, ys, 1)[0]
+    design = np.column_stack([np.ones_like(x), np.abs(np.log(x)), x])
+    slope = np.linalg.lstsq(design, ys, rcond=None)[0][1]
     return float(slope) if t.ndim == 0 else slope

@@ -29,6 +29,12 @@ def test_criterion(ident, name):
     assert result.passed, "%s: %s" % (name, result.detail)
 
 
+def test_check_5_within_half_its_bound():
+    detail = checks.run_check(5).detail
+    errs = detail.split()[0].removeprefix("errs=").split(",")
+    assert max(float(e) for e in errs) <= 0.025, detail
+
+
 def test_criterion_13_verify_determinism(tmp_path, capsys):
     def verify(only, out):
         code = cli.main(["verify", "--only", only, "--seed", "11",

@@ -9,6 +9,13 @@ from tractdim.poly import Polynomial
 Z2 = Polynomial.from_string("z^2")
 CHEB = Polynomial.from_string("z^2-2")
 BASILICA = Polynomial.from_string("z^2-1")
+MEANS_TS = np.array([0.5, 1.0, 1.5, 2.0])
+
+
+@pytest.fixture(scope="module")
+def basilica_near_circles():
+    """Means over |z| = 1.003 and 1.001 for z^2 - 1, solved in one call."""
+    return poly.bottcher_circle_means(BASILICA, (1.003, 1.001), MEANS_TS)
 
 
 class TestPolynomial:
@@ -281,6 +288,57 @@ class TestBottcher:
             single = poly.bottcher_circle_means(BASILICA, 1.1, float(t))
             assert isinstance(single, float)
             assert v == pytest.approx(single, rel=1e-12)
+
+    def test_shared_continuation_cheb_oracle(self):
+        # 1.003 and 1.001 both get 8192 nodes, so 1.001 is continued in
+        # from 1.003; h'(z) = 1 - z^-2 for z^2 - 2 on the same nodes
+        radii = (1.003, 1.001)
+        means = poly.bottcher_circle_means(CHEB, radii, MEANS_TS)
+        nodes, wts = np.polynomial.legendre.leggauss(4)
+        half = np.pi / 2048  # 2048 panels of four nodes
+        mid = (2 * np.arange(2048) + 1) * half
+        theta = (mid[:, None] + half * nodes).reshape(-1)
+        weight = np.tile(half * wts, 2048)
+        for r, got in zip(radii, means):
+            z = r * np.exp(1j * theta)
+            oracle = np.sum(weight * np.abs(1 - z**-2)
+                            ** MEANS_TS[:, None] * r, axis=-1)
+            assert np.abs(got / oracle - 1).max() < 1e-9
+
+    def test_shared_continuation_matches_own_descent(
+            self, basilica_near_circles):
+        alone = poly.bottcher_circle_means(BASILICA, 1.001, MEANS_TS)
+        assert np.abs(basilica_near_circles[1] / alone - 1).max() < 1e-9
+
+    def test_circle_means_order_free(self, basilica_near_circles):
+        reversed_ = poly.bottcher_circle_means(BASILICA, (1.001, 1.003),
+                                               MEANS_TS)
+        assert reversed_.tobytes() == basilica_near_circles[::-1].tobytes()
+
+    def test_means_spectrum_continues_near_circles(self, monkeypatch):
+        # 18 solves for 1.01, 22 for 1.003 from the outer radius 4, and 5
+        # for 1.001 from 1.003 (25 when it too descends from 4)
+        calls = []
+        batch = poly._bottcher_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(poly, "_bottcher_batch", counted)
+        poly.bottcher_means_spectrum(BASILICA, (0.5, 1.0, 1.5),
+                                     (1.01, 1.003, 1.001))
+        assert len(calls) == 45
+
+    def test_bad_radius_fails_before_any_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the radii were checked")
+
+        monkeypatch.setattr(poly, "_bottcher_batch", refuse)
+        with pytest.raises(ValueError):
+            poly.bottcher_circle_means(BASILICA, (1.01, 1.00005), 1.0)
+        with pytest.raises(ValueError):
+            poly.bottcher_means_spectrum(BASILICA, 1.0, (1.01, 1.003))
 
     def test_means_spectrum_flat_for_exceptional(self):
         for p in (Z2, CHEB):
