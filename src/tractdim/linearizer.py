@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import clog
 from .errors import NotRepelling, Overflow, ScaleFloor
 from .poly import Polynomial, escape_sums
 
@@ -202,7 +203,8 @@ def linearizer_log_eval(L, z):
 
     Accepts scalars or arrays; the descent count n is uniform over a batch
     (extra lam-divisions are exact, the series just sees a smaller argument).
-    A scalar runs the ladder on Python complex numbers with cmath.
+    A scalar runs the ladder on Python complex numbers with cmath; an array
+    (or a scalar cmath refuses) takes its logs with ``_kernels.clog``.
     """
     scalar = np.ndim(z) == 0
     if scalar:
@@ -213,7 +215,7 @@ def linearizer_log_eval(L, z):
             pass  # cmath raises where numpy returns inf or nan: keep numpy's
     u0 = L.kappa * np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        logf, q = _escape_ladder(L, u0, lambda u: np.max(np.abs(u)), np.log,
+        logf, q = _escape_ladder(L, u0, lambda u: np.max(np.abs(u)), clog,
                                  _exp_neg_array)
     if scalar:
         return complex(logf), complex(q)

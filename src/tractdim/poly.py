@@ -25,6 +25,9 @@ from .errors import (
 
 DEFAULT_NODE_BUDGET = 1 << 20
 _DERIV_FLOOR = 1e-300
+#: The 4-point Gauss-Legendre rule on [-1, 1] (nodes, weights), the panel
+#: rule of the Boettcher circle means and of the spectrum's node tables.
+GL4_NODES, GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass(frozen=True)
@@ -348,11 +351,12 @@ def _log_phi_and_deriv(q, z):
     phi is the Boettcher coordinate with phi(z)/z -> 1: log phi(z) =
     log z + sum_n d^{-(n+1)} log(w_{n+1}/w_n^d) along the escaping orbit.
     All per-level factors are evaluated in powers of 1/w so the sums stay
-    finite after the orbit escapes floating range.
+    finite after the orbit escapes floating range.  Both logs, of z and of
+    each level's factor w_{n+1}/w_n^d, are ``_kernels.clog``.
     """
     d = q.degree
     w = np.asarray(z, dtype=complex)
-    logphi = np.log(w)
+    logphi = _kernels.clog(w)
     glog = 1.0 / w  # G_n = d(log w_n)/dz
     dlogphi = glog.copy()
     factor = 1.0 / d
@@ -362,7 +366,7 @@ def _log_phi_and_deriv(q, z):
             u = np.where(np.isfinite(u), u, 0.0)
             # S1 = q(w)/w^d and S2 = w q'(w)/w^d as polynomials in u = 1/w
             s1, s2 = escape_sums(q.coefficients, u)
-            term = factor * np.log(s1)
+            term = factor * _kernels.clog(s1)
             gfac = s2 / s1
             gnew = gfac * glog
             dterm = factor * (gnew - d * glog)
@@ -386,7 +390,7 @@ def _bottcher_batch(p, z, start=None):
     continuation.
     """
     s, q = _monic_scale(p)
-    target = np.log(z)
+    target = _kernels.clog(z)
     u = z.copy() if start is None else start * s
     for _ in range(_NEWTON_MAXIT):
         logphi, dlogphi = _log_phi_and_deriv(q, u)
@@ -455,12 +459,11 @@ def bottcher_circle_means(p, r, t):
         rad = radii.flat[i]
         n_nodes = int(min(8192, max(256, 8.0 * (2.0 * np.pi) / (rad - 1.0))))
         # composite Gauss-Legendre, 4-point panels
-        nodes, wts = np.polynomial.legendre.leggauss(4)
         edges = np.linspace(0.0, 2.0 * np.pi, n_nodes // 4 + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        theta = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-        weight = (half[:, None] * wts[None, :]).reshape(-1)
+        theta = (mid[:, None] + half[:, None] * GL4_NODES[None, :]).reshape(-1)
+        weight = (half[:, None] * GL4_WEIGHTS[None, :]).reshape(-1)
         z = rad * np.exp(1j * theta)
         if n_nodes == prev[0]:
             h, hp = _continue_inward(p, z, prev[1], prev[2])
@@ -476,13 +479,13 @@ def bottcher_means_spectrum(p, t, r_list):
     """Slope estimate of the boundary integral-means exponent of h.
 
     Fits log I = a + beta |log(r-1)| + c (r-1) to the circle integrals I
-    over at least 3 radii; beta is the estimate, and c absorbs the first
-    finite-r correction.  t is a scalar (returns a float) or a 1-D array
+    over at least 3 distinct radii; beta is the estimate, and c absorbs the
+    first finite-r correction.  t is a scalar (returns a float) or a 1-D array
     (returns an ndarray of slopes, one per exponent).
     """
     x = np.asarray(r_list, dtype=float) - 1.0
-    if x.size < 3:
-        raise ValueError("the r -> 1 fit needs at least 3 radii")
+    if np.unique(x).size < 3:
+        raise ValueError("the r -> 1 fit needs at least 3 distinct radii")
     t = np.asarray(t, dtype=float)
     ys = np.log(bottcher_circle_means(p, r_list, t))
     design = np.column_stack([np.ones_like(x), np.abs(np.log(x)), x])

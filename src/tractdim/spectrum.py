@@ -17,11 +17,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import tract as tr
 from .errors import InvalidGrid, NoSignChange
-from .poly import bisect_bracket, logsumexp
+from .poly import GL4_NODES, GL4_WEIGHTS, bisect_bracket, logsumexp
 
 DEFAULT_T_GRID = tuple(float(2**j) for j in range(3, 15))
 #: Largest dyadic exponent of the T grid on sampled (continued) branches,
@@ -31,8 +30,6 @@ SAMPLED_T_GRID = tuple(T for T in DEFAULT_T_GRID if T <= 2**SAMPLED_TJ_CAP)
 _QUAD_ABS_TOL = 1e-8
 _MAX_PANELS = 4096  # per unit interval
 _REF_T = 2.0  # adaptivity reference exponent
-
-_GL_X, _GL_W = leggauss(4)
 
 
 def _node_table(branch, T, r):
@@ -52,8 +49,8 @@ def _node_table(branch, T, r):
             edges = np.linspace(a, b, panels_per_unit + 1)
             mids = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1] - edges[0])
-            y = (mids[:, None] + half * _GL_X[None, :]).ravel()
-            w = np.broadcast_to(half * _GL_W[None, :], (panels_per_unit, 4)).ravel()
+            y = (mids[:, None] + half * GL4_NODES[None, :]).ravel()
+            w = np.broadcast_to(half * GL4_WEIGHTS[None, :], (panels_per_unit, 4)).ravel()
             xi = T * (r + 1j * y)
             if (a, b) not in guesses:
                 z, dphi = tr.phi_path(branch, xi)

@@ -1,6 +1,10 @@
-"""The active-set Aberth kernel against a frozen copy of the dense loop.
+"""The hot kernels against their references.
 
-Every comparison is bitwise: roots by their bytes, ok flags exactly.
+The active-set Aberth kernel is compared with a frozen copy of the dense
+loop, bitwise: roots by their bytes, ok flags exactly.  clog is compared
+with numpy's complex log: bitwise on the special values, to within
+2*eps*(1 + |log z|) on normal-range |z|.  Subnormal |z| is outside its
+contract: there ``abs`` underflows and the real part differs.
 """
 
 import numpy as np
@@ -162,3 +166,50 @@ def test_pairwise_sum_is_numpy_sum(n):
     got = _kernels._pairwise_sum(lambda k: terms[k].copy(), 0, n)
     want = np.moveaxis(terms, 0, -1).copy().sum(axis=-1)
     assert got.tobytes() == want.tobytes()
+
+
+EPS = np.finfo(float).eps
+_SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
+_FINITE = (1.0, -1.0, 2.5, -0.5)
+
+
+def test_clog_special_values_match_numpy_bitwise():
+    # every z with a zero (of either sign), infinite or nan part: 0, both
+    # real half-axes with +0 and -0 imaginary parts, the imaginary axis,
+    # infinities and nan in every position
+    parts = _SPECIAL + _FINITE
+    z = np.array([complex(x, y) for x in parts for y in parts
+                  if not (x in _FINITE and y in _FINITE)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.log(z)
+        got = _kernels.clog(z)
+    assert got.dtype == np.complex128 and got.shape == z.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_close_to_log(z):
+    want = np.log(z)
+    got = _kernels.clog(z)
+    assert np.all(np.abs(got - want) <= 2 * EPS * (1 + np.abs(want)))
+
+
+def test_clog_normal_range_matches_numpy():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+    z *= 10.0 ** rng.uniform(-300, 300, z.shape)
+    _assert_close_to_log(z)
+
+
+def test_clog_near_unit_circle_matches_numpy():
+    # |z| within 1e-9 of 1, where log|z| cancels
+    rng = np.random.default_rng(6)
+    radius = 1.0 + rng.uniform(-1e-9, 1e-9, 20000)
+    _assert_close_to_log(radius * np.exp(1j * rng.uniform(-np.pi, np.pi, 20000)))
+
+
+def test_clog_shapes():
+    z = np.arange(1, 13).reshape(3, 4) * (1 - 2j)
+    assert _kernels.clog(z).shape == (3, 4)
+    # a scalar gives a 0-d array, as the escape ladder's 0-d fallback needs
+    got = _kernels.clog(-2.0 + 0j)
+    assert got.shape == () and complex(got) == complex(np.log(-2.0 + 0j))

@@ -339,6 +339,9 @@ class TestBottcher:
             poly.bottcher_circle_means(BASILICA, (1.01, 1.00005), 1.0)
         with pytest.raises(ValueError):
             poly.bottcher_means_spectrum(BASILICA, 1.0, (1.01, 1.003))
+        # three radii but two distinct: lstsq would return a minimum-norm fit
+        with pytest.raises(ValueError, match="distinct"):
+            poly.bottcher_means_spectrum(BASILICA, 1.0, (1.1, 1.1, 1.05))
 
     def test_means_spectrum_flat_for_exceptional(self):
         for p in (Z2, CHEB):
