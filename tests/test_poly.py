@@ -289,6 +289,11 @@ class TestBottcher:
             assert isinstance(single, float)
             assert v == pytest.approx(single, rel=1e-12)
 
+    def test_gauss_legendre_table_is_leggauss(self):
+        nodes, wts = np.polynomial.legendre.leggauss(4)
+        assert poly.GL4_NODES.tobytes() == nodes.tobytes()
+        assert poly.GL4_WEIGHTS.tobytes() == wts.tobytes()
+
     def test_shared_continuation_cheb_oracle(self):
         # 1.003 and 1.001 both get 8192 nodes, so 1.001 is continued in
         # from 1.003; h'(z) = 1 - z^-2 for z^2 - 2 on the same nodes
