@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import clog
+from . import _kernels
 from .errors import NotRepelling, Overflow, ScaleFloor
 from .poly import Polynomial, escape_sums
 
@@ -215,8 +215,8 @@ def linearizer_log_eval(L, z):
             pass  # cmath raises where numpy returns inf or nan: keep numpy's
     u0 = L.kappa * np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        logf, q = _escape_ladder(L, u0, lambda u: np.max(np.abs(u)), clog,
-                                 _exp_neg_array)
+        logf, q = _escape_ladder(L, u0, lambda u: np.max(np.abs(u)),
+                                 _kernels.clog, _exp_neg_array)
     if scalar:
         return complex(logf), complex(q)
     return logf, q

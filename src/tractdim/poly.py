@@ -28,7 +28,7 @@ _DERIV_FLOOR = 1e-300
 #: The 4-point Gauss-Legendre rule on [-1, 1], the panel rule of the
 #: Boettcher circle means and of the spectrum's node tables: the values of
 #: numpy's leggauss(4), bit for bit, written out because importing
-#: numpy.polynomial raised poly_side's peak RSS by 1.3 MB.
+#: numpy.polynomial here raised perfbench poly_side's peak RSS by 1.3 MB.
 GL4_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
                       0.33998104358485626, 0.8611363115940526])
 GL4_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
