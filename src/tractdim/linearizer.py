@@ -11,7 +11,11 @@ values.
 * ``KoenigsLinearizer`` (built by ``make_koenigs``): the entire solution f
   of f(lam*z) = p(f(z)), f(0) = z0, f'(0) = 1 at a repelling fixed point
   z0 of a polynomial p, optionally precomposed with a scale kappa
-  (f_kappa = f(kappa*z)).
+  (f_kappa = f(kappa*z)).  Its log f comes from one escape ladder for
+  scalars and arrays (``linearizer_log_eval``), each step a
+  ``poly.escape_sums`` Horner pass over p's precomputed (c_k, k*c_k)
+  pairs; ``make_disjoint_type`` runs it once per kappa trial over its
+  whole disk grid.
 * ``CompositeExpModel`` (built by ``composite_exp``): F = inner o exp, an
   infinite-order model built over an inner handle whose tract sits deep
   in the right half-plane.
@@ -127,7 +131,7 @@ class KoenigsLinearizer:
 def _series_radius(p, z0, lam):
     cps = p.critical_points()
     dist = min(abs(c - z0) for c in cps) if len(cps) else 1.0
-    return 0.25 * abs(lam) * dist
+    return float(0.25 * abs(lam) * dist)
 
 
 def make_koenigs(p, z0, kappa=1.0 + 0j):
@@ -158,7 +162,7 @@ def make_koenigs(p, z0, kappa=1.0 + 0j):
 def _series_eval(L, u):
     s = 0j
     ds = 0j
-    for a in L.taylor[::-1]:
+    for a in reversed(L.taylor):
         ds = ds * u + s
         s = s * u + a
     return L.z0 + u * s, s + u * ds
@@ -170,24 +174,33 @@ def _exp_neg(logf):
 
 
 def _exp_neg_array(logf):
-    return np.where(np.real(logf) < _EXP_CAP, np.exp(-logf), 0j)
+    """exp(-logf) elementwise in one new array, 0 where Re logf is not below
+    the cap (nan included).  logf may be 0-d, where np.negative without
+    ``out=`` would return a numpy scalar."""
+    out = np.negative(logf, out=np.empty(np.shape(logf), dtype=complex))
+    np.exp(out, out=out)
+    out[~(np.real(logf) < _EXP_CAP)] = 0j
+    return out
 
 
 def _escape_ladder(L, u0, max_abs, log, exp_neg):
     """Series at u0/lam^n inside the series disk, then n escape steps."""
+    lam = L.lam
+    abs_lam = abs(lam)
+    r0 = L.series_radius
     n = 0
     biggest = max_abs(u0)
-    while biggest > L.series_radius:
-        u0 = u0 / L.lam
-        biggest /= abs(L.lam)
+    while biggest > r0:
+        u0 = u0 / lam
+        biggest /= abs_lam
         n += 1
     g, dg = _series_eval(L, u0)
     logf = log(g)
-    q = dg * (L.kappa / L.lam**n) / g
-    coeffs = L.p.coefficients
+    q = dg * (L.kappa / lam**n) / g
+    pairs = L.p.escape_pairs
     d = L.p.degree
     for _ in range(n):
-        s1, s2 = escape_sums(coeffs, exp_neg(logf))
+        s1, s2 = escape_sums(pairs, exp_neg(logf))
         q = (s2 / s1) * q
         logf = d * logf + log(s1)
     return logf, q
@@ -199,14 +212,17 @@ def linearizer_log_eval(L, z):
     The ladder is rewritten through u = 1/value: with p(v) = v^d * S1(1/v)
     and v p'(v) = v^d * S2(1/v), one step maps log f to d*log f + log S1 and
     the logarithmic derivative Q = (log f)' to (S2/S1) * Q.  After escape
-    u -> 0, S1 -> lead and S2/S1 -> d, so both recursions saturate.
+    u -> 0, S1 -> lead and S2/S1 -> d, so both recursions saturate.  Each
+    step is one ``poly.escape_sums`` Horner pass over p's precomputed
+    (c_k, k*c_k) pairs, the helper the Boettcher orbit uses too.
 
     Accepts scalars or arrays; the descent count n is uniform over a batch
     (extra lam-divisions are exact, the series just sees a smaller argument).
-    A scalar runs the ladder on Python complex numbers with cmath; an array
-    (or a scalar cmath refuses) takes its logs with ``_kernels.clog``.
+    A scalar runs the ladder on Python complex numbers with cmath (a Python
+    complex goes there without asking numpy for its shape); an array (or a
+    scalar cmath refuses) takes its logs with ``_kernels.clog``.
     """
-    scalar = np.ndim(z) == 0
+    scalar = isinstance(z, complex) or np.ndim(z) == 0
     if scalar:
         try:
             return _escape_ladder(L, L.kappa * complex(z), abs, cmath.log,
@@ -224,7 +240,11 @@ def linearizer_log_eval(L, z):
 
 def make_disjoint_type(L, R, grid=48):
     """Shrink kappa by halving until no sampled point of the closed R-disk maps
-    outside the closed R-disk (sampled separation of tracts from D_R)."""
+    outside the closed R-disk (sampled separation of tracts from D_R).
+
+    Each trial is one array ``linearizer_log_eval`` over the grid; a point
+    has escaped unless Re log f <= log R, so a nan counts as escaped.
+    """
     if R < 1:
         raise ValueError("R must be >= 1")
     if L.z0 == 0:
@@ -232,14 +252,12 @@ def make_disjoint_type(L, R, grid=48):
     radii = np.linspace(0.0, R, grid)
     angles = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     pts = np.ravel(radii[:, None] * np.exp(1j * angles)[None, :])
+    log_r = math.log(R)
     kappa = L.kappa
     while abs(kappa) >= 1e-12:
         trial = dataclasses.replace(L, kappa=kappa)
-        try:
-            escaped = any(abs(trial.eval(z)) > R for z in pts)
-        except Overflow:
-            escaped = True
-        if not escaped:
+        logf, _ = linearizer_log_eval(trial, pts)
+        if np.all(logf.real <= log_r):
             return trial
         kappa /= 2
     raise ScaleFloor("no disjoint-type kappa above 1e-12")

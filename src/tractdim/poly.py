@@ -10,7 +10,7 @@ circle, and one batched ray continuation returns (h, h') of that shape.
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,9 +37,14 @@ GL4_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial with complex coefficients, constant term first, degree >= 2."""
+    """Polynomial with complex coefficients, constant term first, degree >= 2.
+
+    escape_pairs holds the (c_k, k*c_k) pairs that ``escape_sums`` runs its
+    Horner steps over, derived from the coefficients at construction.
+    """
 
     coefficients: tuple
+    escape_pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coefficients)
@@ -48,6 +53,8 @@ class Polynomial:
         if abs(coeffs[-1]) == 0.0:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "escape_pairs",
+                           tuple((c, k * c) for k, c in enumerate(coeffs)))
 
     @property
     def degree(self):
@@ -319,17 +326,18 @@ def logsumexp(a):
 # Boettcher coordinates of the basin of infinity.
 # ---------------------------------------------------------------------------
 
-def escape_sums(coeffs, u):
+def escape_sums(pairs, u):
     """S1 = u^d p(1/u) and S2 = sum_k k c_k u^(d-k) by reverse Horner.
 
-    coeffs are p's coefficients, constant first; at v = 1/u, S1 = p(v)/v^d
-    and S2 = v p'(v)/v^d.  The sums start from 0j, so u may be a Python
-    complex or an array.
+    pairs is p's ``escape_pairs``, the (c_k, k*c_k) pairs constant first;
+    at v = 1/u, S1 = p(v)/v^d and S2 = v p'(v)/v^d.  The sums start from
+    0j, so u may be a Python complex or an array, and the first step's
+    0j*u keeps numpy's nan and inf where u has them.
     """
     s1 = s2 = 0j
-    for k, c in enumerate(coeffs):
+    for c, kc in pairs:
         s1 = s1 * u + c
-        s2 = s2 * u + k * c
+        s2 = s2 * u + kc
     return s1, s2
 
 
@@ -370,7 +378,7 @@ def _log_phi_and_deriv(q, z):
             u = 1.0 / w
             u = np.where(np.isfinite(u), u, 0.0)
             # S1 = q(w)/w^d and S2 = w q'(w)/w^d as polynomials in u = 1/w
-            s1, s2 = escape_sums(q.coefficients, u)
+            s1, s2 = escape_sums(q.escape_pairs, u)
             term = factor * _kernels.clog(s1)
             gfac = s2 / s1
             gnew = gfac * glog

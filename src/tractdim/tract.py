@@ -41,14 +41,15 @@ def _wrap_imag(w):
 
 
 def _halton(n, base):
+    """Points 1..n of the radical-inverse sequence in base, one digit
+    position at a time over all indices (a spent index adds 0.0)."""
     out = np.zeros(n)
-    for i in range(n):
-        f, x, k = 1.0, 0.0, i + 1
-        while k > 0:
-            f /= base
-            x += f * (k % base)
-            k //= base
-        out[i] = x
+    k = np.arange(1, n + 1)
+    f = 1.0
+    while k.any():
+        f /= base
+        out += f * (k % base)
+        k //= base
     return out
 
 
@@ -210,12 +211,13 @@ def _check_offset(xi):
 
 
 def _from_anchor(branch, xi):
-    """(phi(xi), q) walked from the nearest anchor; xi is stored."""
+    """(phi(xi), q) walked from the nearest anchor; xi is stored unless an
+    anchor already sits exactly there."""
     n = branch._n_anchors
     i = int(np.argmin(np.abs(branch._anchors[0, :n] - xi)))  # first nearest
     anchor_xi, z, q = branch._anchors[:, i].tolist()
     z, q = _continue_to(branch, anchor_xi, z, q, xi)
-    if n < _MAX_ANCHORS:
+    if n < _MAX_ANCHORS and anchor_xi != xi:
         branch._anchors[:, n] = xi, z, q
         branch._n_anchors = n + 1
     return z, q

@@ -1,11 +1,12 @@
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tractdim import linearizer as lz
-from tractdim.errors import NotRepelling, Overflow
+from tractdim import _kernels, cli, linearizer as lz
+from tractdim.errors import NotRepelling, Overflow, ScaleFloor
 from tractdim.poly import Polynomial
 
 
@@ -149,7 +150,139 @@ class TestLogEval:
         assert np.isnan(want[1][0]) == np.isnan(got[1])
 
 
+# The escape ladder as it stood before p's (c, k*c) pairs were precomputed
+# (frozen copy): the ladder under test must match it bit for bit.
+
+
+def ref_escape_sums(coeffs, u):
+    s1 = s2 = 0j
+    for k, c in enumerate(coeffs):
+        s1 = s1 * u + c
+        s2 = s2 * u + k * c
+    return s1, s2
+
+
+def ref_series_eval(L, u):
+    s = 0j
+    ds = 0j
+    for a in L.taylor[::-1]:
+        ds = ds * u + s
+        s = s * u + a
+    return L.z0 + u * s, s + u * ds
+
+
+def ref_exp_neg(logf):
+    return cmath.exp(-logf) if logf.real < 700.0 else 0j
+
+
+def ref_exp_neg_array(logf):
+    return np.where(np.real(logf) < 700.0, np.exp(-logf), 0j)
+
+
+def ref_escape_ladder(L, u0, max_abs, log, exp_neg):
+    n = 0
+    biggest = max_abs(u0)
+    while biggest > L.series_radius:
+        u0 = u0 / L.lam
+        biggest /= abs(L.lam)
+        n += 1
+    g, dg = ref_series_eval(L, u0)
+    logf = log(g)
+    q = dg * (L.kappa / L.lam**n) / g
+    coeffs = L.p.coefficients
+    d = L.p.degree
+    for _ in range(n):
+        s1, s2 = ref_escape_sums(coeffs, exp_neg(logf))
+        q = (s2 / s1) * q
+        logf = d * logf + log(s1)
+    return logf, q
+
+
+def ref_log_eval(L, z):
+    scalar = np.ndim(z) == 0
+    if scalar:
+        try:
+            return ref_escape_ladder(L, L.kappa * complex(z), abs, cmath.log,
+                                     ref_exp_neg)
+        except (ArithmeticError, ValueError):
+            pass
+    u0 = L.kappa * np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        logf, q = ref_escape_ladder(L, u0, lambda u: np.max(np.abs(u)),
+                                    _kernels.clog, ref_exp_neg_array)
+    if scalar:
+        return complex(logf), complex(q)
+    return logf, q
+
+
+def bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+LADDERS = {
+    "z^2": lambda: lz.make_koenigs(P_SQUARE, 1.0, 0.25),
+    "z^2-1": lambda: cli.function_from_spec("koenigs:z^2-1"),
+    "z^3-0.5z": lambda: cli.function_from_spec("koenigs:z^3-0.5z"),
+}
+
+
+class TestLadderBitwise:
+    @pytest.mark.parametrize("name", sorted(LADDERS))
+    def test_matches_frozen_ladder(self, name):
+        L = LADDERS[name]()
+        zs = sample_ring(300, 1e-3, 1e5, seed=7)
+        zs[:3] = (-8000.0, 0.0, 1e6j)  # nan fallback on z^2, no descent, far out
+        zs = zs.reshape(20, 15)
+        got = lz.linearizer_log_eval(L, zs)
+        want = ref_log_eval(L, zs)
+        for a, b in zip(got, want):
+            assert a.shape == zs.shape
+            assert np.array_equal(bits(a), bits(b))
+        for z in zs.ravel():
+            got = lz.linearizer_log_eval(L, complex(z))
+            want = ref_log_eval(L, complex(z))
+            assert type(got[0]) is complex and type(got[1]) is complex
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("z", [3, -8000])
+    def test_scalar_input_types(self, z):
+        # -8000 takes the nan fallback on z^2 at kappa = 0.25
+        L = LADDERS["z^2"]()
+        want = ref_log_eval(L, complex(z))
+        for zin in (complex(z), float(z), int(z), np.complex128(z),
+                    np.array(complex(z))):
+            got = lz.linearizer_log_eval(L, zin)
+            assert type(got[0]) is complex and type(got[1]) is complex
+            assert np.array_equal(bits(got), bits(want))
+
+
+def ref_disjoint_type(L, R, grid=48):
+    """The scalar disjoint-type search before it was batched (frozen copy)."""
+    radii = np.linspace(0.0, R, grid)
+    angles = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    pts = np.ravel(radii[:, None] * np.exp(1j * angles)[None, :])
+    kappa = L.kappa
+    while abs(kappa) >= 1e-12:
+        trial = dataclasses.replace(L, kappa=kappa)
+        try:
+            escaped = any(abs(trial.eval(z)) > R for z in pts)
+        except Overflow:
+            escaped = True
+        if not escaped:
+            return trial
+        kappa /= 2
+    raise ScaleFloor("no disjoint-type kappa above 1e-12")
+
+
 class TestDisjointType:
+    @pytest.mark.parametrize("R", [math.e, 4.0, 10.0])
+    @pytest.mark.parametrize(
+        "spec", ["z^2-1", "z^2-2", "z^2", "z^3-0.5z", "2z^2-1", "z^2+0.2"])
+    def test_batched_matches_scalar_search(self, spec, R):
+        p = Polynomial.from_string(spec)
+        L = lz.make_koenigs(p, cli._largest_repelling_fixed_point(p))
+        assert lz.make_disjoint_type(L, R).kappa == ref_disjoint_type(L, R).kappa
+
     def test_exp_family(self):
         L = lz.make_koenigs(P_SQUARE, 1.0)
         dt = lz.make_disjoint_type(L, np.e)

@@ -348,3 +348,35 @@ class TestPhiContract:
         args = (xi, 2.0 * xi) if entry == "phi_refine" else (xi,)
         with pytest.raises(ValueError):
             getattr(tr, entry)(branch, *args)
+
+    @pytest.mark.parametrize("spec", ["check8", "koenigs:z^2-1"])
+    def test_repeat_points_add_no_anchor(self, spec):
+        branch = _fresh_branch(spec)
+        xi = _xi_grid((24,))
+        first = tr.phi_eval(branch, xi)
+        n = branch._n_anchors
+        again = tr.phi_eval(branch, xi)
+        assert branch._n_anchors == n == 1 + xi.size
+        assert again[0].tolist() == first[0].tolist()
+        assert again[1].tolist() == first[1].tolist()
+
+
+def scalar_halton(n, base):
+    """The point-by-point radical inverse (frozen reference)."""
+    out = np.zeros(n)
+    for i in range(n):
+        f, x, k = 1.0, 0.0, i + 1
+        while k > 0:
+            f /= base
+            x += f * (k % base)
+            k //= base
+        out[i] = x
+    return out
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7])
+def test_halton_matches_scalar_bitwise(base):
+    for n in (0, 1, 10_000):
+        got = tr._halton(n, base)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == scalar_halton(n, base).tobytes()
