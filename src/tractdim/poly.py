@@ -6,6 +6,8 @@ Richardson extrapolation and the Bowen-zero (hyperbolic dimension)
 estimate on the polynomial side.  The Boettcher conjugacy has one entry,
 ``bottcher_inverse(p, z)``: z is an array of any shape outside the unit
 circle, and one batched ray continuation returns (h, h') of that shape.
+Circle means run their own inward continuation, one for all requested
+radii, on a quadrature grid that follows the radius down.
 """
 
 import json
@@ -152,11 +154,13 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
             raise NonConvergence("preimage fiber solve stalled during tree descent")
         children = roots.reshape(-1)
         # dp stays bound until the next level: `del dp` after the product
-        # raised perfbench poly_side's peak RSS by 4 MB (--seed 5), and
-        # inlining the call changes cum's last bits (numpy would reuse the
-        # temporary with the complex factors swapped)
+        # raised perfbench poly_side's peak RSS by 4 MB (--seed 5).  The
+        # product is dp * rep in place: numpy would swap the factors of
+        # `dp * np.repeat(cum, d)` to reuse a large temporary, and complex
+        # multiplication is not bitwise commutative
         dp = p.derivative(children)
-        cum = dp * np.repeat(cum, d)
+        rep = np.repeat(cum, d)
+        cum = np.multiply(dp, rep, out=rep)
         if np.abs(cum).min() < _DERIV_FLOOR:
             raise DegenerateDerivative("base point hits the critical tree")
         pts = children
@@ -440,6 +444,12 @@ def bottcher_inverse(p, z):
     return _continue_inward(p, z, r, h)
 
 
+def _step_in(r, stop):
+    """The next radius of an inward continuation from r: r - 1 shrinks by
+    0.7, but the step ends at stop if it would pass it."""
+    return max(stop, 1.0 + (r - 1.0) * 0.7)
+
+
 def _continue_inward(p, z, r, h):
     """(h(z), h'(z)) from h solved at radius r: r - 1 shrinks by 0.7 per
     step, each point of z stopping at its own radius, then a solve at z."""
@@ -447,9 +457,22 @@ def _continue_inward(p, z, r, h):
     phases = z / radii
     rmin = radii.min()
     while r > rmin:
-        r = max(rmin, 1.0 + (r - 1.0) * 0.7)
+        r = _step_in(r, rmin)
         h = _bottcher_batch(p, phases * np.maximum(radii, r), start=h)[0]
     return _bottcher_batch(p, z, start=h)
+
+
+def _circle_grid(rad):
+    """Composite 4-point Gauss-Legendre nodes theta and weights on
+    [0, 2 pi] for the circle |z| = rad: min(8192, max(256, 16 pi/(rad - 1)))
+    nodes, rounded down to whole panels."""
+    n_nodes = int(min(8192, max(256, 8.0 * (2.0 * np.pi) / (rad - 1.0))))
+    edges = np.linspace(0.0, 2.0 * np.pi, n_nodes // 4 + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    theta = (mid[:, None] + half[:, None] * GL4_NODES[None, :]).reshape(-1)
+    weight = (half[:, None] * GL4_WEIGHTS[None, :]).reshape(-1)
+    return theta, weight
 
 
 def bottcher_circle_means(p, r, t):
@@ -457,34 +480,38 @@ def bottcher_circle_means(p, r, t):
 
     h' is exact, taken from the Newton solve for h at each node, and one
     solve serves every exponent.  r is a radius or an array of radii, all
-    checked before any solve.  Circles are solved largest first; one with
-    the same nodes as the circle before is continued inward from that
-    circle's h instead of from the outer radius.  Returns an ndarray of
-    shape r.shape + t.shape, or a float when r and t are scalars.
+    checked before any solve.  One inward continuation serves every
+    circle: it starts at the larger of the outer radius and the largest r,
+    shrinks r - 1 by 0.7 per step and stops on each distinct r on the way
+    down.  Every step is solved on the quadrature grid of its own radius,
+    starting from the step before: from its h when the grid is the same,
+    otherwise from h/z interpolated linearly and periodically in theta and
+    taken at the previous radius.  Returns an ndarray of shape
+    r.shape + t.shape, or a float when r and t are scalars.
     """
     radii = np.asarray(r, dtype=float)
     if (radii - 1.0).min() < 1e-4:
         raise ValueError("r - 1 below minimum resolvable offset 1e-4")
     t = np.asarray(t, dtype=float)
-    means = np.empty((radii.size,) + t.shape)
-    prev = (0, None, None)  # node count, radius and h of the last circle
-    for i in np.argsort(-radii, axis=None, kind="stable"):
-        rad = radii.flat[i]
-        n_nodes = int(min(8192, max(256, 8.0 * (2.0 * np.pi) / (rad - 1.0))))
-        # composite Gauss-Legendre, 4-point panels
-        edges = np.linspace(0.0, 2.0 * np.pi, n_nodes // 4 + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        theta = (mid[:, None] + half[:, None] * GL4_NODES[None, :]).reshape(-1)
-        weight = (half[:, None] * GL4_WEIGHTS[None, :]).reshape(-1)
-        z = rad * np.exp(1j * theta)
-        if n_nodes == prev[0]:
-            h, hp = _continue_inward(p, z, prev[1], prev[2])
-        else:
-            h, hp = bottcher_inverse(p, z)
-        prev = (n_nodes, rad, h)
-        means[i] = np.sum(weight * np.abs(hp) ** t[..., None] * rad, axis=-1)
-    means = means.reshape(radii.shape + t.shape)
+    stops, where = np.unique(radii, return_inverse=True)
+    rows = np.empty(stops.shape + t.shape)
+    rad = max(bottcher_outer_radius(p), stops[-1])
+    theta, weight = _circle_grid(rad)
+    z = rad * np.exp(1j * theta)
+    h, hp = _bottcher_batch(p, z)
+    for i in range(stops.size - 1, -1, -1):
+        while rad > stops[i]:
+            prev_rad, prev_theta, prev_z = rad, theta, z
+            rad = _step_in(rad, stops[i])
+            theta, weight = _circle_grid(rad)
+            if theta.size != prev_theta.size:
+                ratio = np.interp(theta, prev_theta, h / prev_z,
+                                  period=2.0 * np.pi)
+                h = ratio * (prev_rad * np.exp(1j * theta))
+            z = rad * np.exp(1j * theta)
+            h, hp = _bottcher_batch(p, z, start=h)
+        rows[i] = np.sum(weight * np.abs(hp) ** t[..., None] * rad, axis=-1)
+    means = rows[where.reshape(-1)].reshape(radii.shape + t.shape)
     return float(means) if means.ndim == 0 else means
 
 

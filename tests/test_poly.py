@@ -81,6 +81,19 @@ class TestPreimages:
         for (pa, ca), (pb, cb) in zip(a, b):
             assert (pa.tobytes(), ca.tobytes()) == (pb.tobytes(), cb.tobytes())
 
+    def test_cumulative_product_order_free_of_level_size(self):
+        # depths 9 and 10 have 19,683 and 59,049 nodes, past the 16,384
+        # (256 KiB) at which numpy reuses a temporary operand; every level
+        # must still multiply dp * rep, never rep * dp
+        p = Polynomial.from_string("z^3-0.5z")
+        levels = poly._preimage_levels(p, 5.0, 10)
+        prev = np.array([1.0 + 0j])
+        for pts, cum in levels:
+            dp = p.derivative(pts)[:8]
+            rep = np.repeat(prev, 3)[:8]
+            assert cum[:8].tobytes() == (dp * rep).tobytes()
+            prev = cum
+
 
 class TestFixedPoints:
     def test_z2(self):
@@ -321,8 +334,11 @@ class TestBottcher:
         assert reversed_.tobytes() == basilica_near_circles[::-1].tobytes()
 
     def test_means_spectrum_continues_near_circles(self, monkeypatch):
-        # 18 solves for 1.01, 22 for 1.003 from the outer radius 4, and 5
-        # for 1.001 from 1.003 (25 when it too descends from 4)
+        # one continuation from the outer radius 4: a solve at 4, 16 steps
+        # to 1.01 (r - 1 = 3 * 0.7^k until it would pass 0.01), 4 steps on
+        # to 1.003 (0.007, 0.0049, 0.00343, 0.003) and 4 on to 1.001
+        # (0.0021, 0.00147, 0.00103, 0.001); the three circles ran 45
+        # solves when each descended on its own grid
         calls = []
         batch = poly._bottcher_batch
 
@@ -333,7 +349,56 @@ class TestBottcher:
         monkeypatch.setattr(poly, "_bottcher_batch", counted)
         poly.bottcher_means_spectrum(BASILICA, (0.5, 1.0, 1.5),
                                      (1.01, 1.003, 1.001))
-        assert len(calls) == 45
+        assert len(calls) == 25
+
+    @pytest.mark.parametrize("text", ["z^2", "z^2-1", "z^2-2", "z^3-0.5z",
+                                      "z^2+0.25"])
+    @pytest.mark.parametrize("radii", [(1.01, 1.003, 1.001),
+                                       (1.5, 1.05, 1.0005)])
+    def test_circle_means_match_own_circle_solves(self, text, radii):
+        # oracle: bottcher_inverse on each circle's own quadrature nodes
+        p = Polynomial.from_string(text)
+        means = poly.bottcher_circle_means(p, radii, MEANS_TS)
+        for r, got in zip(radii, means):
+            theta, weight = poly._circle_grid(r)
+            z = r * np.exp(1j * theta)
+            hp = poly.bottcher_inverse(p, z)[1]
+            oracle = np.sum(weight * np.abs(hp) ** MEANS_TS[:, None] * r,
+                            axis=-1)
+            assert np.abs(got / oracle - 1).max() < 1e-9
+
+    def test_circle_means_above_outer_radius(self):
+        # 8 lies above z^2 - 1's outer radius 4, so the continuation starts
+        # on that circle, whose row must be written too; h(z) = z + 1/(2z)
+        # + O(z^-3) gives |h'|^2 close to 1 there
+        radii = (8.0, 1.2)
+        means = poly.bottcher_circle_means(BASILICA, radii, MEANS_TS)
+        assert np.all(np.isfinite(means))
+        for r, got in zip(radii, means):
+            alone = poly.bottcher_circle_means(BASILICA, r, MEANS_TS)
+            assert np.abs(got / alone - 1).max() < 1e-9
+        assert np.abs(means[0] / (2 * np.pi * 8.0) - 1).max() < 0.02
+
+    def test_circle_means_duplicate_and_scalar_radius(self):
+        means = poly.bottcher_circle_means(BASILICA, (1.05, 1.1, 1.05),
+                                          MEANS_TS)
+        assert means.shape == (3, 4)
+        assert means[0].tobytes() == means[2].tobytes()
+        scalar = poly.bottcher_circle_means(BASILICA, 1.05, MEANS_TS)
+        assert scalar.shape == (4,)
+        assert np.abs(scalar / means[0] - 1).max() < 1e-9
+        grid = poly.bottcher_circle_means(BASILICA, [[1.1], [1.05]], 1.0)
+        assert grid.shape == (2, 1)
+        assert isinstance(poly.bottcher_circle_means(BASILICA, 1.05, 1.0),
+                          float)
+
+    def test_circle_mean_free_of_other_radii(self):
+        for others in ((), (1.2,), (1.3, 1.02), (1.0002,)):
+            means = poly.bottcher_circle_means(CHEB, (1.01,) + others,
+                                               MEANS_TS)
+            if not others:
+                alone = means[0]
+            assert np.abs(means[0] / alone - 1).max() < 1e-9
 
     def test_bad_radius_fails_before_any_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
