@@ -81,10 +81,10 @@ def check_transfer_closed_form():
 
 def check_divergence_dichotomy():
     """Finite sums above t=1, detected divergence below."""
-    finite, diverged = [], []
-    for t in (1.2, 1.5, 2.0):
-        v = tf.transfer_apply_point(test_atlas("exp"), t, _E2).value
-        finite.append(math.isfinite(v) and v > 0)
+    samples = tf.transfer_apply_point(test_atlas("exp"), (1.2, 1.5, 2.0),
+                                      _E2)
+    finite = [math.isfinite(s.value) and s.value > 0 for s in samples]
+    diverged = []
     for t in (0.5, 0.8):
         try:
             tf.transfer_apply_point(test_atlas("exp"), t, _E2)

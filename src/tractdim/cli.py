@@ -117,10 +117,21 @@ def _is_json_type(value, kind):
 
 
 def _largest_repelling_fixed_point(p):
+    """The repelling fixed point of largest modulus, polished by Newton.
+
+    Aberth stops at its tolerance; Newton on p(z) - z then runs until its
+    step stops shrinking, which lands z^2-2 on z0 = 2 and z^2-1 on a real z0.
+    """
     recs = [r for r in poly.find_repelling_fixed_points(p) if r.is_repelling]
     if not recs:
         raise ConfigError("polynomial has no repelling fixed point")
-    return max(recs, key=lambda r: (abs(r.location), r.location.real)).location
+    z = max(recs, key=lambda r: (abs(r.location), r.location.real)).location
+    last = math.inf
+    while True:
+        step = (p(z) - z) / (p.derivative(z) - 1.0)
+        if not abs(step) < last:
+            return z
+        z, last = z - step, abs(step)
 
 
 def _parse_poly(text):
@@ -308,14 +319,11 @@ def cmd_transfer(cfg, handle):
     atlas = _find_tracts(handle, cfg)
     k_budget = cfg.k_budget or None
     w = tf.BASE_POINT
-    rows = []
-    for t in t_grid:
-        s = tf.transfer_apply_point(atlas, t, w, k_budget)
-        rows.append((t, s.value, s.terms_used, s.tail_estimate))
+    samples = tf.transfer_apply_point(atlas, t_grid, w, k_budget)
     csv = "t,value,terms,tail\n" + "".join(
-        "%.9g,%.17g,%d,%.3g\n" % r for r in rows)
-    # the profile is the last sample's, so its blocks are not walked again
-    profile = tf.dyadic_exponents(s.block_sums)
+        "%.9g,%.17g,%d,%.3g\n"
+        % (s.t, s.value, s.terms_used, s.tail_estimate) for s in samples)
+    profile = tf.dyadic_exponents(samples[-1].block_sums)
     written = [
         _write(cfg, "transfer.csv", csv),
         _write(cfg, "transfer.json", json.dumps(

@@ -4,7 +4,8 @@ The operator acts on the constant function: its value at w is the sum of
 |phi'(xi_k)/phi(xi_k)|^t over the logarithmic preimages
 xi_k = log|w| + i(arg w + 2 pi k), accumulated per tract branch in dyadic
 k-blocks so that truncation and divergence are both visible from the
-block-sum profile.
+block-sum profile.  The preimages do not depend on t, so
+``transfer_apply_point`` walks them once for a whole t grid.
 
 Iterated powers split into a t-independent part and a per-t sum:
 ``iterate_frontier`` walks the preimage tree at w once and keeps each
@@ -61,15 +62,6 @@ def _block_ks(n):
     return -pos, pos
 
 
-def _block_sum(branch, logw, argw, n, t):
-    neg, pos = _block_ks(n)
-    total = 0.0
-    for ks in (neg, pos):
-        _, logterm = _log_weight_terms(branch, logw, argw, ks)
-        total += float(np.sum(np.exp(t * logterm)))
-    return total, len(neg) + len(pos)
-
-
 def _split_point(w):
     w = complex(w)
     logw = math.log(abs(w))
@@ -88,47 +80,75 @@ class TransferSample:
     block_sums: list
 
 
-def _dyadic_blocks(atlas, t, w, k_budget):
+class _GridSamples(list):
+    """The samples of one grid walk, in grid order.
+
+    ``terms_used`` is the number of preimage terms the shared walk
+    evaluated, as a scalar call's sample reports for its own walk.
+    """
+
+    @property
+    def terms_used(self):
+        return max((s.terms_used for s in self), default=0)
+
+
+def _dyadic_blocks(atlas, ts, w, k_budget):
+    """Block sums and term counts at every t of ts, from one walk.
+
+    Each t keeps its own block list, divergence streak and stop test, and
+    adds its block sums in the order a walk for that t alone would, so its
+    result does not depend on the rest of the grid.  The walk ends when
+    every t has stopped; a divergence is raised once every earlier t has
+    stopped, so the grid raises what a loop over ts would raise first.
+    """
     logw, argw = _split_point(w)
     # blocks grow legitimately while 2 pi k < log|w|; divergence is only
     # judged past that knee, where the ratios have settled near 2^(1-t)
     knee = math.log2(max(logw, 2.0))
-    blocks = []
-    terms = 0
-    streak = 0
+    blocks = [[] for _ in ts]
+    terms = [0] * len(ts)
+    streak = [0] * len(ts)
+    running = list(range(len(ts)))
+    diverged = {}
     n = 0
-    while True:
-        block = 0.0
+    while running:
+        sums = [0.0] * len(running)
+        count = 0
         for branch in atlas.tracts:
-            part, count = _block_sum(branch, logw, argw, n, t)
-            block += part
-            terms += count
-        blocks.append(block)
-        if n >= 1:
-            if n > knee and block >= blocks[-2] * (1.0 + _GROWTH_MARGIN):
-                streak += 1
-            else:
-                streak = 0
-            if streak >= _DIVERGENCE_STREAK:
-                raise DivergenceDetected(
-                    "dyadic block sums growing over %d blocks at t=%g"
-                    % (_DIVERGENCE_STREAK, t)
-                )
-            if block < blocks[-2] and block < _REL_STOP * math.fsum(blocks):
-                break
-        if (1 << n) >= k_budget:
-            break
+            parts = [0.0] * len(running)
+            for ks in _block_ks(n):
+                _, logterm = _log_weight_terms(branch, logw, argw, ks)
+                for j, i in enumerate(running):
+                    parts[j] += float(np.sum(np.exp(ts[i] * logterm)))
+                count += len(ks)
+            for j in range(len(running)):
+                sums[j] += parts[j]
+        still = []
+        for i, block in zip(running, sums):
+            bl = blocks[i]
+            bl.append(block)
+            terms[i] += count
+            if n >= 1:
+                if n > knee and block >= bl[-2] * (1.0 + _GROWTH_MARGIN):
+                    streak[i] += 1
+                else:
+                    streak[i] = 0
+                if streak[i] >= _DIVERGENCE_STREAK:
+                    diverged[i] = DivergenceDetected(
+                        "dyadic block sums growing over %d blocks at t=%g"
+                        % (_DIVERGENCE_STREAK, ts[i]))
+                    continue
+                if block < bl[-2] and block < _REL_STOP * math.fsum(bl):
+                    continue
+            still.append(i)
+        running = still if (1 << n) < k_budget else []
+        if diverged and not (running and running[0] < min(diverged)):
+            raise diverged[min(diverged)]
         n += 1
     return blocks, terms
 
 
-def transfer_apply_point(atlas, t, w, k_budget=None):
-    """Operator value at w with dyadic truncation control."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if k_budget is None:
-        k_budget = _default_budget(atlas)
-    blocks, terms = _dyadic_blocks(atlas, t, w, k_budget)
+def _sample(w, t, blocks, terms):
     value = math.fsum(blocks)
     if len(blocks) >= 2 and blocks[-2] > 0:
         ratio = min(blocks[-1] / blocks[-2], _RATIO_CAP)
@@ -136,6 +156,25 @@ def transfer_apply_point(atlas, t, w, k_budget=None):
         ratio = _RATIO_CAP
     tail = blocks[-1] / (1.0 - ratio)
     return TransferSample(complex(w), float(t), value, terms, tail, blocks)
+
+
+def transfer_apply_point(atlas, t, w, k_budget=None):
+    """Operator value at w with dyadic truncation control.
+
+    t is a number, which gives one TransferSample, or a sequence, which
+    gives a list of them in grid order from a single walk of the
+    preimages; every sample equals a scalar call's at its t on a fresh
+    atlas.  Any t <= 0 raises ValueError before phi is evaluated.
+    """
+    grid = np.ndim(t) > 0
+    ts = list(t) if grid else [t]
+    if any(x <= 0 for x in ts):
+        raise ValueError("t must be positive")
+    if k_budget is None:
+        k_budget = _default_budget(atlas)
+    blocks, terms = _dyadic_blocks(atlas, ts, w, k_budget)
+    samples = [_sample(w, x, b, m) for x, b, m in zip(ts, blocks, terms)]
+    return _GridSamples(samples) if grid else samples[0]
 
 
 def dyadic_exponents(block_sums):

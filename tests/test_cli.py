@@ -73,6 +73,15 @@ class TestFunctionSpec:
         assert isinstance(h, lz.KoenigsLinearizer)
         assert h.z0 == pytest.approx(1.0, abs=1e-8)
 
+    def test_koenigs_fixed_point_polished(self):
+        # Aberth alone stops at 1.9999999999993845 and at z^2-1's root
+        # plus 3.5e-12i; Newton lands on the fixed points themselves
+        h = cli.function_from_spec("koenigs:z^2-2")
+        assert (h.z0, h.lam) == (2.0, 4.0)
+        h = cli.function_from_spec("koenigs:z^2-1")
+        assert h.z0.imag == 0.0 and h.lam.imag == 0.0
+        assert h.z0.real == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
+
     def test_json_descriptor(self):
         h = cli.function_from_spec(
             '{"family": "exp_power", "lambda": [0.25, 0.0], "d": 1}')

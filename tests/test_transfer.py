@@ -83,6 +83,96 @@ class TestApplyPoint:
             tf.transfer_apply_point(exp_atlas, 2.0, 1.0 + 0j)
 
 
+def fresh_atlas(spec):
+    return tr.find_tracts(cli.function_from_spec(spec), math.e)
+
+
+def count_walks(monkeypatch):
+    """Count tr.phi_path calls from here on, in a one-element list."""
+    walks = [0]
+    phi_path = tr.phi_path
+
+    def counting(branch, xis):
+        walks[0] += 1
+        return phi_path(branch, xis)
+
+    monkeypatch.setattr(tr, "phi_path", counting)
+    return walks
+
+
+def sample_fields(s):
+    return (s.w, s.t, s.value, s.terms_used, s.tail_estimate, s.block_sums)
+
+
+class TestPointGrid:
+    @pytest.mark.parametrize("spec", ["exp", "quarter", "square", "composite"])
+    def test_grid_matches_fresh_scalar_calls(self, spec):
+        # t = 6 and t = 4 stop blocks before the budget, t = 1.5 and 2 run
+        # to it, so the grid's t stop at different blocks of one walk
+        grid = (1.5, 6.0, 2.0, 4.0)
+        got = tf.transfer_apply_point(fresh_atlas(spec), grid, E2, 1 << 14)
+        want = [tf.transfer_apply_point(fresh_atlas(spec), t, E2, 1 << 14)
+                for t in grid]
+        assert [sample_fields(s) for s in got] == [sample_fields(s)
+                                                  for s in want]
+        assert len({s.terms_used for s in want}) == 3
+        assert got.terms_used == max(s.terms_used for s in want)
+
+    @pytest.mark.parametrize("grid", [(1.2, 0.5, 2.0), (0.8, 0.5)])
+    def test_grid_raises_the_loops_first_divergence(self, grid):
+        # t = 0.5 diverges blocks before t = 0.8 does, but a loop over
+        # (0.8, 0.5) raises at 0.8
+        with pytest.raises(DivergenceDetected) as info:
+            tf.transfer_apply_point(fresh_atlas("exp"), grid, E2, 1 << 12)
+        for t in grid:
+            try:
+                tf.transfer_apply_point(fresh_atlas("exp"), t, E2, 1 << 12)
+            except DivergenceDetected as exc:
+                assert str(info.value) == str(exc)
+                break
+        else:
+            pytest.fail("no t of the grid diverged alone")
+
+    def test_nonpositive_t_raises_before_any_walk(self, exp_atlas,
+                                                  monkeypatch):
+        walks = count_walks(monkeypatch)
+        with pytest.raises(ValueError):
+            tf.transfer_apply_point(exp_atlas, (2.0, 1.5, 0.0), E2)
+        assert walks[0] == 0
+
+    def test_koenigs_grid_free_of_call_history(self):
+        # a sampled atlas keeps the anchors its walks leave, so a second
+        # scalar call on one atlas reads another value; the grid walks once
+        got = tf.transfer_apply_point(fresh_atlas("koenigs:z^2-1"),
+                                      (1.5, 2.0), E2, k_budget=64)
+        want = tf.transfer_apply_point(fresh_atlas("koenigs:z^2-1"), 2.0,
+                                       E2, k_budget=64)
+        assert sample_fields(got[1]) == sample_fields(want)
+
+    def test_grid_walks_as_often_as_one_t(self, exp_atlas, monkeypatch):
+        walks = count_walks(monkeypatch)
+        counts = []
+        for grid in ((2.0,), (1.2, 1.5, 2.0)):
+            walks[0] = 0
+            tf.transfer_apply_point(exp_atlas, grid, E2, k_budget=1 << 10)
+            counts.append(walks[0])
+        assert counts[0] == counts[1] > 0
+
+    def test_cli_walks_as_often_as_one_t(self, tmp_path, capsys,
+                                         monkeypatch):
+        walks = count_walks(monkeypatch)
+        counts = []
+        for tmin in ("2.0", "1.2"):
+            walks[0] = 0
+            assert cli.main(["transfer", "--function", "exp", "--tmin", tmin,
+                             "--out", str(tmp_path / tmin)]) == 0
+            counts.append(walks[0])
+        capsys.readouterr()
+        rows = (tmp_path / "1.2" / "transfer.csv").read_text().splitlines()
+        assert len(rows) == 3  # t = 1.2 and 1.7
+        assert counts[0] == counts[1] > 0
+
+
 @pytest.mark.xfail(strict=True, reason="the wrapped residual lets phi_path "
                    "accept a neighbouring 2 pi i sheet: k = -32 and k = -33 "
                    "share one preimage (ROADMAP items 2 and 5)")
