@@ -104,6 +104,40 @@ def sample_fields(s):
     return (s.w, s.t, s.value, s.terms_used, s.tail_estimate, s.block_sums)
 
 
+def one_t_walk(atlas, t, w, k_budget):
+    """(block_sums, terms_used) of the one-t dyadic walk, frozen as it was
+    before the walk served a grid, to pin the order of the additions."""
+    logw, argw = math.log(abs(w)), math.atan2(w.imag, w.real)
+    knee = math.log2(max(logw, 2.0))
+    blocks, terms, streak, n = [], 0, 0, 0
+    while True:
+        if n == 0:
+            halves = (np.array([-1]), np.array([0, 1]))
+        else:
+            pos = np.arange((1 << (n - 1)) + 1, (1 << n) + 1)
+            halves = (-pos, pos)
+        block = 0.0
+        for branch in atlas.tracts:
+            part = 0.0
+            for ks in halves:
+                xi = logw + 1j * (argw + 2.0 * math.pi * ks.astype(float))
+                z, dphi = tr.phi_path(branch, xi)
+                logterm = np.log(np.abs(dphi)) - np.log(np.abs(z))
+                part += float(np.sum(np.exp(t * logterm)))
+                terms += len(ks)
+            block += part
+        blocks.append(block)
+        if n >= 1:
+            grew = n > knee and block >= blocks[-2] * 1.02
+            streak = streak + 1 if grew else 0
+            assert streak < 4, "diverged"
+            if block < blocks[-2] and block < 1e-10 * math.fsum(blocks):
+                return blocks, terms
+        if (1 << n) >= k_budget:
+            return blocks, terms
+        n += 1
+
+
 class TestPointGrid:
     @pytest.mark.parametrize("spec", ["exp", "quarter", "square", "composite"])
     def test_grid_matches_fresh_scalar_calls(self, spec):
@@ -115,18 +149,21 @@ class TestPointGrid:
                 for t in grid]
         assert [sample_fields(s) for s in got] == [sample_fields(s)
                                                   for s in want]
+        assert [(s.block_sums, s.terms_used) for s in got] == [
+            one_t_walk(fresh_atlas(spec), t, E2, 1 << 14) for t in grid]
         assert len({s.terms_used for s in want}) == 3
         assert got.terms_used == max(s.terms_used for s in want)
 
-    @pytest.mark.parametrize("grid", [(1.2, 0.5, 2.0), (0.8, 0.5)])
-    def test_grid_raises_the_loops_first_divergence(self, grid):
-        # t = 0.5 diverges blocks before t = 0.8 does, but a loop over
-        # (0.8, 0.5) raises at 0.8
+    @pytest.mark.parametrize("spec, grid", [("exp", (1.2, 0.5, 2.0)),
+                                            ("composite", (0.86, 0.5))])
+    def test_grid_raises_the_loops_first_divergence(self, spec, grid):
+        # on composite t = 0.5 diverges at block 5 and t = 0.86 at block
+        # 12, but a loop over (0.86, 0.5) raises at 0.86
         with pytest.raises(DivergenceDetected) as info:
-            tf.transfer_apply_point(fresh_atlas("exp"), grid, E2, 1 << 12)
+            tf.transfer_apply_point(fresh_atlas(spec), grid, E2, 1 << 14)
         for t in grid:
             try:
-                tf.transfer_apply_point(fresh_atlas("exp"), t, E2, 1 << 12)
+                tf.transfer_apply_point(fresh_atlas(spec), t, E2, 1 << 14)
             except DivergenceDetected as exc:
                 assert str(info.value) == str(exc)
                 break
