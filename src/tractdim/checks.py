@@ -49,11 +49,6 @@ def test_atlas(name):
     return tr.find_tracts(test_handle(name), math.e)
 
 
-def _t_grid_for(name):
-    return sp.SAMPLED_T_GRID if name in ("composite", "koenigs") \
-        else sp.DEFAULT_T_GRID
-
-
 @dataclass
 class CheckResult:
     ident: int
@@ -201,10 +196,8 @@ def check_spectrum_shape():
     """Endpoint values and midpoint convexity of the limit spectrum."""
     rows = []
     for name in HANDLE_NAMES:
-        tables = sp.means_tables(test_atlas(name).tracts[0],
-                                 _t_grid_for(name))
-        curve = sp.spectrum_curve(tables, [0.0, 0.5, 1.0, 1.5, 2.0],
-                                  with_theta=False)
+        tables = sp.means_tables(test_atlas(name).tracts[0])
+        curve = sp.spectrum_curve(tables, [0.0, 0.5, 1.0, 1.5, 2.0])
         b = curve.beta_inf
         convex = min(
             b[i - 1] + b[i + 1] - 2 * b[i] for i in range(1, len(b) - 1))

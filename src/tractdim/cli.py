@@ -97,11 +97,8 @@ class RunConfig:
             k += 1
         return grid
 
-    def T_grid(self, sampled=False):
-        hi = min(self.Tjmax, sp.SAMPLED_TJ_CAP) if sampled else self.Tjmax
-        if self.Tjmin > hi:
-            raise InvalidGrid("empty T grid after sampled-handle cap")
-        return [float(2 ** j) for j in range(self.Tjmin, hi + 1)]
+    def T_grid(self):
+        return [float(2 ** j) for j in range(self.Tjmin, self.Tjmax + 1)]
 
 
 #: The RunConfig fields set by a flag; ``function`` takes a spec string.
@@ -114,24 +111,6 @@ def _is_json_type(value, kind):
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _largest_repelling_fixed_point(p):
-    """The repelling fixed point of largest modulus, polished by Newton.
-
-    Aberth stops at its tolerance; Newton on p(z) - z then runs until its
-    step stops shrinking, which lands z^2-2 on z0 = 2 and z^2-1 on a real z0.
-    """
-    recs = [r for r in poly.find_repelling_fixed_points(p) if r.is_repelling]
-    if not recs:
-        raise ConfigError("polynomial has no repelling fixed point")
-    z = max(recs, key=lambda r: (abs(r.location), r.location.real)).location
-    last = math.inf
-    while True:
-        step = (p(z) - z) / (p.derivative(z) - 1.0)
-        if not abs(step) < last:
-            return z
-        z, last = z - step, abs(step)
 
 
 def _parse_poly(text):
@@ -160,7 +139,10 @@ def function_from_spec(text):
         return lz.SHORTHANDS[text]()
     if text.startswith("koenigs:"):
         p = _parse_poly(text[len("koenigs:"):])
-        z0 = _largest_repelling_fixed_point(p)
+        try:
+            z0 = poly.repelling_fixed_point(p)
+        except ValueError as exc:  # no repelling fixed point
+            raise ConfigError(str(exc))
         return lz.make_disjoint_type(lz.make_koenigs(p, z0), math.e)
     raise ConfigError("unknown function shorthand %r" % text)
 
@@ -284,8 +266,7 @@ def cmd_tract_plot(cfg, handle, T_list):
 
 def cmd_spectrum(cfg, handle):
     atlas = _find_tracts(handle, cfg)
-    branch = atlas.tracts[0]
-    tables = sp.means_tables(branch, cfg.T_grid(sampled=branch.sampled))
+    tables = sp.means_tables(atlas.tracts[0], cfg.T_grid())
     curve = sp.spectrum_curve(tables, cfg.t_grid())
     ok, report = sp.negative_spectrum_check(curve)
     summary = {
@@ -357,8 +338,8 @@ def cmd_hypdim(cfg, handle, poly_text=None):
     atlas = _find_tracts(handle, cfg)
     branch = atlas.tracts[0]
     sampled = branch.sampled
-    T_grid = cfg.T_grid(sampled=sampled)
-    theta = sp.theta_f(sp.means_tables(branch, T_grid))
+    tables = sp.means_tables(branch, cfg.T_grid())
+    theta = sp.theta_f(tables)
     # Without a closed-form contour map every tree node walks the
     # quadrature path, so deep iteration is priced out; two levels and a
     # small frontier already pin the zero to the reported bracket width.
@@ -379,8 +360,8 @@ def cmd_hypdim(cfg, handle, poly_text=None):
         # retry once with the bracket floor dropped by that margin.
         lowered = True
         bowen = tf.bowen_zero_entire(frontier, theta - 0.1)
-    diagnostics = {"tracts": len(atlas.tracts), "T_grid": T_grid,
-                   "bracket_lowered": lowered, "seed": cfg.seed}
+    diagnostics = {"tracts": len(atlas.tracts), "bracket_lowered": lowered,
+                   "T_grid": [T for T, _ in tables], "seed": cfg.seed}
     if isinstance(handle, lz.KoenigsLinearizer):
         cross = poly.bowen_zero_poly(handle.p, 12,
                                      node_budget=cfg.node_budget)

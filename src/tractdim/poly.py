@@ -1,9 +1,9 @@
 """Polynomial dynamics kernel.
 
-Evaluation, preimage trees with chain-rule derivatives, repelling fixed
-points, Boettcher coordinates of the basin of infinity, tree pressure with
-Richardson extrapolation and the Bowen-zero (hyperbolic dimension)
-estimate on the polynomial side.  The Boettcher conjugacy has one entry,
+Evaluation, preimage trees with chain-rule derivatives, the repelling
+fixed point a Koenigs handle linearizes at, Boettcher coordinates of the
+basin of infinity, tree pressure with Richardson extrapolation and the
+Bowen-zero (hyperbolic dimension) estimate on the polynomial side.  The Boettcher conjugacy has one entry,
 ``bottcher_inverse(p, z)``: z is an array of any shape outside the unit
 circle, and one batched ray continuation returns (h, h') of that shape.
 Circle means run their own inward continuation, one for all requested
@@ -131,13 +131,6 @@ def poly_eval(p, z):
     return _horner(list(p.coefficients)[::-1], z)
 
 
-@dataclass(frozen=True)
-class FixedPointRecord:
-    location: complex
-    multiplier: complex
-    is_repelling: bool
-
-
 def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     """Level arrays (points, cumulative |derivative| as complex) for depths 1..n."""
     d = p.degree
@@ -168,8 +161,13 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     return levels
 
 
-def find_repelling_fixed_points(p, tol=1e-10):
-    """All finite fixed points of p with multipliers and repelling flags."""
+def repelling_fixed_point(p):
+    """The repelling fixed point of largest modulus, polished by Newton.
+
+    Of the Aberth roots of p(z) - z with |p'(z)| > 1, the largest |z| (then
+    real part) is refined by Newton until the step stops shrinking, which
+    lands z^2-2 on z0 = 2 and z^2-1 on a real z0.  ValueError if none.
+    """
     shifted = list(p.coefficients)
     shifted[1] -= 1.0
     q = Polynomial(tuple(shifted))
@@ -177,19 +175,22 @@ def find_repelling_fixed_points(p, tol=1e-10):
         np.array(q.coefficients, dtype=complex),
         np.array(q.derivative_coefficients(), dtype=complex),
         np.array([0j]),
-        tol=tol,
+        tol=1e-10,
     )
     if not ok[0]:
         raise NonConvergence("fixed-point solve stalled")
     zs = roots[0]
-    order = np.lexsort((zs.imag, zs.real))
-    records = []
-    for z in zs[order]:
-        lam = p.derivative(complex(z))
-        records.append(
-            FixedPointRecord(complex(z), complex(lam), bool(abs(lam) > 1.0))
-        )
-    return records
+    repelling = [complex(z) for z in zs[np.lexsort((zs.imag, zs.real))]
+                 if abs(p.derivative(complex(z))) > 1.0]
+    if not repelling:
+        raise ValueError("polynomial has no repelling fixed point")
+    z = max(repelling, key=lambda z: (abs(z), z.real))
+    last = np.inf
+    while True:
+        step = (p(z) - z) / (p.derivative(z) - 1.0)
+        if not abs(step) < last:
+            return z
+        z, last = z - step, abs(step)
 
 
 @dataclass

@@ -26,7 +26,6 @@ DEFAULT_T_GRID = tuple(float(2**j) for j in range(3, 15))
 #: Largest dyadic exponent of the T grid on sampled (continued) branches,
 #: where the quadrature walker makes the very large panels too slow.
 SAMPLED_TJ_CAP = 9
-SAMPLED_T_GRID = tuple(T for T in DEFAULT_T_GRID if T <= 2**SAMPLED_TJ_CAP)
 _QUAD_ABS_TOL = 1e-8
 _MAX_PANELS = 4096  # per unit interval
 _REF_T = 2.0  # adaptivity reference exponent
@@ -87,10 +86,16 @@ def means_tables(branch, T_grid=DEFAULT_T_GRID):
     """((T, node table at r = 1/T), ...) along an increasing T grid.
 
     The tables are built in grid order and do not depend on t, so one
-    value serves every exponent of a spectrum curve or a bisection.  Every
-    T must exceed 1, so that r = 1/T lies in (0, 1) and log(1/r) > 0.
+    value serves every exponent of a spectrum curve or a bisection.  A
+    sampled branch keeps only T <= 2**SAMPLED_TJ_CAP.  Every T must exceed
+    1, so that r = 1/T lies in (0, 1) and log(1/r) > 0.
     """
     Ts = [float(T) for T in T_grid]
+    if branch.sampled:
+        Ts = [T for T in Ts if T <= 2**SAMPLED_TJ_CAP]
+        if len(Ts) < 3:
+            raise InvalidGrid("T grid has %d points up to the sampled-branch "
+                              "cap 2^%d; need >= 3" % (len(Ts), SAMPLED_TJ_CAP))
     if len(Ts) < 3 or any(b <= a for a, b in zip(Ts, Ts[1:])):
         raise InvalidGrid("T grid must be increasing with >= 3 points")
     if not Ts[0] > 1.0:
@@ -160,7 +165,7 @@ class SpectrumCurve:
         )
 
 
-def spectrum_curve(tables, t_grid, with_theta=True):
+def spectrum_curve(tables, t_grid):
     betas = [beta_infinity(tables, t) for t in t_grid]
     curve = SpectrumCurve(
         t_grid=list(t_grid),
@@ -170,11 +175,10 @@ def spectrum_curve(tables, t_grid, with_theta=True):
         raw=[b.per_T for b in betas],
         drift=[b.drift for b in betas],
     )
-    if with_theta:
-        try:
-            curve.theta_hat = theta_f(tables)
-        except NoSignChange:
-            pass
+    try:
+        curve.theta_hat = theta_f(tables)
+    except NoSignChange:
+        pass
     return curve
 
 

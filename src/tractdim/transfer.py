@@ -93,59 +93,46 @@ class _GridSamples(list):
 
 
 def _dyadic_blocks(atlas, ts, w, k_budget):
-    """Block sums and term counts at every t of ts, from one walk.
+    """Yield (block sums, term count) at each t of ts, from one walk of phi.
 
-    Each t keeps its own block list, divergence streak and stop test, and
-    adds its block sums in the order a walk for that t alone would, so its
-    result does not depend on the rest of the grid.  The walk ends when
-    every t has stopped; a divergence is raised once every earlier t has
-    stopped, so the grid raises what a loop over ts would raise first.
+    Each t in turn runs the one-t loop on log|phi'/phi| read from a list
+    of walked blocks, which grows by one block the first time a t needs
+    it.  So phi is walked once, in block order, each t's sums are those of
+    a walk for it alone, and the grid raises what a loop over ts would
+    raise first.  The list holds at most 2 k_budget terms per branch.
     """
     logw, argw = _split_point(w)
     # blocks grow legitimately while 2 pi k < log|w|; divergence is only
     # judged past that knee, where the ratios have settled near 2^(1-t)
     knee = math.log2(max(logw, 2.0))
-    blocks = [[] for _ in ts]
-    terms = [0] * len(ts)
-    streak = [0] * len(ts)
-    running = list(range(len(ts)))
-    diverged = {}
-    n = 0
-    while running:
-        sums = [0.0] * len(running)
-        count = 0
-        for branch in atlas.tracts:
-            parts = [0.0] * len(running)
-            for ks in _block_ks(n):
-                _, logterm = _log_weight_terms(branch, logw, argw, ks)
-                for j, i in enumerate(running):
-                    parts[j] += float(np.sum(np.exp(ts[i] * logterm)))
-                count += len(ks)
-            for j in range(len(running)):
-                sums[j] += parts[j]
-        still = []
-        for i, block in zip(running, sums):
-            bl = blocks[i]
-            bl.append(block)
-            terms[i] += count
-            if n >= 1:
-                if n > knee and block >= bl[-2] * (1.0 + _GROWTH_MARGIN):
-                    streak[i] += 1
-                else:
-                    streak[i] = 0
-                if streak[i] >= _DIVERGENCE_STREAK:
-                    diverged[i] = DivergenceDetected(
-                        "dyadic block sums growing over %d blocks at t=%g"
-                        % (_DIVERGENCE_STREAK, ts[i]))
-                    continue
-                if block < bl[-2] and block < _REL_STOP * math.fsum(bl):
-                    continue
-            still.append(i)
-        running = still if (1 << n) < k_budget else []
-        if diverged and not (running and running[0] < min(diverged)):
-            raise diverged[min(diverged)]
-        n += 1
-    return blocks, terms
+    walked = []  # block n: log|phi'/phi| per branch and half
+    for t in ts:
+        blocks, terms, streak, n = [], 0, 0, 0
+        while True:
+            if n == len(walked):
+                walked.append([[_log_weight_terms(branch, logw, argw, ks)[1]
+                                for ks in _block_ks(n)]
+                               for branch in atlas.tracts])
+            block = 0.0
+            for halves in walked[n]:
+                part = 0.0
+                for logterm in halves:
+                    part += float(np.sum(np.exp(t * logterm)))
+                    terms += len(logterm)
+                block += part
+            blocks.append(block)
+            grew = n > knee and block >= blocks[-2] * (1.0 + _GROWTH_MARGIN)
+            streak = streak + 1 if grew else 0
+            if streak >= _DIVERGENCE_STREAK:
+                raise DivergenceDetected(
+                    "dyadic block sums growing over %d blocks at t=%g"
+                    % (_DIVERGENCE_STREAK, t))
+            settled = (n >= 1 and block < blocks[-2]
+                       and block < _REL_STOP * math.fsum(blocks))
+            if settled or (1 << n) >= k_budget:
+                break
+            n += 1
+        yield blocks, terms
 
 
 def _sample(w, t, blocks, terms):
@@ -172,8 +159,8 @@ def transfer_apply_point(atlas, t, w, k_budget=None):
         raise ValueError("t must be positive")
     if k_budget is None:
         k_budget = _default_budget(atlas)
-    blocks, terms = _dyadic_blocks(atlas, ts, w, k_budget)
-    samples = [_sample(w, x, b, m) for x, b, m in zip(ts, blocks, terms)]
+    samples = [_sample(w, x, *walk)
+               for x, walk in zip(ts, _dyadic_blocks(atlas, ts, w, k_budget))]
     return _GridSamples(samples) if grid else samples[0]
 
 
@@ -365,7 +352,10 @@ def scaling_band(atlas, t, s_grid=(2.0, 4.0, 8.0, 16.0, 32.0), n_args=4,
         for j in range(n_args):
             arg = _TWO_PI * j / n_args
             w = complex(np.exp(s + 1j * arg))
-            sample = transfer_apply_point(atlas, t, w, k_budget)
+            # a fresh atlas per row: a sampled branch keeps the anchors
+            # its walks leave, which would tie each row to the ones before
+            fresh = tr.find_tracts(atlas.function, atlas.radius)
+            sample = transfer_apply_point(fresh, t, w, k_budget)
             rows.append((s, arg, sample.value * s ** (t - 1.0)))
     scaled = [r[2] for r in rows]
     return {

@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tractdim.cli as cli
 import tractdim.linearizer as lz
+import tractdim.poly as poly
 import tractdim.spectrum as sp
 from tractdim.cli import ConfigError, RunConfig
 from tractdim.errors import InvalidGrid, NoSignChange
@@ -39,11 +41,6 @@ class TestRunConfig:
     def test_t_grid(self):
         cfg = RunConfig(function={}, tmin=0.5, tmax=2.0, tstep=0.5)
         assert cfg.t_grid() == [0.5, 1.0, 1.5, 2.0]
-
-    def test_T_grid_sampled_cap(self):
-        cfg = RunConfig(function={}, Tjmin=3, Tjmax=14)
-        assert cfg.T_grid()[-1] == 2.0 ** 14
-        assert cfg.T_grid(sampled=True)[-1] == 2.0 ** sp.SAMPLED_TJ_CAP
 
     def test_validation(self):
         with pytest.raises(InvalidGrid):
@@ -145,6 +142,9 @@ class TestExitCodes:
         # T = 1 gives log(1/r) = 0 and T = 1/2 puts r = 1/T at 2
         (["spectrum", "--function", "exp", "--Tjmin", "0"], "InvalidGrid"),
         (["hypdim", "--function", "exp", "--Tjmin", "-1"], "InvalidGrid"),
+        # a sampled branch keeps only T <= 2^9, so 2^10..2^14 leaves none
+        (["spectrum", "--function", "koenigs:z^2-1", "--Tjmin", "10"],
+         "InvalidGrid"),
         (["hypdim", "--poly", "z^", "--function", "exp"], "ConfigError"),
         (["hypdim", "--poly", "3z", "--function", "exp"], "ConfigError"),
         (["spectrum", "--function", "koenigs:z"], "ConfigError"),
@@ -155,7 +155,8 @@ class TestExitCodes:
     ], ids=["radius-below-singular", "unknown-check", "bad-only",
             "bad-Tlist", "pressure-radius-over-base",
             "hypdim-radius-over-base", "spectrum-Tjmin-0",
-            "hypdim-Tjmin-negative", "poly-dangling-power",
+            "hypdim-Tjmin-negative", "koenigs-Tjmin-over-cap",
+            "poly-dangling-power",
             "poly-degree-one", "koenigs-degree-one", "koenigs-dangling-sign",
             "poly-unsigned-term", "koenigs-unsigned-term"])
     def test_bad_input_exits_2(self, argv, error, tmp_path, capsys):
@@ -250,6 +251,21 @@ class TestExitCodes:
                              "--out", str(tmp_path)], capsys)
         assert code == 2
         assert json.loads(out)["error"] == "InvalidGrid"
+
+    def test_no_repelling_fixed_point_exits_2(self, tmp_path, capsys,
+                                              monkeypatch):
+        # every polynomial of degree >= 2 has a repelling or parabolic
+        # fixed point, so the solve is stubbed to return attracting ones
+        def attracting(coeffs, dcoeffs, targets, tol):
+            return np.array([[0.0j, 0.25j]]), np.array([True])
+
+        monkeypatch.setattr(poly._kernels, "aberth_batch", attracting)
+        code, out = run_cli(["spectrum", "--function", "koenigs:z^2",
+                             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "ConfigError",
+            "detail": "polynomial has no repelling fixed point"}
 
     @pytest.mark.parametrize("command", ["transfer", "pressure"])
     def test_nonpositive_t_exits_2(self, command, tmp_path, capsys):

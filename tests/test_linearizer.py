@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tractdim import _kernels, cli, linearizer as lz
+from tractdim import _kernels, cli, linearizer as lz, poly
 from tractdim.errors import NotRepelling, Overflow, ScaleFloor
 from tractdim.poly import Polynomial
 
@@ -280,7 +280,7 @@ class TestDisjointType:
         "spec", ["z^2-1", "z^2-2", "z^2", "z^3-0.5z", "2z^2-1", "z^2+0.2"])
     def test_batched_matches_scalar_search(self, spec, R):
         p = Polynomial.from_string(spec)
-        L = lz.make_koenigs(p, cli._largest_repelling_fixed_point(p))
+        L = lz.make_koenigs(p, poly.repelling_fixed_point(p))
         assert lz.make_disjoint_type(L, R).kappa == ref_disjoint_type(L, R).kappa
 
     def test_exp_family(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -97,18 +99,24 @@ class TestPreimages:
 
 class TestFixedPoints:
     def test_z2(self):
-        recs = poly.find_repelling_fixed_points(Z2)
-        locs = sorted(r.location.real for r in recs)
-        assert locs == pytest.approx([0.0, 1.0], abs=1e-9)
-        by_loc = {round(r.location.real): r for r in recs}
-        assert not by_loc[0].is_repelling
-        assert by_loc[1].is_repelling
-        assert by_loc[1].multiplier == pytest.approx(2.0)
+        # the attracting fixed point 0 is never the answer
+        assert poly.repelling_fixed_point(Z2) == 1.0
 
     def test_cheb_like(self):
-        recs = poly.find_repelling_fixed_points(Polynomial.from_string("2z^2-1"))
-        mults = sorted(abs(r.multiplier) for r in recs)
-        assert mults == pytest.approx([2.0, 4.0], abs=1e-8)
+        # both fixed points of 2z^2-1 repel (multipliers 4 and -2)
+        p = Polynomial.from_string("2z^2-1")
+        assert poly.repelling_fixed_point(p) == 1.0
+
+    def test_chebyshev_exact(self):
+        # Aberth alone stops at 1.9999999999993845
+        assert poly.repelling_fixed_point(CHEB) == 2.0
+
+    def test_basilica_real(self):
+        # Aberth alone leaves a 3.5e-12 imaginary part
+        z0 = poly.repelling_fixed_point(BASILICA)
+        golden = (1 + math.sqrt(5)) / 2
+        assert z0.imag == 0.0
+        assert abs(z0.real - golden) <= math.ulp(golden)
 
 
 class TestTreePressure:

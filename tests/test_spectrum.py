@@ -13,8 +13,6 @@ from tractdim.errors import InvalidGrid, NoSignChange
 from tractdim.poly import Polynomial, bowen_zero_poly
 
 
-KOENIGS_T_GRID = tuple(float(2 ** j) for j in range(3, 10))
-
 
 @pytest.fixture(scope="module")
 def exp_branch():
@@ -103,6 +101,19 @@ class TestBetaInfinity:
         with pytest.raises(InvalidGrid):
             sp.means_tables(exp_branch, (8.0, 4.0, 16.0))
 
+    def test_sampled_branch_caps_T_grid(self, exp_branch, monkeypatch):
+        # the cap is a cost bound on continued phi; the tables themselves
+        # are stubbed, since only the T they are built at matters here
+        monkeypatch.setattr(sp, "_node_table", lambda branch, T, r: None)
+        h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
+        koenigs = tr.find_tracts(h, np.e).tracts[0]
+        assert koenigs.sampled and not exp_branch.sampled
+        assert [T for T, _ in sp.means_tables(koenigs)] == [
+            2.0 ** j for j in range(3, 10)]
+        assert [T for T, _ in sp.means_tables(exp_branch)][-1] == 2.0 ** 14
+        with pytest.raises(InvalidGrid, match=r"cap 2\^9"):
+            sp.means_tables(koenigs, (256.0, 512.0, 1024.0))
+
 
 class TestSpectrumShape:
     T_GRID = sp.DEFAULT_T_GRID[:8]
@@ -143,11 +154,10 @@ class TestSpectrumShape:
         assert len(report["violations"]) == 2
 
     def test_negative_spectrum_fails_without_theta(self, exp_branch):
-        # theta_hat stays NaN; "t > NaN + margin" would select no grid point
+        # "t > NaN + margin" would select no grid point
         curve = sp.spectrum_curve(
-            sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.5, 2.0],
-            with_theta=False)
-        assert math.isnan(curve.theta_hat)
+            sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.5, 2.0])
+        curve.theta_hat = math.nan  # synthetic: b without a zero
         ok, report = sp.negative_spectrum_check(curve)
         assert not ok
         assert report["violations"] == []
@@ -164,14 +174,14 @@ class TestTheta:
         h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
         branch = tr.find_tracts(h, np.e).tracts[0]
         # Koenigs(z^2, 1) = e^z, so the threshold matches plain exp.
-        tables = sp.means_tables(branch, KOENIGS_T_GRID)
+        tables = sp.means_tables(branch)
         assert sp.theta_f(tables) == pytest.approx(1.0, abs=0.05)
 
     def test_koenigs_chebyshev(self):
         p = Polynomial.from_string("2z^2 - 1")
         h = lz.koenigs_handle(p, 1.0, kappa=0.25)
         branch = tr.find_tracts(h, np.e).tracts[0]
-        got = sp.theta_f(sp.means_tables(branch, KOENIGS_T_GRID))
+        got = sp.theta_f(sp.means_tables(branch))
         want = float(bowen_zero_poly(p, 14))
         assert got == pytest.approx(want, abs=0.1)
 
@@ -216,8 +226,7 @@ class TestCompositeComparison:
 class TestSerialization:
     def test_csv(self, exp_branch):
         curve = sp.spectrum_curve(
-            sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [0.5, 1.0],
-            with_theta=False)
+            sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [0.5, 1.0])
         lines = curve.to_csv().strip().split("\n")
         assert lines[0] == "t,beta_inf,b_inf"
         assert len(lines) == 3

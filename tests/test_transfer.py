@@ -435,3 +435,15 @@ class TestDecayAndScaling:
     def test_koenigs_scaling_band(self, koenigs_atlas):
         band = tf.scaling_band(koenigs_atlas, 2.0, n_args=2, k_budget=256)
         assert band["ratio"] <= 10.0
+
+    def test_scaling_band_rows_free_of_call_history(self):
+        # a sampled atlas keeps the anchors its walks leave, so each row
+        # walks a fresh one and reads what it would read alone
+        band = tf.scaling_band(fresh_atlas("koenigs:z^2-1"), 2.0,
+                               s_grid=(2.0, 4.0), n_args=2, k_budget=64)
+        assert len(band["rows"]) == 4
+        for s, arg, scaled in band["rows"]:
+            w = complex(np.exp(s + 1j * arg))
+            alone = tf.transfer_apply_point(fresh_atlas("koenigs:z^2-1"),
+                                            2.0, w, 64)
+            assert scaled == alone.value * s ** (2.0 - 1.0)
