@@ -7,6 +7,7 @@ no check sees the anchors another one walked.  The suite is shared by the
 ``verify`` subcommand and the test suite.
 """
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -145,7 +146,7 @@ def _disk_points(n, radius):
 
 
 def check_koenigs_goldens():
-    """Linearizers with classical closed forms, plus the functional equation."""
+    """Closed-form linearizers; f(lam z) = p(f(z)) across the two ladders."""
     L_exp = lz.make_koenigs(Z2, 1.0)
     L_cosh = lz.make_koenigs(COSH, 1.0)
     pts = _disk_points(200, 2.0)
@@ -155,7 +156,7 @@ def check_koenigs_goldens():
     resid = 0.0
     for L, p in ((L_exp, Z2), (L_cosh, COSH)):
         for z in _disk_points(100, 10.0):
-            lhs = L.eval(L.lam * z)
+            lhs = cmath.exp(lz.linearizer_log_eval(L, L.lam * z)[0])
             rhs = p(L.eval(z))
             resid = max(resid, abs(lhs - rhs) / (1 + abs(rhs)))
     passed = err_exp < 1e-9 and err_cosh < 1e-8 and resid < 1e-9
@@ -195,14 +196,15 @@ def check_derivative_quotient_bound():
 def check_spectrum_shape():
     """Endpoint values and midpoint convexity of the limit spectrum."""
     rows = []
+    ts = (0.0, 0.5, 1.0, 1.5, 2.0)
     for name in HANDLE_NAMES:
         tables = sp.means_tables(test_atlas(name).tracts[0])
-        curve = sp.spectrum_curve(tables, [0.0, 0.5, 1.0, 1.5, 2.0])
-        b = curve.beta_inf
-        convex = min(
-            b[i - 1] + b[i + 1] - 2 * b[i] for i in range(1, len(b) - 1))
-        ok = (abs(b[0]) <= 1e-3 and abs(curve.b_inf[0] - 1.0) <= 0.02
-              and curve.b_inf[-1] <= 0.05 and convex >= -1e-3)
+        beta = [sp.beta_infinity(tables, t).value for t in ts]
+        b = [v - t + 1 for v, t in zip(beta, ts)]
+        convex = min(beta[i - 1] + beta[i + 1] - 2 * beta[i]
+                     for i in range(1, len(beta) - 1))
+        ok = (abs(beta[0]) <= 1e-3 and abs(b[0] - 1.0) <= 0.02
+              and b[-1] <= 0.05 and convex >= -1e-3)
         rows.append((name, ok))
     passed = all(ok for _, ok in rows)
     return passed, " ".join("%s:%s" % (n, "ok" if ok else "BAD")
@@ -228,17 +230,11 @@ def check_composite_comparison():
         rep["theta_composite"], rep["theta_inner"], rep["theta_ok"])
 
 
-def basilica_disjoint_handle():
-    """Koenigs handle for z^2-1 at its positive fixed point, disjoint type."""
-    z0 = (1 + math.sqrt(5)) / 2
-    return lz.make_disjoint_type(lz.make_koenigs(BASILICA, z0), math.e)
-
-
 def check_boundary_figures():
     """Rescaled-boundary SVGs render deterministically with a unit marker."""
-    from .cli import render_boundary_svg
+    from .cli import function_from_spec, render_boundary_svg
 
-    atlas = tr.find_tracts(basilica_disjoint_handle(), math.e)
+    atlas = tr.find_tracts(function_from_spec("koenigs:z^2-1"), math.e)
     branch = atlas.tracts[0]
     marker_err, stable = 0.0, True
     for T in (1.0, 5.0, 20.0):

@@ -2,8 +2,8 @@
 
 Deterministic by construction: outputs carry no timestamps and sampling
 uses fixed low-discrepancy sequences, so identical configurations yield
-byte-identical files.  Every RunConfig field but ``function`` has a flag
-of the same name (``node_budget`` is ``--node-budget``).
+byte-identical files.  A command takes a flag for each RunConfig field it
+reads (``COMMANDS``, ``--node-budget`` for ``node_budget``) and no other.
 """
 
 import argparse
@@ -21,8 +21,6 @@ from . import tract as tr
 from . import transfer as tf
 from .errors import InvalidGrid, NoSignChange, TractdimError
 from .poly import Polynomial
-
-DEFAULT_T_LIST = (1.0, 5.0, 20.0)
 
 
 class ConfigError(Exception):
@@ -46,7 +44,6 @@ class RunConfig:
     k_budget: int = 0  # 0 = per-handle default
     branch_budget: int = 128
     out: str = "out"
-    seed: int = 0  # echoed into the output files
 
     def validate(self):
         for f in _FLAG_FIELDS:
@@ -148,6 +145,7 @@ def function_from_spec(text):
 
 
 def load_config(args):
+    """Settings and handle; verify and hypdim --poly need no function."""
     if args.config:
         try:
             with open(args.config) as fh:
@@ -155,18 +153,20 @@ def load_config(args):
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("cannot read config %s: %s" % (args.config, exc))
         cfg = RunConfig.from_json(text)
+    elif args.function or args.command == "verify" or args.poly is not None:
+        cfg = RunConfig(function={})
     else:
-        if not args.function:
-            raise ConfigError("need --config or --function")
-        cfg = RunConfig(function=function_from_spec(args.function).to_json())
-    if args.config and args.function:
+        raise ConfigError("need --config or --function")
+    if args.function:
         cfg.function = function_from_spec(args.function).to_json()
     for f in _FLAG_FIELDS:
-        val = getattr(args, f.name)
+        val = getattr(args, f.name, None)
         if val is not None:
             setattr(cfg, f.name, val)
     cfg.out = os.environ.get("TRACTDIM_OUT", cfg.out)
     cfg.validate()
+    if not (args.config or args.function):
+        return cfg, None
     try:
         handle = lz.handle_from_json(cfg.function)
     except (ValueError, KeyError, TypeError) as exc:
@@ -219,9 +219,9 @@ def _svg_document(polylines, marker):
     return "\n".join(lines) + "\n"
 
 
-def render_boundary_svg(branch, T, n_points=512):
+def render_boundary_svg(branch, T):
     """Stroke-only SVG of one rescaled tract boundary with a unit marker."""
-    rb = tr.trace_boundary(branch, T, n_points)
+    rb = tr.trace_boundary(branch, T)
     return _svg_document([rb.polyline], tr.rescaled_map(branch, T, 1.0))
 
 
@@ -273,7 +273,6 @@ def cmd_spectrum(cfg, handle):
         "theta_hat": curve.theta_hat,
         "negative_spectrum": ok,
         "violations": report["violations"],
-        "seed": cfg.seed,
     }
     if "reason" in report:
         summary["reason"] = report["reason"]
@@ -308,8 +307,8 @@ def cmd_transfer(cfg, handle):
     written = [
         _write(cfg, "transfer.csv", csv),
         _write(cfg, "transfer.json", json.dumps(
-            {"w": [w.real, w.imag], "profile_exponents": profile,
-             "seed": cfg.seed}, indent=2, sort_keys=True) + "\n"),
+            {"w": [w.real, w.imag], "profile_exponents": profile},
+            indent=2, sort_keys=True) + "\n"),
     ]
     return {"written": written}
 
@@ -361,7 +360,7 @@ def cmd_hypdim(cfg, handle, poly_text=None):
         lowered = True
         bowen = tf.bowen_zero_entire(frontier, theta - 0.1)
     diagnostics = {"tracts": len(atlas.tracts), "bracket_lowered": lowered,
-                   "T_grid": [T for T, _ in tables], "seed": cfg.seed}
+                   "T_grid": [T for T, _ in tables]}
     if isinstance(handle, lz.KoenigsLinearizer):
         cross = poly.bowen_zero_poly(handle.p, 12,
                                      node_budget=cfg.node_budget)
@@ -380,8 +379,7 @@ def cmd_verify(cfg, idents=None):
     if unknown:
         raise ConfigError("unknown check ids: %s" % unknown)
     results = checks.run_all(node_budget=cfg.node_budget, idents=idents)
-    header = "tractdim verify  seed=%d\n" % cfg.seed
-    report = header + checks.format_report(results)
+    report = "tractdim verify\n" + checks.format_report(results)
     _write(cfg, "verify.txt", report)
     # durations vary run to run, so they stay out of verify.txt
     seconds = {r.ident: r.seconds for r in results}
@@ -395,47 +393,63 @@ def cmd_verify(cfg, idents=None):
 # Entry point
 
 
-def _add_common(p):
-    p.add_argument("--config")
-    p.add_argument("--function")
-    for f in _FLAG_FIELDS:
-        p.add_argument("--" + f.name.replace("_", "-"), type=f.type)
+#: Each command's help line and the RunConfig fields it reads, one flag each.
+COMMANDS = {
+    "tract-plot": ("rescaled boundary SVG/CSV export", "radius"),
+    "spectrum": ("limit spectrum curve and threshold",
+                 "radius Tjmin Tjmax tmin tmax tstep"),
+    "transfer": ("transfer-operator sums along the t grid",
+                 "radius tmin tmax tstep k_budget"),
+    "pressure": ("iterated-pressure curve",
+                 "radius tmin tmax tstep branch_budget"),
+    "hypdim": ("dimension estimate pipeline",
+               "radius Tjmin Tjmax node_budget branch_budget"),
+    "verify": ("run the built-in check suite", "node_budget"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are ConfigErrors, so exit 2 with JSON."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _comma_list(kind):
+    """argparse type of a comma-separated list of kind values."""
+    def parse(text):
+        return tuple(kind(x) for x in text.split(","))
+
+    parse.__name__ = "comma-separated " + kind.__name__
+    return parse
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tractdim",
         description="Contour geometry, limit spectra, and dimension "
                     "estimates for entire functions with logarithmic "
                     "coordinates.")
+    # --config, --function and --poly read as None where a command lacks them
+    parser.set_defaults(config=None, function=None, poly=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("tract-plot", help="rescaled boundary SVG/CSV export")
-    _add_common(p)
-    p.add_argument("--Tlist", default=None,
-                   help="comma-separated rescaling heights (default 1,5,20)")
-    for name, help_text in (
-            ("spectrum", "limit spectrum curve and threshold"),
-            ("transfer", "transfer-operator sums along the t grid"),
-            ("pressure", "iterated-pressure curve"),
-    ):
-        _add_common(sub.add_parser(name, help=help_text))
-    p = sub.add_parser("hypdim", help="dimension estimate pipeline")
-    _add_common(p)
-    p.add_argument("--poly", default=None,
-                   help="polynomial-side estimate for the given polynomial")
-    p = sub.add_parser("verify", help="run the built-in check suite")
-    _add_common(p)
-    p.add_argument("--only", default=None,
-                   help="comma-separated check ids to run")
+    for name, (help_text, fields) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "verify":  # the checks fix their own handles
+            p.add_argument("--config")
+            p.add_argument("--function")
+        for f in _FLAG_FIELDS:
+            if f.name in fields.split() + ["out"]:
+                p.add_argument("--" + f.name.replace("_", "-"), type=f.type)
+    sub.choices["tract-plot"].add_argument(
+        "--Tlist", type=_comma_list(float), default=(1.0, 5.0, 20.0),
+        help="comma-separated rescaling heights (default 1,5,20)")
+    sub.choices["hypdim"].add_argument(
+        "--poly", help="polynomial-side estimate for the given polynomial")
+    sub.choices["verify"].add_argument(
+        "--only", type=_comma_list(int),
+        help="comma-separated check ids to run")
     return parser
-
-
-def _number_list(text, kind, flag):
-    try:
-        return tuple(kind(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError("%s takes comma-separated %s values, got %r"
-                          % (flag, kind.__name__, text))
 
 
 def _emit_error(exc):
@@ -445,15 +459,11 @@ def _emit_error(exc):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify" and not (args.config or args.function):
-            args.function = "exp"  # the suite fixes its own handles
+        args = build_parser().parse_args(argv)
         cfg, handle = load_config(args)
         if args.command == "tract-plot":
-            T_list = (_number_list(args.Tlist, float, "--Tlist")
-                      if args.Tlist else DEFAULT_T_LIST)
-            out = cmd_tract_plot(cfg, handle, T_list)
+            out = cmd_tract_plot(cfg, handle, args.Tlist)
         elif args.command == "spectrum":
             out = cmd_spectrum(cfg, handle)
         elif args.command == "transfer":
@@ -463,9 +473,7 @@ def main(argv=None):
         elif args.command == "hypdim":
             out = cmd_hypdim(cfg, handle, args.poly)
         elif args.command == "verify":
-            idents = (_number_list(args.only, int, "--only")
-                      if args.only else None)
-            return cmd_verify(cfg, idents)
+            return cmd_verify(cfg, args.only)
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
         return 0
     except (ConfigError, InvalidGrid) as exc:

@@ -238,7 +238,7 @@ def linearizer_log_eval(L, z):
     return logf, q
 
 
-def make_disjoint_type(L, R, grid=48):
+def make_disjoint_type(L, R):
     """Shrink kappa by halving until no sampled point of the closed R-disk maps
     outside the closed R-disk (sampled separation of tracts from D_R).
 
@@ -249,8 +249,8 @@ def make_disjoint_type(L, R, grid=48):
         raise ValueError("R must be >= 1")
     if L.z0 == 0:
         raise ValueError("z0 = 0 has no repelling normalization")
-    radii = np.linspace(0.0, R, grid)
-    angles = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    radii = np.linspace(0.0, R, 48)
+    angles = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
     pts = np.ravel(radii[:, None] * np.exp(1j * angles)[None, :])
     log_r = math.log(R)
     kappa = L.kappa
@@ -267,11 +267,11 @@ def make_disjoint_type(L, R, grid=48):
 koenigs_handle = make_koenigs
 
 
-def _postcritical_radius(p, z0, iters=50):
+def _postcritical_radius(p, z0):
     rad = abs(z0)
     for c in p.critical_points():
         z = complex(c)
-        for _ in range(iters):
+        for _ in range(50):
             z = p(z)
             if abs(z) > 1e6:
                 break

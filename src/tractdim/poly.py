@@ -175,7 +175,6 @@ def repelling_fixed_point(p):
         np.array(q.coefficients, dtype=complex),
         np.array(q.derivative_coefficients(), dtype=complex),
         np.array([0j]),
-        tol=1e-10,
     )
     if not ok[0]:
         raise NonConvergence("fixed-point solve stalled")

@@ -182,7 +182,7 @@ def spectrum_curve(tables, t_grid):
     return curve
 
 
-def theta_f(tables, width=1e-3):
+def theta_f(tables):
     """Smallest zero of t -> b(t) on (0, 2] by scan plus bisection."""
 
     def b_hat(t):
@@ -196,14 +196,14 @@ def theta_f(tables, width=1e-3):
         scan.append((t, b_hat(t)))
         if scan[-1][1] <= 0:
             lo, hi = bisect_bracket(lambda t: not b_hat(t) <= 0,
-                                    scan[-2][0], t, width)
+                                    scan[-2][0], t, 1e-3)
             return 0.5 * (lo + hi)
     curve = ", ".join("(%.6g, %.6g)" % row for row in scan)
     raise NoSignChange("b has no zero on (0, 2]; curve: [%s]" % curve)
 
 
-def negative_spectrum_check(curve, tol=0.02, margin=0.05):
-    """b(t) < tol for every grid t above theta_hat + margin.
+def negative_spectrum_check(curve):
+    """b(t) < 0.02 for every grid t above theta_hat + 0.05.
 
     Without a finite theta_hat there is no grid point above it to test, so
     the check fails and the report's "reason" says why.
@@ -211,11 +211,11 @@ def negative_spectrum_check(curve, tol=0.02, margin=0.05):
     violations = [
         (t, b)
         for t, b in zip(curve.t_grid, curve.b_inf)
-        if t > curve.theta_hat + margin and not b < tol
+        if t > curve.theta_hat + 0.05 and not b < 0.02
     ]
     report = {
         "theta_hat": curve.theta_hat,
-        "tolerance": tol,
+        "tolerance": 0.02,
         "violations": violations,
     }
     if not np.isfinite(curve.theta_hat):

@@ -31,6 +31,7 @@ MIN_OFFSET = 0.05  # Re xi floor; phi extends only continuously to the boundary
 _NEWTON_TOL = 1e-11
 _NEWTON_MAXIT = 50
 _MAX_ANCHORS = 4096
+_MAX_RHO = 1e12  # outer radius of a sampled family's tract search
 _MAX_TRUST = 1e300  # a finite ceiling: halving an infinite step never ends
 _TWO_PI = 2 * np.pi
 
@@ -99,7 +100,7 @@ class RescaledBoundary:
 # Tract location
 
 
-def _closed_branches_exp_power(handle, R, max_rho):
+def _closed_branches_exp_power(handle, R):
     d, lam = handle.d, handle.lam
     # f(z) = e^xi  <=>  z^d = xi - log lam; one tract per d-th root sector
     shift = cmath.log(lam)
@@ -117,8 +118,8 @@ def _closed_branches_exp_power(handle, R, max_rho):
     return branches
 
 
-def _closed_branches_composite(handle, R, max_rho):
-    inner_atlas = find_tracts(handle.inner, R, max_rho)
+def _closed_branches_composite(handle, R):
+    inner_atlas = find_tracts(handle.inner, R)
     branches = []
     for ib in inner_atlas.tracts:
         if ib.sampled:
@@ -134,18 +135,18 @@ def _closed_branches_composite(handle, R, max_rho):
     return branches
 
 
-def _sampled_branches(handle, R, max_rho=1e12):
+def _sampled_branches(handle, R):
     threshold = np.log(R) + 1.0  # base points must satisfy |f| > R e
     n_angles = 720
     angles = np.linspace(0.0, _TWO_PI, n_angles, endpoint=False)
     rho = 1.0
-    while rho <= max_rho:
+    while rho <= _MAX_RHO:
         lf, _ = handle.log_f_and_q(rho * np.exp(1j * angles))
         mask = lf.real > threshold
         if mask.any():
             break
         rho *= 1.5
-    if rho > max_rho:
+    if rho > _MAX_RHO:
         raise NoTractFound("no escape at |f| > R e within the search annulus")
     # contiguous angular clusters, wrapping around
     idx = np.flatnonzero(mask)
@@ -173,15 +174,12 @@ _BRANCH_BUILDERS = {
 }
 
 
-def find_tracts(handle, R, max_rho=1e12):
-    """Atlas of tracts at radius R, one TractBranch per located component.
-
-    max_rho bounds the search annulus of a sampled family.
-    """
+def find_tracts(handle, R):
+    """Atlas of tracts at radius R, one TractBranch per located component."""
     floor = max(1.0, handle.singular_radius)
     if R < floor:
         raise ValueError("R = %g is below the singular radius %g" % (R, floor))
-    tracts = _BRANCH_BUILDERS[type(handle)](handle, R, max_rho)
+    tracts = _BRANCH_BUILDERS[type(handle)](handle, R)
     return TractAtlas(handle, float(R), tracts)
 
 
@@ -370,9 +368,10 @@ def rescaled_map(branch, T, xi):
 # Boundary traces and diagnostics
 
 
-def _rectangle_path(n_points, eps=MIN_OFFSET):
-    """Uniform closed path around [eps, 4] x [-4, 4] in parameter space."""
-    corners = [eps - 4j, 4 - 4j, 4 + 4j, eps + 4j, eps - 4j]
+def _rectangle_path(n_points):
+    """Uniform closed path around [MIN_OFFSET, 4] x [-4, 4] (xi / T)."""
+    corners = [MIN_OFFSET - 4j, 4 - 4j, 4 + 4j, MIN_OFFSET + 4j,
+               MIN_OFFSET - 4j]
     lengths = [abs(corners[i + 1] - corners[i]) for i in range(4)]
     per = sum(lengths)
     pts = []
@@ -383,17 +382,15 @@ def _rectangle_path(n_points, eps=MIN_OFFSET):
     return pts
 
 
-def trace_boundary(branch, T, n_points=512):
-    if n_points < 64:
-        raise ValueError("n_points must be >= 64")
+def trace_boundary(branch, T):
     scale = tract_scale(branch, T)
-    xi = T * np.asarray(_rectangle_path(n_points))
+    xi = T * np.asarray(_rectangle_path(512))
     poly = (phi_eval(branch, xi)[0] / scale).tolist()
     poly.append(poly[0])
     return RescaledBoundary(float(T), scale, poly)
 
 
-def _sample_annulus_qt(T, samples, inner_frac=0.125):
+def _sample_annulus_qt(T, samples):
     """Deterministic low-discrepancy sample of Q_T minus Q_{T/8}.
 
     Drawn in normalized (xi/T) coordinates with a fixed normalized floor so
@@ -403,7 +400,7 @@ def _sample_annulus_qt(T, samples, inner_frac=0.125):
     h2, h3 = _halton(4 * samples, 2), _halton(4 * samples, 3)
     re_n = MIN_OFFSET + (4 - MIN_OFFSET) * h2
     im_n = (2 * h3 - 1) * 4
-    keep = ~((re_n < 4 * inner_frac) & (np.abs(im_n) < 4 * inner_frac))
+    keep = ~((re_n < 0.5) & (np.abs(im_n) < 0.5))
     return T * (re_n + 1j * im_n)[keep][:samples]
 
 
@@ -452,11 +449,11 @@ def estimate_holder(branch, T, pairs=2000):
     return float(min(slope, 1.0)), float(np.exp(intercept))
 
 
-def el_violations(branch, T=16.0, samples=10000):
-    """Count of sampled xi violating |phi'(xi)/phi(xi)| <= 4 pi / Re xi."""
+def el_violations(branch, samples=10000):
+    """Sampled xi of Q_16 violating |phi'(xi)/phi(xi)| <= 4 pi / Re xi."""
     h2, h3 = _halton(samples, 2), _halton(samples, 3)
-    re = MIN_OFFSET + (4 * T - MIN_OFFSET) * h2
-    im = (2 * h3 - 1) * 4 * T
+    re = MIN_OFFSET + (64 - MIN_OFFSET) * h2
+    im = (2 * h3 - 1) * 64
     xi = re + 1j * im
     z, dphi = phi_eval(branch, xi)
     return int(np.count_nonzero(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -23,10 +24,29 @@ def run_cli(argv, capsys):
 
 
 class TestRunConfig:
+    @pytest.mark.parametrize("command,flags", [
+        ("tract-plot", "--config --function --radius --out --Tlist"),
+        ("spectrum", "--config --function --radius --Tjmin --Tjmax --tmin "
+                     "--tmax --tstep --out"),
+        ("transfer", "--config --function --radius --tmin --tmax --tstep "
+                     "--k-budget --out"),
+        ("pressure", "--config --function --radius --tmin --tmax --tstep "
+                     "--branch-budget --out"),
+        ("hypdim", "--config --function --radius --Tjmin --Tjmax "
+                   "--node-budget --branch-budget --out --poly"),
+        ("verify", "--node-budget --out --only"),
+    ])
+    def test_flags_per_command(self, command, flags, capsys):
+        # each command takes the RunConfig fields it reads, and no other
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[(--[\w-]+)", usage) == flags.split()
+
     def test_round_trip_bit_exact(self):
         cfg = RunConfig(function={"family": "exp_power",
                                   "lambda": [0.25, 0.0], "d": 1},
-                        radius=2.718281828459045, tstep=0.1, seed=42)
+                        radius=2.718281828459045, tstep=0.1)
         text = cfg.to_json()
         assert RunConfig.from_json(text).to_json() == text
 
@@ -152,13 +172,22 @@ class TestExitCodes:
         # a term after the first needs its sign: z^2z is not z^2 + z
         (["hypdim", "--poly", "z^2z", "--function", "exp"], "ConfigError"),
         (["spectrum", "--function", "koenigs:z^2z"], "ConfigError"),
+        # a command refuses every flag whose value it would not read
+        (["hypdim", "--function", "quarter", "--tmin", "1"], "ConfigError"),
+        (["tract-plot", "--function", "exp", "--tstep", "0"], "ConfigError"),
+        (["verify", "--only", "1", "--radius", "2"], "ConfigError"),
+        (["spectrum", "--function", "exp", "--seed", "3"], "ConfigError"),
+        # argparse's own errors come as the error JSON too
+        (["spectrum", "--function", "exp", "--radius", "x"], "ConfigError"),
     ], ids=["radius-below-singular", "unknown-check", "bad-only",
             "bad-Tlist", "pressure-radius-over-base",
             "hypdim-radius-over-base", "spectrum-Tjmin-0",
             "hypdim-Tjmin-negative", "koenigs-Tjmin-over-cap",
             "poly-dangling-power",
             "poly-degree-one", "koenigs-degree-one", "koenigs-dangling-sign",
-            "poly-unsigned-term", "koenigs-unsigned-term"])
+            "poly-unsigned-term", "koenigs-unsigned-term",
+            "hypdim-tmin", "tract-plot-tstep", "verify-radius",
+            "removed-seed-flag", "non-numeric-radius"])
     def test_bad_input_exits_2(self, argv, error, tmp_path, capsys):
         code, out = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2
@@ -179,7 +208,7 @@ class TestExitCodes:
         assert err["error"] == "ConfigError"
         assert "closed-form" in err["detail"]
 
-    @pytest.mark.parametrize("key", ["threads", "quad_tol"])
+    @pytest.mark.parametrize("key", ["threads", "quad_tol", "seed"])
     def test_removed_config_key_refused(self, key, tmp_path, capsys):
         cfg = json.loads(RunConfig(function={"family": "exp_power"}).to_json())
         cfg[key] = 1
@@ -256,7 +285,7 @@ class TestExitCodes:
                                               monkeypatch):
         # every polynomial of degree >= 2 has a repelling or parabolic
         # fixed point, so the solve is stubbed to return attracting ones
-        def attracting(coeffs, dcoeffs, targets, tol):
+        def attracting(coeffs, dcoeffs, targets):
             return np.array([[0.0j, 0.25j]]), np.array([True])
 
         monkeypatch.setattr(poly._kernels, "aberth_batch", attracting)
@@ -331,6 +360,11 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["result"]["bowen_zero"] == pytest.approx(
             1.0, abs=0.01)
+        # the polynomial side needs no --function and reads none given
+        argv = ["hypdim", "--poly", "z^2-1", "--out", str(tmp_path)]
+        alone = run_cli(argv, capsys)
+        assert alone[0] == 0
+        assert run_cli(argv + ["--function", "exp"], capsys) == alone
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--function", "exp"],

@@ -18,10 +18,10 @@ PERFBENCH = ROOT / "perfbench"
 
 #: Public names that no command reaches yet but that have a job waiting.
 ALLOWED = {
-    # ROADMAP item 5: spectrum and hypdim report the Hoelder exponent of
+    # ROADMAP item 6: spectrum and hypdim report the Hoelder exponent of
     # the tract per T of the grid
     "estimate_holder",
-    # ROADMAP item 5: and the ratio of the paper's condition (4.2) across T
+    # ROADMAP item 6: and the ratio of the paper's condition (4.2) across T
     "check_condition_42",
 }
 

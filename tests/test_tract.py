@@ -48,11 +48,12 @@ class TestFindTracts:
         # inner tract is {Re z > 7}, so phi_F(xi) = log(xi + 6)
         assert tr.phi_eval(branch, 4.0)[0] == pytest.approx(np.log(10.0), abs=1e-9)
 
-    def test_no_tract(self):
+    def test_no_tract(self, monkeypatch):
         # escape requires Re z > 8 (log R + 1); cap the annulus below that
         h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.125)
+        monkeypatch.setattr(tr, "_MAX_RHO", 100.0)
         with pytest.raises(NoTractFound):
-            tr.find_tracts(h, 1e30, max_rho=100.0)
+            tr.find_tracts(h, 1e30)
 
 
 def _spec_handle(spec):
@@ -195,25 +196,21 @@ class TestRescaling:
 
 class TestBoundary:
     def test_closed_and_deterministic(self, koenigs_branch):
-        a = tr.trace_boundary(koenigs_branch, 5.0, 256)
-        b = tr.trace_boundary(koenigs_branch, 5.0, 256)
+        a = tr.trace_boundary(koenigs_branch, 5.0)
+        b = tr.trace_boundary(koenigs_branch, 5.0)
         assert a.polyline[0] == a.polyline[-1]
         assert a.polyline == b.polyline
 
     def test_exp_corners(self, exp_branch):
-        rb = tr.trace_boundary(exp_branch, 3.0, 512)
+        rb = tr.trace_boundary(exp_branch, 3.0)
         mods = [abs(z) for z in rb.polyline]
         assert max(mods) == pytest.approx(np.hypot(4, 4), rel=0.05)
 
     def test_sqrt_parametrization(self, sq_branch):
-        rb = tr.trace_boundary(sq_branch, 5.0, 256)
+        rb = tr.trace_boundary(sq_branch, 5.0)
         scale = np.sqrt(5.0)
-        for xi, z in zip(tr._rectangle_path(256), rb.polyline):
+        for xi, z in zip(tr._rectangle_path(512), rb.polyline):
             assert z == pytest.approx(np.sqrt(5.0 * xi) / scale, abs=1e-8)
-
-    def test_point_floor(self, exp_branch):
-        with pytest.raises(ValueError):
-            tr.trace_boundary(exp_branch, 2.0, 32)
 
 
 class TestCondition42:
