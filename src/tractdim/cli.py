@@ -145,7 +145,18 @@ def function_from_spec(text):
 
 
 def load_config(args):
-    """Settings and handle; verify and hypdim --poly need no function."""
+    """Settings and handle; verify and hypdim --poly need no function.
+
+    hypdim --poly reads only node_budget, so it refuses the flags of the
+    entire-side estimate; it still takes --function, which it ignores.
+    """
+    if args.poly is not None:
+        unread = ["--" + name.replace("_", "-")
+                  for name in COMMANDS["hypdim"][1].split()
+                  if name != "node_budget" and getattr(args, name) is not None]
+        if unread:
+            raise ConfigError("hypdim --poly reads only --node-budget; "
+                              "it does not take %s" % ", ".join(unread))
     if args.config:
         try:
             with open(args.config) as fh:

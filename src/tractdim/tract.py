@@ -111,7 +111,16 @@ def _closed_branches_exp_power(handle, R):
 
         def closed(xi, rot=rot):
             w = np.asarray(xi, dtype=complex) - shift
-            return rot * w ** (1.0 / d), rot * w ** (1.0 / d - 1.0) / d
+            if d == 1:
+                return rot * w ** (1.0 / d), rot * w ** (1.0 / d - 1.0) / d
+            # one power, on a 1-d view so that a scalar xi takes the numpy
+            # path of an array; phi' = phi / (d w) is divided into w's copy
+            z = w.reshape(-1) ** (1.0 / d)
+            z *= rot
+            dz = w.reshape(-1)
+            dz *= d
+            np.divide(z, dz, out=dz)
+            return z.reshape(w.shape)[()], dz.reshape(w.shape)[()]
 
         branches.append(TractBranch(handle, closed(base_log)[0],
                                     complex(base_log), closed))

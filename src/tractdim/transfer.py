@@ -8,10 +8,11 @@ block-sum profile.  The preimages do not depend on t, so
 ``transfer_apply_point`` walks them once for a whole t grid.
 
 Iterated powers split into a t-independent part and a per-t sum:
-``iterate_frontier`` walks the preimage tree at w once and keeps each
-level's log|phi'/phi| rows, and ``transfer_iterate`` and
-``pressure_entire`` evaluate one t on that frontier.  A pressure curve or
-a Bowen-zero bisection therefore walks phi once, not once per t.
+``iterate_frontier`` walks the preimage tree at w once and keeps, per
+depth, the sorted path sums of log|phi'/phi| along every preimage chain,
+and ``transfer_iterate`` and ``pressure_entire`` evaluate one t on that
+frontier as a sum of e^(t * path sum).  A pressure curve or a Bowen-zero
+bisection therefore walks phi and sorts the sums once, not once per t.
 """
 
 import math
@@ -181,11 +182,10 @@ def level_budgets(branch_budget, n):
 class IterateFrontier:
     """The t-independent part of the iterated operator at w.
 
-    ``levels[j]`` is ``(parents, logterms)`` for the preimages of level
-    j + 1: row r of ``logterms`` holds log|phi'/phi| at the preimages,
-    under one tract branch and for |k| <= ``level_budgets(...)[j]``, of
-    point ``parents[r]`` of level j (level 0 is w itself).  Rows are in
-    walk order, so level j + 1 is the rows raveled.
+    ``levels[j]`` holds, in ascending order, one path sum per preimage of
+    depth j + 1: the sum of log|phi'/phi| along its chain of preimages
+    back to w, each step under one tract branch and for |k| <=
+    ``level_budgets(...)[j]``.  Each level is a read-only float array.
     """
 
     atlas: object
@@ -214,6 +214,7 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
     log_radius = math.log(atlas.radius)
     sampled = any(b.sampled for b in atlas.tracts)
     zs = np.array([complex(w)])
+    sums = np.array([0.0])  # path sum of each point of zs, in walk order
     levels = []
     for level, B in enumerate(level_budgets(branch_budget, n)):
         ks = np.arange(-B, B + 1)
@@ -233,18 +234,20 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
             groups = [(kept, np.log(np.abs(zs[kept]))[:, None],
                        np.angle(zs[kept])[:, None])]
         # the last level's preimages expand no further, so only their
-        # log terms are kept
+        # path sums are kept
         expand = level < n - 1
-        parents, rows, children = [], [], []
+        rows, children = [], []
         for idx, logw, argw in groups:
             for branch in atlas.tracts:
                 child, logterm = _log_weight_terms(branch, logw, argw, ks)
-                parents.append(idx)
-                rows.append(np.atleast_2d(logterm))
+                row = logterm.reshape(len(idx), -1)
+                row += sums[idx][:, None]
+                rows.append(row.ravel())
                 if expand:
                     children.append(child.ravel())
-        levels.append(tuple(_read_only(np.concatenate(a))
-                            for a in (parents, rows)))
+        # the next level reads sums in walk order, so each level is a copy
+        sums = np.concatenate(rows)
+        levels.append(_read_only(np.sort(sums)))
         if expand:
             zs = np.concatenate(children)
     return IterateFrontier(atlas, complex(w), branch_budget, tuple(levels))
@@ -259,7 +262,8 @@ def transfer_iterate(frontier, t, n):
     """n-th operator power on the constant function at the frontier's w.
 
     Depth 1 is ``transfer_apply_point``, with its divergence check; deeper
-    powers sum e^(t sum log|phi'/phi|) over the frontier's level n.
+    powers sum e^(t * path sum) over the frontier's level n, whose
+    ascending order t > 0 keeps.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -269,10 +273,7 @@ def transfer_iterate(frontier, t, n):
     if n == 1:
         return transfer_apply_point(frontier.atlas, t, frontier.w,
                                     k_budget=frontier.branch_budget).value
-    logwt = np.array([0.0])
-    for parents, logterms in frontier.levels[:n]:
-        logwt = (logwt[parents][:, None] + t * logterms).ravel()
-    return float(np.sum(np.exp(np.sort(logwt))))
+    return float(np.sum(np.exp(t * frontier.levels[n - 1])))
 
 
 @dataclass

@@ -366,6 +366,25 @@ class TestCommands:
         assert alone[0] == 0
         assert run_cli(argv + ["--function", "exp"], capsys) == alone
 
+    def test_hypdim_poly_refuses_entire_flags(self, tmp_path, capsys):
+        # the polynomial side reads only --node-budget; --function stays
+        # accepted (and ignored), every entire-side flag is named and refused
+        base = ["hypdim", "--poly", "z^2", "--function", "exp",
+                "--out", str(tmp_path)]
+        code, _ = run_cli(base + ["--node-budget", "100000"], capsys)
+        assert code == 0
+        flags = ["--radius", "2", "--Tjmin", "5", "--Tjmax", "12",
+                 "--branch-budget", "64"]
+        for i in range(0, len(flags), 2):
+            code, out = run_cli(base + flags[i:i + 2], capsys)
+            assert code == 2
+            err = json.loads(out)
+            assert err["error"] == "ConfigError"
+            assert flags[i] in err["detail"]
+        code, out = run_cli(base + flags, capsys)
+        assert code == 2
+        assert all(f in json.loads(out)["detail"] for f in flags[::2])
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--function", "exp"],
         ["hypdim", "--function", "quarter"],
@@ -412,7 +431,7 @@ class TestCommands:
         assert code == 0
         rows = (tmp_path / "pressure.csv").read_text().splitlines()[1:]
         assert [float(r.split(",")[1]) for r in rows] == [
-            -1.0783597064377866, -2.0918765529925887]
+            -1.0783597064377868, -2.0918765529925887]
 
     def test_config_file(self, tmp_path, capsys):
         cfg = RunConfig(function={"family": "exp_power",

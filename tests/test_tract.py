@@ -130,6 +130,40 @@ class TestPhiEval:
         assert d == pytest.approx(8.0, abs=1e-9)
 
 
+class TestSquareClosedForm:
+    """e^{z^2}: phi = rot sqrt(xi) on both tracts, rot = 1 and e^(i pi)."""
+
+    @pytest.fixture(scope="class")
+    def branches(self):
+        return tr.find_tracts(lz.exp_power(1.0, 2), np.e).tracts
+
+    @pytest.fixture(scope="class")
+    def xis(self):
+        rng = np.random.default_rng(7)
+        return (rng.uniform(tr.MIN_OFFSET, 2 ** 14, 2000)
+                + 1j * rng.uniform(-2 ** 14, 2 ** 14, 2000))
+
+    def test_scalar_matches_array(self, branches, xis):
+        for branch in branches:
+            z, dz = tr.phi_eval(branch, xis)
+            for i, xi in enumerate(xis.tolist()):
+                assert tr.phi_eval(branch, xi) == (z[i], dz[i])
+                assert tr.phi_eval(branch, [xi])[0][0] == z[i]
+
+    def test_tract_scale_matches_array(self, branches):
+        Ts = 2.0 ** np.arange(15)
+        for branch in branches:
+            scales = np.abs(tr.phi_eval(branch, Ts.astype(complex))[0])
+            assert [tr.tract_scale(branch, T) for T in Ts] == scales.tolist()
+
+    def test_derivative_closed_form(self, branches, xis):
+        for j, branch in enumerate(branches):
+            rot = np.exp(1j * np.pi * j)
+            want = rot * xis ** -0.5 / 2
+            got = tr.phi_eval(branch, xis)[1]
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+
 def _full_newton(branch, xi, z):
     """Newton over the whole array every iteration, the reference loop."""
     for _ in range(tr._NEWTON_MAXIT):

@@ -302,11 +302,43 @@ class TestIterate:
     def test_frontier_is_frozen(self, exp_atlas):
         frontier = tf.iterate_frontier(exp_atlas, E2, 2, 32)
         assert frontier.depth == 2
-        parents, logterms = frontier.levels[1]
-        # no complex preimages are kept, only parents and log|phi'/phi|
-        assert parents.dtype.kind == "i" and logterms.dtype == float
-        with pytest.raises(ValueError):
-            logterms[0, 0] = 0.0
+        # exp's preimages of e^2 are 2 + 2 pi i k, and all but k = 0 lie
+        # outside the reference circle |w| = e, so each expands
+        B1, B2 = tf.level_budgets(32, 2)
+        assert [len(a) for a in frontier.levels] == [
+            2 * B1 + 1, 2 * B1 * (2 * B2 + 1)]
+        for level in frontier.levels:
+            # no complex preimages are kept, only ascending path sums
+            assert level.dtype == float and level.ndim == 1
+            assert np.all(np.diff(level) >= 0)
+            with pytest.raises(ValueError):
+                level[0] = 0.0
+
+    @pytest.mark.parametrize("spec", ["exp", "quarter", "square", "composite"])
+    def test_path_sums_match_per_t_gather(self, spec):
+        # reference: per t, gather the parents' weights, add
+        # t log|phi'/phi|, then sort and sum the exponentials
+        atlas = tr.find_tracts(cli.function_from_spec(spec), math.e)
+        frontier = tf.iterate_frontier(atlas, E2, 3)
+        zs, tree = np.array([E2]), []
+        for B in tf.level_budgets(128, 3):
+            kept = np.flatnonzero(np.log(np.abs(zs)) > math.log(atlas.radius))
+            xi = (np.log(np.abs(zs[kept]))[:, None]
+                  + 1j * (np.angle(zs[kept])[:, None]
+                          + 2 * np.pi * np.arange(-B, B + 1)))
+            walks = [tr.phi_path(branch, xi) for branch in atlas.tracts]
+            tree.append([(kept, np.log(np.abs(dz)) - np.log(np.abs(z)))
+                         for z, dz in walks])
+            zs = np.concatenate([z.ravel() for z, _ in walks])
+        for t in (1.2, 1.5, 2.0, 2.5):
+            logwt = np.array([0.0])
+            for n, level in enumerate(tree, start=1):
+                logwt = np.concatenate([(logwt[kept][:, None] + t * lt).ravel()
+                                        for kept, lt in level])
+                if n >= 2:
+                    old = float(np.sum(np.exp(np.sort(logwt))))
+                    assert tf.transfer_iterate(frontier, t, n) == \
+                        pytest.approx(old, rel=1e-13, abs=0)
 
 
 class TestPressure:
