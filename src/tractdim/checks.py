@@ -19,12 +19,7 @@ from . import poly
 from . import spectrum as sp
 from . import tract as tr
 from . import transfer as tf
-from .errors import (
-    BudgetExceeded,
-    DivergenceDetected,
-    NoSignChange,
-    TractdimError,
-)
+from .errors import DivergenceDetected, NoSignChange, TractdimError
 from .poly import Polynomial
 
 _E2 = complex(math.e ** 2)
@@ -105,17 +100,12 @@ def check_elementary_spectrum():
     return passed, detail
 
 
-def check_tree_pressure(node_budget=poly.DEFAULT_NODE_BUDGET):
+def check_tree_pressure():
     """Dyadic tree pressure and its zero for exactly solvable polynomials."""
-    try:
-        curve = poly.pressure_curve(Z2, (0.0, 0.5, 1.0, 1.5), 3.0, 14,
-                                    node_budget=node_budget)
-        perr = max(abs(P - (1 - t) * math.log(2))
-                   for t, P in zip(curve.t_grid, curve.values))
-        zeros = [float(poly.bowen_zero_poly(p, 12, node_budget=node_budget))
-                 for p in (Z2, CHEB, COSH)]
-    except BudgetExceeded as exc:
-        return False, "BudgetExceeded: %s" % exc
+    ts = (0.0, 0.5, 1.0, 1.5)
+    perr = max(abs(P - (1 - t) * math.log(2))
+               for t, P in zip(ts, poly.pressure_curve(Z2, ts, 3.0, 14)))
+    zeros = [poly.bowen_zero_poly(p, 12).value for p in (Z2, CHEB, COSH)]
     passed = (perr < 1e-3 and abs(zeros[0] - 1.0) <= 0.01
               and all(abs(z - 1.0) <= 0.05 for z in zeros[1:]))
     return passed, "max|P-(1-t)log2|=%.2e zeros=%.4f,%.4f,%.4f" % (
@@ -132,7 +122,7 @@ def check_arc_pressure_identity():
     """Boundary means exponent vs the tree-pressure prediction, p = z^2-1."""
     ts = (0.5, 1.0, 1.5)
     betas = poly.bottcher_means_spectrum(BASILICA, ts, MEANS_RADII)
-    pressures = poly.pressure_curve(BASILICA, ts, 5.0, 14).values
+    pressures = poly.pressure_curve(BASILICA, ts, 5.0, 14)
     errs = [abs(beta_h - (t - 1 + P / math.log(2)))
             for t, beta_h, P in zip(ts, betas, pressures)]
     passed = all(e < 0.05 for e in errs)
@@ -231,15 +221,15 @@ def check_composite_comparison():
 
 
 def check_boundary_figures():
-    """Rescaled-boundary SVGs render deterministically with a unit marker."""
-    from .cli import function_from_spec, render_boundary_svg
+    """Rescaled-boundary figures render deterministically with a unit marker."""
+    from .cli import boundary_figure, function_from_spec
 
     atlas = tr.find_tracts(function_from_spec("koenigs:z^2-1"), math.e)
     branch = atlas.tracts[0]
     marker_err, stable = 0.0, True
     for T in (1.0, 5.0, 20.0):
-        first = render_boundary_svg(branch, T)
-        second = render_boundary_svg(branch, T)
+        first = boundary_figure(atlas, T)
+        second = boundary_figure(atlas, T)
         stable = stable and first == second
         marker = abs(tr.rescaled_map(branch, T, 1.0))
         marker_err = max(marker_err, abs(marker - 1.0))
@@ -263,15 +253,12 @@ CHECKS = (
 )
 
 
-def run_check(ident, node_budget=None):
+def run_check(ident):
     for cid, name, fn in CHECKS:
         if cid == ident:
             start = time.monotonic()
             try:
-                if cid == 4 and node_budget is not None:
-                    passed, detail = fn(node_budget)
-                else:
-                    passed, detail = fn()
+                passed, detail = fn()
             except TractdimError as exc:
                 passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
             return CheckResult(cid, name, passed, detail,
@@ -279,9 +266,9 @@ def run_check(ident, node_budget=None):
     raise KeyError(ident)
 
 
-def run_all(node_budget=None, idents=None):
+def run_all(idents=None):
     wanted = idents if idents is not None else [c[0] for c in CHECKS]
-    return [run_check(i, node_budget) for i in wanted]
+    return [run_check(i) for i in wanted]
 
 
 def format_report(results):

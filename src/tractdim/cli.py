@@ -31,6 +31,10 @@ class ConfigError(Exception):
 # Configuration
 
 
+#: Most points a t grid or a T grid may hold.
+MAX_GRID_POINTS = 10_000
+
+
 @dataclass
 class RunConfig:
     function: dict
@@ -58,8 +62,17 @@ class RunConfig:
             raise ConfigError("radius must be >= 1")
         if self.Tjmin > self.Tjmax:
             raise InvalidGrid("empty T grid: Tjmin > Tjmax")
+        if self.Tjmax >= sys.float_info.max_exp:
+            raise InvalidGrid("T = 2^%d overflows a float" % self.Tjmax)
         if self.tstep <= 0 or self.tmin > self.tmax:
             raise InvalidGrid("empty or unordered t grid")
+        # each grid is refused before it is built: the T grid holds
+        # Tjmax - Tjmin + 1 points, the t grid about (tmax - tmin) / tstep + 1
+        for name, span in (("T", self.Tjmax - self.Tjmin),
+                           ("t", (self.tmax - self.tmin) / self.tstep)):
+            if span >= MAX_GRID_POINTS:
+                raise InvalidGrid("%s grid above %d points"
+                                  % (name, MAX_GRID_POINTS))
         return self
 
     def to_json(self):
@@ -230,18 +243,18 @@ def _svg_document(polylines, marker):
     return "\n".join(lines) + "\n"
 
 
-def render_boundary_svg(branch, T):
-    """Stroke-only SVG of one rescaled tract boundary with a unit marker."""
-    rb = tr.trace_boundary(branch, T)
-    return _svg_document([rb.polyline], tr.rescaled_map(branch, T, 1.0))
+def boundary_figure(atlas, T):
+    """(SVG, CSV) of every tract's rescaled boundary at T.
 
-
-def _boundary_csv(boundaries):
+    The SVG strokes each boundary and marks phi_T(1) of the first tract.
+    """
+    polylines = [tr.trace_boundary(branch, T) for branch in atlas.tracts]
+    marker = tr.rescaled_map(atlas.tracts[0], T, 1.0)
     lines = ["T,tract,x,y"]
-    for T, idx, polyline in boundaries:
+    for idx, polyline in enumerate(polylines):
         for z in polyline:
             lines.append("%.6g,%d,%.9g,%.9g" % (T, idx, z.real, z.imag))
-    return "\n".join(lines) + "\n"
+    return _svg_document(polylines, marker), "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +275,10 @@ def cmd_tract_plot(cfg, handle, T_list):
     for T in T_list:
         if T < 1:
             raise InvalidGrid("T must be >= 1, got %g" % T)
-        rows, polylines = [], []
-        for idx, branch in enumerate(atlas.tracts):
-            rb = tr.trace_boundary(branch, T)
-            polylines.append(rb.polyline)
-            rows.append((T, idx, rb.polyline))
-        marker = tr.rescaled_map(atlas.tracts[0], T, 1.0)
+        svg, csv = boundary_figure(atlas, T)
         stem = "tract_T%g" % T
-        written.append(_write(cfg, stem + ".svg",
-                              _svg_document(polylines, marker)))
-        written.append(_write(cfg, stem + ".csv", _boundary_csv(rows)))
+        written.append(_write(cfg, stem + ".svg", svg))
+        written.append(_write(cfg, stem + ".csv", csv))
     return {"written": written}
 
 
@@ -279,14 +286,7 @@ def cmd_spectrum(cfg, handle):
     atlas = _find_tracts(handle, cfg)
     tables = sp.means_tables(atlas.tracts[0], cfg.T_grid())
     curve = sp.spectrum_curve(tables, cfg.t_grid())
-    ok, report = sp.negative_spectrum_check(curve)
-    summary = {
-        "theta_hat": curve.theta_hat,
-        "negative_spectrum": ok,
-        "violations": report["violations"],
-    }
-    if "reason" in report:
-        summary["reason"] = report["reason"]
+    summary = sp.negative_spectrum_check(curve)
     written = [
         _write(cfg, "spectrum.csv", curve.to_csv()),
         _write(cfg, "spectrum.json", json.dumps(
@@ -310,7 +310,10 @@ def cmd_transfer(cfg, handle):
     atlas = _find_tracts(handle, cfg)
     k_budget = cfg.k_budget or None
     w = tf.BASE_POINT
-    samples = tf.transfer_apply_point(atlas, t_grid, w, k_budget)
+    try:
+        samples = tf.transfer_apply_point(atlas, t_grid, w, k_budget)
+    except ValueError as exc:  # the base point lies inside --radius
+        raise ConfigError(str(exc))
     csv = "t,value,terms,tail\n" + "".join(
         "%.9g,%.17g,%d,%.3g\n"
         % (s.t, s.value, s.terms_used, s.tail_estimate) for s in samples)
@@ -324,17 +327,22 @@ def cmd_transfer(cfg, handle):
     return {"written": written}
 
 
+def _frontier(atlas, n, branch_budget):
+    """The iterate frontier at the base point, which serves every t;
+    a base point inside --radius is a ConfigError."""
+    try:
+        return tf.iterate_frontier(atlas, tf.BASE_POINT, n, branch_budget)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
 def cmd_pressure(cfg, handle):
     t_grid = _positive_t_grid(cfg)
-    atlas = _find_tracts(handle, cfg)
-    try:
-        curve = tf.pressure_curve_entire(atlas, t_grid,
-                                         branch_budget=cfg.branch_budget)
-    except ValueError as exc:  # the base point lies inside --radius
-        raise ConfigError(str(exc))
+    frontier = _frontier(_find_tracts(handle, cfg), 3, cfg.branch_budget)
+    fits = [tf.pressure_entire(frontier, t) for t in t_grid]
     csv = "t,pressure,residual\n" + "".join(
-        "%.9g,%.17g,%.3g\n" % (t, p, r)
-        for t, p, r in zip(curve.t_grid, curve.values, curve.residuals))
+        "%.9g,%.17g,%.3g\n" % (t, fit.value, fit.residual)
+        for t, fit in zip(t_grid, fits))
     written = [_write(cfg, "pressure.csv", csv)]
     return {"written": written}
 
@@ -357,11 +365,7 @@ def cmd_hypdim(cfg, handle, poly_text=None):
     branch_budget = min(cfg.branch_budget, 32) if sampled \
         else cfg.branch_budget
     # one frontier serves every t of both bracket attempts
-    try:
-        frontier = tf.iterate_frontier(atlas, tf.BASE_POINT, n_max,
-                                       branch_budget)
-    except ValueError as exc:  # the base point lies inside --radius
-        raise ConfigError(str(exc))
+    frontier = _frontier(atlas, n_max, branch_budget)
     lowered = False
     try:
         bowen = tf.bowen_zero_entire(frontier, theta)
@@ -376,7 +380,7 @@ def cmd_hypdim(cfg, handle, poly_text=None):
         cross = poly.bowen_zero_poly(handle.p, 12,
                                      node_budget=cfg.node_budget)
         diagnostics["poly_bowen_zero"] = cross.value
-    result = {"theta_hat": theta, "bowen_zero": float(bowen),
+    result = {"theta_hat": theta, "bowen_zero": bowen,
               "diagnostics": diagnostics}
     _write(cfg, "hypdim.json",
            json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -389,7 +393,7 @@ def cmd_verify(cfg, idents=None):
     unknown = sorted(set(idents or ()) - {cid for cid, _, _ in checks.CHECKS})
     if unknown:
         raise ConfigError("unknown check ids: %s" % unknown)
-    results = checks.run_all(node_budget=cfg.node_budget, idents=idents)
+    results = checks.run_all(idents)
     report = "tractdim verify\n" + checks.format_report(results)
     _write(cfg, "verify.txt", report)
     # durations vary run to run, so they stay out of verify.txt
@@ -415,7 +419,7 @@ COMMANDS = {
                  "radius tmin tmax tstep branch_budget"),
     "hypdim": ("dimension estimate pipeline",
                "radius Tjmin Tjmax node_budget branch_budget"),
-    "verify": ("run the built-in check suite", "node_budget"),
+    "verify": ("run the built-in check suite", ""),
 }
 
 

@@ -192,28 +192,10 @@ def repelling_fixed_point(p):
         z, last = z - step, abs(step)
 
 
-@dataclass
-class TreePressure:
-    """Tree-pressure estimate at one t.
-
-    value is the limsup proxy: max over the last three depths of the
-    two-point Richardson extrapolants in 1/n of the raw per-depth values
-    (1/n) log sum |(p^n)'|^{-t}.  The raw sequence is retained.
-    """
-
-    value: float
-    per_depth: list
-
-    def __float__(self):
-        return float(self.value)
-
-
 def _pressure_sequence(log_derivs, t):
     """Raw per-depth values from per-level log|cumulative derivative| arrays."""
-    out = []
-    for k, ld in enumerate(log_derivs, start=1):
-        out.append(float(logsumexp(-t * ld) / k))
-    return out
+    return [float(logsumexp(-t * ld) / k)
+            for k, ld in enumerate(log_derivs, start=1)]
 
 
 def _extrapolate(seq):
@@ -233,30 +215,20 @@ def tree_log_derivs(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
 
 
 def _pressure_from(log_derivs, t):
-    seq = _pressure_sequence(log_derivs, t)
-    return TreePressure(_extrapolate(seq), seq)
+    """Tree pressure at t: the limsup proxy of the raw per-depth values."""
+    return _extrapolate(_pressure_sequence(log_derivs, t))
 
 
 def tree_pressure(p, t, w, n, node_budget=DEFAULT_NODE_BUDGET):
-    """Tree pressure (1/n) log sum over p^{-n}(w) of |(p^n)'|^{-t}.
-
-    Returns a TreePressure whose value is the Richardson-extrapolated
-    limsup proxy and whose per_depth member is the raw sequence.
-    """
+    """Tree pressure (1/n) log sum over p^{-n}(w) of |(p^n)'|^{-t},
+    Richardson-extrapolated in 1/n."""
     return _pressure_from(tree_log_derivs(p, w, n, node_budget), t)
-
-
-@dataclass
-class PressureCurve:
-    t_grid: list
-    values: list
 
 
 def pressure_curve(p, t_grid, w, n, node_budget=DEFAULT_NODE_BUDGET):
     """Tree pressure at every t of t_grid, from one depth-n tree."""
     log_derivs = tree_log_derivs(p, w, n, node_budget)
-    values = [_pressure_from(log_derivs, float(t)).value for t in t_grid]
-    return PressureCurve(list(t_grid), values)
+    return [_pressure_from(log_derivs, float(t)) for t in t_grid]
 
 
 @dataclass
@@ -264,9 +236,6 @@ class BowenZero:
     value: float
     bracket: tuple
     width: float
-
-    def __float__(self):
-        return float(self.value)
 
 
 def bowen_zero_poly(
@@ -276,8 +245,8 @@ def bowen_zero_poly(
     """Bisection zero of t -> tree_pressure(p, t, w, depth) on the bracket."""
     log_derivs = tree_log_derivs(p, w, depth, node_budget)
     lo, hi = bracket
-    plo = _pressure_from(log_derivs, lo).value
-    phi = _pressure_from(log_derivs, hi).value
+    plo = _pressure_from(log_derivs, lo)
+    phi = _pressure_from(log_derivs, hi)
     if plo == 0.0:
         return BowenZero(lo, (lo, lo), 0.0)
     if not (plo > 0.0 > phi):
@@ -286,7 +255,7 @@ def bowen_zero_poly(
             f"P({hi})={phi:.4g}"
         )
     lo, hi = bisect_bracket(
-        lambda t: _pressure_from(log_derivs, t).value > 0.0, lo, hi, width)
+        lambda t: _pressure_from(log_derivs, t) > 0.0, lo, hi, width)
     return BowenZero(0.5 * (lo + hi), (lo, hi), hi - lo)
 
 

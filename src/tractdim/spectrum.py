@@ -109,10 +109,6 @@ class BetaEstimate:
     value: float
     drift: float
     per_T: list  # raw beta(1/T_j, t) along the grid
-    slopes: list
-
-    def __float__(self):
-        return float(self.value)
 
 
 def beta_infinity(tables, t):
@@ -128,7 +124,7 @@ def beta_infinity(tables, t):
     raw = [li / xi for li, xi in zip(logI, x)]
     slopes = list(np.diff(logI) / np.diff(x))
     top = slopes[len(slopes) // 2:]
-    return BetaEstimate(max(top), max(top) - min(top), raw, slopes)
+    return BetaEstimate(max(top), max(top) - min(top), raw)
 
 
 @dataclass
@@ -203,25 +199,25 @@ def theta_f(tables):
 
 
 def negative_spectrum_check(curve):
-    """b(t) < 0.02 for every grid t above theta_hat + 0.05.
+    """Summary of the check b(t) < 0.02 at every grid t above theta_hat + 0.05.
 
     Without a finite theta_hat there is no grid point above it to test, so
-    the check fails and the report's "reason" says why.
+    the check fails and the summary's "reason" says why.
     """
     violations = [
         (t, b)
         for t, b in zip(curve.t_grid, curve.b_inf)
         if t > curve.theta_hat + 0.05 and not b < 0.02
     ]
-    report = {
+    finite = bool(np.isfinite(curve.theta_hat))
+    summary = {
         "theta_hat": curve.theta_hat,
-        "tolerance": 0.02,
+        "negative_spectrum": finite and not violations,
         "violations": violations,
     }
-    if not np.isfinite(curve.theta_hat):
-        report["reason"] = "theta_hat is not finite: no threshold to test"
-        return False, report
-    return len(violations) == 0, report
+    if not finite:
+        summary["reason"] = "theta_hat is not finite: no threshold to test"
+    return summary
 
 
 def composite_spectrum_compare(inner_tables, composite_tables, t_grid):

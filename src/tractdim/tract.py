@@ -89,13 +89,6 @@ class TractAtlas:
     tracts: list
 
 
-@dataclass
-class RescaledBoundary:
-    T: float
-    scale: float
-    polyline: list
-
-
 # ---------------------------------------------------------------------------
 # Tract location
 
@@ -392,11 +385,12 @@ def _rectangle_path(n_points):
 
 
 def trace_boundary(branch, T):
-    scale = tract_scale(branch, T)
+    """Closed polyline of phi_T around the rectangle path, first point last."""
+    scale = tract_scale(branch, T)  # first: its anchor seeds the walks
     xi = T * np.asarray(_rectangle_path(512))
     poly = (phi_eval(branch, xi)[0] / scale).tolist()
     poly.append(poly[0])
-    return RescaledBoundary(float(T), scale, poly)
+    return poly
 
 
 def _sample_annulus_qt(T, samples):

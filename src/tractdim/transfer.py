@@ -12,7 +12,9 @@ Iterated powers split into a t-independent part and a per-t sum:
 depth, the sorted path sums of log|phi'/phi| along every preimage chain,
 and ``transfer_iterate`` and ``pressure_entire`` evaluate one t on that
 frontier as a sum of e^(t * path sum).  A pressure curve or a Bowen-zero
-bisection therefore walks phi and sorts the sums once, not once per t.
+bisection therefore walks the frontier's phi and sorts its sums once, not
+once per t; only depth 1, the point operator with its divergence check,
+walks its own k-blocks of phi again at every t.
 """
 
 import math
@@ -61,6 +63,14 @@ def _block_ks(n):
     lo, hi = (1 << (n - 1)) + 1, 1 << n
     pos = np.arange(lo, hi + 1)
     return -pos, pos
+
+
+def _check_outside(atlas, w):
+    """ValueError unless w lies outside the reference circle, where its
+    preimages lie in the tracts."""
+    if abs(w) <= atlas.radius:
+        raise ValueError("|w| = %g is not outside the reference circle "
+                         "|w| = %g" % (abs(w), atlas.radius))
 
 
 def _split_point(w):
@@ -152,12 +162,14 @@ def transfer_apply_point(atlas, t, w, k_budget=None):
     t is a number, which gives one TransferSample, or a sequence, which
     gives a list of them in grid order from a single walk of the
     preimages; every sample equals a scalar call's at its t on a fresh
-    atlas.  Any t <= 0 raises ValueError before phi is evaluated.
+    atlas.  Any t <= 0, or a w inside the reference circle, raises
+    ValueError before phi is evaluated.
     """
     grid = np.ndim(t) > 0
     ts = list(t) if grid else [t]
     if any(x <= 0 for x in ts):
         raise ValueError("t must be positive")
+    _check_outside(atlas, w)
     if k_budget is None:
         k_budget = _default_budget(atlas)
     samples = [_sample(w, x, *walk)
@@ -208,9 +220,7 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
     """
     if not 1 <= n <= 4:
         raise ValueError("iterate depth limited to 1..4")
-    if abs(w) <= atlas.radius:
-        raise ValueError("|w| = %g is not outside the reference circle "
-                         "|w| = %g" % (abs(w), atlas.radius))
+    _check_outside(atlas, w)
     log_radius = math.log(atlas.radius)
     sampled = any(b.sampled for b in atlas.tracts)
     zs = np.array([complex(w)])
@@ -280,10 +290,6 @@ def transfer_iterate(frontier, t, n):
 class PressureFit:
     value: float
     residual: float
-    per_n: list
-
-    def __float__(self):
-        return float(self.value)
 
 
 def pressure_entire(frontier, t):
@@ -293,26 +299,7 @@ def pressure_entire(frontier, t):
     ns = np.arange(1, frontier.depth + 1, dtype=float)
     slope, intercept = np.polyfit(ns, logs, 1)
     residual = float(np.max(np.abs(slope * ns + intercept - logs)))
-    return PressureFit(float(slope), residual, logs)
-
-
-@dataclass
-class EntirePressureCurve:
-    t_grid: list
-    values: list
-    residuals: list
-
-
-def pressure_curve_entire(atlas, t_grid, w=BASE_POINT, n_max=3,
-                          branch_budget=128):
-    """Pressure along a t grid, all from one frontier at w."""
-    frontier = iterate_frontier(atlas, w, n_max, branch_budget)
-    fits = [pressure_entire(frontier, t) for t in t_grid]
-    return EntirePressureCurve(
-        t_grid=list(t_grid),
-        values=[f.value for f in fits],
-        residuals=[f.residual for f in fits],
-    )
+    return PressureFit(float(slope), residual)
 
 
 def pressure_root(pfun, lo, hi, width=0.02):

@@ -10,12 +10,13 @@ import sys
 import numpy as np
 import pytest
 
+import tractdim.checks as checks
 import tractdim.cli as cli
 import tractdim.linearizer as lz
 import tractdim.poly as poly
 import tractdim.spectrum as sp
 from tractdim.cli import ConfigError, RunConfig
-from tractdim.errors import InvalidGrid, NoSignChange
+from tractdim.errors import BudgetExceeded, InvalidGrid, NoSignChange
 
 
 def run_cli(argv, capsys):
@@ -34,7 +35,7 @@ class TestRunConfig:
                      "--branch-budget --out"),
         ("hypdim", "--config --function --radius --Tjmin --Tjmax "
                    "--node-budget --branch-budget --out --poly"),
-        ("verify", "--node-budget --out --only"),
+        ("verify", "--out --only"),
     ])
     def test_flags_per_command(self, command, flags, capsys):
         # each command takes the RunConfig fields it reads, and no other
@@ -69,6 +70,12 @@ class TestRunConfig:
             RunConfig(function={}, tstep=0.0).validate()
         with pytest.raises(ConfigError):
             RunConfig(function={}, node_budget=0).validate()
+        # a grid above MAX_GRID_POINTS is refused before it is built
+        with pytest.raises(InvalidGrid, match="T grid above 10000"):
+            RunConfig(function={}, Tjmin=-20000).validate()
+        with pytest.raises(InvalidGrid, match="t grid above 10000"):
+            RunConfig(function={}, tstep=1e-4).validate()
+        RunConfig(function={}, Tjmin=-9984, tstep=2.0 / 9999).validate()
 
     @pytest.mark.parametrize("field", ["radius", "tmin", "tmax", "tstep"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -159,9 +166,14 @@ class TestExitCodes:
         (["pressure", "--function", "quarter", "--tmin", "1.5",
           "--radius", "8"], "ConfigError"),
         (["hypdim", "--function", "quarter", "--radius", "8"], "ConfigError"),
+        (["transfer", "--function", "exp", "--tmin", "1.2", "--radius", "10"],
+         "ConfigError"),
         # T = 1 gives log(1/r) = 0 and T = 1/2 puts r = 1/T at 2
         (["spectrum", "--function", "exp", "--Tjmin", "0"], "InvalidGrid"),
         (["hypdim", "--function", "exp", "--Tjmin", "-1"], "InvalidGrid"),
+        # 2^1100 overflows a float, and a 1e-9 step asks for 2e9 t values
+        (["spectrum", "--function", "exp", "--Tjmax", "1100"], "InvalidGrid"),
+        (["spectrum", "--function", "exp", "--tstep", "1e-9"], "InvalidGrid"),
         # a sampled branch keeps only T <= 2^9, so 2^10..2^14 leaves none
         (["spectrum", "--function", "koenigs:z^2-1", "--Tjmin", "10"],
          "InvalidGrid"),
@@ -181,8 +193,10 @@ class TestExitCodes:
         (["spectrum", "--function", "exp", "--radius", "x"], "ConfigError"),
     ], ids=["radius-below-singular", "unknown-check", "bad-only",
             "bad-Tlist", "pressure-radius-over-base",
-            "hypdim-radius-over-base", "spectrum-Tjmin-0",
-            "hypdim-Tjmin-negative", "koenigs-Tjmin-over-cap",
+            "hypdim-radius-over-base", "transfer-radius-over-base",
+            "spectrum-Tjmin-0", "hypdim-Tjmin-negative",
+            "spectrum-Tjmax-overflow", "spectrum-tstep-too-fine",
+            "koenigs-Tjmin-over-cap",
             "poly-dangling-power",
             "poly-degree-one", "koenigs-degree-one", "koenigs-dangling-sign",
             "poly-unsigned-term", "koenigs-unsigned-term",
@@ -463,18 +477,23 @@ class TestVerify:
         assert "seconds" not in out
         assert (tmp_path / "verify.txt").read_text() == out
 
-    def test_budget_one_fails(self, tmp_path, capsys):
-        code, out = run_cli(["verify", "--only", "4", "--node-budget", "1",
+    def test_check_error_is_a_fail_line(self, tmp_path, capsys,
+                                        monkeypatch):
+        # a check that raises a TractdimError fails, and its line names it
+        def over_budget():
+            raise BudgetExceeded("2^14 nodes exceed budget 1")
+
+        monkeypatch.setattr(checks, "CHECKS", tuple(
+            (cid, name, over_budget if cid == 4 else fn)
+            for cid, name, fn in checks.CHECKS))
+        code, out = run_cli(["verify", "--only", "1,4",
                              "--out", str(tmp_path)], capsys)
         assert code == 1
-        assert "FAIL   4" in out and "BudgetExceeded" in out
-
-    def test_node_budget_reaches_every_tree(self, tmp_path, capsys):
-        # the depth-14 tree of check 4 has 16,384 nodes
-        code, out = run_cli(["verify", "--only", "4", "--node-budget",
-                             "10000", "--out", str(tmp_path)], capsys)
-        assert code == 1
-        assert "FAIL   4" in out and "BudgetExceeded" in out
+        lines = out.splitlines()
+        assert lines[1].startswith("PASS   1")
+        assert lines[2].startswith("FAIL   4  tree-pressure")
+        assert lines[2].endswith("BudgetExceeded: 2^14 nodes exceed budget 1")
+        assert lines[3] == "1/2 checks passed"
 
 
 def test_cli_import_leaves_scipy_out():

@@ -121,22 +121,22 @@ class TestFixedPoints:
 
 class TestTreePressure:
     def test_z2_exact_line(self):
-        curve = poly.pressure_curve(Z2, (0.0, 0.5, 1.0, 1.5), 3.0, 14)
-        for t, val in zip(curve.t_grid, curve.values):
+        ts = (0.0, 0.5, 1.0, 1.5)
+        for t, val in zip(ts, poly.pressure_curve(Z2, ts, 3.0, 14)):
             assert val == pytest.approx((1 - t) * np.log(2), abs=1e-3)
 
     def test_counting_measure(self):
-        tp = poly.tree_pressure(Z2, 0.0, 7.0, 8)
-        assert tp.value == pytest.approx(np.log(2), abs=1e-12)
-        assert tp.per_depth[-1] == pytest.approx(np.log(2), abs=1e-12)
+        val = poly.tree_pressure(Z2, 0.0, 7.0, 8)
+        assert val == pytest.approx(np.log(2), abs=1e-12)
+        raw = poly._pressure_sequence(poly.tree_log_derivs(Z2, 7.0, 8), 0.0)
+        assert raw[-1] == pytest.approx(np.log(2), abs=1e-12)
 
     def test_cheb(self):
-        val = poly.tree_pressure(CHEB, 1.0, 5.0, 14).value
+        val = poly.tree_pressure(CHEB, 1.0, 5.0, 14)
         assert abs(val) < 2e-2
 
     def test_curve_monotone(self):
-        curve = poly.pressure_curve(Z2, [0.0, 0.5, 1.0, 1.5], 3.0, 12)
-        vals = curve.values
+        vals = poly.pressure_curve(Z2, [0.0, 0.5, 1.0, 1.5], 3.0, 12)
         assert all(vals[i] >= vals[i + 1] - 1e-9 for i in range(len(vals) - 1))
 
 

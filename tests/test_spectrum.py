@@ -142,26 +142,27 @@ class TestSpectrumShape:
         for branch in (exp_branch, square_branch):
             curve = sp.spectrum_curve(sp.means_tables(branch),
                                       [0.5, 1.0, 1.5, 2.0])
-            ok, report = sp.negative_spectrum_check(curve)
-            assert ok, report
+            summary = sp.negative_spectrum_check(curve)
+            assert summary["negative_spectrum"] is True, summary
 
     def test_negative_spectrum_flags_violation(self, exp_branch):
         curve = sp.spectrum_curve(
             sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.5, 2.0])
         curve.b_inf = [0.5, 0.5]  # synthetic: positive above the threshold
-        ok, report = sp.negative_spectrum_check(curve)
-        assert not ok
-        assert len(report["violations"]) == 2
+        summary = sp.negative_spectrum_check(curve)
+        assert summary["negative_spectrum"] is False
+        assert summary["violations"] == [(1.5, 0.5), (2.0, 0.5)]
+        assert "reason" not in summary
 
     def test_negative_spectrum_fails_without_theta(self, exp_branch):
         # "t > NaN + margin" would select no grid point
         curve = sp.spectrum_curve(
             sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.5, 2.0])
         curve.theta_hat = math.nan  # synthetic: b without a zero
-        ok, report = sp.negative_spectrum_check(curve)
-        assert not ok
-        assert report["violations"] == []
-        assert "theta_hat" in report["reason"]
+        summary = sp.negative_spectrum_check(curve)
+        assert summary["negative_spectrum"] is False
+        assert summary["violations"] == []
+        assert "theta_hat" in summary["reason"]
 
 
 class TestTheta:
@@ -182,13 +183,12 @@ class TestTheta:
         h = lz.koenigs_handle(p, 1.0, kappa=0.25)
         branch = tr.find_tracts(h, np.e).tracts[0]
         got = sp.theta_f(sp.means_tables(branch))
-        want = float(bowen_zero_poly(p, 14))
+        want = bowen_zero_poly(p, 14).value
         assert got == pytest.approx(want, abs=0.1)
 
     def test_no_sign_change(self, exp_tables, monkeypatch):
         # beta(t) = t keeps b(t) = 1 everywhere: no zero on (0, 2].
-        fake = lambda tables, t: sp.BetaEstimate(
-            np.float64(t), 0.0, [], [])
+        fake = lambda tables, t: sp.BetaEstimate(np.float64(t), 0.0, [])
         monkeypatch.setattr(sp, "beta_infinity", fake)
         with pytest.raises(NoSignChange) as info:
             sp.theta_f(exp_tables)
@@ -198,7 +198,7 @@ class TestTheta:
         assert "(0.1, 1)" in detail
 
     def test_inconsistent_at_zero(self, exp_tables, monkeypatch):
-        fake = lambda tables, t: sp.BetaEstimate(t - 2.0, 0.0, [], [])
+        fake = lambda tables, t: sp.BetaEstimate(t - 2.0, 0.0, [])
         monkeypatch.setattr(sp, "beta_infinity", fake)
         with pytest.raises(NoSignChange):
             sp.theta_f(exp_tables)

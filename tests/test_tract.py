@@ -232,18 +232,17 @@ class TestBoundary:
     def test_closed_and_deterministic(self, koenigs_branch):
         a = tr.trace_boundary(koenigs_branch, 5.0)
         b = tr.trace_boundary(koenigs_branch, 5.0)
-        assert a.polyline[0] == a.polyline[-1]
-        assert a.polyline == b.polyline
+        assert a[0] == a[-1]
+        assert a == b
 
     def test_exp_corners(self, exp_branch):
-        rb = tr.trace_boundary(exp_branch, 3.0)
-        mods = [abs(z) for z in rb.polyline]
+        mods = [abs(z) for z in tr.trace_boundary(exp_branch, 3.0)]
         assert max(mods) == pytest.approx(np.hypot(4, 4), rel=0.05)
 
     def test_sqrt_parametrization(self, sq_branch):
-        rb = tr.trace_boundary(sq_branch, 5.0)
+        polyline = tr.trace_boundary(sq_branch, 5.0)
         scale = np.sqrt(5.0)
-        for xi, z in zip(tr._rectangle_path(512), rb.polyline):
+        for xi, z in zip(tr._rectangle_path(512), polyline):
             assert z == pytest.approx(np.sqrt(5.0 * xi) / scale, abs=1e-8)
 
 

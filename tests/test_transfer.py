@@ -82,6 +82,15 @@ class TestApplyPoint:
         with pytest.raises(ValueError):
             tf.transfer_apply_point(exp_atlas, 2.0, 1.0 + 0j)
 
+    def test_refuses_w_inside_reference_circle(self, monkeypatch):
+        # e^2 lies inside |w| = 10, so no preimage of it lies in a tract
+        atlas = tr.find_tracts(lz.exp_power(1.0, 1), 10.0)
+        walks = count_walks(monkeypatch)
+        for t in (2.0, (1.5, 2.0)):
+            with pytest.raises(ValueError, match="reference circle"):
+                tf.transfer_apply_point(atlas, t, E2)
+        assert walks == [0]
+
 
 def fresh_atlas(spec):
     return tr.find_tracts(cli.function_from_spec(spec), math.e)
@@ -361,9 +370,13 @@ class TestPressure:
             tf.iterate_frontier(quarter_atlas, E2, 4, branch_budget=128), 2.0)
         assert fit.value == pytest.approx(-2.096779520521, abs=1e-9)
 
-    def test_curve_monotone(self, quarter_atlas):
-        curve = tf.pressure_curve_entire(quarter_atlas, (1.5, 2.0, 2.5))
-        diffs = np.diff(curve.values)
+    def test_curve_monotone(self, tmp_path, capsys):
+        code = cli.main(["pressure", "--function", "quarter", "--tmin", "1.5",
+                         "--tmax", "2.5", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "pressure.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        diffs = np.diff([float(r.split(",")[1]) for r in rows])
         assert np.all(diffs <= 1e-6)
 
     @pytest.mark.parametrize("spec", ["exp", "quarter", "square", "composite"])
@@ -375,12 +388,12 @@ class TestPressure:
         for t in (2.0, 1.2, 2.5, 1.5):
             got = tf.pressure_entire(shared, t)
             fresh = tf.pressure_entire(tf.iterate_frontier(atlas, E2, 3), t)
-            assert (got.value, got.residual, got.per_n) == (
-                fresh.value, fresh.residual, fresh.per_n)
+            assert got == fresh
 
-    def test_curve_walks_one_frontier(self, quarter_atlas, monkeypatch):
+    def test_curve_walks_one_frontier(self, tmp_path, capsys, monkeypatch):
         # the depth-1 point operator walks its own k-blocks at every t;
-        # every other phi_path call belongs to the frontier
+        # every other phi_path call of the pressure command belongs to
+        # its one frontier
         walks, inside = [0], []
         phi_path, apply_point = tr.phi_path, tf.transfer_apply_point
 
@@ -398,9 +411,12 @@ class TestPressure:
         monkeypatch.setattr(tr, "phi_path", counting)
         monkeypatch.setattr(tf, "transfer_apply_point", point_operator)
         counts = []
-        for grid in ((2.0,), (1.5, 1.75, 2.0, 2.25, 2.5)):
+        for tstep in ("1", "0.25"):  # t = 2 alone, then 2, 2.25, 2.5
             walks[0] = 0
-            tf.pressure_curve_entire(quarter_atlas, grid)
+            code = cli.main(["pressure", "--function", "quarter",
+                             "--tmin", "2", "--tmax", "2.5", "--tstep", tstep,
+                             "--out", str(tmp_path)])
+            assert code == 0
             counts.append(walks[0])
         assert counts[0] == counts[1] > 0
 
