@@ -86,16 +86,18 @@ class Polynomial:
 
     @classmethod
     def from_string(cls, text):
-        """Parse shorthand like ``z^2-1`` or ``2z^3 + 0.5z - 1``.
+        """Parse shorthand like ``z^2-1``, ``2z^3 + 0.5z - 1`` or ``z^2+0.05i``.
 
         Every term after the first starts with ``+`` or ``-``, so text
         such as ``z^2z`` or ``2z3`` is refused rather than read as a sum.
+        An ``i`` right after a term's magnitude, or in its place, makes
+        the coefficient imaginary (``-iz`` is -i z); a term has at most one.
         """
         s = text.replace(" ", "").replace("**", "^")
         if not s:
             raise ValueError("empty polynomial string")
         term_re = re.compile(
-            r"([+-]?)(\d+\.?\d*|\.\d+)?(z(?:\^(\d+))?)?"
+            r"([+-]?)(\d+\.?\d*|\.\d+)?(i)?(z(?:\^(\d+))?)?"
         )
         coeffs = {}
         pos = 0
@@ -103,12 +105,15 @@ class Polynomial:
             m = term_re.match(s, pos)
             if m is None or m.end() == pos:
                 raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
-            sign, mag, zpart, power = m.groups()
-            if (mag is None and zpart is None) or (pos > 0 and not sign):
+            sign, mag, unit, zpart, power = m.groups()
+            if (mag is None and unit is None and zpart is None) or (
+                    pos > 0 and not sign):
                 raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
             c = float(mag) if mag is not None else 1.0
             if sign == "-":
                 c = -c
+            if unit:
+                c = complex(0.0, c)
             k = 0 if zpart is None else (int(power) if power else 1)
             coeffs[k] = coeffs.get(k, 0.0) + c
             pos = m.end()

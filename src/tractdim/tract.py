@@ -11,7 +11,10 @@ array of any shape and return (phi, phi') of that shape.  On a closed-form
 branch all three are the same call of TractBranch.closed; on a sampled
 branch they differ only in how z is found.  phi_eval walks each point
 independently from its nearest cached anchor, phi_path walks the points in
-order, and phi_refine polishes given guesses by batched Newton.  Callers
+order, and phi_refine polishes given guesses by batched Newton.  A fourth
+entry, log_weight, returns log|phi'/phi| of that shape for callers that
+drop phi: an e^{z^d} branch reads it from xi alone through
+TractBranch.weight, any other branch from one phi_path call.  Callers
 ask TractBranch.sampled where the cost of continuation matters to them.
 A sampled branch's anchor table is the only state a branch keeps;
 tract_scale and rescaled_map evaluate phi afresh on every call.
@@ -60,7 +63,8 @@ class TractBranch:
 
     base_point lies in the tract and base_log = log f(base_point).  closed
     maps an array of xi of any shape to (phi, phi') when the family has
-    them in closed form.  Otherwise the branch is sampled: phi is continued
+    them in closed form, and weight, when set, maps it to log|phi'/phi|
+    without forming phi.  Otherwise the branch is sampled: phi is continued
     numerically from cached anchors, the first _n_anchors columns of the
     3-row _anchors table being solved (xi, phi(xi), q) triples with
     q = (log f)'(phi(xi)), the base point first, and _trust is the
@@ -72,6 +76,7 @@ class TractBranch:
     base_point: complex
     base_log: complex
     closed: object = None
+    weight: object = None
     _anchors: np.ndarray = field(default=None, repr=False, compare=False)
     _n_anchors: int = field(init=False, default=1)
     _trust: float = field(init=False, default=None)
@@ -98,6 +103,14 @@ def _closed_branches_exp_power(handle, R):
     # f(z) = e^xi  <=>  z^d = xi - log lam; one tract per d-th root sector
     shift = cmath.log(lam)
     base_log = max(2.0 * np.log(R), 4.0)
+
+    def weight(xi):
+        # phi'/phi = 1/(d w) on every sector, so no power is taken
+        w = np.abs(xi - shift)
+        if d > 1:
+            w *= d
+        return -np.log(w)[()]
+
     branches = []
     for j in range(d):
         rot = cmath.exp(2j * np.pi * j / d)
@@ -116,7 +129,7 @@ def _closed_branches_exp_power(handle, R):
             return z.reshape(w.shape)[()], dz.reshape(w.shape)[()]
 
         branches.append(TractBranch(handle, closed(base_log)[0],
-                                    complex(base_log), closed))
+                                    complex(base_log), closed, weight))
     return branches
 
 
@@ -315,6 +328,26 @@ def phi_path(branch, xis):
     if not branch.sampled:
         return branch.closed(xis)
     return _walk(branch, xis, chained=True)
+
+
+def log_weight(branch, xi):
+    """log|phi'(xi)/phi(xi)|, the transfer operator's log weight, at xi.
+
+    A branch with a closed-form weight reads it from xi alone; any other
+    branch takes it from one phi_path call, so a sampled branch's anchors
+    evolve as under phi_path.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    _check_offset(xi)
+    if branch.weight is not None:
+        return branch.weight(xi)
+    z, dphi = phi_path(branch, xi)
+    return _log_ratio(z, dphi)
+
+
+def _log_ratio(z, dphi):
+    """log|dphi| - log|z|, the log weight of walked (phi, phi') pairs."""
+    return np.log(np.abs(dphi)) - np.log(np.abs(z))
 
 
 def phi_refine(branch, xi, z_guess):

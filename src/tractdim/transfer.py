@@ -5,16 +5,18 @@ The operator acts on the constant function: its value at w is the sum of
 xi_k = log|w| + i(arg w + 2 pi k), accumulated per tract branch in dyadic
 k-blocks so that truncation and divergence are both visible from the
 block-sum profile.  The preimages do not depend on t, so
-``transfer_apply_point`` walks them once for a whole t grid.
+``transfer_apply_point`` reads their weights once for a whole t grid.
+Weights come from ``tract.log_weight``; phi itself is walked only where
+its value is kept, at the frontier levels whose preimages expand.
 
 Iterated powers split into a t-independent part and a per-t sum:
 ``iterate_frontier`` walks the preimage tree at w once and keeps, per
 depth, the sorted path sums of log|phi'/phi| along every preimage chain,
 and ``transfer_iterate`` and ``pressure_entire`` evaluate one t on that
 frontier as a sum of e^(t * path sum).  A pressure curve or a Bowen-zero
-bisection therefore walks the frontier's phi and sorts its sums once, not
+bisection therefore walks the frontier and sorts its sums once, not
 once per t; only depth 1, the point operator with its divergence check,
-walks its own k-blocks of phi again at every t.
+reads its own k-blocks of weights again at every t.
 """
 
 import math
@@ -43,15 +45,13 @@ def _default_budget(atlas):
     return DEFAULT_K_CLOSED
 
 
-def _log_weight_terms(branch, logw, argw, ks):
-    """Per-preimage z and log|phi'/phi| for an ordered k-array.
+def _preimages(logw, argw, ks):
+    """xi = logw + i(argw + 2 pi k) for an ordered k-array.
 
-    xi = logw + i(argw + 2 pi k) broadcasts, so column arrays of logw and
-    argw give one row of preimages per point.
+    It broadcasts, so column arrays of logw and argw give one row of
+    preimages per point.
     """
-    xi = logw + 1j * (argw + _TWO_PI * np.asarray(ks, dtype=float))
-    z, dphi = tr.phi_path(branch, xi)
-    return z, np.log(np.abs(dphi)) - np.log(np.abs(z))
+    return logw + 1j * (argw + _TWO_PI * np.asarray(ks, dtype=float))
 
 
 def _block_ks(n):
@@ -121,7 +121,8 @@ def _dyadic_blocks(atlas, ts, w, k_budget):
         blocks, terms, streak, n = [], 0, 0, 0
         while True:
             if n == len(walked):
-                walked.append([[_log_weight_terms(branch, logw, argw, ks)[1]
+                walked.append([[tr.log_weight(branch,
+                                              _preimages(logw, argw, ks))
                                 for ks in _block_ks(n)]
                                for branch in atlas.tracts])
             block = 0.0
@@ -244,17 +245,21 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
             groups = [(kept, np.log(np.abs(zs[kept]))[:, None],
                        np.angle(zs[kept])[:, None])]
         # the last level's preimages expand no further, so only their
-        # path sums are kept
+        # path sums are kept and phi is not formed
         expand = level < n - 1
         rows, children = [], []
         for idx, logw, argw in groups:
+            xi = _preimages(logw, argw, ks)
             for branch in atlas.tracts:
-                child, logterm = _log_weight_terms(branch, logw, argw, ks)
+                if expand:
+                    child, dphi = tr.phi_path(branch, xi)
+                    logterm = tr._log_ratio(child, dphi)
+                    children.append(child.ravel())
+                else:
+                    logterm = tr.log_weight(branch, xi)
                 row = logterm.reshape(len(idx), -1)
                 row += sums[idx][:, None]
                 rows.append(row.ravel())
-                if expand:
-                    children.append(child.ravel())
         # the next level reads sums in walk order, so each level is a copy
         sums = np.concatenate(rows)
         levels.append(_read_only(np.sort(sums)))

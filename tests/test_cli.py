@@ -380,6 +380,14 @@ class TestCommands:
         assert alone[0] == 0
         assert run_cli(argv + ["--function", "exp"], capsys) == alone
 
+    def test_hypdim_poly_imaginary_coefficient(self, tmp_path, capsys):
+        # z^2 + 0.05i: a quasicircle near the unit circle, dimension near 1
+        code, out = run_cli(["hypdim", "--poly", "z^2+0.05i",
+                             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["bowen_zero"] == pytest.approx(
+            1.0, abs=0.01)
+
     def test_hypdim_poly_refuses_entire_flags(self, tmp_path, capsys):
         # the polynomial side reads only --node-budget; --function stays
         # accepted (and ignored), every entire-side flag is named and refused

@@ -41,6 +41,17 @@ class TestPolynomial:
         with pytest.raises(ValueError):
             Polynomial.from_string(text)
 
+    @pytest.mark.parametrize("text, coeffs", [
+        ("z^2+0.05i", (0.05j, 0j, 1)), ("z^2-iz", (0, -1j, 1)),
+        ("2iz^3+z-i", (-1j, 1, 0, 2j))])
+    def test_imaginary_unit(self, text, coeffs):
+        assert Polynomial.from_string(text).coefficients == coeffs
+
+    @pytest.mark.parametrize("text", ["z^2+0.05ii", "z^2+i0.05", "z^2+zi"])
+    def test_misplaced_unit_refused(self, text):
+        with pytest.raises(ValueError, match="cannot parse"):
+            Polynomial.from_string(text)
+
     def test_critical_points(self):
         cps = BASILICA.critical_points()
         assert len(cps) == 1

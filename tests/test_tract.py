@@ -370,7 +370,8 @@ class TestPhiContract:
             assert q == branch.handle.log_f_and_q(z)[1]
         assert _fresh_branch("exp")._anchors is None
 
-    @pytest.mark.parametrize("entry", ["phi_eval", "phi_path", "phi_refine"])
+    @pytest.mark.parametrize("entry", ["phi_eval", "phi_path", "phi_refine",
+                                       "log_weight"])
     @pytest.mark.parametrize("spec", ["exp", "check8"])
     def test_offset_guard_on_every_point(self, spec, entry):
         branch = _fresh_branch(spec)
@@ -389,6 +390,69 @@ class TestPhiContract:
         assert branch._n_anchors == n == 1 + xi.size
         assert again[0].tolist() == first[0].tolist()
         assert again[1].tolist() == first[1].tolist()
+
+
+def _dyadic_preimages(n_max):
+    """Preimages of w = e^(2 + 0.3i) for |k| <= 2^n_max, one array per
+    dyadic block 2^(n-1) < |k| <= 2^n (block 0 is |k| <= 1)."""
+    blocks = [np.array([-1, 0, 1])]
+    for n in range(1, n_max + 1):
+        pos = np.arange((1 << (n - 1)) + 1, (1 << n) + 1)
+        blocks.append(np.concatenate([-pos, pos]))
+    return [2.0 + 1j * (0.3 + 2 * np.pi * ks) for ks in blocks]
+
+
+def _ratio_of_walk(branch, xi):
+    z, dphi = tr.phi_path(branch, xi)
+    return np.log(np.abs(dphi)) - np.log(np.abs(z))
+
+
+class TestLogWeight:
+    @pytest.mark.parametrize("spec, ulps", [
+        ("exp", 0), ("quarter", 0), ("square", 4), ("cubic", 4)])
+    def test_closed_form_matches_walked_ratio(self, spec, ulps):
+        # e^{z^d}: phi'/phi = 1/(d (xi - log lam)); at d = 1 the closed
+        # form is today's 0.0 - log|w| bit for bit
+        h = (lz.exp_power(0.5 + 0.5j, 3) if spec == "cubic"
+             else cli.function_from_spec(spec))
+        atlas = tr.find_tracts(h, np.e)
+        assert len(atlas.tracts) == h.d
+        for branch in atlas.tracts:
+            assert branch.weight is not None
+            for xi in _dyadic_preimages(19):
+                got, want = tr.log_weight(branch, xi), _ratio_of_walk(branch, xi)
+                assert got.shape == xi.shape
+                if ulps == 0:
+                    assert got.tolist() == want.tolist()
+                else:
+                    gap = np.abs(got - want) / np.spacing(np.abs(want))
+                    assert gap.max() <= ulps
+
+    @pytest.mark.parametrize("spec", ["composite", "koenigs:z^2-1"])
+    def test_fallback_is_the_walked_ratio(self, spec):
+        # the same phi_path calls in the same order: values and, on a
+        # sampled branch, the anchors the walks leave are identical
+        read, walked = _fresh_branch(spec), _fresh_branch(spec)
+        assert read.weight is None
+        for xi in _dyadic_preimages(6):
+            assert tr.log_weight(read, xi).tolist() == \
+                _ratio_of_walk(walked, xi).tolist()
+        assert read._n_anchors == walked._n_anchors
+        assert read._trust == walked._trust
+        if read.sampled:
+            n = read._n_anchors
+            assert read._anchors[:, :n].tolist() == \
+                walked._anchors[:, :n].tolist()
+
+    @pytest.mark.parametrize("spec", ["exp", "square", "composite"])
+    def test_scalar_matches_array(self, spec):
+        branch = _fresh_branch(spec)
+        xi = _xi_grid((3, 5))
+        got = tr.log_weight(branch, xi)
+        assert got.shape == xi.shape
+        for x, g in zip(xi.ravel(), got.ravel()):
+            one = tr.log_weight(branch, x)
+            assert np.ndim(one) == 0 and one == g
 
 
 def scalar_halton(n, base):

@@ -97,15 +97,18 @@ def fresh_atlas(spec):
 
 
 def count_walks(monkeypatch):
-    """Count tr.phi_path calls from here on, in a one-element list."""
+    """Count tr.log_weight calls from here on, in a one-element list.
+
+    The point operator reads every preimage's weight through it.
+    """
     walks = [0]
-    phi_path = tr.phi_path
+    log_weight = tr.log_weight
 
     def counting(branch, xis):
         walks[0] += 1
-        return phi_path(branch, xis)
+        return log_weight(branch, xis)
 
-    monkeypatch.setattr(tr, "phi_path", counting)
+    monkeypatch.setattr(tr, "log_weight", counting)
     return walks
 
 
@@ -130,8 +133,7 @@ def one_t_walk(atlas, t, w, k_budget):
             part = 0.0
             for ks in halves:
                 xi = logw + 1j * (argw + 2.0 * math.pi * ks.astype(float))
-                z, dphi = tr.phi_path(branch, xi)
-                logterm = np.log(np.abs(dphi)) - np.log(np.abs(z))
+                logterm = tr.log_weight(branch, xi)
                 part += float(np.sum(np.exp(t * logterm)))
                 terms += len(ks)
             block += part
@@ -392,14 +394,16 @@ class TestPressure:
 
     def test_curve_walks_one_frontier(self, tmp_path, capsys, monkeypatch):
         # the depth-1 point operator walks its own k-blocks at every t;
-        # every other phi_path call of the pressure command belongs to
-        # its one frontier
+        # every other phi_path or log_weight call of the pressure command
+        # belongs to its one frontier
         walks, inside = [0], []
-        phi_path, apply_point = tr.phi_path, tf.transfer_apply_point
+        apply_point = tf.transfer_apply_point
 
-        def counting(branch, xis):
-            walks[0] += not inside
-            return phi_path(branch, xis)
+        def counting(entry):
+            def call(branch, xis):
+                walks[0] += not inside
+                return entry(branch, xis)
+            return call
 
         def point_operator(*args, **kwargs):
             inside.append(True)
@@ -408,7 +412,8 @@ class TestPressure:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(tr, "phi_path", counting)
+        for name in ("phi_path", "log_weight"):
+            monkeypatch.setattr(tr, name, counting(getattr(tr, name)))
         monkeypatch.setattr(tf, "transfer_apply_point", point_operator)
         counts = []
         for tstep in ("1", "0.25"):  # t = 2 alone, then 2, 2.25, 2.5
