@@ -16,6 +16,16 @@ The iteration is deterministic and produces identical root orderings: it
 is a fixed-point map started from the same perturbed-circle
 initialization, so the numerics are bitwise reproducible.
 
+A warm start (``start``: one row of d initial roots per target) replaces
+only that initialization.  The loop, the active set, ``tol``, ``maxit``
+and the ``ok`` flags are the cold solve's, and rows stay independent, so
+a warm batch equals each of its rows warm-started alone, bit for bit.  A
+row stops at its first iterate inside the tolerance, so warm roots meet
+the same residual bound |p(z) - w| <= tol*(1 + |w|) as cold ones but may
+differ from them by about that residual over |p'(z)|, and by about
+sqrt(tol) at a near-double root.  The preimage tree
+(``poly._preimage_levels``) starts each level from the level above.
+
 ``clog(z)`` is log|z| + i*atan2(Im z, Re z), written into one preallocated
 complex array.  numpy's complex ``log`` costs over twice as much per
 element; clog agrees with it to within 2*eps*(1 + |log z|) on
@@ -89,29 +99,41 @@ def _aberth_sums(z):
     return _pairwise_sum(term, 0, len(z)) - 1.0
 
 
-def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10):
+def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
     """Solve p(z) = w simultaneously for a batch of targets w.
 
     coeffs: the (d+1,) coefficients, constant term first.  Returns
     (roots, ok): roots has shape (len(targets), d), ok flags whether the
-    per-target residual tolerance tol*(1+|w|) was met.
+    per-target residual tolerance tol*(1+|w|) was met.  start, if given,
+    is an (len(targets), d) array of initial roots that replaces the
+    perturbed circle (ValueError for any other shape); it is not modified.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     dcoeffs = np.ascontiguousarray(dcoeffs, dtype=np.complex128)
     targets = np.ascontiguousarray(targets, dtype=np.complex128)
     d = len(coeffs) - 1
     m = len(targets)
-    lead = coeffs[-1]
-    # Cauchy-style bound, perturbed-circle start (deterministic).
-    scale = np.maximum(
-        1.0,
-        np.abs(targets - coeffs[0]) / np.abs(lead),
-    ) ** (1.0 / d)
-    comag = max(np.abs(coeffs[k]) / np.abs(lead) for k in range(d)) if d > 0 else 0.0
-    radius = 1.0 + np.maximum(scale, comag ** (1.0 / d) if comag > 0 else 0.0)
-    angles = 2.0 * np.pi * np.arange(d) / d + 0.45
-    roots = radius[:, None] * np.exp(1j * angles)[None, :]
+    if start is None:
+        lead = coeffs[-1]
+        # Cauchy-style bound, perturbed-circle start (deterministic).
+        scale = np.maximum(
+            1.0,
+            np.abs(targets - coeffs[0]) / np.abs(lead),
+        ) ** (1.0 / d)
+        comag = max(np.abs(coeffs[k]) / np.abs(lead)
+                    for k in range(d)) if d > 0 else 0.0
+        radius = 1.0 + np.maximum(scale,
+                                  comag ** (1.0 / d) if comag > 0 else 0.0)
+        angles = 2.0 * np.pi * np.arange(d) / d + 0.45
+        start = radius[:, None] * np.exp(1j * angles)[None, :]
+    else:
+        start = np.asarray(start, dtype=np.complex128)
+        if start.shape != (m, d):
+            raise ValueError(
+                f"start has shape {start.shape}, expected {(m, d)}")
 
+    # Every row is written back, when it converges or after the last pass.
+    roots = np.empty((m, d), dtype=np.complex128)
     rev = coeffs[::-1].copy()
     drev = dcoeffs[::-1].copy()
     ok = np.zeros(m, dtype=bool)
@@ -121,7 +143,7 @@ def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10):
     rows = np.arange(m)
     w = targets
     wtol = tol * (1.0 + np.abs(targets))
-    z = roots.T.copy()
+    z = start.T.copy()
     for _ in range(maxit):
         pv = np.polyval(rev, z) - w
         done = np.abs(pv).max(axis=0) <= wtol

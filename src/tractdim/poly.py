@@ -3,9 +3,14 @@
 Evaluation, preimage trees with chain-rule derivatives, the repelling
 fixed point a Koenigs handle linearizes at, Boettcher coordinates of the
 basin of infinity, tree pressure with Richardson extrapolation and the
-Bowen-zero (hyperbolic dimension) estimate on the polynomial side.  The Boettcher conjugacy has one entry,
-``bottcher_inverse(p, z)``: z is an array of any shape outside the unit
-circle, and one batched ray continuation returns (h, h') of that shape.
+Bowen-zero (hyperbolic dimension) estimate on the polynomial side.  A
+preimage tree solves its first level from the kernel's cold start and
+every later level from the roots of the level above, tiled d times: a
+node's fiber lies near the fiber of the node with its first branch
+dropped (the shift identity in ``_preimage_levels``).  The Boettcher
+conjugacy has one entry, ``bottcher_inverse(p, z)``: z is an array of
+any shape outside the unit circle, and one batched ray continuation
+returns (h, h') of that shape.
 Circle means run their own inward continuation, one for all requested
 radii, on a quadrature grid that follows the radius down.
 """
@@ -137,7 +142,19 @@ def poly_eval(p, z):
 
 
 def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
-    """Level arrays (points, cumulative |derivative| as complex) for depths 1..n."""
+    """Level arrays (points, cumulative |derivative| as complex) for depths 1..n.
+
+    Level k + 1 holds the d roots of p(z) = v for each level-k point v:
+    the children of node i sit at [i*d, (i+1)*d).  Node i of level k is
+    R_jk o ... o R_j1(w), R_j the j-th root and j1 the most significant
+    base-d digit of i.  Dropping j1 leaves node i mod d^(k-1) of level
+    k - 1, the same branches applied to w instead of R_j1(w); inverse
+    branches contract near J, so the two nodes' fibers differ by about
+    |(p^(k-1))'|^-1.  Level 1 is solved cold, and every later level is
+    warm-started (``aberth_batch``'s ``start``) from the previous root
+    matrix stacked d times, ``np.tile(roots, (d, 1))``.  Each root meets
+    the kernel's residual bound tol*(1 + |v|), as a cold solve's does.
+    """
     d = p.degree
     if d**n > node_budget:
         raise BudgetExceeded(f"{d}^{n} nodes exceed budget {node_budget}")
@@ -146,8 +163,10 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     pts = np.array([complex(w)])
     cum = np.array([1.0 + 0j])
     levels = []
+    roots = None
     for _ in range(n):
-        roots, ok = _kernels.aberth_batch(coeffs, dcoeffs, pts)
+        start = None if roots is None else np.tile(roots, (d, 1))
+        roots, ok = _kernels.aberth_batch(coeffs, dcoeffs, pts, start=start)
         if not ok.all():
             raise NonConvergence("preimage fiber solve stalled during tree descent")
         children = roots.reshape(-1)
