@@ -1,10 +1,11 @@
 """The hot kernels against their references.
 
 The active-set Aberth kernel is compared with a frozen copy of the dense
-loop, bitwise: roots by their bytes, ok flags exactly.  clog is compared
-with numpy's complex log: bitwise on the special values, to within
-2*eps*(1 + |log z|) on normal-range |z|.  Subnormal |z| is outside its
-contract: there ``abs`` underflows and the real part differs.
+loop, bitwise: roots by their bytes, ok flags exactly.  A warm start is
+held to the same row independence and to the cold tolerance.  clog is
+compared with numpy's complex log: bitwise on the special values, to
+within 2*eps*(1 + |log z|) on normal-range |z|.  Subnormal |z| is outside
+its contract: there ``abs`` underflows and the real part differs.
 """
 
 import numpy as np
@@ -156,6 +157,61 @@ def test_rows_are_independent(d):
     for i, w in enumerate(targets):
         alone = _kernels.aberth_batch(coeffs, dcoeffs, np.array([w]))
         assert_bitwise((batch[0][i:i + 1], batch[1][i:i + 1]), alone)
+
+
+def _nearby_start(p, targets):
+    """Cold roots of targets moved by 1e-3: a start near each row's fiber."""
+    return _kernels.aberth_batch(*_arrays(p), targets * (1.0 + 1e-3))[0]
+
+
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_warm_rows_are_independent(d):
+    p = POLYS[d]
+    coeffs, dcoeffs = _arrays(p)
+    targets = np.concatenate([[_critical_value(p)], _targets(13, 40)])
+    start = _nearby_start(p, targets)
+    kept = start.copy()
+    batch = _kernels.aberth_batch(coeffs, dcoeffs, targets, start=start)
+    assert batch[1].all()
+    assert start.tobytes() == kept.tobytes()
+    for i, w in enumerate(targets):
+        alone = _kernels.aberth_batch(coeffs, dcoeffs, np.array([w]),
+                                      start=start[i:i + 1])
+        assert_bitwise((batch[0][i:i + 1], batch[1][i:i + 1]), alone)
+
+
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_warm_start_at_the_roots_stops_there(d):
+    # a row stops at its first iterate inside the tolerance, so a start
+    # that already meets it comes back unchanged
+    coeffs, dcoeffs = _arrays(POLYS[d])
+    targets = _targets(17, 200)
+    cold = _kernels.aberth_batch(coeffs, dcoeffs, targets)
+    assert_bitwise(
+        _kernels.aberth_batch(coeffs, dcoeffs, targets, start=cold[0]), cold)
+
+
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_warm_roots_meet_the_cold_tolerance(d):
+    p = POLYS[d]
+    coeffs, dcoeffs = _arrays(p)
+    targets = _targets(19, 500)
+    roots, ok = _kernels.aberth_batch(coeffs, dcoeffs, targets,
+                                      start=_nearby_start(p, targets))
+    assert ok.all()
+    res = np.abs(np.polyval(coeffs[::-1], roots) - targets[:, None])
+    assert (res <= 1e-10 * (1.0 + np.abs(targets))[:, None]).all()
+    cold = _kernels.aberth_batch(coeffs, dcoeffs, targets)[0]
+    gap = np.abs(roots[:, :, None] - cold[:, None, :]).min(axis=2)
+    assert gap.max() <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (4, 3), (5,), (15,), (1, 5, 3)])
+def test_warm_start_shape_refused(shape):
+    coeffs, dcoeffs = _arrays(POLYS[3])
+    with pytest.raises(ValueError, match="start has shape"):
+        _kernels.aberth_batch(coeffs, dcoeffs, _targets(23, 5),
+                              start=np.ones(shape, complex))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 64, 65, 70, 131, 300])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tractdim import poly
+from tractdim import _kernels, poly
 from tractdim.errors import BudgetExceeded, NoSignChange
 from tractdim.poly import Polynomial
 
@@ -106,6 +106,99 @@ class TestPreimages:
             rep = np.repeat(prev, 3)[:8]
             assert cum[:8].tobytes() == (dp * rep).tobytes()
             prev = cum
+
+
+def cold_levels(p, w, n):
+    """The tree as built before warm starts (frozen copy): every level
+    solved from the kernel's cold start."""
+    d = p.degree
+    coeffs = np.array(p.coefficients, dtype=complex)
+    dcoeffs = np.array(p.derivative_coefficients(), dtype=complex)
+    pts = np.array([complex(w)])
+    cum = np.array([1.0 + 0j])
+    levels = []
+    for _ in range(n):
+        roots, ok = _kernels.aberth_batch(coeffs, dcoeffs, pts)
+        assert ok.all()
+        children = roots.reshape(-1)
+        rep = np.repeat(cum, d)
+        cum = np.multiply(p.derivative(children), rep, out=rep)
+        pts = children
+        levels.append((pts, cum))
+    return levels
+
+
+#: Root-set tolerance against a cold solve.  Where J contains the
+#: critical point 0 (z^2-2, 2z^2-1 and the dendrite of z^2+i), near-double
+#: roots are fixed only to about sqrt(tol) from either start.
+WARM_TREES = {"z^2": 1e-9, "z^2-1": 1e-9, "z^2-2": 1e-6, "2z^2-1": 1e-6,
+              "z^3-0.5z": 1e-9, "z^2+0.25": 1e-9, "z^2-0.75": 1e-9,
+              "z^2+0.3i": 1e-9, "z^2+0.5": 1e-9, "z^2+i": 1e-6}
+TREE_W = 5.0 + 0j
+
+
+def _tree_depth(p):
+    return 12 if p.degree == 2 else 10
+
+
+@pytest.fixture(scope="module", params=sorted(WARM_TREES))
+def warm_tree(request):
+    p = Polynomial.from_string(request.param)
+    levels = poly._preimage_levels(p, TREE_W, _tree_depth(p))
+    parents = [np.array([TREE_W])] + [pts for pts, _ in levels[:-1]]
+    return request.param, p, parents, levels
+
+
+class TestWarmTree:
+    """Each level is warm-started from the level above; the tree must stay
+    the cold tree's to the kernel's tolerance."""
+
+    def test_children_map_onto_parents(self, warm_tree):
+        _, p, parents, levels = warm_tree
+        rev = np.array(p.coefficients, dtype=complex)[::-1]
+        for par, (pts, _) in zip(parents, levels):
+            blocks = pts.reshape(len(par), p.degree)
+            res = np.abs(np.polyval(rev, blocks) - par[:, None])
+            assert (res <= 1e-10 * (1.0 + np.abs(par))[:, None]).all()
+
+    def test_rows_match_cold_fibers(self, warm_tree):
+        text, p, parents, levels = warm_tree
+        coeffs = np.array(p.coefficients, dtype=complex)
+        dcoeffs = np.array(p.derivative_coefficients(), dtype=complex)
+        worst = 0.0
+        for par, (pts, _) in zip(parents, levels):
+            blocks = pts.reshape(len(par), p.degree)
+            cold, ok = _kernels.aberth_batch(coeffs, dcoeffs, par)
+            assert ok.all()
+            gap = np.abs(blocks[:, :, None] - cold[:, None, :])
+            worst = max(worst, gap.min(axis=2).max(), gap.min(axis=1).max())
+        assert worst <= WARM_TREES[text]
+
+    @pytest.mark.parametrize("text", ["z^2-1", "z^3-0.5z", "z^2+i"])
+    def test_pressure_matches_cold_tree(self, text):
+        p = Polynomial.from_string(text)
+        ts = (0.0, 0.5, 1.0, 1.5, 2.0)
+        n = _tree_depth(p)
+        cold = [np.log(np.abs(cum)) for _, cum in cold_levels(p, TREE_W, n)]
+        want = [poly._pressure_from(cold, t) for t in ts]
+        assert poly.pressure_curve(p, ts, TREE_W, n) == pytest.approx(
+            want, rel=1e-9, abs=0.0)
+
+    def test_warm_start_saves_row_evaluations(self, monkeypatch):
+        # rows of the residual and derivative evaluations in the kernel
+        p = Polynomial.from_string("z^3-0.5z")
+        rows = []
+        polyval = np.polyval
+
+        def counted(c, z):
+            rows.append(z.shape[-1])
+            return polyval(c, z)
+
+        monkeypatch.setattr(np, "polyval", counted)
+        cold_levels(p, TREE_W, 10)
+        cold, rows[:] = sum(rows), []
+        poly._preimage_levels(p, TREE_W, 10)
+        assert sum(rows) < cold / 2
 
 
 class TestFixedPoints:
