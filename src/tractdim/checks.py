@@ -3,8 +3,10 @@
 Every check returns a CheckResult with a deterministic detail string, so a
 report assembled from the suite is byte-identical across reruns, whatever
 the order of the checks.  Each check builds its own handles and atlases, so
-no check sees the anchors another one walked.  The suite is shared by the
-``verify`` subcommand and the test suite.
+no check sees the anchors another one walked.  Reductions are numpy's
+(np.max, np.min, np.maximum), which keep a nan that Python's max and min
+can drop, so a nan in a bounded figure fails its check.  The suite is
+shared by the ``verify`` subcommand and the test suite.
 """
 
 import cmath
@@ -93,7 +95,7 @@ def check_elementary_spectrum():
     for name in ("exp", "quarter", "square"):
         tables = sp.means_tables(test_atlas(name).tracts[0])
         curve = sp.spectrum_curve(tables, [0.5, 1.0, 1.5, 2.0])
-        worst = max(abs(b) for b in curve.beta_inf)
+        worst = np.max(np.abs(curve.beta_inf))
         rows.append((name, worst, curve.theta_hat))
     passed = all(w <= 0.05 and abs(th - 1.0) <= 0.05 for _, w, th in rows)
     detail = " ".join("%s:max|beta|=%.3g,theta=%.4f" % r for r in rows)
@@ -103,8 +105,8 @@ def check_elementary_spectrum():
 def check_tree_pressure():
     """Dyadic tree pressure and its zero for exactly solvable polynomials."""
     ts = (0.0, 0.5, 1.0, 1.5)
-    perr = max(abs(P - (1 - t) * math.log(2))
-               for t, P in zip(ts, poly.pressure_curve(Z2, ts, 3.0, 14)))
+    perr = np.max([abs(P - (1 - t) * math.log(2))
+                   for t, P in zip(ts, poly.pressure_curve(Z2, ts, 3.0, 14))])
     zeros = [poly.bowen_zero_poly(p, 12).value for p in (Z2, CHEB, COSH)]
     passed = (perr < 1e-3 and abs(zeros[0] - 1.0) <= 0.01
               and all(abs(z - 1.0) <= 0.05 for z in zeros[1:]))
@@ -140,15 +142,15 @@ def check_koenigs_goldens():
     L_exp = lz.make_koenigs(Z2, 1.0)
     L_cosh = lz.make_koenigs(COSH, 1.0)
     pts = _disk_points(200, 2.0)
-    err_exp = max(abs(L_exp.eval(z) - np.exp(z)) for z in pts)
+    err_exp = np.max([abs(L_exp.eval(z) - np.exp(z)) for z in pts])
     cosh_ref = lambda z: np.cosh(2 * np.sqrt(complex(z) / 2))
-    err_cosh = max(abs(L_cosh.eval(z) - cosh_ref(z)) for z in pts)
+    err_cosh = np.max([abs(L_cosh.eval(z) - cosh_ref(z)) for z in pts])
     resid = 0.0
     for L, p in ((L_exp, Z2), (L_cosh, COSH)):
         for z in _disk_points(100, 10.0):
             lhs = cmath.exp(lz.linearizer_log_eval(L, L.lam * z)[0])
             rhs = p(L.eval(z))
-            resid = max(resid, abs(lhs - rhs) / (1 + abs(rhs)))
+            resid = np.maximum(resid, abs(lhs - rhs) / (1 + abs(rhs)))
     passed = err_exp < 1e-9 and err_cosh < 1e-8 and resid < 1e-9
     return passed, "err_exp=%.2e err_cosh=%.2e resid=%.2e" % (
         err_exp, err_cosh, resid)
@@ -165,8 +167,8 @@ def check_bottcher_golden():
     for p in (Z2, CHEB, BASILICA, COSH):
         h = poly.bottcher_inverse(p, z)[0]
         h_d = poly.bottcher_inverse(p, z ** p.degree)[0]
-        resid = max(resid,
-                    float((np.abs(h_d - p(h)) / (1.0 + np.abs(h))).max()))
+        resid = np.maximum(
+            resid, (np.abs(h_d - p(h)) / (1.0 + np.abs(h))).max())
     passed = err < 1e-8 and resid < 1e-8
     return passed, "joukowski_err=%.2e resid=%.2e" % (err, resid)
 
@@ -191,8 +193,8 @@ def check_spectrum_shape():
         tables = sp.means_tables(test_atlas(name).tracts[0])
         beta = [sp.beta_infinity(tables, t).value for t in ts]
         b = [v - t + 1 for v, t in zip(beta, ts)]
-        convex = min(beta[i - 1] + beta[i + 1] - 2 * beta[i]
-                     for i in range(1, len(beta) - 1))
+        convex = np.min([beta[i - 1] + beta[i + 1] - 2 * beta[i]
+                         for i in range(1, len(beta) - 1)])
         ok = (abs(beta[0]) <= 1e-3 and abs(b[0] - 1.0) <= 0.02
               and b[-1] <= 0.05 and convex >= -1e-3)
         rows.append((name, ok))
@@ -232,7 +234,7 @@ def check_boundary_figures():
         second = boundary_figure(atlas, T)
         stable = stable and first == second
         marker = abs(tr.rescaled_map(branch, T, 1.0))
-        marker_err = max(marker_err, abs(marker - 1.0))
+        marker_err = np.maximum(marker_err, abs(marker - 1.0))
     passed = stable and marker_err <= 1e-6
     return passed, "byte_stable=%s marker_err=%.2e" % (stable, marker_err)
 
@@ -261,7 +263,8 @@ def run_check(ident):
                 passed, detail = fn()
             except TractdimError as exc:
                 passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
-            return CheckResult(cid, name, passed, detail,
+            # a check that compares numpy figures returns a numpy bool
+            return CheckResult(cid, name, bool(passed), detail,
                                time.monotonic() - start)
     raise KeyError(ident)
 

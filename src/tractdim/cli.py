@@ -39,8 +39,8 @@ MAX_GRID_POINTS = 10_000
 class RunConfig:
     function: dict
     radius: float = float(math.e)
-    Tjmin: int = 3
-    Tjmax: int = 14
+    Tjmin: int = int(math.log2(sp.DEFAULT_T_GRID[0]))
+    Tjmax: int = int(math.log2(sp.DEFAULT_T_GRID[-1]))
     tmin: float = 0.0
     tmax: float = 2.0
     tstep: float = 0.5
@@ -143,7 +143,7 @@ def function_from_spec(text):
     if text.startswith("{"):
         try:
             return lz.handle_from_json(json.loads(text))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError("bad function descriptor: %s" % exc)
     if text in lz.SHORTHANDS:
         return lz.SHORTHANDS[text]()
@@ -181,20 +181,20 @@ def load_config(args):
         cfg = RunConfig(function={})
     else:
         raise ConfigError("need --config or --function")
+    handle = None
     if args.function:
-        cfg.function = function_from_spec(args.function).to_json()
+        handle = function_from_spec(args.function)
+        cfg.function = handle.to_json()
     for f in _FLAG_FIELDS:
         val = getattr(args, f.name, None)
         if val is not None:
             setattr(cfg, f.name, val)
-    cfg.out = os.environ.get("TRACTDIM_OUT", cfg.out)
     cfg.validate()
-    if not (args.config or args.function):
-        return cfg, None
-    try:
-        handle = lz.handle_from_json(cfg.function)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError("bad function descriptor: %s" % exc)
+    if args.config and handle is None:
+        try:
+            handle = lz.handle_from_json(cfg.function)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError("bad function descriptor: %s" % exc)
     return cfg, handle
 
 
@@ -270,11 +270,13 @@ def _find_tracts(handle, cfg):
 
 
 def cmd_tract_plot(cfg, handle, T_list):
+    # refuse a T before any file: 4T is the rectangle path's far corner
+    for T in T_list:
+        if not (T >= 1 and math.isfinite(4 * T)):
+            raise InvalidGrid("T must be finite and >= 1, got %g" % T)
     atlas = _find_tracts(handle, cfg)
     written = []
     for T in T_list:
-        if T < 1:
-            raise InvalidGrid("T must be >= 1, got %g" % T)
         svg, csv = boundary_figure(atlas, T)
         stem = "tract_T%g" % T
         written.append(_write(cfg, stem + ".svg", svg))
@@ -290,7 +292,7 @@ def cmd_spectrum(cfg, handle):
     written = [
         _write(cfg, "spectrum.csv", curve.to_csv()),
         _write(cfg, "spectrum.json", json.dumps(
-            {"curve": json.loads(curve.to_json()), "summary": summary},
+            {"curve": curve.to_json(), "summary": summary},
             indent=2, sort_keys=True) + "\n"),
     ]
     return {"written": written, "summary": summary}

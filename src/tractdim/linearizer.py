@@ -11,11 +11,12 @@ values.
 * ``KoenigsLinearizer`` (built by ``make_koenigs``): the entire solution f
   of f(lam*z) = p(f(z)), f(0) = z0, f'(0) = 1 at a repelling fixed point
   z0 of a polynomial p, optionally precomposed with a scale kappa
-  (f_kappa = f(kappa*z)).  Its log f comes from one escape ladder for
-  scalars and arrays (``linearizer_log_eval``), each step a
-  ``poly.escape_sums`` Horner pass over p's precomputed (c_k, k*c_k)
-  pairs; ``make_disjoint_type`` runs it once per kappa trial over its
-  whole disk grid.
+  (f_kappa = f(kappa*z)).  Its Taylor series is solved in one pass, up to
+  the first power-of-two order whose tail is below tolerance.  Its log f
+  comes from one escape ladder for scalars and arrays
+  (``linearizer_log_eval``), each step a ``poly.escape_sums`` Horner pass
+  over p's precomputed (c_k, k*c_k) pairs; ``make_disjoint_type`` runs it
+  once per kappa trial over its whole disk grid.
 * ``CompositeExpModel`` (built by ``composite_exp``): F = inner o exp, an
   infinite-order model built over an inner handle whose tract sits deep
   in the right half-plane.
@@ -27,6 +28,7 @@ import cmath
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,34 +52,6 @@ def _checked_exp(z):
 
 # ---------------------------------------------------------------------------
 # Koenigs linearizers
-
-
-def koenigs_coefficients(p, z0, K):
-    """Taylor coefficients a_1..a_K of the linearizer at a repelling fixed point.
-
-    Solves f(lam*z) = p(f(z)) degree by degree with the normalization
-    a_1 = 1; the divisor lam**n - lam never vanishes since |lam| > 1.
-    """
-    z0 = complex(z0)
-    if abs(p(z0) - z0) > 1e-10:
-        raise ValueError("z0 is not a fixed point: |p(z0)-z0| = %g" % abs(p(z0) - z0))
-    lam = p.derivative(z0)
-    if abs(lam) <= 1:
-        raise NotRepelling("multiplier |%s| <= 1" % lam)
-    # f truncated to degree K, constant first
-    f = np.zeros(K + 1, dtype=complex)
-    f[0] = z0
-    f[1] = 1.0
-    coeffs = p.coefficients
-    for n in range(2, K + 1):
-        # Horner composition of p with the partial series, truncated at z^n
-        g = np.zeros(n + 1, dtype=complex)
-        g[0] = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            g = np.convolve(g, f[: n + 1])[: n + 1]
-            g[0] += c
-        f[n] = g[n] / (lam**n - lam)
-    return list(f[1:])
 
 
 @dataclass(frozen=True)
@@ -135,28 +109,48 @@ def _series_radius(p, z0, lam):
 
 
 def make_koenigs(p, z0, kappa=1.0 + 0j):
-    """Build a linearizer with the series order chosen by a tail bound."""
+    """Build the linearizer at a repelling fixed point z0 of p.
+
+    Solves f(lam*z) = p(f(z)) degree by degree (a_1 = 1; lam**n - lam never
+    vanishes since |lam| > 1) in one pass, which stops at the first K in
+    16, 32, ..., 256 whose tail |a_K| r0^K is below the tolerance.
+    """
     z0 = complex(z0)
+    if abs(p(z0) - z0) > 1e-10:
+        raise ValueError("z0 is not a fixed point: |p(z0)-z0| = %g"
+                         % abs(p(z0) - z0))
     lam = p.derivative(z0)
     if abs(lam) <= 1:
         raise NotRepelling("multiplier |%s| <= 1" % lam)
     r0 = _series_radius(p, z0, lam)
+    # f truncated to degree n, constant first
+    f = np.zeros(_MAX_SERIES_K + 1, dtype=complex)
+    f[0], f[1] = z0, 1.0
+    coeffs = p.coefficients
     K = 16
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            taylor = koenigs_coefficients(p, z0, K)
-        if not np.all(np.isfinite(taylor)):
-            # a near-parabolic point (|lam| just above 1) divides by
-            # lam**n - lam ~ 0 at every order until the series overflows
-            raise NotRepelling("multiplier |%s| = %.9g is too close to 1: "
-                               "Taylor coefficients overflow at K = %d"
-                               % (lam, abs(lam), K))
-        if abs(taylor[-1]) * r0 ** K < _TAIL_TOL or K >= _MAX_SERIES_K:
-            break
-        K *= 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, _MAX_SERIES_K + 1):
+            # Horner composition of p with the partial series, truncated at z^n
+            g = np.zeros(n + 1, dtype=complex)
+            g[0] = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                g = np.convolve(g, f[: n + 1])[: n + 1]
+                g[0] += c
+            f[n] = g[n] / (lam**n - lam)
+            if n < K:
+                continue
+            if not np.all(np.isfinite(f[1:n + 1])):
+                # a near-parabolic point (|lam| just above 1) divides by
+                # lam**n - lam ~ 0 at every order until the series overflows
+                raise NotRepelling("multiplier |%s| = %.9g is too close to 1: "
+                                   "Taylor coefficients overflow at K = %d"
+                                   % (lam, abs(lam), K))
+            if abs(f[n]) * r0 ** n < _TAIL_TOL:
+                break
+            K *= 2
     # Python complex coefficients keep the scalar series at interpreter speed
-    return KoenigsLinearizer(p, z0, lam, tuple(complex(a) for a in taylor),
-                             r0, complex(kappa))
+    taylor = tuple(complex(a) for a in f[1:n + 1])
+    return KoenigsLinearizer(p, z0, lam, taylor, r0, complex(kappa))
 
 
 def _series_eval(L, u):
@@ -309,8 +303,8 @@ class ExpPower:
 
 
 def exp_power(lam=1.0, d=1):
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError("d must be an integer >= 1, got %r" % (d,))
     return ExpPower(complex(lam), int(d))
 
 
@@ -359,9 +353,13 @@ def _c2pair(c):
 
 
 def _pair2c(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
+    """A complex number from a real number or a list of two; no bool."""
+    pair = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Real)
+           for x in pair):
+        raise ValueError("expected a real number or a list of two, got %r"
+                         % (v,))
+    return complex(*pair)
 
 
 def handle_from_json(desc):
@@ -369,7 +367,7 @@ def handle_from_json(desc):
         desc = json.loads(desc)
     fam = desc["family"]
     if fam == "exp_power":
-        return exp_power(_pair2c(desc.get("lambda", 1.0)), int(desc.get("d", 1)))
+        return exp_power(_pair2c(desc.get("lambda", 1.0)), desc.get("d", 1))
     if fam == "koenigs":
         p = Polynomial.from_json(desc["poly"])
         return make_koenigs(p, _pair2c(desc["z0"]),

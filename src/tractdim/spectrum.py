@@ -13,7 +13,6 @@ that value, so t-scans and bisections cost one pass of logsumexp per T.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,21 +143,17 @@ class SpectrumCurve:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        return json.dumps(
-            {
-                "t_grid": list(self.t_grid),
-                "beta_inf": list(self.beta_inf),
-                "b_inf": list(self.b_inf),
-                "T_grid": list(self.T_grid),
-                "raw": [list(r) for r in self.raw],
-                "summary": {
-                    "theta_hat": self.theta_hat,
-                    "drift": list(self.drift),
-                },
+        return {
+            "t_grid": list(self.t_grid),
+            "beta_inf": list(self.beta_inf),
+            "b_inf": list(self.b_inf),
+            "T_grid": list(self.T_grid),
+            "raw": [list(r) for r in self.raw],
+            "summary": {
+                "theta_hat": self.theta_hat,
+                "drift": list(self.drift),
             },
-            indent=2,
-            sort_keys=True,
-        )
+        }
 
 
 def spectrum_curve(tables, t_grid):

@@ -486,11 +486,12 @@ def estimate_holder(branch, T, pairs=2000):
 
 
 def el_violations(branch, samples=10000):
-    """Sampled xi of Q_16 violating |phi'(xi)/phi(xi)| <= 4 pi / Re xi."""
+    """Sampled xi of Q_16 violating |phi'(xi)/phi(xi)| <= 4 pi / Re xi; a
+    nan quotient violates it too."""
     h2, h3 = _halton(samples, 2), _halton(samples, 3)
     re = MIN_OFFSET + (64 - MIN_OFFSET) * h2
     im = (2 * h3 - 1) * 64
     xi = re + 1j * im
     z, dphi = phi_eval(branch, xi)
     return int(np.count_nonzero(
-        np.abs(dphi / z) > 4 * np.pi / xi.real * (1 + 1e-9)))
+        ~(np.abs(dphi / z) <= 4 * np.pi / xi.real * (1 + 1e-9))))

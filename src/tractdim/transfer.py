@@ -350,10 +350,7 @@ def scaling_band(atlas, t, s_grid=(2.0, 4.0, 8.0, 16.0, 32.0), n_args=4,
             fresh = tr.find_tracts(atlas.function, atlas.radius)
             sample = transfer_apply_point(fresh, t, w, k_budget)
             rows.append((s, arg, sample.value * s ** (t - 1.0)))
-    scaled = [r[2] for r in rows]
-    return {
-        "sup": max(scaled),
-        "inf": min(scaled),
-        "ratio": max(scaled) / min(scaled),
-        "rows": rows,
-    }
+    # np.max and np.min, unlike max and min, keep a nan
+    sup = float(np.max([r[2] for r in rows]))
+    inf = float(np.min([r[2] for r in rows]))
+    return {"sup": sup, "inf": inf, "ratio": sup / inf, "rows": rows}

@@ -149,6 +149,19 @@ class TestTractPlot:
             assert code == 2
             assert json.loads(out)["error"] == "InvalidGrid"
 
+    @pytest.mark.parametrize("function, heights", [
+        ("exp", "nan"), ("exp", "inf"), ("exp", "1e308"), ("exp", "5,0.5"),
+        ("koenigs:z^2-1", "nan")])
+    def test_unplottable_T_refused_before_any_file(self, function, heights,
+                                                   tmp_path, capsys):
+        # 1e308 is finite, but the rectangle path's far corner 4T is not
+        code, out = run_cli(["tract-plot", "--function", function,
+                             "--Tlist", heights, "--out", str(tmp_path)],
+                            capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == "InvalidGrid"
+        assert not os.listdir(tmp_path)
+
 
 class TestExitCodes:
     def test_missing_function_exits_2(self, tmp_path, capsys):
@@ -221,6 +234,45 @@ class TestExitCodes:
         err = json.loads(out)
         assert err["error"] == "ConfigError"
         assert "closed-form" in err["detail"]
+
+    @pytest.mark.parametrize("desc", [
+        {"family": "exp_power", "lambda": [1]},
+        {"family": "exp_power", "lambda": None},
+        {"family": "exp_power", "lambda": True},
+        {"family": "exp_power", "d": 2.7},
+        {"family": "exp_power", "d": "2"},
+        {"family": "exp_power", "d": True},
+        {"family": "koenigs", "poly": 5, "z0": 1}],
+        ids=["lambda-one-entry", "lambda-null", "lambda-bool", "d-fraction",
+             "d-string", "d-bool", "poly-not-an-object"])
+    @pytest.mark.parametrize("route", ["function", "config"])
+    def test_bad_descriptor_value_exits_2(self, desc, route, tmp_path,
+                                          capsys):
+        if route == "function":
+            argv = ["--function", json.dumps(desc)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(RunConfig(function=desc).to_json())
+            argv = ["--config", str(path)]
+        out_dir = tmp_path / "out"
+        code, out = run_cli(["spectrum"] + argv + ["--out", str(out_dir)],
+                            capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "ConfigError"
+        assert "bad function descriptor" in err["detail"]
+        assert not out_dir.exists()
+
+    def test_z0_not_fixed_exits_2(self, tmp_path, capsys):
+        # p'(0) = 0 is not repelling either, but 0 is no fixed point of z^2-1
+        desc = {"family": "koenigs",
+                "poly": {"coeffs": [[-1, 0], [0, 0], [1, 0]]}, "z0": [0, 0]}
+        code, out = run_cli(["spectrum", "--function", json.dumps(desc),
+                             "--out", str(tmp_path)], capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "ConfigError"
+        assert "not a fixed point" in err["detail"]
 
     @pytest.mark.parametrize("key", ["threads", "quad_tol", "seed"])
     def test_removed_config_key_refused(self, key, tmp_path, capsys):
@@ -464,6 +516,41 @@ class TestCommands:
         code, _ = run_cli(["transfer", "--config", str(path),
                            "--out", str(tmp_path)], capsys)
         assert code == 0
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    make_koenigs = lz.make_koenigs
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return make_koenigs(*args, **kwargs)
+
+    monkeypatch.setattr(lz, "make_koenigs", counted)
+    return builds
+
+
+class TestOneBuild:
+    def test_function_builds_its_linearizer_once(self, tmp_path, capsys,
+                                                 monkeypatch):
+        builds = _count_builds(monkeypatch)
+        code, _ = run_cli(["spectrum", "--function", "koenigs:z^2-1",
+                           "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert len(builds) == 1
+
+    def test_config_descriptor_builds_its_handle(self, tmp_path, capsys,
+                                                 monkeypatch):
+        want = cli.function_from_spec("koenigs:z^2-1")
+        path = tmp_path / "cfg.json"
+        path.write_text(RunConfig(function=want.to_json()).to_json())
+        builds = _count_builds(monkeypatch)
+        args = cli.build_parser().parse_args(
+            ["spectrum", "--config", str(path)])
+        cfg, handle = cli.load_config(args)
+        assert len(builds) == 1
+        assert handle == want
+        assert cfg.function == want.to_json()
 
 
 class TestVerify:

@@ -24,20 +24,61 @@ def sample_disk(n, radius, seed=0):
     return radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
 
 
+def restart_builder(p, z0, kappa=1.0 + 0j):
+    """The series builder before the one-pass ``make_koenigs``, frozen as a
+    reference: re-solve a_1..a_K from a_1 each time K doubles."""
+    def coefficients(K):
+        z0c = complex(z0)
+        if abs(p(z0c) - z0c) > 1e-10:
+            raise ValueError("z0 is not a fixed point")
+        lam = p.derivative(z0c)
+        f = np.zeros(K + 1, dtype=complex)
+        f[0] = z0c
+        f[1] = 1.0
+        coeffs = p.coefficients
+        for n in range(2, K + 1):
+            g = np.zeros(n + 1, dtype=complex)
+            g[0] = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                g = np.convolve(g, f[: n + 1])[: n + 1]
+                g[0] += c
+            f[n] = g[n] / (lam**n - lam)
+        return list(f[1:])
+
+    z0 = complex(z0)
+    lam = p.derivative(z0)
+    if abs(lam) <= 1:
+        raise NotRepelling("multiplier |%s| <= 1" % lam)
+    r0 = lz._series_radius(p, z0, lam)
+    K = 16
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            taylor = coefficients(K)
+        if not np.all(np.isfinite(taylor)):
+            raise NotRepelling("multiplier |%s| = %.9g is too close to 1: "
+                               "Taylor coefficients overflow at K = %d"
+                               % (lam, abs(lam), K))
+        if abs(taylor[-1]) * r0 ** K < 1e-14 or K >= 256:
+            break
+        K *= 2
+    return lz.KoenigsLinearizer(p, z0, lam, tuple(complex(a) for a in taylor),
+                                r0, complex(kappa))
+
+
 class TestCoefficients:
     def test_exponential_series(self):
-        a = lz.koenigs_coefficients(P_SQUARE, 1.0, 8)
+        a = list(lz.make_koenigs(P_SQUARE, 1.0).taylor[:8])
         fact = [math.factorial(n) for n in range(1, 9)]
         assert a == pytest.approx([1.0 / f for f in fact], abs=1e-14)
 
     def test_cosh_series(self):
-        a = lz.koenigs_coefficients(P_COSH, 1.0, 8)
+        a = list(lz.make_koenigs(P_COSH, 1.0).taylor[:8])
         ref = [2.0**n / math.factorial(2 * n) for n in range(1, 9)]
         assert a == pytest.approx(ref, abs=1e-14)
 
     def test_not_repelling(self):
         with pytest.raises(NotRepelling):
-            lz.koenigs_coefficients(P_SQUARE, 0.0, 4)
+            lz.make_koenigs(P_SQUARE, 0.0)
 
     def test_near_parabolic_fails_fast(self):
         # z0 = 1/2 + 1e-6 is a fixed point of z^2 + z0 - z0^2 with
@@ -49,7 +90,33 @@ class TestCoefficients:
 
     def test_not_fixed(self):
         with pytest.raises(ValueError):
-            lz.koenigs_coefficients(P_SQUARE, 3.0, 4)
+            lz.make_koenigs(P_SQUARE, 3.0)
+
+    def test_not_fixed_checked_before_multiplier(self):
+        # 0 is not a fixed point of z^2-1, and p'(0) = 0 is not repelling
+        with pytest.raises(ValueError, match="not a fixed point"):
+            lz.make_koenigs(Polynomial.from_string("z^2-1"), 0.0)
+
+    @pytest.mark.parametrize("text, K", [
+        ("z^2-1", 16), ("z^2-2", 16), ("z^3-0.5z", 16), ("2z^2-1", 16),
+        ("z^2", 16), ("z^2+0.3i", 16), ("z^4-0.5", 16), ("z^2+0.2", 32),
+        ("z^2+0.24", 64), ("z^2+0.249", 256)])
+    def test_one_pass_matches_restarts(self, text, K):
+        p = Polynomial.from_string(text)
+        z0 = poly.repelling_fixed_point(p)
+        L = lz.make_koenigs(p, z0, 0.5)
+        assert len(L.taylor) == K
+        assert L == restart_builder(p, z0, 0.5)  # every coefficient, lam, r0
+
+    def test_one_pass_keeps_the_parabolic_error(self):
+        p = Polynomial.from_string("z^2+0.25")
+        z0 = poly.repelling_fixed_point(p)
+        with pytest.raises(NotRepelling) as want:
+            restart_builder(p, z0)
+        assert "at K = 64" in str(want.value)
+        with pytest.raises(NotRepelling) as got:
+            lz.make_koenigs(p, z0)
+        assert str(got.value) == str(want.value)
 
 
 class TestLadderEval:

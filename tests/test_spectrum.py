@@ -236,7 +236,7 @@ class TestSerialization:
     def test_json_roundtrip(self, exp_branch):
         curve = sp.spectrum_curve(
             sp.means_tables(exp_branch, sp.DEFAULT_T_GRID[:6]), [1.0, 2.0])
-        blob = json.loads(curve.to_json())
+        blob = json.loads(json.dumps(curve.to_json()))
         assert blob["t_grid"] == [1.0, 2.0]
         assert blob["summary"]["theta_hat"] == pytest.approx(curve.theta_hat)
         assert len(blob["raw"]) == 2
