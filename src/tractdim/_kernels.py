@@ -12,6 +12,15 @@ unconverged rows.  A row's arithmetic reads nothing but that row, so its
 roots and its ``ok`` flag do not depend on the other targets in the batch:
 solving a batch equals solving each target alone.
 
+That independence lets a large batch run in consecutive row blocks of at
+most ``_ROW_BLOCK`` rows, each through the same loop, with the same bits as
+one pass over every row.  The loop's scratch arrays (iterates, residuals,
+derivatives, the correction sums and their temporaries) then hold one
+block, not the batch: on the last level of the z^3-0.5z tree at depth 12
+(177,147 targets), the blocks take the peak of numpy allocations in
+``poly.tree_log_derivs`` from 95.0 to 44.8 MB, for 6.1 MB of result.  A
+batch of at most ``_ROW_BLOCK`` rows is one block.
+
 The iteration is deterministic and produces identical root orderings: it
 is a fixed-point map started from the same perturbed-circle
 initialization, so the numerics are bitwise reproducible.
@@ -99,6 +108,11 @@ def _aberth_sums(z):
     return _pairwise_sum(term, 0, len(z)) - 1.0
 
 
+#: Rows per block of ``aberth_batch``: the loop's scratch arrays (iterates,
+#: residuals, derivatives, correction sums) hold at most this many rows.
+_ROW_BLOCK = 8192
+
+
 def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
     """Solve p(z) = w simultaneously for a batch of targets w.
 
@@ -106,7 +120,13 @@ def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
     (roots, ok): roots has shape (len(targets), d), ok flags whether the
     per-target residual tolerance tol*(1+|w|) was met.  start, if given,
     is an (len(targets), d) array of initial roots that replaces the
-    perturbed circle (ValueError for any other shape); it is not modified.
+    perturbed circle (ValueError for any other shape, raised before any
+    row is solved); it is not modified.
+
+    The rows are solved in consecutive blocks of at most ``_ROW_BLOCK``,
+    each written into the one (roots, ok) pair.  Rows are independent, so
+    the blocks give the bits of one pass over the whole batch, with
+    scratch arrays of at most ``_ROW_BLOCK`` rows instead of len(targets).
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     dcoeffs = np.ascontiguousarray(dcoeffs, dtype=np.complex128)
@@ -134,13 +154,26 @@ def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
 
     # Every row is written back, when it converges or after the last pass.
     roots = np.empty((m, d), dtype=np.complex128)
+    ok = np.zeros(m, dtype=bool)
     rev = coeffs[::-1].copy()
     drev = dcoeffs[::-1].copy()
-    ok = np.zeros(m, dtype=bool)
+    for lo in range(0, m, _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        _aberth_rows(rev, drev, targets[lo:hi], start[lo:hi], maxit, tol,
+                     roots[lo:hi], ok[lo:hi])
+    return roots, ok
+
+
+def _aberth_rows(rev, drev, targets, start, maxit, tol, roots, ok):
+    """The Aberth loop on one block of rows, written into roots and ok.
+
+    rev and drev are the coefficients of p and p', leading term first;
+    roots and ok are the block's views of the batch result.
+    """
     # The active set: indices into roots of the rows still running, with
     # their targets, tolerances and iterates.  Iterates are held root-major,
     # (d, active), so the per-root columns are contiguous rows.
-    rows = np.arange(m)
+    rows = np.arange(len(targets))
     w = targets
     wtol = tol * (1.0 + np.abs(targets))
     z = start.T.copy()
@@ -168,4 +201,3 @@ def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
     pv = np.polyval(rev, z) - w
     roots[rows] = z.T
     ok[rows] = np.abs(pv).max(axis=0) <= wtol
-    return roots, ok

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -363,8 +362,6 @@ def _pair2c(v):
 
 
 def handle_from_json(desc):
-    if isinstance(desc, str):
-        desc = json.loads(desc)
     fam = desc["family"]
     if fam == "exp_power":
         return exp_power(_pair2c(desc.get("lambda", 1.0)), desc.get("d", 1))

@@ -154,6 +154,8 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     warm-started (``aberth_batch``'s ``start``) from the previous root
     matrix stacked d times, ``np.tile(roots, (d, 1))``.  Each root meets
     the kernel's residual bound tol*(1 + |v|), as a cold solve's does.
+    The kernel solves a level in row blocks, so beyond the returned levels
+    the working memory is a few arrays of the last level's size.
     """
     d = p.degree
     if d**n > node_budget:
@@ -165,19 +167,23 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     levels = []
     roots = None
     for _ in range(n):
-        start = None if roots is None else np.tile(roots, (d, 1))
-        roots, ok = _kernels.aberth_batch(coeffs, dcoeffs, pts, start=start)
+        # The tile is bound to no name, so it is freed when the solve
+        # returns, before dp and the repeated cum are formed.
+        roots, ok = _kernels.aberth_batch(
+            coeffs, dcoeffs, pts,
+            start=None if roots is None else np.tile(roots, (d, 1)))
         if not ok.all():
             raise NonConvergence("preimage fiber solve stalled during tree descent")
         children = roots.reshape(-1)
-        # dp stays bound until the next level: `del dp` after the product
-        # raised perfbench poly_side's peak RSS by 4 MB (--seed 5).  The
-        # product is dp * rep in place: numpy would swap the factors of
+        # The product is dp * rep in place: numpy would swap the factors of
         # `dp * np.repeat(cum, d)` to reuse a large temporary, and complex
-        # multiplication is not bitwise commutative
+        # multiplication is not bitwise commutative.  dp is dropped at once:
+        # keeping it bound until the next level raised perfbench
+        # poly_side's peak RSS by 4.2 to 4.7 MB (seeds 1 to 6).
         dp = p.derivative(children)
         rep = np.repeat(cum, d)
         cum = np.multiply(dp, rep, out=rep)
+        del dp
         if np.abs(cum).min() < _DERIV_FLOOR:
             raise DegenerateDerivative("base point hits the critical tree")
         pts = children

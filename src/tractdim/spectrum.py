@@ -123,7 +123,7 @@ def beta_infinity(tables, t):
     raw = [li / xi for li, xi in zip(logI, x)]
     slopes = list(np.diff(logI) / np.diff(x))
     top = slopes[len(slopes) // 2:]
-    return BetaEstimate(max(top), max(top) - min(top), raw)
+    return BetaEstimate(np.max(top), np.max(top) - np.min(top), raw)
 
 
 @dataclass

@@ -134,8 +134,11 @@ def _nan_transfer_far_out(transfer_apply_point):
      lambda fn: _nan_on_call(3, fn, _nan_first_entry)),
     (12, tr, "rescaled_map", _nan_rescaled_at_5),
     (10, tf, "transfer_apply_point", _nan_transfer_far_out),
+    # call 9 is exp's T = 2^12 table at t = 0, inside the top half of the
+    # slopes but not its first entry
+    (9, sp, "_log_integral", lambda fn: _nan_on_call(9, fn, lambda r: NAN)),
 ], ids=["3-beta", "9-beta", "4-pressure", "8-dphi", "6-log-eval",
-        "7-bottcher", "12-marker", "10-band"])
+        "7-bottcher", "12-marker", "10-band", "9-log-integral"])
 def test_nan_fails_the_check(ident, module, name, inject, monkeypatch):
     monkeypatch.setattr(module, name, inject(getattr(module, name)))
     result = checks.run_check(ident)

@@ -2,9 +2,10 @@
 
 The active-set Aberth kernel is compared with a frozen copy of the dense
 loop, bitwise: roots by their bytes, ok flags exactly.  A warm start is
-held to the same row independence and to the cold tolerance.  clog is
-compared with numpy's complex log: bitwise on the special values, to
-within 2*eps*(1 + |log z|) on normal-range |z|.  Subnormal |z| is outside
+held to the same row independence and to the cold tolerance.  A batch
+larger than one row block equals one pass over all its rows and each row
+solved alone.  clog is compared with numpy's complex log: bitwise on the
+special values, to within 2*eps*(1 + |log z|) on normal-range |z|.  Subnormal |z| is outside
 its contract: there ``abs`` underflows and the real part differs.
 """
 
@@ -212,6 +213,54 @@ def test_warm_start_shape_refused(shape):
     with pytest.raises(ValueError, match="start has shape"):
         _kernels.aberth_batch(coeffs, dcoeffs, _targets(23, 5),
                               start=np.ones(shape, complex))
+
+
+def _blocked_targets(p):
+    """Two full row blocks and three rows more, the critical value first."""
+    m = 2 * _kernels._ROW_BLOCK + 3
+    return np.concatenate([[_critical_value(p)], _targets(29, m - 1)])
+
+
+def _block_edge_rows(m):
+    edges = range(0, m, _kernels._ROW_BLOCK)
+    near = {i + k for i in edges for k in (-2, -1, 0, 1)} | {m - 1}
+    extra = np.random.default_rng(31).integers(0, m, 24)
+    return sorted({i for i in near if 0 <= i < m} | set(extra.tolist()))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("d", sorted(POLYS))
+def test_row_blocks_equal_one_pass_and_one_row_solves(d, warm, monkeypatch):
+    p = POLYS[d]
+    coeffs, dcoeffs = _arrays(p)
+    targets = _blocked_targets(p)
+    start = _nearby_start(p, targets) if warm else None
+    batch = _kernels.aberth_batch(coeffs, dcoeffs, targets, start=start)
+    for i in _block_edge_rows(len(targets)):
+        alone = _kernels.aberth_batch(
+            coeffs, dcoeffs, targets[i:i + 1],
+            start=None if start is None else start[i:i + 1])
+        assert_bitwise((batch[0][i:i + 1], batch[1][i:i + 1]), alone)
+    # one block over the whole batch: the loop as it ran before row blocks
+    monkeypatch.setattr(_kernels, "_ROW_BLOCK", len(targets))
+    assert_bitwise(batch, _kernels.aberth_batch(coeffs, dcoeffs, targets,
+                                                start=start))
+
+
+@pytest.mark.parametrize("extra_rows, extra_cols",
+                         [(-1, 0), (0, 1), (_kernels._ROW_BLOCK, 0)])
+def test_blocked_start_shape_refused_before_any_block(extra_rows, extra_cols,
+                                                      monkeypatch):
+    p = POLYS[3]
+    targets = _blocked_targets(p)
+    start = np.ones((len(targets) + extra_rows, 3 + extra_cols), complex)
+
+    def solved(*args):
+        raise AssertionError("a block was solved before start was checked")
+
+    monkeypatch.setattr(_kernels, "_aberth_rows", solved)
+    with pytest.raises(ValueError, match="start has shape"):
+        _kernels.aberth_batch(*_arrays(p), targets, start=start)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 64, 65, 70, 131, 300])

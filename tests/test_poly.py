@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestPreimages:
             rep = np.repeat(prev, 3)[:8]
             assert cum[:8].tobytes() == (dp * rep).tobytes()
             prev = cum
+
+    def test_tree_scratch_stays_bounded(self):
+        # the Aberth scratch of the last level is held to one row block:
+        # 95 MB of numpy allocations for a 6.1 MB result before row blocks
+        tracemalloc.start()
+        try:
+            poly.tree_log_derivs(Polynomial.from_string("z^3-0.5z"), 5.0, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
 
 def cold_levels(p, w, n):

@@ -73,6 +73,20 @@ class TestBetaInfinity:
             est = sp.beta_infinity(sp.means_tables(branch), 0.0)
             assert abs(est.value) <= 1e-3
 
+    def test_nan_log_integral_reaches_the_estimate(self, exp_tables,
+                                                   monkeypatch):
+        # grid 2^3 ... 2^10: the NaN at T = 2^9 enters the top half of the
+        # slopes after its first entry, where a comparison would drop it
+        tables = exp_tables[:8]
+        poisoned = tables[6][1]
+        log_integral = sp._log_integral
+        monkeypatch.setattr(
+            sp, "_log_integral",
+            lambda table, t: math.nan if table is poisoned
+            else log_integral(table, t))
+        est = sp.beta_infinity(tables, 1.5)
+        assert math.isnan(est.value) and math.isnan(est.drift)
+
     def test_radius_independence(self):
         # Rebuilding the exp tract from a different base radius must not
         # move the estimate.
