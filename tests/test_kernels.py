@@ -5,8 +5,9 @@ loop, bitwise: roots by their bytes, ok flags exactly.  A warm start is
 held to the same row independence and to the cold tolerance.  A batch
 larger than one row block equals one pass over all its rows and each row
 solved alone.  clog is compared with numpy's complex log: bitwise on the
-special values, to within 2*eps*(1 + |log z|) on normal-range |z|.  Subnormal |z| is outside
-its contract: there ``abs`` underflows and the real part differs.
+special values, to within 2*eps*(1 + |log z|) on normal-range |z|.
+Subnormal |z| is outside its contract: there ``abs`` underflows and the
+real part differs.
 """
 
 import numpy as np
