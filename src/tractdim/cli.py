@@ -7,6 +7,7 @@ reads (``COMMANDS``, ``--node-budget`` for ``node_budget``) and no other.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -75,9 +76,6 @@ class RunConfig:
                                   % (name, MAX_GRID_POINTS))
         return self
 
-    def to_json(self):
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text):
         try:
@@ -131,6 +129,15 @@ def _parse_poly(text):
         raise ConfigError("bad polynomial %r: %s" % (text, exc))
 
 
+@contextlib.contextmanager
+def _descriptor_errors():
+    """A descriptor that cannot be read (nor its JSON text) as a ConfigError."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError("bad function descriptor: %s" % exc)
+
+
 def function_from_spec(text):
     """Build a function handle from a JSON descriptor or a shorthand name.
 
@@ -141,10 +148,8 @@ def function_from_spec(text):
     """
     text = text.strip()
     if text.startswith("{"):
-        try:
+        with _descriptor_errors():
             return lz.handle_from_json(json.loads(text))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError("bad function descriptor: %s" % exc)
     if text in lz.SHORTHANDS:
         return lz.SHORTHANDS[text]()
     if text.startswith("koenigs:"):
@@ -181,20 +186,15 @@ def load_config(args):
         cfg = RunConfig(function={})
     else:
         raise ConfigError("need --config or --function")
-    handle = None
-    if args.function:
-        handle = function_from_spec(args.function)
-        cfg.function = handle.to_json()
+    handle = function_from_spec(args.function) if args.function else None
     for f in _FLAG_FIELDS:
         val = getattr(args, f.name, None)
         if val is not None:
             setattr(cfg, f.name, val)
     cfg.validate()
     if args.config and handle is None:
-        try:
+        with _descriptor_errors():
             handle = lz.handle_from_json(cfg.function)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError("bad function descriptor: %s" % exc)
     return cfg, handle
 
 

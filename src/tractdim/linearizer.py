@@ -1,11 +1,10 @@
 """Entire-function handles: exponential family, Koenigs linearizers, composites.
 
-Each family is a handle class of its own, and every handle has the same
-interface: ``eval(z)`` and ``derivative(z)`` give f and f' at a scalar;
-``log_f_and_q(z)`` gives log f (up to 2 pi i) and f'/f without overflow,
-for scalars or arrays; ``to_json()`` is the descriptor
-``handle_from_json`` reads back; ``singular_radius`` bounds the singular
-values.
+The pipeline sees an entire function only through its logarithmic tracts,
+so every handle class has the same two members: ``log_f_and_q(z)`` gives
+log f (up to 2 pi i) and f'/f without overflow, for scalars or arrays, and
+``singular_radius`` bounds the singular values.  ``handle_from_json``
+builds a handle from its JSON descriptor.
 
 * ``ExpPower`` (built by ``exp_power``): z -> lam * exp(z**d).
 * ``KoenigsLinearizer`` (built by ``make_koenigs``): the entire solution f
@@ -16,7 +15,8 @@ values.
   comes from one escape ladder for scalars and arrays
   (``linearizer_log_eval``), each step a ``poly.escape_sums`` Horner pass
   over p's precomputed (c_k, k*c_k) pairs; ``make_disjoint_type`` runs it
-  once per kappa trial over its whole disk grid.
+  once per kappa trial over its whole disk grid.  ``eval(z)`` is the value
+  ladder at a scalar, the reference check 6 holds the log ladder to.
 * ``CompositeExpModel`` (built by ``composite_exp``): F = inner o exp, an
   infinite-order model built over an inner handle whose tract sits deep
   in the right half-plane.
@@ -34,19 +34,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import NotRepelling, Overflow, ScaleFloor
-from .poly import Polynomial, escape_sums
+from .poly import Polynomial, escape_sums, finite_real
 
 _EXP_CAP = 700.0  # log of float range, with headroom
 _TAIL_TOL = 1e-14
 _MAX_SERIES_K = 256
-
-
-def _checked_exp(z):
-    """exp(z) at a scalar, refusing arguments past the float range."""
-    z = complex(z)
-    if z.real > _EXP_CAP:
-        raise Overflow("exp argument real part %g" % z.real)
-    return np.exp(z)
 
 
 # ---------------------------------------------------------------------------
@@ -66,39 +58,24 @@ class KoenigsLinearizer:
     def singular_radius(self):
         return _postcritical_radius(self.p, self.z0)
 
-    def eval(self, z, _with_derivative=False):
+    def eval(self, z):
         """f(kappa*z) by ladder descent: series at kappa*z/lam^n, then p^n."""
         u = self.kappa * complex(z)
         n = 0
-        r0 = self.series_radius
-        while abs(u) > r0:
+        while abs(u) > self.series_radius:
             u /= self.lam
             n += 1
-        val, dser = _series_eval(self, u)
-        dval = dser * self.kappa / self.lam**n
+        val = _series_eval(self, u)[0]
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n):
-                if _with_derivative:
-                    dval = dval * self.p.derivative(val)
                 val = self.p(val)
                 if not np.isfinite(val):
                     raise Overflow("linearizer value escaped floating range")
-        if _with_derivative:
-            if not np.isfinite(dval):
-                raise Overflow("linearizer derivative escaped floating range")
-            return val, dval
         return val
-
-    def derivative(self, z):
-        return self.eval(z, _with_derivative=True)[1]
 
     def log_f_and_q(self, z):
         # handle-level z is the linearizer's own variable; kappa is inside
         return linearizer_log_eval(self, z)
-
-    def to_json(self):
-        return {"family": "koenigs", "poly": self.p.to_json(),
-                "z0": _c2pair(self.z0), "kappa": _c2pair(self.kappa)}
 
 
 def _series_radius(p, z0, lam):
@@ -115,7 +92,7 @@ def make_koenigs(p, z0, kappa=1.0 + 0j):
     16, 32, ..., 256 whose tail |a_K| r0^K is below the tolerance.
     """
     z0 = complex(z0)
-    if abs(p(z0) - z0) > 1e-10:
+    if not abs(p(z0) - z0) <= 1e-10:  # a nan z0 is refused too
         raise ValueError("z0 is not a fixed point: |p(z0)-z0| = %g"
                          % abs(p(z0) - z0))
     lam = p.derivative(z0)
@@ -285,25 +262,16 @@ class ExpPower:
     def singular_radius(self):
         return max(abs(self.lam), 1e-6) if self.d > 1 else 1e-6
 
-    def eval(self, z):
-        return self.lam * _checked_exp(complex(z) ** self.d)
-
-    def derivative(self, z):
-        z = complex(z)
-        return self.lam * self.d * z ** (self.d - 1) * _checked_exp(z**self.d)
-
     def log_f_and_q(self, z):
         z = np.asarray(z, dtype=complex) if not np.isscalar(z) else complex(z)
         return cmath.log(self.lam) + z**self.d, self.d * z ** (self.d - 1)
-
-    def to_json(self):
-        return {"family": "exp_power", "lambda": _c2pair(self.lam),
-                "d": self.d}
 
 
 def exp_power(lam=1.0, d=1):
     if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
         raise ValueError("d must be an integer >= 1, got %r" % (d,))
+    if lam == 0:
+        raise ValueError("lambda must be nonzero: 0 * exp(z^d) has no tract")
     return ExpPower(complex(lam), int(d))
 
 
@@ -315,21 +283,11 @@ class CompositeExpModel:
     def singular_radius(self):
         return self.inner.singular_radius
 
-    def eval(self, z):
-        return self.inner.eval(_checked_exp(z))
-
-    def derivative(self, z):
-        ez = _checked_exp(z)
-        return self.inner.derivative(ez) * ez
-
     def log_f_and_q(self, z):
         ez = (np.exp(np.asarray(z, dtype=complex)) if not np.isscalar(z)
               else cmath.exp(z))
         lf, q = self.inner.log_f_and_q(ez)
         return lf, q * ez
-
-    def to_json(self):
-        return {"family": "composite_exp", "inner": self.inner.to_json()}
 
 
 composite_exp = CompositeExpModel
@@ -347,18 +305,10 @@ SHORTHANDS = {
 # JSON descriptors
 
 
-def _c2pair(c):
-    return [c.real, c.imag]
-
-
 def _pair2c(v):
-    """A complex number from a real number or a list of two; no bool."""
-    pair = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
-    if any(isinstance(x, bool) or not isinstance(x, numbers.Real)
-           for x in pair):
-        raise ValueError("expected a real number or a list of two, got %r"
-                         % (v,))
-    return complex(*pair)
+    """A complex number from a real number or a list of two finite reals."""
+    re_, im = v if isinstance(v, list) and len(v) == 2 else (v, 0.0)
+    return complex(finite_real(re_), finite_real(im))
 
 
 def handle_from_json(desc):

@@ -15,8 +15,9 @@ Circle means run their own inward continuation, one for all requested
 radii, on a quadrature grid that follows the radius down.
 """
 
-import json
+import numbers
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,8 @@ class Polynomial:
         coeffs = tuple(complex(c) for c in self.coefficients)
         if len(coeffs) < 3:
             raise ValueError("degree must be >= 2")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
         if abs(coeffs[-1]) == 0.0:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coefficients", coeffs)
@@ -84,10 +87,10 @@ class Polynomial:
         return np.roots(dc[::-1])
 
     @classmethod
-    def from_json(cls, text):
-        data = json.loads(text) if isinstance(text, str) else text
-        coeffs = [complex(re_, im) for re_, im in data["coeffs"]]
-        return cls(tuple(coeffs))
+    def from_json(cls, data):
+        """The polynomial of a ``{"coeffs": [[re, im], ...]}`` descriptor."""
+        return cls(tuple(complex(finite_real(re_), finite_real(im))
+                         for re_, im in data["coeffs"]))
 
     @classmethod
     def from_string(cls, text):
@@ -125,8 +128,14 @@ class Polynomial:
         deg = max(coeffs)
         return cls(tuple(complex(coeffs.get(k, 0.0)) for k in range(deg + 1)))
 
-    def to_json(self):
-        return {"coeffs": [[c.real, c.imag] for c in self.coefficients]}
+
+def finite_real(x):
+    """x as a float, the rule for each number of a descriptor: a real, not a
+    bool, finite, and no int past the float range; else ValueError."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not abs(x) <= sys.float_info.max):
+        raise ValueError("expected a finite real number, got %r" % (x,))
+    return float(x)
 
 
 def _horner(rev_coeffs, z):

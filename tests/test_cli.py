@@ -19,6 +19,12 @@ from tractdim.cli import ConfigError, RunConfig
 from tractdim.errors import BudgetExceeded, InvalidGrid, NoSignChange
 
 
+#: The descriptor of koenigs:z^2-1 at its repelling fixed point, kappa 1/4.
+BASILICA = {"family": "koenigs",
+            "poly": {"coeffs": [[-1, 0], [0, 0], [1, 0]]},
+            "z0": [(1 + math.sqrt(5)) / 2, 0], "kappa": [0.25, 0]}
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     return code, capsys.readouterr().out
@@ -44,12 +50,12 @@ class TestRunConfig:
         usage = capsys.readouterr().out.split("\n\n")[0]
         assert re.findall(r"\[(--[\w-]+)", usage) == flags.split()
 
-    def test_round_trip_bit_exact(self):
-        cfg = RunConfig(function={"family": "exp_power",
-                                  "lambda": [0.25, 0.0], "d": 1},
-                        radius=2.718281828459045, tstep=0.1)
-        text = cfg.to_json()
-        assert RunConfig.from_json(text).to_json() == text
+    def test_reads_literal_config(self):
+        text = ('{"function": {"family": "exp_power", "lambda": [0.25, 0.0], '
+                '"d": 1}, "radius": 2.718281828459045, "tstep": 0.1}')
+        assert RunConfig.from_json(text) == RunConfig(
+            function={"family": "exp_power", "lambda": [0.25, 0.0], "d": 1},
+            radius=2.718281828459045, tstep=0.1)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -204,6 +210,9 @@ class TestExitCodes:
         (["spectrum", "--function", "exp", "--seed", "3"], "ConfigError"),
         # argparse's own errors come as the error JSON too
         (["spectrum", "--function", "exp", "--radius", "x"], "ConfigError"),
+        # 400 nines overflow a float to a coefficient of -inf
+        (["hypdim", "--poly", "z^2-" + "9" * 400, "--function", "exp"],
+         "ConfigError"),
     ], ids=["radius-below-singular", "unknown-check", "bad-only",
             "bad-Tlist", "pressure-radius-over-base",
             "hypdim-radius-over-base", "transfer-radius-over-base",
@@ -214,7 +223,8 @@ class TestExitCodes:
             "poly-degree-one", "koenigs-degree-one", "koenigs-dangling-sign",
             "poly-unsigned-term", "koenigs-unsigned-term",
             "hypdim-tmin", "tract-plot-tstep", "verify-radius",
-            "removed-seed-flag", "non-numeric-radius"])
+            "removed-seed-flag", "non-numeric-radius",
+            "poly-infinite-coefficient"])
     def test_bad_input_exits_2(self, argv, error, tmp_path, capsys):
         code, out = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2
@@ -242,9 +252,20 @@ class TestExitCodes:
         {"family": "exp_power", "d": 2.7},
         {"family": "exp_power", "d": "2"},
         {"family": "exp_power", "d": True},
-        {"family": "koenigs", "poly": 5, "z0": 1}],
+        {"family": "koenigs", "poly": 5, "z0": 1},
+        # json reads NaN and Infinity; every number must be finite
+        {"family": "exp_power", "lambda": math.nan},
+        {"family": "exp_power", "lambda": [math.inf, 0]},
+        {"family": "exp_power", "lambda": 0},
+        dict(BASILICA, poly={"coeffs": [[math.nan, 0], [0, 0], [1, 0]]}),
+        dict(BASILICA, z0=[math.nan, 0]),
+        dict(BASILICA, z0=math.inf),
+        dict(BASILICA, kappa=[math.nan, 0]),
+        dict(BASILICA, poly={"coeffs": [[-1, 0], [0, 0], [True, 0]]})],
         ids=["lambda-one-entry", "lambda-null", "lambda-bool", "d-fraction",
-             "d-string", "d-bool", "poly-not-an-object"])
+             "d-string", "d-bool", "poly-not-an-object", "lambda-nan",
+             "lambda-infinite", "lambda-zero", "coeff-nan", "z0-nan",
+             "z0-infinite", "kappa-nan", "coeff-bool"])
     @pytest.mark.parametrize("route", ["function", "config"])
     def test_bad_descriptor_value_exits_2(self, desc, route, tmp_path,
                                           capsys):
@@ -252,7 +273,7 @@ class TestExitCodes:
             argv = ["--function", json.dumps(desc)]
         else:
             path = tmp_path / "cfg.json"
-            path.write_text(RunConfig(function=desc).to_json())
+            path.write_text(json.dumps({"function": desc}))
             argv = ["--config", str(path)]
         out_dir = tmp_path / "out"
         code, out = run_cli(["spectrum"] + argv + ["--out", str(out_dir)],
@@ -276,8 +297,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key", ["threads", "quad_tol", "seed"])
     def test_removed_config_key_refused(self, key, tmp_path, capsys):
-        cfg = json.loads(RunConfig(function={"family": "exp_power"}).to_json())
-        cfg[key] = 1
+        cfg = {"function": {"family": "exp_power"}, key: 1}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, out = run_cli(["spectrum", "--config", str(path),
@@ -508,11 +528,10 @@ class TestCommands:
             -1.0783597064377868, -2.0918765529925887]
 
     def test_config_file(self, tmp_path, capsys):
-        cfg = RunConfig(function={"family": "exp_power",
-                                  "lambda": [1.0, 0.0], "d": 1},
-                        tmin=1.5, tmax=2.0, tstep=0.5)
+        cfg = {"function": {"family": "exp_power", "lambda": [1.0, 0.0],
+                            "d": 1}, "tmin": 1.5, "tmax": 2.0, "tstep": 0.5}
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(cfg))
         code, _ = run_cli(["transfer", "--config", str(path),
                            "--out", str(tmp_path)], capsys)
         assert code == 0
@@ -542,15 +561,19 @@ class TestOneBuild:
     def test_config_descriptor_builds_its_handle(self, tmp_path, capsys,
                                                  monkeypatch):
         want = cli.function_from_spec("koenigs:z^2-1")
+        desc = {"family": "koenigs",
+                "poly": {"coeffs": [[-1, 0], [0, 0], [1, 0]]},
+                "z0": [want.z0.real, want.z0.imag],
+                "kappa": [want.kappa.real, want.kappa.imag]}
         path = tmp_path / "cfg.json"
-        path.write_text(RunConfig(function=want.to_json()).to_json())
+        path.write_text(json.dumps({"function": desc}))
         builds = _count_builds(monkeypatch)
         args = cli.build_parser().parse_args(
             ["spectrum", "--config", str(path)])
         cfg, handle = cli.load_config(args)
         assert len(builds) == 1
         assert handle == want
-        assert cfg.function == want.to_json()
+        assert cfg.function == desc
 
 
 class TestVerify:

@@ -97,6 +97,12 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="not a fixed point"):
             lz.make_koenigs(Polynomial.from_string("z^2-1"), 0.0)
 
+    @pytest.mark.parametrize("z0", [complex(math.nan, 0), math.inf])
+    def test_non_finite_z0_is_not_fixed(self, z0):
+        # |p(z0) - z0| is nan at both, which a plain "> tol" test lets pass
+        with pytest.raises(ValueError, match="not a fixed point"):
+            lz.make_koenigs(P_SQUARE, z0)
+
     @pytest.mark.parametrize("text, K", [
         ("z^2-1", 16), ("z^2-2", 16), ("z^3-0.5z", 16), ("2z^2-1", 16),
         ("z^2", 16), ("z^2+0.3i", 16), ("z^4-0.5", 16), ("z^2+0.2", 32),
@@ -159,14 +165,16 @@ class TestLadderEval:
             h = 1e-6
             for z in sample_disk(100, 5.0, seed=3):
                 num = (L.eval(z + h) - L.eval(z - h)) / (2 * h)
-                d = L.derivative(z)
+                d = L.log_f_and_q(z)[1] * L.eval(z)  # f' = (f'/f) f
                 assert d == pytest.approx(num, rel=1e-6)
 
     def test_derivative_golden(self):
         L = lz.make_koenigs(P_SQUARE, 1.0)
-        assert L.derivative(1.0) == pytest.approx(np.e, abs=1e-9)
+        assert L.log_f_and_q(1.0)[1] * L.eval(1.0) == pytest.approx(
+            np.e, abs=1e-9)
         Lc = lz.make_koenigs(P_COSH, 1.0)
-        assert Lc.derivative(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert Lc.log_f_and_q(0.0)[1] * Lc.eval(0.0) == pytest.approx(
+            1.0, abs=1e-12)
 
 
 def sample_ring(n, rmin, rmax, seed=0):
@@ -370,17 +378,26 @@ class TestDisjointType:
             assert abs(dt.eval(z)) <= 4.0 + 1e-9
 
 
+def value(h, z):
+    """f(z) from the handle's log f."""
+    return cmath.exp(h.log_f_and_q(z)[0])
+
+
 class TestHandles:
     def test_exp_power_eval(self):
         h = lz.exp_power(1.0, 2)
-        assert h.eval(1 + 1j) == pytest.approx(
+        assert value(h, 1 + 1j) == pytest.approx(
             -0.4161468 + 0.9092974j, abs=1e-6
         )
 
     def test_composite(self):
         inner = lz.exp_power(np.exp(-6.0), 1)  # e^{z-6}
         F = lz.composite_exp(inner)
-        assert F.eval(np.log(10)) == pytest.approx(np.exp(4.0), rel=1e-12)
+        assert value(F, np.log(10)) == pytest.approx(np.exp(4.0), rel=1e-12)
+
+    def test_exp_power_refuses_zero_lambda(self):
+        with pytest.raises(ValueError, match="lambda must be nonzero"):
+            lz.exp_power(0.0, 1)
 
     def test_koenigs_at_one(self):
         h = lz.koenigs_handle(P_SQUARE, 1.0)
@@ -396,18 +413,19 @@ class TestHandles:
         h = 1e-6
         for handle in handles:
             for z in sample_disk(100, 2.0, seed=6) + 2.5:
-                num = (handle.eval(z + h) - handle.eval(z - h)) / (2 * h)
-                d = handle.derivative(z)
+                num = (value(handle, z + h) - value(handle, z - h)) / (2 * h)
+                d = handle.log_f_and_q(z)[1] * value(handle, z)
                 assert d == pytest.approx(num, rel=1e-5)
 
-    def test_json_roundtrip(self):
-        handles = [
-            lz.exp_power(0.25 + 0.1j, 3),
-            lz.koenigs_handle(P_COSH, 1.0, kappa=0.125),
-            lz.composite_exp(lz.exp_power(np.exp(-6.0), 1)),
-        ]
-        for h in handles:
-            back = lz.handle_from_json(h.to_json())
-            assert type(back) is type(h)
-            z = 1.3 + 0.2j
-            assert back.eval(z) == pytest.approx(h.eval(z))
+    def test_reads_literal_descriptors(self):
+        cosh = {"coeffs": [[-1, 0], [0, 0], [2.0, 0.0]]}
+        for desc, want in [
+            ({"family": "exp_power", "lambda": [0.25, 0.1], "d": 3},
+             lz.exp_power(0.25 + 0.1j, 3)),
+            ({"family": "koenigs", "poly": cosh, "z0": 1, "kappa": [0.125, 0]},
+             lz.koenigs_handle(P_COSH, 1.0, kappa=0.125)),
+            ({"family": "composite_exp",
+              "inner": {"family": "exp_power", "lambda": np.exp(-6.0)}},
+             lz.composite_exp(lz.exp_power(np.exp(-6.0), 1))),
+        ]:
+            assert lz.handle_from_json(desc) == want

@@ -11,14 +11,26 @@ import pytest
 
 import tractdim.cli as cli
 
+ITEM_1 = ("ROADMAP item 1: the Koenigs tract's b has no zero on the capped "
+          "T grid, so hypdim exits 3")
 ITEM_3 = ("ROADMAP item 3: the printed zero is a depth-12 bisection value "
           "and its bracket is the bisection interval, not an error bar")
+ITEM_4 = ("ROADMAP item 4: the entire-side zero comes from truncated, "
+          "radius-dependent transfer sums, not the operator's leading "
+          "eigenvalue")
+ITEM_10 = ("ROADMAP item 10: beta_infinity keeps the finite-T bias of its "
+           "top slopes")
+
+
+def run(argv, tmp_path, capsys):
+    """The parsed stdout of a command that has to exit 0."""
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def hypdim_poly(text, tmp_path, capsys):
-    code = cli.main(["hypdim", "--poly", text, "--out", str(tmp_path)])
-    assert code == 0
-    return json.loads(capsys.readouterr().out)["result"]
+    return run(["hypdim", "--poly", text], tmp_path, capsys)["result"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_3)
@@ -39,3 +51,26 @@ def test_basilica_bracket_contains_mcmullen(tmp_path, capsys):
 def test_quasicircle_zero_above_one(tmp_path, capsys):
     # J(z^2+0.01) is a quasicircle, so its dimension exceeds 1; prints 0.99944
     assert hypdim_poly("z^2+0.01", tmp_path, capsys)["bowen_zero"] > 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_1)
+def test_koenigs_chebyshev_theta_is_one(tmp_path, capsys):
+    # z^2-2 linearizes to 2 cosh(sqrt z), whose theta is 1 in closed form;
+    # exits 3 with NoSignChange, b(1) = 0.712
+    out = run(["hypdim", "--function", "koenigs:z^2-2"], tmp_path, capsys)
+    assert abs(out["result"]["theta_hat"] - 1.0) <= 0.01
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4)
+def test_quarter_zero_matches_eigenvalue(tmp_path, capsys):
+    # the transfer-operator eigenvalue puts the zero of e^z/4 at 1.2448;
+    # prints 1.0592
+    out = run(["hypdim", "--function", "quarter"], tmp_path, capsys)
+    assert abs(out["result"]["bowen_zero"] - 1.2448) <= 1e-3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_10)
+def test_composite_spectrum_theta_is_one(tmp_path, capsys):
+    # e^{-6} e^{e^z} has theta 1 in closed form; prints 0.9035
+    out = run(["spectrum", "--function", "composite"], tmp_path, capsys)
+    assert abs(out["summary"]["theta_hat"] - 1.0) <= 0.005

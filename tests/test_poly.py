@@ -29,8 +29,22 @@ class TestPolynomial:
         assert p(z) == pytest.approx(2 * z**3 + 0.5 * z - 1)
 
     def test_shorthand_roundtrip(self):
-        p = Polynomial.from_json(CHEB.to_json())
+        # the shorthand and the descriptor of z^2-2 read the same polynomial
+        p = Polynomial.from_json({"coeffs": [[-2, 0], [0.0, 0.0], [1, 0]]})
         assert p.coefficients == CHEB.coefficients
+
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 0.0, math.nan), (complex(0, math.inf), 0.0, 1.0),
+        (-1e400, 0, 1)])
+    def test_non_finite_coefficient_refused(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            Polynomial(coeffs)
+
+    # bool and nan parts are exit-2 cases in tests/test_cli.py
+    @pytest.mark.parametrize("pair", [[0, None], [0, -math.inf], [10**400, 0]])
+    def test_bad_descriptor_coefficient_refused(self, pair):
+        with pytest.raises(ValueError):
+            Polynomial.from_json({"coeffs": [[-1, 0], [0, 0], pair]})
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
