@@ -160,6 +160,8 @@ def _escape_ladder(L, u0, max_abs, log, exp_neg):
     r0 = L.series_radius
     n = 0
     biggest = max_abs(u0)
+    if biggest == math.inf:  # no number of lam-divisions brings it in
+        raise Overflow("linearizer argument kappa*z is infinite")
     while biggest > r0:
         u0 = u0 / lam
         biggest /= abs_lam

@@ -2,15 +2,15 @@
 
 Evaluation, preimage trees with chain-rule derivatives, the repelling
 fixed point a Koenigs handle linearizes at, Boettcher coordinates of the
-basin of infinity, tree pressure with Richardson extrapolation and the
-Bowen-zero (hyperbolic dimension) estimate on the polynomial side.  A
-preimage tree solves its first level from the kernel's cold start and
-every later level from the roots of the level above, tiled d times: a
-node's fiber lies near the fiber of the node with its first branch
-dropped (the shift identity in ``_preimage_levels``).  The Boettcher
-conjugacy has one entry, ``bottcher_inverse(p, z)``: z is an array of
-any shape outside the unit circle, and one batched ray continuation
-returns (h, h') of that shape.
+basin of infinity, tree pressure with Richardson extrapolation, its
+Bowen zero (hyperbolic dimension) and ``solve_decreasing``, the one
+bisection behind every printed zero.  A preimage tree solves its first
+level from the kernel's cold start and every later level from the roots
+of the level above, tiled d times: a node's fiber lies near the fiber of
+the node with its first branch dropped (the shift identity in
+``_preimage_levels``).  The Boettcher conjugacy has one entry,
+``bottcher_inverse(p, z)``: z is an array of any shape outside the unit
+circle, and one batched ray continuation returns (h, h') of that shape.
 Circle means run their own inward continuation, one for all requested
 radii, on a quadrature grid that follows the radius down.
 """
@@ -231,22 +231,6 @@ def repelling_fixed_point(p):
         z, last = z - step, abs(step)
 
 
-def _pressure_sequence(log_derivs, t):
-    """Raw per-depth values from per-level log|cumulative derivative| arrays."""
-    return [float(logsumexp(-t * ld) / k)
-            for k, ld in enumerate(log_derivs, start=1)]
-
-
-def _extrapolate(seq):
-    """limsup proxy: max of the last three Richardson pairs n*P_n-(n-1)*P_{n-1}."""
-    if len(seq) == 1:
-        return seq[0]
-    rich = [
-        (k + 1) * seq[k] - k * seq[k - 1] for k in range(1, len(seq))
-    ]
-    return max(rich[-3:])
-
-
 def tree_log_derivs(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     """log|(p^k)'| over the fiber p^{-k}(w), one array per depth k = 1..n."""
     return [np.log(np.abs(cum))
@@ -254,8 +238,15 @@ def tree_log_derivs(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
 
 
 def _pressure_from(log_derivs, t):
-    """Tree pressure at t: the limsup proxy of the raw per-depth values."""
-    return _extrapolate(_pressure_sequence(log_derivs, t))
+    """Tree pressure at t: of the raw values P_k = (1/k) log sum
+    |(p^k)'|^-t per depth, the max of the last three Richardson pairs
+    k*P_k - (k-1)*P_{k-1} (the limsup proxy), or P_1 alone."""
+    seq = [float(logsumexp(-t * ld) / k)
+           for k, ld in enumerate(log_derivs, start=1)]
+    if len(seq) == 1:
+        return seq[0]
+    return max((k + 1) * seq[k] - k * seq[k - 1]
+               for k in range(1, len(seq))[-3:])
 
 
 def tree_pressure(p, t, w, n, node_budget=DEFAULT_NODE_BUDGET):
@@ -277,40 +268,32 @@ class BowenZero:
     width: float
 
 
-def bowen_zero_poly(
-    p, depth, w=5.0 + 0j, bracket=(0.1, 2.0), width=1e-3,
-    node_budget=DEFAULT_NODE_BUDGET,
-):
-    """Bisection zero of t -> tree_pressure(p, t, w, depth) on the bracket."""
-    log_derivs = tree_log_derivs(p, w, depth, node_budget)
-    lo, hi = bracket
-    plo = _pressure_from(log_derivs, lo)
-    phi = _pressure_from(log_derivs, hi)
-    if plo == 0.0:
-        return BowenZero(lo, (lo, lo), 0.0)
-    if not (plo > 0.0 > phi):
-        raise NoSignChange(
-            f"pressure has no sign change on {bracket}: P({lo})={plo:.4g}, "
-            f"P({hi})={phi:.4g}"
-        )
-    lo, hi = bisect_bracket(
-        lambda t: _pressure_from(log_derivs, t) > 0.0, lo, hi, width)
-    return BowenZero(0.5 * (lo + hi), (lo, hi), hi - lo)
+def bowen_zero_poly(p, depth, node_budget=DEFAULT_NODE_BUDGET):
+    """Zero of the depth-n tree pressure at w = 5 on [0.1, 2.0], to width
+    1e-3 by ``solve_decreasing``."""
+    log_derivs = tree_log_derivs(p, 5.0 + 0j, depth, node_budget)
+    value, (lo, hi) = solve_decreasing(
+        lambda t: _pressure_from(log_derivs, t), 0.1, 2.0, 1e-3)
+    return BowenZero(value, (lo, hi), hi - lo)
 
 
-def bisect_bracket(positive, lo, hi, width):
-    """Halve [lo, hi] around a sign change until it is at most width wide.
+def solve_decreasing(f, lo, hi, width):
+    """Zero of a decreasing f, bisected on [lo, hi] to at most width.
 
-    A midpoint where positive(mid) holds replaces lo, any other replaces
-    hi, so the predicate decides where a NaN value goes.  Returns (lo, hi).
+    Any value that is not <= 0 counts as positive: NaN and the +inf of a
+    divergent sum lie below the zero.  NoSignChange unless f(lo) is
+    positive and f(hi) is not.  Returns (root, (lo, hi)) with the root at
+    the middle of the final bracket.
     """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo <= 0 or not f_hi <= 0:
+        raise NoSignChange("no sign change on bracket; endpoints: "
+                           "[(%.6g, %.6g), (%.6g, %.6g)]"
+                           % (lo, f_lo, hi, f_hi))
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+        lo, hi = (lo, mid) if f(mid) <= 0 else (mid, hi)
+    return 0.5 * (lo + hi), (lo, hi)
 
 
 def logsumexp(a):

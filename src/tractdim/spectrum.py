@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tract as tr
 from .errors import InvalidGrid, NoSignChange
-from .poly import GL4_NODES, GL4_WEIGHTS, bisect_bracket, logsumexp
+from .poly import GL4_NODES, GL4_WEIGHTS, logsumexp, solve_decreasing
 
 DEFAULT_T_GRID = tuple(float(2**j) for j in range(3, 15))
 #: Largest dyadic exponent of the T grid on sampled (continued) branches,
@@ -174,7 +174,9 @@ def spectrum_curve(tables, t_grid):
 
 
 def theta_f(tables):
-    """Smallest zero of t -> b(t) on (0, 2] by scan plus bisection."""
+    """Smallest zero of t -> b(t) on (0, 2]: the first interval of a 0.1
+    scan where b <= 0, bisected to 1e-3.  Only the scan finds the smallest
+    zero, as b is not monotone on Koenigs tracts (z^2-1: 0.786, then up)."""
 
     def b_hat(t):
         return beta_infinity(tables, t).value - t + 1
@@ -186,9 +188,7 @@ def theta_f(tables):
         t = 0.1 * k
         scan.append((t, b_hat(t)))
         if scan[-1][1] <= 0:
-            lo, hi = bisect_bracket(lambda t: not b_hat(t) <= 0,
-                                    scan[-2][0], t, 1e-3)
-            return 0.5 * (lo + hi)
+            return solve_decreasing(b_hat, scan[-2][0], t, 1e-3)[0]
     curve = ", ".join("(%.6g, %.6g)" % row for row in scan)
     raise NoSignChange("b has no zero on (0, 2]; curve: [%s]" % curve)
 

@@ -36,6 +36,7 @@ _NEWTON_MAXIT = 50
 _MAX_ANCHORS = 4096
 _MAX_RHO = 1e12  # outer radius of a sampled family's tract search
 _MAX_TRUST = 1e300  # a finite ceiling: halving an infinite step never ends
+_WALK_BUDGET = 20000  # Newton corrections per continuation walk
 _TWO_PI = 2 * np.pi
 
 
@@ -244,11 +245,13 @@ def _continue_to(branch, current, z, q, xi):
     take O(log) steps per decade while curved geometry self-limits.  The
     trust carried between walks stops at _MAX_TRUST, and a rejected full
     step is halved until it is shorter than what remains, since solving it
-    again would be rejected again.
+    again would be rejected again.  A walk that needs more than
+    _WALK_BUDGET corrections has run away and raises ContinuationStall.
     """
     trust = branch._trust
     if trust is None:
         trust = 0.4 * max(current.real, 1.0)
+    corrections = 0
     while current != xi:
         remaining = xi - current
         max_step = max(trust, 1e-12)
@@ -261,6 +264,10 @@ def _continue_to(branch, current, z, q, xi):
                 raise ZeroDenominator("vanishing f'/f on continuation path")
             z_pred = z + step / q  # tangent predictor: dz/dxi = 1/(log f)'
             cap = 2.0 * max(abs(z_pred), 1.0)
+            corrections += 1
+            if corrections > _WALK_BUDGET:
+                raise ContinuationStall("no phi after %d corrections toward "
+                                        "xi = %s" % (_WALK_BUDGET, xi))
             z_new, q_new = _newton(branch.handle, z_pred, target, cap)
             if q_new is not None:
                 # adjacent 2 pi i sheets sit ~ 2 pi |phi'| away; a correction

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tract as tr
-from .errors import BudgetExceeded, DivergenceDetected, NoSignChange
-from .poly import bisect_bracket
+from .errors import BudgetExceeded, DivergenceDetected
+from .poly import solve_decreasing
 
 _TWO_PI = 2.0 * math.pi
 _REL_STOP = 1e-10
@@ -307,34 +307,18 @@ def pressure_entire(frontier, t):
     return PressureFit(float(slope), residual)
 
 
-def pressure_root(pfun, lo, hi, width=0.02):
-    """Bisection zero of a decreasing pressure function on (lo, hi].
+def bowen_zero_entire(frontier, theta_hat):
+    """Hyperbolic-dimension estimate: zero of the pressure on [theta_hat +
+    0.05, 2.5] to width 0.02, every step on the one prebuilt frontier.  A
+    divergent transfer sum is +inf pressure, which brackets from below."""
 
-    A divergent transfer sum means the pressure is +inf at that t, which
-    still carries bracketing information, so it counts as a positive value.
-    """
-
-    def signed(t):
+    def pressure(t):
         try:
-            return pfun(t)
+            return pressure_entire(frontier, t).value
         except DivergenceDetected:
             return math.inf
 
-    p_lo, p_hi = signed(lo), signed(hi)
-    if p_lo <= 0 or p_hi > 0:
-        raise NoSignChange("no sign change on bracket; endpoints: "
-                           "[(%.6g, %.6g), (%.6g, %.6g)]" % (lo, p_lo, hi, p_hi))
-    lo, hi = bisect_bracket(lambda t: not signed(t) <= 0, lo, hi, width)
-    return 0.5 * (lo + hi)
-
-
-def bowen_zero_entire(frontier, theta_hat, width=0.02):
-    """Hyperbolic-dimension estimate: zero of the pressure above theta.
-
-    Every bisection step evaluates the one prebuilt frontier.
-    """
-    return pressure_root(lambda t: pressure_entire(frontier, t).value,
-                         theta_hat + 0.05, 2.5, width)
+    return solve_decreasing(pressure, theta_hat + 0.05, 2.5, 0.02)[0]
 
 
 def scaling_band(atlas, t, s_grid=(2.0, 4.0, 8.0, 16.0, 32.0), n_args=4,

@@ -348,6 +348,18 @@ class TestExitCodes:
         assert err["error"] == "NotRepelling"
         assert "too close to 1" in err["detail"]
 
+    @pytest.mark.parametrize("kappa,error", [
+        (1e300, "Overflow"), (1e20, "ContinuationStall")])
+    def test_huge_kappa_exits_3(self, kappa, error, tmp_path, capsys):
+        # kappa = 1e300 sends a Newton iterate to kappa*z = inf, where the
+        # ladder's lam-divisions never end; kappa = 1e20 runs one phi walk
+        # past its correction budget.  Both used to hang.
+        desc = json.dumps(dict(BASILICA, kappa=[kappa, 0]))
+        code, out = run_cli(["spectrum", "--function", desc,
+                             "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == error
+
     @pytest.mark.parametrize("budget,error", [
         (None, "DivergenceDetected"), ("4096", "BudgetExceeded")])
     def test_pressure_error_precedence(self, budget, error, tmp_path, capsys):

@@ -256,10 +256,10 @@ class TestTreePressure:
             assert val == pytest.approx((1 - t) * np.log(2), abs=1e-3)
 
     def test_counting_measure(self):
-        val = poly.tree_pressure(Z2, 0.0, 7.0, 8)
-        assert val == pytest.approx(np.log(2), abs=1e-12)
-        raw = poly._pressure_sequence(poly.tree_log_derivs(Z2, 7.0, 8), 0.0)
-        assert raw[-1] == pytest.approx(np.log(2), abs=1e-12)
+        # depth 1 is the raw value, deeper ones Richardson pairs
+        for n in range(1, 9):
+            val = poly.tree_pressure(Z2, 0.0, 7.0, n)
+            assert val == pytest.approx(np.log(2), abs=1e-12)
 
     def test_cheb(self):
         val = poly.tree_pressure(CHEB, 1.0, 5.0, 14)
@@ -310,23 +310,45 @@ class TestBowenZero:
         assert bz.value == pytest.approx(1.268, abs=5e-3)
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            poly.bowen_zero_poly(Z2, 8, bracket=(1.5, 2.0))
+        # z^2 - 1e6 has HD about 0.09, below the bracket floor 0.1
+        with pytest.raises(NoSignChange) as info:
+            poly.bowen_zero_poly(Polynomial((-1e6, 0, 1)), 8)
+        assert str(info.value).startswith(
+            "no sign change on bracket; endpoints: [(0.1, -0.06")
 
 
-class TestBisectBracket:
-    def test_brackets_the_sign_change(self):
-        lo, hi = poly.bisect_bracket(lambda t: 0.3 - t > 0, 0.0, 1.0, 1e-3)
+class TestSolveDecreasing:
+    def test_root_within_width(self):
+        root, (lo, hi) = poly.solve_decreasing(lambda t: 0.3 - t, 0.0, 1.0,
+                                               1e-3)
         assert lo <= 0.3 <= hi and hi - lo <= 1e-3
+        assert root == 0.5 * (lo + hi)
 
-    def test_predicate_routes_nan(self):
-        # the callers' two NaN rules: "not v <= 0" sends NaN to lo,
-        # "v > 0" sends it to hi
-        nan = float("nan")
-        lo, hi = poly.bisect_bracket(lambda t: not nan <= 0, 0.0, 1.0, 0.1)
-        assert hi == 1.0 and lo > 0.9
-        lo, hi = poly.bisect_bracket(lambda t: nan > 0, 0.0, 1.0, 0.1)
-        assert lo == 0.0 and hi < 0.1
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_and_inf_count_as_positive(self, value):
+        # below 0.55 the value is NaN or +inf (a divergent sum), above it
+        # negative: the bracket closes on 0.55 from both sides
+        f = lambda t: value if t < 0.55 else -1.0
+        root, (lo, hi) = poly.solve_decreasing(f, 0.0, 1.0, 0.01)
+        assert lo < 0.55 <= hi and hi - lo <= 0.01
+        # a NaN or +inf at the lower end still brackets
+        _, (lo, hi) = poly.solve_decreasing(
+            lambda t: value if t == 0.0 else -t, 0.0, 1.0, 0.1)
+        assert lo == 0.0 and hi <= 0.1
+
+    def test_no_sign_change(self):
+        with pytest.raises(NoSignChange) as info:
+            poly.solve_decreasing(lambda t: np.float64(-t), 0.1, 2.5, 0.02)
+        detail = str(info.value)
+        assert detail.split(";")[0] == "no sign change on bracket"
+        assert "np.float64" not in detail
+        assert detail.endswith("[(0.1, -0.1), (2.5, -2.5)]")
+        with pytest.raises(NoSignChange):
+            poly.solve_decreasing(lambda t: 1.0, 0.1, 2.5, 0.02)
+        # a NaN at the upper end is positive too
+        with pytest.raises(NoSignChange):
+            poly.solve_decreasing(lambda t: math.nan if t > 1 else 1.0,
+                                  0.1, 2.5, 0.02)
 
 
 class TestLogSumExp:

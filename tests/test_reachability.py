@@ -5,12 +5,15 @@ an attribute) outside its own definition, or when the benchmark harness
 in perfbench/ names it.  Code that only tests reach has to be kept alive
 through every refactor of the layers it wraps, so it either gets a job in
 the pipeline or goes.  Private helpers are held to the same rule, so a
-helper that a refactor leaves without a caller fails here too.
+helper that a refactor leaves without a caller fails here too.  The
+names that perfbench/tracer.py wraps must also still exist.
 """
 
 import ast
+import importlib
 import pathlib
 import re
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tractdim"
@@ -80,3 +83,17 @@ def test_allowed_names_still_exist():
     # an exception outlives its name only by mistake
     names = {node.name for _, node in _definitions()}
     assert ALLOWED <= names
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracer.py wraps these by name at run time; a rename or a
+    # deletion in src/tractdim must fail here, not in a traced benchmark
+    # run.  The file is executed from its text, so nothing is written
+    # under perfbench/.
+    path = PERFBENCH / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    missing = [(module, attr) for module, attr, *_ in tracer.WRAPPED
+               if not hasattr(importlib.import_module("tractdim." + module),
+                              attr)]
+    assert missing == []

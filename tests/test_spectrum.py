@@ -211,6 +211,14 @@ class TestTheta:
         assert "np.float64" not in detail
         assert "(0.1, 1)" in detail
 
+    def test_smallest_zero_of_non_monotone_b(self, exp_tables, monkeypatch):
+        # b(t) = (t - 0.55)^2 - 0.01 has zeros 0.45 and 0.65: the scan stops
+        # in (0.4, 0.5] and the bisection stays inside it
+        fake = lambda tables, t: sp.BetaEstimate(
+            (t - 0.55) ** 2 - 0.01 + t - 1, 0.0, [])
+        monkeypatch.setattr(sp, "beta_infinity", fake)
+        assert sp.theta_f(exp_tables) == pytest.approx(0.45, abs=1e-3)
+
     def test_inconsistent_at_zero(self, exp_tables, monkeypatch):
         fake = lambda tables, t: sp.BetaEstimate(t - 2.0, 0.0, [])
         monkeypatch.setattr(sp, "beta_infinity", fake)

@@ -427,20 +427,27 @@ class TestPressure:
 
 
 class TestBowenZero:
-    def test_synthetic_affine_root(self):
-        got = tf.pressure_root(lambda t: (1 - t) * math.log(2), 0.1, 2.5,
-                               width=1e-3)
-        assert got == pytest.approx(1.0, abs=1e-3)
+    def test_synthetic_affine_root(self, monkeypatch):
+        # a divergent sum below t = 0.5 counts as +inf pressure
+        def pressure(frontier, t):
+            if t < 0.5:
+                raise DivergenceDetected("synthetic")
+            return tf.PressureFit((1 - t) * math.log(2), 0.0)
 
-    def test_no_sign_change(self):
+        monkeypatch.setattr(tf, "pressure_entire", pressure)
+        # the middle of a final bracket at most 0.02 wide
+        assert tf.bowen_zero_entire(None, 0.05) == pytest.approx(1.0,
+                                                                 abs=0.01)
+
+    def test_no_sign_change(self, monkeypatch):
+        monkeypatch.setattr(tf, "pressure_entire", lambda frontier, t:
+                            tf.PressureFit(np.float64(-t), 0.0))
         with pytest.raises(NoSignChange) as info:
-            tf.pressure_root(lambda t: np.float64(-t), 0.1, 2.5)
+            tf.bowen_zero_entire(None, 0.1)
         detail = str(info.value)
         assert detail.split(";")[0] == "no sign change on bracket"
         assert "np.float64" not in detail
-        assert detail.endswith("[(0.1, -0.1), (2.5, -2.5)]")
-        with pytest.raises(NoSignChange):
-            tf.pressure_root(lambda t: 1.0, 0.1, 2.5)
+        assert detail.endswith("[(0.15, -0.15), (2.5, -2.5)]")
 
     def test_quarter_map(self, quarter_atlas):
         frontier = tf.iterate_frontier(quarter_atlas, E2, 3)
