@@ -138,6 +138,23 @@ def _descriptor_errors():
         raise ConfigError("bad function descriptor: %s" % exc)
 
 
+def _descriptor_handle(desc):
+    """The handle of a decoded JSON descriptor.
+
+    A Koenigs descriptor's kappa is taken as given, so it must pass the
+    shorthand's disjoint-type test at R = e; halving it is left to the
+    writer of the descriptor.
+    """
+    with _descriptor_errors():
+        handle = lz.handle_from_json(desc)
+    if (isinstance(handle, lz.KoenigsLinearizer)
+            and not lz.is_disjoint_type(handle, math.e)):
+        raise ConfigError("Koenigs kappa %s is not disjoint type: the "
+                          "sampled disk |z| <= e is not mapped into itself"
+                          % handle.kappa)
+    return handle
+
+
 def function_from_spec(text):
     """Build a function handle from a JSON descriptor or a shorthand name.
 
@@ -149,7 +166,8 @@ def function_from_spec(text):
     text = text.strip()
     if text.startswith("{"):
         with _descriptor_errors():
-            return lz.handle_from_json(json.loads(text))
+            desc = json.loads(text)
+        return _descriptor_handle(desc)
     if text in lz.SHORTHANDS:
         return lz.SHORTHANDS[text]()
     if text.startswith("koenigs:"):
@@ -193,8 +211,7 @@ def load_config(args):
             setattr(cfg, f.name, val)
     cfg.validate()
     if args.config and handle is None:
-        with _descriptor_errors():
-            handle = lz.handle_from_json(cfg.function)
+        handle = _descriptor_handle(cfg.function)
     return cfg, handle
 
 

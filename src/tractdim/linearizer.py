@@ -14,8 +14,9 @@ builds a handle from its JSON descriptor.
   the first power-of-two order whose tail is below tolerance.  Its log f
   comes from one escape ladder for scalars and arrays
   (``linearizer_log_eval``), each step a ``poly.escape_sums`` Horner pass
-  over p's precomputed (c_k, k*c_k) pairs; ``make_disjoint_type`` runs it
-  once per kappa trial over its whole disk grid.  ``eval(z)`` is the value
+  over p's precomputed (c_k, k*c_k) pairs; ``is_disjoint_type`` runs it
+  once over its whole disk grid, and ``make_disjoint_type`` once per kappa
+  trial.  ``eval(z)`` is the value
   ladder at a scalar, the reference check 6 holds the log ladder to.
 * ``CompositeExpModel`` (built by ``composite_exp``): F = inner o exp, an
   infinite-order model built over an inner handle whose tract sits deep
@@ -210,26 +211,34 @@ def linearizer_log_eval(L, z):
     return logf, q
 
 
-def make_disjoint_type(L, R):
-    """Shrink kappa by halving until no sampled point of the closed R-disk maps
-    outside the closed R-disk (sampled separation of tracts from D_R).
+def is_disjoint_type(L, R):
+    """Whether no sampled point of the closed R-disk maps outside it.
 
-    Each trial is one array ``linearizer_log_eval`` over the grid; a point
-    has escaped unless Re log f <= log R, so a nan counts as escaped.
+    One array ``linearizer_log_eval`` over a 48 x 48 polar grid of the disk;
+    a point has escaped unless Re log f <= log R, so a nan counts as
+    escaped, and an Overflow of the evaluation counts as an escape.
     """
+    radii = np.linspace(0.0, R, 48)
+    angles = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+    pts = np.ravel(radii[:, None] * np.exp(1j * angles)[None, :])
+    try:
+        logf, _ = linearizer_log_eval(L, pts)
+    except Overflow:
+        return False
+    return bool(np.all(logf.real <= math.log(R)))
+
+
+def make_disjoint_type(L, R):
+    """Shrink kappa by halving until ``is_disjoint_type`` holds at R
+    (sampled separation of tracts from D_R)."""
     if R < 1:
         raise ValueError("R must be >= 1")
     if L.z0 == 0:
         raise ValueError("z0 = 0 has no repelling normalization")
-    radii = np.linspace(0.0, R, 48)
-    angles = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
-    pts = np.ravel(radii[:, None] * np.exp(1j * angles)[None, :])
-    log_r = math.log(R)
     kappa = L.kappa
     while abs(kappa) >= 1e-12:
         trial = dataclasses.replace(L, kappa=kappa)
-        logf, _ = linearizer_log_eval(trial, pts)
-        if np.all(logf.real <= log_r):
+        if is_disjoint_type(trial, R):
             return trial
         kappa /= 2
     raise ScaleFloor("no disjoint-type kappa above 1e-12")

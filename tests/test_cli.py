@@ -348,17 +348,35 @@ class TestExitCodes:
         assert err["error"] == "NotRepelling"
         assert "too close to 1" in err["detail"]
 
-    @pytest.mark.parametrize("kappa,error", [
-        (1e300, "Overflow"), (1e20, "ContinuationStall")])
-    def test_huge_kappa_exits_3(self, kappa, error, tmp_path, capsys):
-        # kappa = 1e300 sends a Newton iterate to kappa*z = inf, where the
-        # ladder's lam-divisions never end; kappa = 1e20 runs one phi walk
-        # past its correction budget.  Both used to hang.
-        desc = json.dumps(dict(BASILICA, kappa=[kappa, 0]))
-        code, out = run_cli(["spectrum", "--function", desc,
-                             "--out", str(tmp_path)], capsys)
-        assert code == 3
-        assert json.loads(out)["error"] == error
+    @pytest.mark.parametrize("kappa", [0.5, 1e20, 1e300])
+    @pytest.mark.parametrize("route", ["function", "config"])
+    def test_non_disjoint_kappa_exits_2(self, kappa, route, tmp_path,
+                                        capsys):
+        # a descriptor's kappa is checked as given: 0.5 maps part of the
+        # disk |z| <= e outside it, 1e300 overflows the ladder.  They used to
+        # fail late, 1e20 after 1.4 s of phi walking (ContinuationStall),
+        # and 1e300 with Overflow, neither naming kappa
+        desc = dict(BASILICA, kappa=[kappa, 0])
+        if route == "function":
+            argv = ["--function", json.dumps(desc)]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"function": desc}))
+            argv = ["--config", str(path)]
+        out_dir = tmp_path / "out"
+        code, out = run_cli(["spectrum"] + argv + ["--out", str(out_dir)],
+                            capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "ConfigError"
+        assert "kappa %s" % complex(kappa) in err["detail"]
+        assert "not disjoint type" in err["detail"]
+        assert not out_dir.exists()
+
+    def test_disjoint_kappa_accepted(self):
+        # the shorthand's own kappa, 1/4, passes the descriptor check
+        h = cli.function_from_spec(json.dumps(BASILICA))
+        assert h == cli.function_from_spec("koenigs:z^2-1")
 
     @pytest.mark.parametrize("budget,error", [
         (None, "DivergenceDetected"), ("4096", "BudgetExceeded")])

@@ -358,6 +358,19 @@ class TestDisjointType:
         L = lz.make_koenigs(p, poly.repelling_fixed_point(p))
         assert lz.make_disjoint_type(L, R).kappa == ref_disjoint_type(L, R).kappa
 
+    @pytest.mark.parametrize("spec", ["z^2-1", "z^2-2", "z^3-0.5z"])
+    def test_one_trial_at_given_kappa(self, spec):
+        # the search stops at the first halving the one-trial test accepts;
+        # the kappa before it fails, and so does one that overflows
+        p = Polynomial.from_string(spec)
+        L = lz.make_koenigs(p, poly.repelling_fixed_point(p))
+        dt = lz.make_disjoint_type(L, math.e)
+        assert lz.is_disjoint_type(dt, math.e)
+        assert abs(dt.kappa) < 1
+        for kappa in (2 * dt.kappa, 1e300):
+            trial = dataclasses.replace(L, kappa=kappa)
+            assert not lz.is_disjoint_type(trial, math.e)
+
     def test_exp_family(self):
         L = lz.make_koenigs(P_SQUARE, 1.0)
         dt = lz.make_disjoint_type(L, np.e)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,80 @@ class TestIterate:
                     old = float(np.sum(np.exp(np.sort(logwt))))
                     assert tf.transfer_iterate(frontier, t, n) == \
                         pytest.approx(old, rel=1e-13, abs=0)
+
+
+def unblocked_levels(atlas, w, n, branch_budget):
+    """The frontier's levels as one unblocked walk builds them: each group
+    of parents (all of them, or one sampled point) under each branch in
+    turn, the rows concatenated in that order, then sorted."""
+    sampled = any(b.sampled for b in atlas.tracts)
+    zs, sums, levels = np.array([complex(w)]), np.array([0.0]), []
+    for level, B in enumerate(tf.level_budgets(branch_budget, n)):
+        ks = 2 * np.pi * np.arange(-B, B + 1)
+        kept = np.flatnonzero(np.log(np.abs(zs)) > math.log(atlas.radius))
+        if sampled:
+            groups = [(np.array([i]), math.log(abs(zs[i])),
+                       math.atan2(zs[i].imag, zs[i].real)) for i in kept]
+        else:
+            groups = [(kept, np.log(np.abs(zs[kept]))[:, None],
+                       np.angle(zs[kept])[:, None])]
+        rows, children = [], []
+        for idx, logw, argw in groups:
+            xi = logw + 1j * (argw + ks)
+            for branch in atlas.tracts:
+                if level < n - 1:
+                    z, dz = tr.phi_path(branch, xi)
+                    logterm = np.log(np.abs(dz)) - np.log(np.abs(z))
+                    children.append(z.ravel())
+                else:
+                    logterm = tr.log_weight(branch, xi)
+                rows.append((logterm.reshape(len(idx), -1)
+                             + sums[idx][:, None]).ravel())
+        sums = np.concatenate(rows)
+        levels.append(np.sort(sums))
+        if children:
+            zs = np.concatenate(children)
+    return levels
+
+
+class TestFrontierBlocks:
+    CASES = [("exp", 3, 128), ("quarter", 3, 128), ("square", 3, 128),
+             ("composite", 3, 128), ("koenigs:z^2-1", 2, 8)]
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("spec,n,budget", CASES)
+    def test_levels_match_unblocked_walk(self, spec, n, budget, rows,
+                                         monkeypatch):
+        # 7 rows divide no level, so every block seam is crossed
+        if rows is not None:
+            monkeypatch.setattr(tf, "_FRONTIER_ROWS", rows)
+        frontier = tf.iterate_frontier(fresh_atlas(spec), E2, n, budget)
+        want = unblocked_levels(fresh_atlas(spec), E2, n, budget)
+        assert len(frontier.levels) == len(want)
+        for got, ref in zip(frontier.levels, want):
+            assert got.tobytes() == ref.tobytes()
+        for t in (1.2, 1.5, 2.5):
+            for k in range(2, n + 1):
+                level = frontier.levels[k - 1]
+                assert tf.transfer_iterate(frontier, t, k) == \
+                    float(np.sum(np.exp(t * level)))
+
+    def test_memory_stays_bounded(self, square_atlas):
+        # the last level (16.6 MiB) is filled in row blocks and sorted in
+        # place: 70.4 MiB of numpy allocations before, and the sum at one t
+        # took two temporaries of the level's size
+        tracemalloc.start()
+        try:
+            frontier = tf.iterate_frontier(square_atlas, E2, 3, 128)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            tf.transfer_iterate(frontier, 1.5, 3)
+            extra = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 28 * 2**20
+        assert extra <= 1.1 * frontier.levels[-1].nbytes
 
 
 class TestPressure:
