@@ -16,8 +16,8 @@ builds a handle from its JSON descriptor.
   (``linearizer_log_eval``), each step a ``poly.escape_sums`` Horner pass
   over p's precomputed (c_k, k*c_k) pairs; ``is_disjoint_type`` runs it
   once over its whole disk grid, and ``make_disjoint_type`` once per kappa
-  trial.  ``eval(z)`` is the value
-  ladder at a scalar, the reference check 6 holds the log ladder to.
+  trial.  ``eval(z)`` is the value ladder at a scalar, the reference check
+  6 holds the log ladder to.
 * ``CompositeExpModel`` (built by ``composite_exp``): F = inner o exp, an
   infinite-order model built over an inner handle whose tract sits deep
   in the right half-plane.
