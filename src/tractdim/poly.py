@@ -6,9 +6,10 @@ basin of infinity, tree pressure with Richardson extrapolation, its
 Bowen zero (hyperbolic dimension) and ``solve_decreasing``, the one
 bisection behind every printed zero.  A preimage tree solves its first
 level from the kernel's cold start and every later level from the roots
-of the level above, tiled d times: a node's fiber lies near the fiber of
-the node with its first branch dropped (the shift identity in
-``_preimage_levels``).  The Boettcher conjugacy has one entry,
+of the level above, row i from row i mod m: a node's fiber lies near the
+fiber of the node with its first branch dropped (the shift identity in
+``_preimage_levels``).  It builds each level in row blocks, straight to
+log|(p^k)'|.  The Boettcher conjugacy has one entry,
 ``bottcher_inverse(p, z)``: z is an array of any shape outside the unit
 circle, and one batched ray continuation returns (h, h') of that shape.
 Circle means run their own inward continuation, one for all requested
@@ -151,7 +152,7 @@ def poly_eval(p, z):
 
 
 def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
-    """Level arrays (points, cumulative |derivative| as complex) for depths 1..n.
+    """Level arrays (points, log|(p^k)'|) for depths k = 1..n.
 
     Level k + 1 holds the d roots of p(z) = v for each level-k point v:
     the children of node i sit at [i*d, (i+1)*d).  Node i of level k is
@@ -159,13 +160,24 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     base-d digit of i.  Dropping j1 leaves node i mod d^(k-1) of level
     k - 1, the same branches applied to w instead of R_j1(w); inverse
     branches contract near J, so the two nodes' fibers differ by about
-    |(p^(k-1))'|^-1.  Level 1 is solved cold, and every later level is
-    warm-started (``aberth_batch``'s ``start``) from the previous root
-    matrix stacked d times, ``np.tile(roots, (d, 1))``.  Each root meets
-    the kernel's residual bound tol*(1 + |v|), as a cold solve's does.
-    The kernel solves a level in row blocks, so beyond the returned levels
-    the working memory is a few arrays of the last level's size.
+    |(p^(k-1))'|^-1.  Level 1 is solved cold, and every later level's row
+    i is warm-started (``aberth_batch``'s ``start``) from row i mod m of
+    the previous root matrix, m its row count: the rows of
+    ``np.tile(roots, (d, 1))``.  Each root meets the kernel's residual
+    bound tol*(1 + |v|), as a cold solve's does.
+
+    Each level is allocated once and filled in blocks of at most
+    ``_kernels._ROW_BLOCK`` parent rows: a block's warm start, its solve,
+    p' at its children and their cumulative derivative p'(z) * (p^k)'(v)
+    (p' on the left, since complex multiplication is not bitwise
+    commutative).  Only the level being extended keeps that derivative as
+    complex; the returned log|(p^k)'| has the bits of
+    ``np.log(np.abs(cum))``.  Beyond the returned levels, the working
+    memory is one complex level and a few arrays of a block's size.
+    ValueError unless n is an integer >= 1.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"tree depth must be an integer >= 1, got {n!r}")
     d = p.degree
     if d**n > node_budget:
         raise BudgetExceeded(f"{d}^{n} nodes exceed budget {node_budget}")
@@ -175,28 +187,29 @@ def _preimage_levels(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     cum = np.array([1.0 + 0j])
     levels = []
     roots = None
-    for _ in range(n):
-        # The tile is bound to no name, so it is freed when the solve
-        # returns, before dp and the repeated cum are formed.
-        roots, ok = _kernels.aberth_batch(
-            coeffs, dcoeffs, pts,
-            start=None if roots is None else np.tile(roots, (d, 1)))
-        if not ok.all():
-            raise NonConvergence("preimage fiber solve stalled during tree descent")
-        children = roots.reshape(-1)
-        # The product is dp * rep in place: numpy would swap the factors of
-        # `dp * np.repeat(cum, d)` to reuse a large temporary, and complex
-        # multiplication is not bitwise commutative.  dp is dropped at once:
-        # keeping it bound until the next level raised perfbench
-        # poly_side's peak RSS by 4.2 to 4.7 MB (seeds 1 to 6).
-        dp = p.derivative(children)
-        rep = np.repeat(cum, d)
-        cum = np.multiply(dp, rep, out=rep)
-        del dp
-        if np.abs(cum).min() < _DERIV_FLOOR:
-            raise DegenerateDerivative("base point hits the critical tree")
-        pts = children
-        levels.append((pts, cum))
+    for k in range(1, n + 1):
+        m = len(pts)
+        level = np.empty((m, d), dtype=complex)
+        logd = np.empty(m * d)
+        nxt = np.empty(m * d, dtype=complex) if k < n else None
+        for lo in range(0, m, _kernels._ROW_BLOCK):
+            hi = min(lo + _kernels._ROW_BLOCK, m)
+            start = (None if roots is None
+                     else roots[np.arange(lo, hi) % len(roots)])
+            level[lo:hi], ok = _kernels.aberth_batch(
+                coeffs, dcoeffs, pts[lo:hi], start=start)
+            if not ok.all():
+                raise NonConvergence(
+                    "preimage fiber solve stalled during tree descent")
+            rep = np.repeat(cum[lo:hi], d)
+            prod = np.multiply(p.derivative(level[lo:hi].reshape(-1)), rep,
+                               out=rep if nxt is None else nxt[lo * d:hi * d])
+            block = np.abs(prod, out=logd[lo * d:hi * d])
+            if block.min() < _DERIV_FLOOR:
+                raise DegenerateDerivative("base point hits the critical tree")
+        np.log(logd, out=logd)
+        roots, pts, cum = level, level.reshape(-1), nxt
+        levels.append((pts, logd))
     return levels
 
 
@@ -233,8 +246,7 @@ def repelling_fixed_point(p):
 
 def tree_log_derivs(p, w, n, node_budget=DEFAULT_NODE_BUDGET):
     """log|(p^k)'| over the fiber p^{-k}(w), one array per depth k = 1..n."""
-    return [np.log(np.abs(cum))
-            for _, cum in _preimage_levels(p, w, n, node_budget)]
+    return [ld for _, ld in _preimage_levels(p, w, n, node_budget)]
 
 
 def _pressure_from(log_derivs, t):

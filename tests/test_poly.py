@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,9 +96,9 @@ class TestPreimages:
             assert abs(z - 5.0) < 1e-8
 
     def test_cumulative_derivative(self):
-        _, cum = poly._preimage_levels(Z2, 16.0, 2)[-1]
+        _, ld = poly._preimage_levels(Z2, 16.0, 2)[-1]
         # p^2(z) = z^4, derivative 4 z^3, |z| = 2 at depth 2
-        assert np.abs(cum) == pytest.approx(np.full(4, 32.0), rel=1e-9)
+        assert ld == pytest.approx(np.full(4, math.log(32.0)), rel=1e-9)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -115,42 +116,65 @@ class TestPreimages:
         # must still multiply dp * rep, never rep * dp
         p = Polynomial.from_string("z^3-0.5z")
         levels = poly._preimage_levels(p, 5.0, 10)
-        prev = np.array([1.0 + 0j])
-        for pts, cum in levels:
-            dp = p.derivative(pts)[:8]
-            rep = np.repeat(prev, 3)[:8]
-            assert cum[:8].tobytes() == (dp * rep).tobytes()
-            prev = cum
+        chain = np.array([1.0 + 0j])
+        for pts, ld in levels:
+            dp = p.derivative(pts)
+            rep = np.repeat(chain, 3)
+            chain = np.multiply(dp, rep)
+            assert ld.tobytes() == np.log(np.abs(chain)).tobytes()
 
     def test_tree_scratch_stays_bounded(self):
-        # the Aberth scratch of the last level is held to one row block:
-        # 95 MB of numpy allocations for a 6.1 MB result before row blocks
+        # each level is filled in row blocks straight to log|(p^k)'|:
+        # 95 MB of numpy allocations for a 6.1 MB result before row
+        # blocks, 34.5 MiB with only the Aberth kernel blocked
         tracemalloc.start()
         try:
             poly.tree_log_derivs(Polynomial.from_string("z^3-0.5z"), 5.0, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 2**20
+        assert peak <= 26 * 2**20
+
+    @pytest.mark.parametrize("depth", [0, -1, 2.5, True, "3"])
+    @pytest.mark.parametrize("call", [
+        lambda n: poly._preimage_levels(BASILICA, 5.0, n),
+        lambda n: poly.tree_log_derivs(BASILICA, 5.0, n),
+        lambda n: poly.tree_pressure(BASILICA, 1.0, 5.0, n),
+        lambda n: poly.pressure_curve(BASILICA, [1.0], 5.0, n),
+        lambda n: poly.bowen_zero_poly(BASILICA, n),
+    ], ids=["levels", "log_derivs", "pressure", "curve", "bowen_zero"])
+    def test_depth_refused_before_any_solve(self, monkeypatch, call, depth):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the depth was checked")
+
+        monkeypatch.setattr(_kernels, "aberth_batch", no_solve)
+        with pytest.raises(ValueError, match="depth .*" + re.escape(
+                repr(depth))):
+            call(depth)
 
 
-def cold_levels(p, w, n):
-    """The tree as built before warm starts (frozen copy): every level
-    solved from the kernel's cold start."""
+def whole_levels(p, w, n, warm=True):
+    """The tree as built before row blocks (frozen copy): one solve per
+    whole level, warm-started from ``np.tile(roots, (d, 1))`` (cold at
+    every level if not warm), the complex cumulative derivative of every
+    level, and (points, log|cum|) per level."""
     d = p.degree
     coeffs = np.array(p.coefficients, dtype=complex)
     dcoeffs = np.array(p.derivative_coefficients(), dtype=complex)
     pts = np.array([complex(w)])
     cum = np.array([1.0 + 0j])
+    roots = None
     levels = []
     for _ in range(n):
-        roots, ok = _kernels.aberth_batch(coeffs, dcoeffs, pts)
+        roots, ok = _kernels.aberth_batch(
+            coeffs, dcoeffs, pts,
+            start=None if roots is None or not warm
+            else np.tile(roots, (d, 1)))
         assert ok.all()
-        children = roots.reshape(-1)
-        rep = np.repeat(cum, d)
-        cum = np.multiply(p.derivative(children), rep, out=rep)
-        pts = children
-        levels.append((pts, cum))
+        pts = roots.reshape(-1)
+        dp = p.derivative(pts)
+        cum = np.multiply(dp, np.repeat(cum, d))
+        levels.append((pts, np.log(np.abs(cum))))
     return levels
 
 
@@ -205,7 +229,7 @@ class TestWarmTree:
         p = Polynomial.from_string(text)
         ts = (0.0, 0.5, 1.0, 1.5, 2.0)
         n = _tree_depth(p)
-        cold = [np.log(np.abs(cum)) for _, cum in cold_levels(p, TREE_W, n)]
+        cold = [ld for _, ld in whole_levels(p, TREE_W, n, warm=False)]
         want = [poly._pressure_from(cold, t) for t in ts]
         assert poly.pressure_curve(p, ts, TREE_W, n) == pytest.approx(
             want, rel=1e-9, abs=0.0)
@@ -221,10 +245,30 @@ class TestWarmTree:
             return polyval(c, z)
 
         monkeypatch.setattr(np, "polyval", counted)
-        cold_levels(p, TREE_W, 10)
+        whole_levels(p, TREE_W, 10, warm=False)
         cold, rows[:] = sum(rows), []
         poly._preimage_levels(p, TREE_W, 10)
         assert sum(rows) < cold / 2
+
+
+class TestBlockedTree:
+    """Row blocks and the log-derivative levels change no bit of the tree."""
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("text", ["z^2-1", "z^2+i", "z^3-0.5z"])
+    def test_levels_match_whole_level_build(self, monkeypatch, text, rows):
+        p = Polynomial.from_string(text)
+        n = _tree_depth(p)
+        want = whole_levels(p, TREE_W, n)
+        if rows is not None:
+            # seams inside every level past the first, and a warm start
+            # whose rows wrap around the previous root matrix
+            monkeypatch.setattr(_kernels, "_ROW_BLOCK", rows)
+        got = poly._preimage_levels(p, TREE_W, n)
+        assert len(got) == n
+        for (pts, ld), (want_pts, want_ld) in zip(got, want):
+            assert pts.tobytes() == want_pts.tobytes()
+            assert ld.tobytes() == want_ld.tobytes()
 
 
 class TestFixedPoints:
@@ -287,10 +331,10 @@ class TestPoincareSeries:
 
     def test_matches_enumeration(self):
         sums = poincare_sums(Z2, 2.0, 4.0, 10)
-        # brute force: level-n preimages of 4 under z^2 lie on |z| = 4^(2^-n)
-        for (_, cum), s in zip(poly._preimage_levels(Z2, 4.0, 10), sums):
-            brute = sum(abs(c) ** -2.0 for c in cum)
-            assert s == pytest.approx(brute, rel=1e-10)
+        # the 2^n preimages of 4 under z^(2^n) lie on |z| = 4^(2^-n), where
+        # |(p^n)'| = 2^n |z|^(2^n - 1) = 2^n 4^(1 - 2^-n)
+        exact = [2.0**-n * 16.0 ** -(1.0 - 2.0**-n) for n in range(1, 11)]
+        assert sums == pytest.approx(exact, rel=1e-10)
 
 
 class TestBowenZero:
