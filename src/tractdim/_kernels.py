@@ -12,19 +12,11 @@ unconverged rows.  A row's arithmetic reads nothing but that row, so its
 roots and its ``ok`` flag do not depend on the other targets in the batch:
 solving a batch equals solving each target alone.
 
-That independence lets a large batch run in consecutive row blocks of at
-most ``_ROW_BLOCK`` rows, each through the same loop, with the same bits as
-one pass over every row.  The loop's scratch arrays (iterates, residuals,
-derivatives, the correction sums and their temporaries) then hold one
-block, not the batch.  A batch of at most ``_ROW_BLOCK`` rows is one
-block.  The preimage tree (``poly._preimage_levels``) hands the kernel
-one block of a level at a time and fills the level's roots and
-log-derivatives block by block, so ``poly.tree_log_derivs`` on z^3-0.5z
-at depth 12 (177,147 targets on the last level) peaks at 23.3 MiB of
-numpy allocations for 6.1 MiB of result: 95.0 MB before row blocks,
-34.5 MiB with the kernel alone blocked.  4,096 rows hold that peak
-1.9 MiB below 8,192 rows at the same build time; 2,048 and 1,024 rows
-save 1.2 and 1.8 MiB more but build about 20% and 50% slower.
+The loop's scratch arrays (iterates, residuals, derivatives, the
+correction sums and their temporaries) hold every row of the batch, so
+the caller sizes them: the preimage tree (``poly._preimage_levels``)
+hands the kernel one block of at most ``poly._ROW_BLOCK`` rows of a level
+at a time, and fills the level's roots and log-derivatives block by block.
 
 The iteration is deterministic and produces identical root orderings: it
 is a fixed-point map started from the same perturbed-circle
@@ -113,12 +105,6 @@ def _aberth_sums(z):
     return _pairwise_sum(term, 0, len(z)) - 1.0
 
 
-#: Rows per block of ``aberth_batch`` and of each preimage-tree level: the
-#: loop's scratch arrays (iterates, residuals, derivatives, correction
-#: sums) hold at most this many rows.
-_ROW_BLOCK = 4096
-
-
 def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
     """Solve p(z) = w simultaneously for a batch of targets w.
 
@@ -126,13 +112,12 @@ def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
     (roots, ok): roots has shape (len(targets), d), ok flags whether the
     per-target residual tolerance tol*(1+|w|) was met.  start, if given,
     is an (len(targets), d) array of initial roots that replaces the
-    perturbed circle (ValueError for any other shape, raised before any
-    row is solved); it is not modified.
+    perturbed circle (ValueError for any other shape, raised before the
+    first pass); it is not modified.
 
-    The rows are solved in consecutive blocks of at most ``_ROW_BLOCK``,
-    each written into the one (roots, ok) pair.  Rows are independent, so
-    the blocks give the bits of one pass over the whole batch, with
-    scratch arrays of at most ``_ROW_BLOCK`` rows instead of len(targets).
+    The loop's scratch arrays hold every row still running, so a caller
+    bounds them by the batch it passes: the preimage tree passes at most
+    ``poly._ROW_BLOCK`` rows per call.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     dcoeffs = np.ascontiguousarray(dcoeffs, dtype=np.complex128)
@@ -163,23 +148,10 @@ def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
     ok = np.zeros(m, dtype=bool)
     rev = coeffs[::-1].copy()
     drev = dcoeffs[::-1].copy()
-    for lo in range(0, m, _ROW_BLOCK):
-        hi = lo + _ROW_BLOCK
-        _aberth_rows(rev, drev, targets[lo:hi], start[lo:hi], maxit, tol,
-                     roots[lo:hi], ok[lo:hi])
-    return roots, ok
-
-
-def _aberth_rows(rev, drev, targets, start, maxit, tol, roots, ok):
-    """The Aberth loop on one block of rows, written into roots and ok.
-
-    rev and drev are the coefficients of p and p', leading term first;
-    roots and ok are the block's views of the batch result.
-    """
     # The active set: indices into roots of the rows still running, with
     # their targets, tolerances and iterates.  Iterates are held root-major,
     # (d, active), so the per-root columns are contiguous rows.
-    rows = np.arange(len(targets))
+    rows = np.arange(m)
     w = targets
     wtol = tol * (1.0 + np.abs(targets))
     z = start.T.copy()
@@ -192,8 +164,8 @@ def _aberth_rows(rev, drev, targets, start, maxit, tol, roots, ok):
             run = ~done
             rows, w, wtol = rows[run], w[run], wtol[run]
             z, pv = z[:, run], pv[:, run]
-            if not len(rows):
-                break
+        if not len(rows):
+            break
         dv = np.polyval(drev, z)
         dv = np.where(dv == 0, 1e-300, dv)
         newt = pv / dv
@@ -207,3 +179,4 @@ def _aberth_rows(rev, drev, targets, start, maxit, tol, roots, ok):
     pv = np.polyval(rev, z) - w
     roots[rows] = z.T
     ok[rows] = np.abs(pv).max(axis=0) <= wtol
+    return roots, ok

@@ -106,7 +106,7 @@ def check_tree_pressure():
     """Dyadic tree pressure and its zero for exactly solvable polynomials."""
     ts = (0.0, 0.5, 1.0, 1.5)
     perr = np.max([abs(P - (1 - t) * math.log(2))
-                   for t, P in zip(ts, poly.pressure_curve(Z2, ts, 3.0, 14))])
+                   for t, P in zip(ts, poly.tree_pressure(Z2, ts, 3.0, 14))])
     zeros = [poly.bowen_zero_poly(p, 12).value for p in (Z2, CHEB, COSH)]
     passed = (perr < 1e-3 and abs(zeros[0] - 1.0) <= 0.01
               and all(abs(z - 1.0) <= 0.05 for z in zeros[1:]))
@@ -124,7 +124,7 @@ def check_arc_pressure_identity():
     """Boundary means exponent vs the tree-pressure prediction, p = z^2-1."""
     ts = (0.5, 1.0, 1.5)
     betas = poly.bottcher_means_spectrum(BASILICA, ts, MEANS_RADII)
-    pressures = poly.pressure_curve(BASILICA, ts, 5.0, 14)
+    pressures = poly.tree_pressure(BASILICA, ts, 5.0, 14)
     errs = [abs(beta_h - (t - 1 + P / math.log(2)))
             for t, beta_h, P in zip(ts, betas, pressures)]
     passed = all(e < 0.05 for e in errs)

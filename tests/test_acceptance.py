@@ -72,9 +72,9 @@ def _nan_beta_at_1_5(beta_infinity):
     return wrapped
 
 
-def _nan_pressure_at_1_5(pressure_curve):
+def _nan_pressure_at_1_5(tree_pressure):
     def wrapped(p, t_grid, *args, **kwargs):
-        values = pressure_curve(p, t_grid, *args, **kwargs)
+        values = tree_pressure(p, t_grid, *args, **kwargs)
         return [NAN if t == 1.5 else v for t, v in zip(t_grid, values)]
     return wrapped
 
@@ -126,7 +126,7 @@ def _nan_transfer_far_out(transfer_apply_point):
 @pytest.mark.parametrize("ident, module, name, inject", [
     (3, sp, "beta_infinity", _nan_beta_at_1_5),
     (9, sp, "beta_infinity", _nan_beta_at_1_5),
-    (4, poly, "pressure_curve", _nan_pressure_at_1_5),
+    (4, poly, "tree_pressure", _nan_pressure_at_1_5),
     (8, tr, "phi_eval", _nan_second_dphi),
     (6, lz, "linearizer_log_eval",
      lambda fn: _nan_on_call(1, fn, lambda r: (complex(NAN, NAN), r[1]))),

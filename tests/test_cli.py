@@ -213,6 +213,9 @@ class TestExitCodes:
         # 400 nines overflow a float to a coefficient of -inf
         (["hypdim", "--poly", "z^2-" + "9" * 400, "--function", "exp"],
          "ConfigError"),
+        (["spectrum", "--function", "exp", "--radius", "0.5"], "ConfigError"),
+        (["transfer", "--function", "exp", "--k-budget", "-1"],
+         "ConfigError"),
     ], ids=["radius-below-singular", "unknown-check", "bad-only",
             "bad-Tlist", "pressure-radius-over-base",
             "hypdim-radius-over-base", "transfer-radius-over-base",
@@ -224,7 +227,8 @@ class TestExitCodes:
             "poly-unsigned-term", "koenigs-unsigned-term",
             "hypdim-tmin", "tract-plot-tstep", "verify-radius",
             "removed-seed-flag", "non-numeric-radius",
-            "poly-infinite-coefficient"])
+            "poly-infinite-coefficient", "radius-below-one",
+            "negative-k-budget"])
     def test_bad_input_exits_2(self, argv, error, tmp_path, capsys):
         code, out = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2
@@ -489,6 +493,15 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["result"]["bowen_zero"] == pytest.approx(
             1.0, abs=0.01)
+
+    def test_hypdim_koenigs_cross_check(self, tmp_path, capsys):
+        # a Koenigs handle's hypdim also reports its polynomial's Bowen zero
+        code, out = run_cli(["hypdim", "--function", "koenigs:z^2+0.2i",
+                             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        handle = cli.function_from_spec("koenigs:z^2+0.2i")
+        got = json.loads(out)["result"]["diagnostics"]["poly_bowen_zero"]
+        assert got == poly.bowen_zero_poly(handle.p, 12).value
 
     def test_hypdim_poly_refuses_entire_flags(self, tmp_path, capsys):
         # the polynomial side reads only --node-budget; --function stays

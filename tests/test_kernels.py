@@ -3,8 +3,8 @@
 The active-set Aberth kernel is compared with a frozen copy of the dense
 loop, bitwise: roots by their bytes, ok flags exactly.  A warm start is
 held to the same row independence and to the cold tolerance.  A batch
-larger than one row block equals one pass over all its rows and each row
-solved alone.  clog is compared with numpy's complex log: bitwise on the
+of two preimage-tree row blocks and three rows more equals each of its
+rows solved alone.  clog is compared with numpy's complex log: bitwise on the
 special values, to within 2*eps*(1 + |log z|) on normal-range |z|.
 Subnormal |z| is outside its contract: there ``abs`` underflows and the
 real part differs.
@@ -144,7 +144,12 @@ def test_unconverged_flags_match_dense(maxit):
 
 
 @pytest.mark.parametrize("d", sorted(POLYS))
-def test_empty_targets(d):
+def test_empty_targets(d, monkeypatch):
+    # an empty batch stops before its first correction step
+    def stepped(*args):
+        raise AssertionError("an empty batch took an Aberth step")
+
+    monkeypatch.setattr(_kernels, "_aberth_sums", stepped)
     roots, ok = _kernels.aberth_batch(*_arrays(POLYS[d]), np.array([], complex))
     assert roots.shape == (0, d)
     assert ok.shape == (0,)
@@ -218,12 +223,12 @@ def test_warm_start_shape_refused(shape):
 
 def _blocked_targets(p):
     """Two full row blocks and three rows more, the critical value first."""
-    m = 2 * _kernels._ROW_BLOCK + 3
+    m = 2 * poly._ROW_BLOCK + 3
     return np.concatenate([[_critical_value(p)], _targets(29, m - 1)])
 
 
 def _block_edge_rows(m):
-    edges = range(0, m, _kernels._ROW_BLOCK)
+    edges = range(0, m, poly._ROW_BLOCK)
     near = {i + k for i in edges for k in (-2, -1, 0, 1)} | {m - 1}
     extra = np.random.default_rng(31).integers(0, m, 24)
     return sorted({i for i in near if 0 <= i < m} | set(extra.tolist()))
@@ -231,7 +236,7 @@ def _block_edge_rows(m):
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("d", sorted(POLYS))
-def test_row_blocks_equal_one_pass_and_one_row_solves(d, warm, monkeypatch):
+def test_row_blocks_equal_one_pass_and_one_row_solves(d, warm):
     p = POLYS[d]
     coeffs, dcoeffs = _arrays(p)
     targets = _blocked_targets(p)
@@ -242,14 +247,10 @@ def test_row_blocks_equal_one_pass_and_one_row_solves(d, warm, monkeypatch):
             coeffs, dcoeffs, targets[i:i + 1],
             start=None if start is None else start[i:i + 1])
         assert_bitwise((batch[0][i:i + 1], batch[1][i:i + 1]), alone)
-    # one block over the whole batch: the loop as it ran before row blocks
-    monkeypatch.setattr(_kernels, "_ROW_BLOCK", len(targets))
-    assert_bitwise(batch, _kernels.aberth_batch(coeffs, dcoeffs, targets,
-                                                start=start))
 
 
 @pytest.mark.parametrize("extra_rows, extra_cols",
-                         [(-1, 0), (0, 1), (_kernels._ROW_BLOCK, 0)])
+                         [(-1, 0), (0, 1), (poly._ROW_BLOCK, 0)])
 def test_blocked_start_shape_refused_before_any_block(extra_rows, extra_cols,
                                                       monkeypatch):
     p = POLYS[3]
@@ -257,9 +258,9 @@ def test_blocked_start_shape_refused_before_any_block(extra_rows, extra_cols,
     start = np.ones((len(targets) + extra_rows, 3 + extra_cols), complex)
 
     def solved(*args):
-        raise AssertionError("a block was solved before start was checked")
+        raise AssertionError("a pass ran before start was checked")
 
-    monkeypatch.setattr(_kernels, "_aberth_rows", solved)
+    monkeypatch.setattr(_kernels, "_aberth_sums", solved)
     with pytest.raises(ValueError, match="start has shape"):
         _kernels.aberth_batch(*_arrays(p), targets, start=start)
 

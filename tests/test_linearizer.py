@@ -379,6 +379,11 @@ class TestDisjointType:
         for z in sample_disk(200, np.e, seed=4):
             assert abs(dt.eval(z)) <= np.e + 1e-9
 
+    def test_radius_below_one_refused(self):
+        L = lz.make_koenigs(P_SQUARE, 1.0)
+        with pytest.raises(ValueError, match="R must be >= 1"):
+            lz.make_disjoint_type(L, 0.5)
+
     def test_identity_when_already_disjoint(self):
         L = dataclasses.replace(lz.make_koenigs(P_SQUARE, 1.0), kappa=1 / 16)
         dt = lz.make_disjoint_type(L, np.e)

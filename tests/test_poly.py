@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tractdim import _kernels, poly
-from tractdim.errors import BudgetExceeded, NoSignChange
+from tractdim.errors import (BudgetExceeded, DegenerateDerivative,
+                             NoSignChange, NonConvergence)
 from tractdim.poly import Polynomial
 
 
@@ -24,7 +25,7 @@ def basilica_near_circles():
 
 class TestPolynomial:
     def test_eval(self):
-        assert poly.poly_eval(Z2, 1 + 1j) == 2j
+        assert Z2(1 + 1j) == 2j
         p = Polynomial.from_string("2z^3+0.5z-1")
         z = 1.5 - 0.25j
         assert p(z) == pytest.approx(2 * z**3 + 0.5 * z - 1)
@@ -104,6 +105,20 @@ class TestPreimages:
         with pytest.raises(BudgetExceeded):
             poly._preimage_levels(Z2, 3.0, 8, node_budget=100)
 
+    @pytest.mark.parametrize("root, ok, error", [
+        (0j, True, DegenerateDerivative), (2.0, False, NonConvergence)],
+        ids=["critical-point", "stalled"])
+    def test_tree_errors_are_typed(self, monkeypatch, root, ok, error):
+        # a kernel that lands every root on z^2's critical point 0 (where
+        # p' = 0), or that flags every row as unconverged
+        def solved(coeffs, dcoeffs, targets, start=None):
+            m = len(targets)
+            return np.full((m, 2), root, complex), np.full(m, ok)
+
+        monkeypatch.setattr(_kernels, "aberth_batch", solved)
+        with pytest.raises(error):
+            poly._preimage_levels(Z2, 5.0, 3)
+
     def test_deterministic_order(self):
         a = poly._preimage_levels(BASILICA, 2 + 1j, 4)
         b = poly._preimage_levels(BASILICA, 2 + 1j, 4)
@@ -124,9 +139,8 @@ class TestPreimages:
             assert ld.tobytes() == np.log(np.abs(chain)).tobytes()
 
     def test_tree_scratch_stays_bounded(self):
-        # each level is filled in row blocks straight to log|(p^k)'|:
-        # 95 MB of numpy allocations for a 6.1 MB result before row
-        # blocks, 34.5 MiB with only the Aberth kernel blocked
+        # each level is filled in row blocks straight to log|(p^k)'|, so
+        # the peak is 23.3 MiB of numpy allocations for a 6.1 MiB result
         tracemalloc.start()
         try:
             poly.tree_log_derivs(Polynomial.from_string("z^3-0.5z"), 5.0, 12)
@@ -140,7 +154,7 @@ class TestPreimages:
         lambda n: poly._preimage_levels(BASILICA, 5.0, n),
         lambda n: poly.tree_log_derivs(BASILICA, 5.0, n),
         lambda n: poly.tree_pressure(BASILICA, 1.0, 5.0, n),
-        lambda n: poly.pressure_curve(BASILICA, [1.0], 5.0, n),
+        lambda n: poly.tree_pressure(BASILICA, [1.0], 5.0, n),
         lambda n: poly.bowen_zero_poly(BASILICA, n),
     ], ids=["levels", "log_derivs", "pressure", "curve", "bowen_zero"])
     def test_depth_refused_before_any_solve(self, monkeypatch, call, depth):
@@ -231,7 +245,7 @@ class TestWarmTree:
         n = _tree_depth(p)
         cold = [ld for _, ld in whole_levels(p, TREE_W, n, warm=False)]
         want = [poly._pressure_from(cold, t) for t in ts]
-        assert poly.pressure_curve(p, ts, TREE_W, n) == pytest.approx(
+        assert poly.tree_pressure(p, ts, TREE_W, n) == pytest.approx(
             want, rel=1e-9, abs=0.0)
 
     def test_warm_start_saves_row_evaluations(self, monkeypatch):
@@ -263,7 +277,7 @@ class TestBlockedTree:
         if rows is not None:
             # seams inside every level past the first, and a warm start
             # whose rows wrap around the previous root matrix
-            monkeypatch.setattr(_kernels, "_ROW_BLOCK", rows)
+            monkeypatch.setattr(poly, "_ROW_BLOCK", rows)
         got = poly._preimage_levels(p, TREE_W, n)
         assert len(got) == n
         for (pts, ld), (want_pts, want_ld) in zip(got, want):
@@ -296,7 +310,7 @@ class TestFixedPoints:
 class TestTreePressure:
     def test_z2_exact_line(self):
         ts = (0.0, 0.5, 1.0, 1.5)
-        for t, val in zip(ts, poly.pressure_curve(Z2, ts, 3.0, 14)):
+        for t, val in zip(ts, poly.tree_pressure(Z2, ts, 3.0, 14)):
             assert val == pytest.approx((1 - t) * np.log(2), abs=1e-3)
 
     def test_counting_measure(self):
@@ -310,7 +324,7 @@ class TestTreePressure:
         assert abs(val) < 2e-2
 
     def test_curve_monotone(self):
-        vals = poly.pressure_curve(Z2, [0.0, 0.5, 1.0, 1.5], 3.0, 12)
+        vals = poly.tree_pressure(Z2, [0.0, 0.5, 1.0, 1.5], 3.0, 12)
         assert all(vals[i] >= vals[i + 1] - 1e-9 for i in range(len(vals) - 1))
 
 
@@ -608,6 +622,8 @@ class TestBottcher:
             raise AssertionError("solved before the radii were checked")
 
         monkeypatch.setattr(poly, "_bottcher_batch", refuse)
+        with pytest.raises(ValueError, match=re.escape("requires |z| > 1")):
+            poly.bottcher_inverse(BASILICA, np.array([2.0, 1.0, 0.5j]))
         with pytest.raises(ValueError):
             poly.bottcher_circle_means(BASILICA, (1.01, 1.00005), 1.0)
         with pytest.raises(ValueError):

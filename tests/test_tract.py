@@ -222,6 +222,10 @@ class TestRescaling:
                     1.0, abs=1e-6
                 )
 
+    def test_height_below_one_refused(self, exp_branch):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            tr.rescaled_map(exp_branch, 0.5, 1)
+
     def test_sqrt_rescaling(self, sq_branch):
         # phi_T(xi) = sqrt(xi) independently of T
         got = tr.rescaled_map(sq_branch, 5.0, 2 + 1j)

@@ -82,6 +82,11 @@ class TestApplyPoint:
             tf.transfer_apply_point(exp_atlas, 0.0, E2)
         with pytest.raises(ValueError):
             tf.transfer_apply_point(exp_atlas, 2.0, 1.0 + 0j)
+        # outside the unit reference circle, but log|w| is below the
+        # half-plane offset its preimages need
+        unit = tr.find_tracts(lz.exp_power(1.0, 1), 1.0)
+        with pytest.raises(ValueError, match="too small"):
+            tf.transfer_apply_point(unit, 2.0, 1.01 + 0j)
 
     def test_refuses_w_inside_reference_circle(self, monkeypatch):
         # e^2 lies inside |w| = 10, so no preimage of it lies in a tract
@@ -224,7 +229,7 @@ class TestPointGrid:
 
 @pytest.mark.xfail(strict=True, reason="the wrapped residual lets phi_path "
                    "accept a neighbouring 2 pi i sheet: k = -32 and k = -33 "
-                   "share one preimage (ROADMAP items 2 and 5)")
+                   "share one preimage (ROADMAP item 1)")
 def test_koenigs_preimages_distinct(monkeypatch):
     atlas = tr.find_tracts(cli.function_from_spec("koenigs:z^2-1"), math.e)
     walked = []
@@ -306,6 +311,8 @@ class TestIterate:
         for n in (0, 3):
             with pytest.raises(ValueError):
                 tf.transfer_iterate(frontier, 2.0, n)
+        with pytest.raises(ValueError, match="t must be positive"):
+            tf.transfer_iterate(frontier, 0.0, 2)
 
     def test_frontier_cap(self, exp_atlas):
         with pytest.raises(BudgetExceeded):
