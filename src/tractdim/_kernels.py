@@ -23,13 +23,14 @@ is a fixed-point map started from the same perturbed-circle
 initialization, so the numerics are bitwise reproducible.
 
 A warm start (``start``: one row of d initial roots per target) replaces
-only that initialization.  The loop, the active set, ``tol``, ``maxit``
-and the ``ok`` flags are the cold solve's, and rows stay independent, so
-a warm batch equals each of its rows warm-started alone, bit for bit.  A
-row stops at its first iterate inside the tolerance, so warm roots meet
-the same residual bound |p(z) - w| <= tol*(1 + |w|) as cold ones but may
-differ from them by about that residual over |p'(z)|, and by about
-sqrt(tol) at a near-double root.  The preimage tree
+only that initialization.  The loop, the active set, the tolerance
+``_TOL``, ``maxit`` and the ``ok`` flags are the cold solve's, and rows
+stay independent, so a warm batch equals each of its rows warm-started
+alone, bit for bit.  A row stops at its first iterate inside the
+tolerance, so warm roots meet the same residual bound
+|p(z) - w| <= _TOL*(1 + |w|) as cold ones but may differ from them by
+about that residual over |p'(z)|, and by about sqrt(_TOL) at a
+near-double root.  The preimage tree
 (``poly._preimage_levels``) starts each level from the level above.
 
 ``clog(z)`` is log|z| + i*atan2(Im z, Re z), written into one preallocated
@@ -45,6 +46,9 @@ import numpy as np
 
 # No compiled kernel exists; the benchmark's machine line still reports it.
 NUMBA_ENABLED = False
+
+#: Residual tolerance of an Aberth row, relative to 1 + |w|.
+_TOL = 1e-10
 
 
 def clog(z):
@@ -95,6 +99,13 @@ def _aberth_sums(z):
     Built one root k at a time with the diagonal entry set to 1 and 1
     subtracted at the end, so the result equals the dense (m, d, d) tensor
     form bit for bit (tests/test_kernels.py keeps that form as reference).
+
+    The loop is kept for speed, not bits: the dense form's sum(axis=2)
+    gives the same roots but, on a 2-core Xeon (numpy 2.4, medians of 7
+    per process over four alternating process pairs), took
+    ``poly._preimage_levels`` of z^3 - 0.5z at w = 5, depth 12, from
+    0.081-0.085 s to 0.085-0.090 s and perfbench's ``aberth_batch``
+    operation (z^2 - 1, 4,096 targets, 10 solves) from 0.023 s to 0.026 s.
     """
 
     def term(k):
@@ -105,15 +116,15 @@ def _aberth_sums(z):
     return _pairwise_sum(term, 0, len(z)) - 1.0
 
 
-def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
+def aberth_batch(coeffs, dcoeffs, targets, maxit=800, start=None):
     """Solve p(z) = w simultaneously for a batch of targets w.
 
     coeffs: the (d+1,) coefficients, constant term first.  Returns
     (roots, ok): roots has shape (len(targets), d), ok flags whether the
-    per-target residual tolerance tol*(1+|w|) was met.  start, if given,
-    is an (len(targets), d) array of initial roots that replaces the
-    perturbed circle (ValueError for any other shape, raised before the
-    first pass); it is not modified.
+    per-target residual tolerance _TOL*(1+|w|) was met within maxit
+    passes.  start, if given, is an (len(targets), d) array of initial
+    roots that replaces the perturbed circle (ValueError for any other
+    shape, raised before the first pass); it is not modified.
 
     The loop's scratch arrays hold every row still running, so a caller
     bounds them by the batch it passes: the preimage tree passes at most
@@ -153,7 +164,7 @@ def aberth_batch(coeffs, dcoeffs, targets, maxit=800, tol=1e-10, start=None):
     # (d, active), so the per-root columns are contiguous rows.
     rows = np.arange(m)
     w = targets
-    wtol = tol * (1.0 + np.abs(targets))
+    wtol = _TOL * (1.0 + np.abs(targets))
     z = start.T.copy()
     for _ in range(maxit):
         pv = np.polyval(rev, z) - w

@@ -4,6 +4,12 @@ Deterministic by construction: outputs carry no timestamps and sampling
 uses fixed low-discrepancy sequences, so identical configurations yield
 byte-identical files.  A command takes a flag for each RunConfig field it
 reads (``COMMANDS``, ``--node-budget`` for ``node_budget``) and no other.
+
+An argument the library refuses with ValueError (a radius below the
+singular radius, a base point inside the reference circle, a polynomial
+without a repelling fixed point) reaches the user through ``_refused`` as
+a ConfigError of the same text, so exit 2.  Every JSON file and a
+command's stdout are written by ``_json``.
 """
 
 import argparse
@@ -101,7 +107,13 @@ class RunConfig:
     def t_grid(self):
         grid, k = [], 0
         while self.tmin + k * self.tstep <= self.tmax + 1e-12:
-            grid.append(round(self.tmin + k * self.tstep, 12))
+            t = round(self.tmin + k * self.tstep, 12)
+            # a step below the float spacing at t, or below the 1e-12
+            # rounding, would repeat t, and at a large t never end
+            if grid and t <= grid[-1]:
+                raise InvalidGrid("t step %g does not advance t past %g"
+                                  % (self.tstep, t))
+            grid.append(t)
             k += 1
         return grid
 
@@ -119,6 +131,15 @@ def _is_json_type(value, kind):
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _refused(call, *args):
+    """call(*args), with a ValueError (an argument the library refuses) as
+    a ConfigError of the same text."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _parse_poly(text):
@@ -172,10 +193,7 @@ def function_from_spec(text):
         return lz.SHORTHANDS[text]()
     if text.startswith("koenigs:"):
         p = _parse_poly(text[len("koenigs:"):])
-        try:
-            z0 = poly.repelling_fixed_point(p)
-        except ValueError as exc:  # no repelling fixed point
-            raise ConfigError(str(exc))
+        z0 = _refused(poly.repelling_fixed_point, p)
         return lz.make_disjoint_type(lz.make_koenigs(p, z0), math.e)
     raise ConfigError("unknown function shorthand %r" % text)
 
@@ -213,6 +231,11 @@ def load_config(args):
     if args.config and handle is None:
         handle = _descriptor_handle(cfg.function)
     return cfg, handle
+
+
+def _json(obj):
+    """The JSON text of every output file and of a command's stdout."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write(cfg, name, text):
@@ -278,20 +301,12 @@ def boundary_figure(atlas, T):
 # Commands
 
 
-def _find_tracts(handle, cfg):
-    """find_tracts at --radius; a radius or handle it refuses is a ConfigError."""
-    try:
-        return tr.find_tracts(handle, cfg.radius)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def cmd_tract_plot(cfg, handle, T_list):
     # refuse a T before any file: 4T is the rectangle path's far corner
     for T in T_list:
         if not (T >= 1 and math.isfinite(4 * T)):
             raise InvalidGrid("T must be finite and >= 1, got %g" % T)
-    atlas = _find_tracts(handle, cfg)
+    atlas = _refused(tr.find_tracts, handle, cfg.radius)
     written = []
     for T in T_list:
         svg, csv = boundary_figure(atlas, T)
@@ -302,15 +317,15 @@ def cmd_tract_plot(cfg, handle, T_list):
 
 
 def cmd_spectrum(cfg, handle):
-    atlas = _find_tracts(handle, cfg)
+    t_grid = cfg.t_grid()
+    atlas = _refused(tr.find_tracts, handle, cfg.radius)
     tables = sp.means_tables(atlas.tracts[0], cfg.T_grid())
-    curve = sp.spectrum_curve(tables, cfg.t_grid())
+    curve = sp.spectrum_curve(tables, t_grid)
     summary = sp.negative_spectrum_check(curve)
     written = [
         _write(cfg, "spectrum.csv", curve.to_csv()),
-        _write(cfg, "spectrum.json", json.dumps(
-            {"curve": curve.to_json(), "summary": summary},
-            indent=2, sort_keys=True) + "\n"),
+        _write(cfg, "spectrum.json",
+               _json({"curve": curve.to_json(), "summary": summary})),
     ]
     return {"written": written, "summary": summary}
 
@@ -326,38 +341,28 @@ def _positive_t_grid(cfg):
 
 def cmd_transfer(cfg, handle):
     t_grid = _positive_t_grid(cfg)
-    atlas = _find_tracts(handle, cfg)
-    k_budget = cfg.k_budget or None
+    atlas = _refused(tr.find_tracts, handle, cfg.radius)
     w = tf.BASE_POINT
-    try:
-        samples = tf.transfer_apply_point(atlas, t_grid, w, k_budget)
-    except ValueError as exc:  # the base point lies inside --radius
-        raise ConfigError(str(exc))
+    samples = _refused(tf.transfer_apply_point, atlas, t_grid, w,
+                       cfg.k_budget or None)
     csv = "t,value,terms,tail\n" + "".join(
         "%.9g,%.17g,%d,%.3g\n"
         % (s.t, s.value, s.terms_used, s.tail_estimate) for s in samples)
     profile = tf.dyadic_exponents(samples[-1].block_sums)
     written = [
         _write(cfg, "transfer.csv", csv),
-        _write(cfg, "transfer.json", json.dumps(
-            {"w": [w.real, w.imag], "profile_exponents": profile},
-            indent=2, sort_keys=True) + "\n"),
+        _write(cfg, "transfer.json",
+               _json({"w": [w.real, w.imag], "profile_exponents": profile})),
     ]
     return {"written": written}
 
 
-def _frontier(atlas, n, branch_budget):
-    """The iterate frontier at the base point, which serves every t;
-    a base point inside --radius is a ConfigError."""
-    try:
-        return tf.iterate_frontier(atlas, tf.BASE_POINT, n, branch_budget)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def cmd_pressure(cfg, handle):
     t_grid = _positive_t_grid(cfg)
-    frontier = _frontier(_find_tracts(handle, cfg), 3, cfg.branch_budget)
+    atlas = _refused(tr.find_tracts, handle, cfg.radius)
+    # one frontier at the base point serves every t
+    frontier = _refused(tf.iterate_frontier, atlas, tf.BASE_POINT, 3,
+                        cfg.branch_budget)
     fits = [tf.pressure_entire(frontier, t) for t in t_grid]
     csv = "t,pressure,residual\n" + "".join(
         "%.9g,%.17g,%.3g\n" % (t, fit.value, fit.residual)
@@ -372,7 +377,7 @@ def cmd_hypdim(cfg, handle, poly_text=None):
         bz = poly.bowen_zero_poly(p, 12, node_budget=cfg.node_budget)
         return {"result": {"bowen_zero": bz.value, "width": bz.width,
                            "bracket": list(bz.bracket)}}
-    atlas = _find_tracts(handle, cfg)
+    atlas = _refused(tr.find_tracts, handle, cfg.radius)
     branch = atlas.tracts[0]
     sampled = branch.sampled
     tables = sp.means_tables(branch, cfg.T_grid())
@@ -384,7 +389,8 @@ def cmd_hypdim(cfg, handle, poly_text=None):
     branch_budget = min(cfg.branch_budget, 32) if sampled \
         else cfg.branch_budget
     # one frontier serves every t of both bracket attempts
-    frontier = _frontier(atlas, n_max, branch_budget)
+    frontier = _refused(tf.iterate_frontier, atlas, tf.BASE_POINT, n_max,
+                        branch_budget)
     lowered = False
     try:
         bowen = tf.bowen_zero_entire(frontier, theta)
@@ -401,8 +407,7 @@ def cmd_hypdim(cfg, handle, poly_text=None):
         diagnostics["poly_bowen_zero"] = cross.value
     result = {"theta_hat": theta, "bowen_zero": bowen,
               "diagnostics": diagnostics}
-    _write(cfg, "hypdim.json",
-           json.dumps(result, indent=2, sort_keys=True) + "\n")
+    _write(cfg, "hypdim.json", _json(result))
     return {"result": result}
 
 
@@ -417,8 +422,7 @@ def cmd_verify(cfg, idents=None):
     _write(cfg, "verify.txt", report)
     # durations vary run to run, so they stay out of verify.txt
     seconds = {r.ident: r.seconds for r in results}
-    _write(cfg, "verify_seconds.json",
-           json.dumps(seconds, indent=2, sort_keys=True) + "\n")
+    _write(cfg, "verify_seconds.json", _json(seconds))
     sys.stdout.write(report)
     return 0 if all(r.passed for r in results) else 1
 
@@ -508,7 +512,7 @@ def main(argv=None):
             out = cmd_hypdim(cfg, handle, args.poly)
         elif args.command == "verify":
             return cmd_verify(cfg, args.only)
-        sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(out))
         return 0
     except (ConfigError, InvalidGrid) as exc:
         _emit_error(exc)

@@ -62,20 +62,18 @@ def _halton(n, base):
 class TractBranch:
     """One tract of a handle with its inverse map phi.
 
-    base_point lies in the tract and base_log = log f(base_point).  closed
-    maps an array of xi of any shape to (phi, phi') when the family has
-    them in closed form, and weight, when set, maps it to log|phi'/phi|
+    closed maps an array of xi of any shape to (phi, phi') when the family
+    has them in closed form, and weight, when set, maps it to log|phi'/phi|
     without forming phi.  Otherwise the branch is sampled: phi is continued
     numerically from cached anchors, the first _n_anchors columns of the
     3-row _anchors table being solved (xi, phi(xi), q) triples with
-    q = (log f)'(phi(xi)), the base point first, and _trust is the
-    continuation step size the last walk ended with.  A closed-form branch
-    has no anchor table.
+    q = (log f)'(phi(xi)), and _trust is the continuation step size the
+    last walk ended with.  Anchor 0 is the base point, a point of the tract
+    where |f| > R e, its xi being log f there with the imaginary part in
+    (-pi, pi].  A closed-form branch has no anchor table.
     """
 
     handle: object
-    base_point: complex
-    base_log: complex
     closed: object = None
     weight: object = None
     _anchors: np.ndarray = field(default=None, repr=False, compare=False)
@@ -103,7 +101,6 @@ def _closed_branches_exp_power(handle, R):
     d, lam = handle.d, handle.lam
     # f(z) = e^xi  <=>  z^d = xi - log lam; one tract per d-th root sector
     shift = cmath.log(lam)
-    base_log = max(2.0 * np.log(R), 4.0)
 
     def weight(xi):
         # phi'/phi = 1/(d w) on every sector, so no power is taken
@@ -129,8 +126,7 @@ def _closed_branches_exp_power(handle, R):
             np.divide(z, dz, out=dz)
             return z.reshape(w.shape)[()], dz.reshape(w.shape)[()]
 
-        branches.append(TractBranch(handle, closed(base_log)[0],
-                                    complex(base_log), closed, weight))
+        branches.append(TractBranch(handle, closed, weight))
     return branches
 
 
@@ -146,8 +142,7 @@ def _closed_branches_composite(handle, R):
             z, dz = ib.closed(xi)
             return np.log(z), dz / z
 
-        branches.append(TractBranch(handle, closed(ib.base_log)[0],
-                                    complex(ib.base_log), closed))
+        branches.append(TractBranch(handle, closed))
     return branches
 
 
@@ -178,8 +173,7 @@ def _sampled_branches(handle, R):
         lf, q = handle.log_f_and_q(z_b)
         anchors = np.empty((3, _MAX_ANCHORS), dtype=complex)
         anchors[:, 0] = _wrap_imag(lf), z_b, q
-        branches.append(TractBranch(handle, complex(z_b), _wrap_imag(lf),
-                                    _anchors=anchors))
+        branches.append(TractBranch(handle, _anchors=anchors))
     return branches
 
 

@@ -89,7 +89,10 @@ def _split_point(w):
 
 @dataclass
 class TransferSample:
-    w: complex
+    """The point operator at one t: its value, the preimage terms its walk
+    read, the tail estimate and the dyadic block sums.  The w is the
+    caller's, so a sample does not repeat it."""
+
     t: float
     value: float
     terms_used: int
@@ -153,14 +156,14 @@ def _dyadic_blocks(atlas, ts, w, k_budget):
         yield blocks, terms
 
 
-def _sample(w, t, blocks, terms):
+def _sample(t, blocks, terms):
     value = math.fsum(blocks)
     if len(blocks) >= 2 and blocks[-2] > 0:
         ratio = min(blocks[-1] / blocks[-2], _RATIO_CAP)
     else:
         ratio = _RATIO_CAP
     tail = blocks[-1] / (1.0 - ratio)
-    return TransferSample(complex(w), float(t), value, terms, tail, blocks)
+    return TransferSample(float(t), value, terms, tail, blocks)
 
 
 def transfer_apply_point(atlas, t, w, k_budget=None):
@@ -179,7 +182,7 @@ def transfer_apply_point(atlas, t, w, k_budget=None):
     _check_outside(atlas, w)
     if k_budget is None:
         k_budget = _default_budget(atlas)
-    samples = [_sample(w, x, *walk)
+    samples = [_sample(x, *walk)
                for x, walk in zip(ts, _dyadic_blocks(atlas, ts, w, k_budget))]
     return _GridSamples(samples) if grid else samples[0]
 

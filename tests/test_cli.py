@@ -25,6 +25,12 @@ BASILICA = {"family": "koenigs",
             "z0": [(1 + math.sqrt(5)) / 2, 0], "kappa": [0.25, 0]}
 
 
+#: The refusal of the base point w = e^2 inside a reference circle |w| = 8.
+OUTSIDE_8 = {"error": "ConfigError",
+             "detail": "|w| = 7.38906 is not outside the reference circle "
+                       "|w| = 8"}
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     return code, capsys.readouterr().out
@@ -68,6 +74,17 @@ class TestRunConfig:
     def test_t_grid(self):
         cfg = RunConfig(function={}, tmin=0.5, tmax=2.0, tstep=0.5)
         assert cfg.t_grid() == [0.5, 1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("tmin,tmax,tstep", [(1e21, 1e21, 0.5),
+                                                 (0.0, 5e-13, 1e-13)],
+                             ids=["below-float-spacing", "below-rounding"])
+    def test_t_step_that_does_not_advance_refused(self, tmin, tmax, tstep):
+        # 1e21 + 0.5 is 1e21, and 1e-13 rounds to 0 at 12 decimals: the
+        # first repeated t is refused, so the grid can neither repeat a t
+        # nor grow without end
+        cfg = RunConfig(function={}, tmin=tmin, tmax=tmax, tstep=tstep)
+        with pytest.raises(InvalidGrid, match="does not advance t"):
+            cfg.validate().t_grid()
 
     def test_validation(self):
         with pytest.raises(InvalidGrid):
@@ -176,23 +193,30 @@ class TestExitCodes:
         assert json.loads(out)["error"] == "ConfigError"
 
     @pytest.mark.parametrize("argv,error", [
+        # a library refusal keeps its text: the whole error JSON is pinned
         (["spectrum", "--function", "koenigs:z^2-2", "--radius", "1.5"],
-         "ConfigError"),
+         {"error": "ConfigError",
+          "detail": "R = 1.5 is below the singular radius 2"}),
         (["verify", "--only", "99"], "ConfigError"),
         (["verify", "--only", "x"], "ConfigError"),
         (["tract-plot", "--function", "exp", "--Tlist", "a"], "ConfigError"),
         # the base point e^2 of the frontier lies inside |w| = 8
         (["pressure", "--function", "quarter", "--tmin", "1.5",
-          "--radius", "8"], "ConfigError"),
-        (["hypdim", "--function", "quarter", "--radius", "8"], "ConfigError"),
+          "--radius", "8"], OUTSIDE_8),
+        (["hypdim", "--function", "quarter", "--radius", "8"], OUTSIDE_8),
         (["transfer", "--function", "exp", "--tmin", "1.2", "--radius", "10"],
-         "ConfigError"),
+         {"error": "ConfigError",
+          "detail": "|w| = 7.38906 is not outside the reference circle "
+                    "|w| = 10"}),
         # T = 1 gives log(1/r) = 0 and T = 1/2 puts r = 1/T at 2
         (["spectrum", "--function", "exp", "--Tjmin", "0"], "InvalidGrid"),
         (["hypdim", "--function", "exp", "--Tjmin", "-1"], "InvalidGrid"),
         # 2^1100 overflows a float, and a 1e-9 step asks for 2e9 t values
         (["spectrum", "--function", "exp", "--Tjmax", "1100"], "InvalidGrid"),
         (["spectrum", "--function", "exp", "--tstep", "1e-9"], "InvalidGrid"),
+        # 1e17 + 0.5 is 1e17: a step that does not advance t
+        (["transfer", "--function", "exp", "--tmin", "1e17", "--tmax", "1e17"],
+         "InvalidGrid"),
         # a sampled branch keeps only T <= 2^9, so 2^10..2^14 leaves none
         (["spectrum", "--function", "koenigs:z^2-1", "--Tjmin", "10"],
          "InvalidGrid"),
@@ -221,6 +245,7 @@ class TestExitCodes:
             "hypdim-radius-over-base", "transfer-radius-over-base",
             "spectrum-Tjmin-0", "hypdim-Tjmin-negative",
             "spectrum-Tjmax-overflow", "spectrum-tstep-too-fine",
+            "transfer-tstep-below-float-spacing",
             "koenigs-Tjmin-over-cap",
             "poly-dangling-power",
             "poly-degree-one", "koenigs-degree-one", "koenigs-dangling-sign",
@@ -232,7 +257,10 @@ class TestExitCodes:
     def test_bad_input_exits_2(self, argv, error, tmp_path, capsys):
         code, out = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 2
-        assert json.loads(out)["error"] == error
+        if isinstance(error, dict):
+            assert out == json.dumps(error, sort_keys=True) + "\n"
+        else:
+            assert json.loads(out)["error"] == error
         assert not os.listdir(tmp_path)
 
     def test_composite_over_koenigs_exits_2(self, tmp_path, capsys):
@@ -245,9 +273,10 @@ class TestExitCodes:
         code, out = run_cli(["spectrum", "--function", json.dumps(desc),
                              "--out", str(tmp_path)], capsys)
         assert code == 2
-        err = json.loads(out)
-        assert err["error"] == "ConfigError"
-        assert "closed-form" in err["detail"]
+        assert out == json.dumps(
+            {"error": "ConfigError",
+             "detail": "composite_exp needs an inner handle with closed-form "
+                       "tracts"}, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("desc", [
         {"family": "exp_power", "lambda": [1]},

@@ -5,8 +5,10 @@ an attribute) outside its own definition, or when the benchmark harness
 in perfbench/ names it.  Code that only tests reach has to be kept alive
 through every refactor of the layers it wraps, so it either gets a job in
 the pipeline or goes.  Private helpers are held to the same rule, so a
-helper that a refactor leaves without a caller fails here too.  The
-names that perfbench/tracer.py wraps must also still exist.
+helper that a refactor leaves without a caller fails here too.  Every
+field of a dataclass is held to it as well: some code in src/tractdim
+reads an attribute of that name, or perfbench/ names it.  The names that
+perfbench/tracer.py wraps must also still exist.
 """
 
 import ast
@@ -21,10 +23,10 @@ PERFBENCH = ROOT / "perfbench"
 
 #: Public names that no command reaches yet but that have a job waiting.
 ALLOWED = {
-    # ROADMAP item 6: spectrum and hypdim report the Hoelder exponent of
+    # ROADMAP item 8: spectrum and hypdim report the Hoelder exponent of
     # the tract per T of the grid
     "estimate_holder",
-    # ROADMAP item 6: and the ratio of the paper's condition (4.2) across T
+    # ROADMAP item 8: and the ratio of the paper's condition (4.2) across T
     "check_condition_42",
 }
 
@@ -46,6 +48,17 @@ def _uses():
                     yield path.name, top.lineno, node.id
                 elif isinstance(node, ast.Attribute):
                     yield path.name, top.lineno, node.attr
+
+
+def _fields():
+    """(module file, class name, field name) of every dataclass field."""
+    for module, node in _definitions():
+        if isinstance(node, ast.ClassDef) and any(
+                (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+                for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    yield module, node.name, stmt.target.id
 
 
 def _perfbench_text():
@@ -77,6 +90,20 @@ def test_every_public_name_has_a_caller():
 
 def test_every_private_helper_has_a_caller():
     assert _unreached(private=True) == []
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads is a value each construction builds for no one
+    reads = {node.attr for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    bench = _perfbench_text()
+    unread = ["%s:%s.%s" % (module, cls, name)
+              for module, cls, name in _fields()
+              if name not in reads
+              and not re.search(r"\b%s\b" % re.escape(name), bench)]
+    assert unread == []
 
 
 def test_allowed_names_still_exist():

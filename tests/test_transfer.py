@@ -119,7 +119,7 @@ def count_walks(monkeypatch):
 
 
 def sample_fields(s):
-    return (s.w, s.t, s.value, s.terms_used, s.tail_estimate, s.block_sums)
+    return (s.t, s.value, s.terms_used, s.tail_estimate, s.block_sums)
 
 
 def one_t_walk(atlas, t, w, k_budget):
