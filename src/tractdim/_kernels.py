@@ -101,11 +101,11 @@ def _aberth_sums(z):
     form bit for bit (tests/test_kernels.py keeps that form as reference).
 
     The loop is kept for speed, not bits: the dense form's sum(axis=2)
-    gives the same roots but, on a 2-core Xeon (numpy 2.4, medians of 7
-    per process over four alternating process pairs), took
-    ``poly._preimage_levels`` of z^3 - 0.5z at w = 5, depth 12, from
-    0.081-0.085 s to 0.085-0.090 s and perfbench's ``aberth_batch``
-    operation (z^2 - 1, 4,096 targets, 10 solves) from 0.023 s to 0.026 s.
+    gives the same roots, but took perfbench's ``aberth_batch`` operation
+    (z^2 - 1, 4,096 targets, 10 solves) from 0.023 s to 0.026 s on a
+    2-core Xeon (numpy 2.4, medians of 7 per process over four alternating
+    process pairs); on ``poly._preimage_levels`` of z^3 - 0.5z at w = 5,
+    depth 12, the two forms stayed within host noise (0.08-0.12 s).
     """
 
     def term(k):
