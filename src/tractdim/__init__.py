@@ -12,6 +12,7 @@ from .errors import (
     BranchLoss,
     NotRepelling,
     Overflow,
+    Underflow,
     ScaleFloor,
     ZeroDenominator,
     NoTractFound,

@@ -30,6 +30,10 @@ class Overflow(TractdimError):
     """A function value left floating range; never returned as silent inf."""
 
 
+class Underflow(TractdimError):
+    """A positive sum rounded to 0, so its log is undefined."""
+
+
 class ScaleFloor(TractdimError):
     """Disjoint-type rescaling hit the minimum |kappa| without separating."""
 

@@ -16,7 +16,8 @@ The Boettcher conjugacy has one entry,
 ``bottcher_inverse(p, z)``: z is an array of any shape outside the unit
 circle, and one batched ray continuation returns (h, h') of that shape.
 Circle means run their own inward continuation, one for all requested
-radii, on a quadrature grid that follows the radius down.
+radii, on a quadrature grid that follows the radius down, each step
+started from the tangent predictor of the step before.
 """
 
 import numbers
@@ -459,15 +460,23 @@ def bottcher_inverse(p, z):
     r = bottcher_outer_radius(p)
     h = _bottcher_batch(p, phases * np.maximum(radii, r))[0]
     while r > rmin:
-        r = _step_in(r, rmin)
+        r = _step_in(r, rmin, 0.7)
         h = _bottcher_batch(p, phases * np.maximum(radii, r), start=h)[0]
     return _bottcher_batch(p, z, start=h)
 
 
-def _step_in(r, stop):
+def _step_in(r, stop, shrink):
     """The next radius of an inward continuation from r: r - 1 shrinks by
-    0.7, but the step ends at stop if it would pass it."""
-    return max(stop, 1.0 + (r - 1.0) * 0.7)
+    the factor shrink, but the step ends at stop if it would pass it.
+
+    ``bottcher_inverse`` shrinks by 0.7 with a zero-order start (each
+    step's Newton solve starts from the last h), because check 7's golden
+    digits pin the bits of its h: a tangent start there moved
+    ``joukowski_err`` from 8.59e-13 to 1.11e-12 (to 1.25e-13 with r - 1
+    halved per step).  The circle means, which predict along the tangent,
+    halve r - 1.
+    """
+    return max(stop, 1.0 + (r - 1.0) * shrink)
 
 
 def _circle_grid(rad):
@@ -490,11 +499,15 @@ def bottcher_circle_means(p, r, t):
     solve serves every exponent.  r is a radius or an array of radii, all
     checked before any solve.  One inward continuation serves every
     circle: it starts at the larger of the outer radius and the largest r,
-    shrinks r - 1 by 0.7 per step and stops on each distinct r on the way
-    down.  Every step is solved on the quadrature grid of its own radius,
-    starting from the step before: from its h when the grid is the same,
-    otherwise from h/z interpolated linearly and periodically in theta and
-    taken at the previous radius.  Returns an ndarray of shape
+    halves r - 1 per step and stops on each distinct r on the way down.
+    Every step is solved on the quadrature grid of its own radius,
+    starting from the tangent predictor h + h'*(z - z_prev) of the step
+    before, whose error is second order in the step.  When the grid
+    changes, h/z and h' are first interpolated linearly and periodically
+    in theta and taken at the previous radius.  On z^2 - 1 the largest
+    first Newton residual over check 5's steps is 0.029, against 0.255
+    from h alone at 0.7 per step.  BranchLoss if a solve fails, as on a
+    polynomial whose critical point escapes.  Returns an ndarray of shape
     r.shape + t.shape, or a float when r and t are scalars.
     """
     radii = np.asarray(r, dtype=float)
@@ -510,14 +523,16 @@ def bottcher_circle_means(p, r, t):
     for i in range(stops.size - 1, -1, -1):
         while rad > stops[i]:
             prev_rad, prev_theta, prev_z = rad, theta, z
-            rad = _step_in(rad, stops[i])
+            rad = _step_in(rad, stops[i], 0.5)
             theta, weight = _circle_grid(rad)
             if theta.size != prev_theta.size:
                 ratio = np.interp(theta, prev_theta, h / prev_z,
                                   period=2.0 * np.pi)
-                h = ratio * (prev_rad * np.exp(1j * theta))
+                hp = np.interp(theta, prev_theta, hp, period=2.0 * np.pi)
+                prev_z = prev_rad * np.exp(1j * theta)
+                h = ratio * prev_z
             z = rad * np.exp(1j * theta)
-            h, hp = _bottcher_batch(p, z, start=h)
+            h, hp = _bottcher_batch(p, z, start=h + hp * (z - prev_z))
         rows[i] = np.sum(weight * np.abs(hp) ** t[..., None] * rad, axis=-1)
     means = rows[where.reshape(-1)].reshape(radii.shape + t.shape)
     return float(means) if means.ndim == 0 else means

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tract as tr
-from .errors import BudgetExceeded, DivergenceDetected
+from .errors import BudgetExceeded, DivergenceDetected, Underflow
 from .poly import solve_decreasing
 
 _TWO_PI = 2.0 * math.pi
@@ -148,8 +148,11 @@ def _dyadic_blocks(atlas, ts, w, k_budget):
                 raise DivergenceDetected(
                     "dyadic block sums growing over %d blocks at t=%g"
                     % (_DIVERGENCE_STREAK, t))
-            settled = (n >= 1 and block < blocks[-2]
-                       and block < _REL_STOP * math.fsum(blocks))
+            # a block whose every term underflowed is settled: the terms
+            # decay as |k| grows, so every later block underflows too
+            settled = block == 0.0 or (
+                n >= 1 and block < blocks[-2]
+                and block < _REL_STOP * math.fsum(blocks))
             if settled or (1 << n) >= k_budget:
                 break
             n += 1
@@ -316,9 +319,17 @@ class PressureFit:
 
 
 def pressure_entire(frontier, t):
-    """Slope of log of iterated-operator values against the depth, at t."""
-    logs = [math.log(transfer_iterate(frontier, t, n))
-            for n in range(1, frontier.depth + 1)]
+    """Slope of log of iterated-operator values against the depth, at t.
+
+    Underflow if some depth's value is 0 (every term below the smallest
+    float), whose log the fit cannot take.
+    """
+    values = [transfer_iterate(frontier, t, n)
+              for n in range(1, frontier.depth + 1)]
+    if min(values) == 0.0:
+        raise Underflow("iterated operator value underflows to 0 at t=%g "
+                        "(depth %d)" % (t, values.index(0.0) + 1))
+    logs = [math.log(v) for v in values]
     ns = np.arange(1, frontier.depth + 1, dtype=float)
     slope, intercept = np.polyfit(ns, logs, 1)
     residual = float(np.max(np.abs(slope * ns + intercept - logs)))

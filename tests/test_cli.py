@@ -370,6 +370,33 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["error"] == "DivergenceDetected"
 
+    def test_underflowed_transfer_exits_0(self, tmp_path, capsys):
+        # from t ~ 1075 every term of exp's first dyadic block underflows;
+        # an all-zero block settles the sum at 0, where it was read as
+        # growth (0 >= 0 * 1.02) and refused with DivergenceDetected
+        code, _ = run_cli(["transfer", "--function", "exp",
+                           "--tmin", "1200", "--tmax", "1200",
+                           "--out", str(tmp_path)], capsys)
+        assert code == 0
+        rows = (tmp_path / "transfer.csv").read_text().splitlines()
+        assert rows[0] == "t,value,terms,tail"
+        assert [float(x) for x in rows[1].split(",")][1::2] == [0.0, 0.0]
+        assert json.loads((tmp_path / "transfer.json").read_text())[
+            "profile_exponents"] == []
+
+    @pytest.mark.parametrize("t,depth", [("900", 2), ("1200", 1)])
+    def test_underflowed_pressure_exits_3(self, t, depth, tmp_path, capsys):
+        # a depth whose operator value underflows to 0 has no log to fit;
+        # math.log(0) used to end the command with a traceback
+        code, out = run_cli(["pressure", "--function", "exp", "--tmin", t,
+                             "--tmax", t, "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "Underflow",
+            "detail": "iterated operator value underflows to 0 at t=%s "
+                      "(depth %d)" % (t, depth)}
+        assert not os.listdir(tmp_path)
+
     def test_near_parabolic_exits_3(self, tmp_path, capsys):
         # the double fixed point 1/2 of z^2 + 1/4 splits numerically into
         # |lam| just below and just above 1; the linearizer refuses the

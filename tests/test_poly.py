@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tractdim import _kernels, poly
-from tractdim.errors import (BudgetExceeded, DegenerateDerivative,
-                             NoSignChange, NonConvergence)
+from tractdim.errors import (BranchLoss, BudgetExceeded,
+                             DegenerateDerivative, NoSignChange,
+                             NonConvergence)
 from tractdim.poly import Polynomial
 
 
@@ -552,11 +553,12 @@ class TestBottcher:
         assert reversed_.tobytes() == basilica_near_circles[::-1].tobytes()
 
     def test_means_spectrum_continues_near_circles(self, monkeypatch):
-        # one continuation from the outer radius 4: a solve at 4, 16 steps
-        # to 1.01 (r - 1 = 3 * 0.7^k until it would pass 0.01), 4 steps on
-        # to 1.003 (0.007, 0.0049, 0.00343, 0.003) and 4 on to 1.001
-        # (0.0021, 0.00147, 0.00103, 0.001); the three circles ran 45
-        # solves when each descended on its own grid
+        # one continuation from the outer radius 4: a solve at 4, 9 steps
+        # to 1.01 (r - 1 = 3 * 0.5^k until it would pass 0.01), 2 steps on
+        # to 1.003 (0.005, 0.003) and 2 on to 1.001 (0.0015, 0.001); the
+        # three circles ran 25 solves when r - 1 shrank by 0.7 per step
+        # from a zero-order start, and 45 when each descended on its own
+        # grid
         calls = []
         batch = poly._bottcher_batch
 
@@ -567,10 +569,11 @@ class TestBottcher:
         monkeypatch.setattr(poly, "_bottcher_batch", counted)
         poly.bottcher_means_spectrum(BASILICA, (0.5, 1.0, 1.5),
                                      (1.01, 1.003, 1.001))
-        assert len(calls) == 25
+        assert len(calls) == 14
 
     @pytest.mark.parametrize("text", ["z^2", "z^2-1", "z^2-2", "z^3-0.5z",
-                                      "z^2+0.25"])
+                                      "z^2+0.25", "z^2+0.05i",
+                                      "z^3-0.5z+0.3i"])
     @pytest.mark.parametrize("radii", [(1.01, 1.003, 1.001),
                                        (1.5, 1.05, 1.0005)])
     def test_circle_means_match_own_circle_solves(self, text, radii):
@@ -631,6 +634,14 @@ class TestBottcher:
         # three radii but two distinct: lstsq would return a minimum-norm fit
         with pytest.raises(ValueError, match="distinct"):
             poly.bottcher_means_spectrum(BASILICA, 1.0, (1.1, 1.1, 1.05))
+
+    def test_circle_means_branch_loss(self):
+        # z^2 + 1/2 lies outside the Mandelbrot set: its critical point
+        # escapes, so h does not continue in to the unit circle, and the
+        # Newton solve on the way to |z| = 1.01 fails
+        with pytest.raises(BranchLoss):
+            poly.bottcher_circle_means(Polynomial.from_string("z^2+0.5"),
+                                       1.01, 1.0)
 
     def test_means_spectrum_flat_for_exceptional(self):
         for p in (Z2, CHEB):
