@@ -371,9 +371,9 @@ class TestExitCodes:
         assert json.loads(out)["error"] == "DivergenceDetected"
 
     def test_underflowed_transfer_exits_0(self, tmp_path, capsys):
-        # from t ~ 1075 every term of exp's first dyadic block underflows;
-        # an all-zero block settles the sum at 0, where it was read as
-        # growth (0 >= 0 * 1.02) and refused with DivergenceDetected
+        # from t ~ 1075 every term of exp's first dyadic block underflows,
+        # and an all-zero block settles the sum at 0, not as growth
+        # (0 >= 0 * 1.02); the true sum lies below the smallest float
         code, _ = run_cli(["transfer", "--function", "exp",
                            "--tmin", "1200", "--tmax", "1200",
                            "--out", str(tmp_path)], capsys)
@@ -386,8 +386,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("t,depth", [("900", 2), ("1200", 1)])
     def test_underflowed_pressure_exits_3(self, t, depth, tmp_path, capsys):
-        # a depth whose operator value underflows to 0 has no log to fit;
-        # math.log(0) used to end the command with a traceback
+        # a depth whose operator value underflows to 0 has no log to fit
         code, out = run_cli(["pressure", "--function", "exp", "--tmin", t,
                              "--tmax", t, "--out", str(tmp_path)], capsys)
         assert code == 3

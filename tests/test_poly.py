@@ -555,10 +555,7 @@ class TestBottcher:
     def test_means_spectrum_continues_near_circles(self, monkeypatch):
         # one continuation from the outer radius 4: a solve at 4, 9 steps
         # to 1.01 (r - 1 = 3 * 0.5^k until it would pass 0.01), 2 steps on
-        # to 1.003 (0.005, 0.003) and 2 on to 1.001 (0.0015, 0.001); the
-        # three circles ran 25 solves when r - 1 shrank by 0.7 per step
-        # from a zero-order start, and 45 when each descended on its own
-        # grid
+        # to 1.003 (0.005, 0.003) and 2 on to 1.001 (0.0015, 0.001)
         calls = []
         batch = poly._bottcher_batch
 
