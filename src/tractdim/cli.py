@@ -202,7 +202,8 @@ def load_config(args):
     """Settings and handle; verify and hypdim --poly need no function.
 
     hypdim --poly reads only node_budget, so it refuses the flags of the
-    entire-side estimate; it still takes --function, which it ignores.
+    entire-side estimate; it still takes --function, and a config's
+    function descriptor, but builds no handle from either.
     """
     if args.poly is not None:
         unread = ["--" + name.replace("_", "-")
@@ -222,13 +223,14 @@ def load_config(args):
         cfg = RunConfig(function={})
     else:
         raise ConfigError("need --config or --function")
-    handle = function_from_spec(args.function) if args.function else None
+    handle = (function_from_spec(args.function)
+              if args.function and args.poly is None else None)
     for f in _FLAG_FIELDS:
         val = getattr(args, f.name, None)
         if val is not None:
             setattr(cfg, f.name, val)
     cfg.validate()
-    if args.config and handle is None:
+    if args.config and args.poly is None and handle is None:
         handle = _descriptor_handle(cfg.function)
     return cfg, handle
 

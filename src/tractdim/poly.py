@@ -15,9 +15,10 @@ pressure has one entry, ``tree_pressure``, for one t or a t grid; it and
 The Boettcher conjugacy has one entry,
 ``bottcher_inverse(p, z)``: z is an array of any shape outside the unit
 circle, and one batched ray continuation returns (h, h') of that shape.
-Circle means run their own inward continuation, one for all requested
-radii, on a quadrature grid that follows the radius down, each step
-started from the tangent predictor of the step before.
+Circle means run their own continuation, one for all requested radii, on
+a quadrature grid that follows the radius down.  Both walk inward by one
+rule: r - 1 halves per step (``_step_in``), and each step starts from the
+tangent predictor of the step before.
 """
 
 import numbers
@@ -447,9 +448,10 @@ def bottcher_inverse(p, z):
 
     h(z)/z -> 1 at infinity.  z is an array of any shape with every
     |z| > 1 (ValueError otherwise), and h, h' have its shape.  The points
-    are solved at the outer radius (or their own, if larger) and continued
-    inward along their rays: r - 1 shrinks by 0.7 per step, each point
-    stopping at its own radius, then a last solve at z gives h and h'.
+    are solved at the outer radius (or at z itself, if farther out) and
+    walked inward along their rays by ``_step_in``, each step started from
+    the tangent predictor h + h'*(w - w_prev); each point stops at z, so
+    the last step lands on z and gives h and h'.
     """
     z = np.asarray(z, dtype=complex)
     radii = np.abs(z)
@@ -458,25 +460,20 @@ def bottcher_inverse(p, z):
         raise ValueError("Boettcher coordinate requires |z| > 1")
     phases = z / radii
     r = bottcher_outer_radius(p)
-    h = _bottcher_batch(p, phases * np.maximum(radii, r))[0]
+    w = np.where(radii >= r, z, phases * r)
+    h, hp = _bottcher_batch(p, w)
     while r > rmin:
-        r = _step_in(r, rmin, 0.7)
-        h = _bottcher_batch(p, phases * np.maximum(radii, r), start=h)[0]
-    return _bottcher_batch(p, z, start=h)
+        r = _step_in(r, rmin)
+        prev, w = w, np.where(radii >= r, z, phases * r)
+        h, hp = _bottcher_batch(p, w, start=h + hp * (w - prev))
+    return h, hp
 
 
-def _step_in(r, stop, shrink):
-    """The next radius of an inward continuation from r: r - 1 shrinks by
-    the factor shrink, but the step ends at stop if it would pass it.
-
-    ``bottcher_inverse`` shrinks by 0.7 with a zero-order start (each
-    step's Newton solve starts from the last h), because check 7's golden
-    digits pin the bits of its h: a tangent start there moved
-    ``joukowski_err`` from 8.59e-13 to 1.11e-12 (to 1.25e-13 with r - 1
-    halved per step).  The circle means, which predict along the tangent,
-    halve r - 1.
-    """
-    return max(stop, 1.0 + (r - 1.0) * shrink)
+def _step_in(r, stop):
+    """The next radius of an inward continuation from r: r - 1 halves, but
+    the step ends at stop if it would pass it.  Started from the tangent
+    predictor, a step's first Newton residual is second order in the step."""
+    return max(stop, 1.0 + (r - 1.0) * 0.5)
 
 
 def _circle_grid(rad):
@@ -499,14 +496,13 @@ def bottcher_circle_means(p, r, t):
     solve serves every exponent.  r is a radius or an array of radii, all
     checked before any solve.  One inward continuation serves every
     circle: it starts at the larger of the outer radius and the largest r,
-    halves r - 1 per step and stops on each distinct r on the way down.
+    steps in by ``_step_in`` and stops on each distinct r on the way down.
     Every step is solved on the quadrature grid of its own radius,
     starting from the tangent predictor h + h'*(z - z_prev) of the step
-    before, whose error is second order in the step.  When the grid
-    changes, h/z and h' are first interpolated linearly and periodically
-    in theta and taken at the previous radius.  On z^2 - 1 the largest
-    first Newton residual over check 5's steps is 0.029, against 0.255
-    from h alone at 0.7 per step.  BranchLoss if a solve fails, as on a
+    before.  When the grid changes, h/z and h' are first interpolated
+    linearly and periodically in theta and taken at the previous radius.
+    On z^2 - 1 the largest first Newton residual over check 5's steps is
+    0.029.  BranchLoss if a solve fails, as on a
     polynomial whose critical point escapes.  Returns an ndarray of shape
     r.shape + t.shape, or a float when r and t are scalars.
     """
@@ -523,7 +519,7 @@ def bottcher_circle_means(p, r, t):
     for i in range(stops.size - 1, -1, -1):
         while rad > stops[i]:
             prev_rad, prev_theta, prev_z = rad, theta, z
-            rad = _step_in(rad, stops[i], 0.5)
+            rad = _step_in(rad, stops[i])
             theta, weight = _circle_grid(rad)
             if theta.size != prev_theta.size:
                 ratio = np.interp(theta, prev_theta, h / prev_z,

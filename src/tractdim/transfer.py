@@ -245,10 +245,8 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
         # the reference circle, so shallower points have no expandable
         # children
         kept = np.flatnonzero(np.log(np.abs(zs)) > log_radius)
-        # closed rows lie branch by branch, sampled ones point by point;
-        # either way view[b, r] holds row r's preimages under branch b
-        shape = ((len(kept), len(atlas.tracts), 2 * B + 1) if sampled
-                 else (len(atlas.tracts), len(kept), 2 * B + 1))
+        # out[b, r] holds row r's preimages under branch b
+        shape = (len(atlas.tracts), len(kept), 2 * B + 1)
         if math.prod(shape) > _FRONTIER_CAP:
             raise BudgetExceeded(
                 "iterate frontier exceeds cap at level %d" % (level + 1)
@@ -258,8 +256,6 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
         expand = level < n - 1
         out = np.empty(shape)
         children = np.empty(shape if expand else (0, 0, 0), dtype=complex)
-        view, child_view = (a.swapaxes(0, 1) if sampled else a
-                            for a in (out, children))
         # continuation walks one point at a time, in frontier order,
         # because each walk starts from the anchors the last one left
         step = 1 if sampled else _FRONTIER_ROWS
@@ -276,11 +272,11 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
                 if expand:
                     child, dphi = tr.phi_path(branch, xi)
                     logterm = tr._log_ratio(child, dphi)
-                    child_view[rows] = child.reshape(len(sub), -1)
+                    children[rows] = child.reshape(len(sub), -1)
                 else:
                     logterm = tr.log_weight(branch, xi)
                 np.add(logterm.reshape(len(sub), -1), sums[sub][:, None],
-                       out=view[rows])
+                       out=out[rows])
         sums, zs = out.ravel(), children.ravel()
         if not expand:  # only an expanding level is read in walk order
             sums.sort()

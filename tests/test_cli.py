@@ -541,6 +541,19 @@ class TestCommands:
         assert alone[0] == 0
         assert run_cli(argv + ["--function", "exp"], capsys) == alone
 
+    def test_hypdim_poly_builds_no_handle(self, tmp_path, capsys):
+        # koenigs:z^2+0.25 exits 3 (NotRepelling) and a kappa of 0.5 exits 2
+        # when built, but the polynomial side reads no entire-side function
+        argv = ["hypdim", "--poly", "z^2", "--out", str(tmp_path)]
+        alone = run_cli(argv, capsys)
+        assert alone[0] == 0
+        assert run_cli(argv + ["--function", "koenigs:z^2+0.25"],
+                       capsys) == alone
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"function": dict(BASILICA, kappa=[0.5, 0])}))
+        assert run_cli(argv + ["--config", str(config)], capsys) == alone
+
     def test_hypdim_poly_imaginary_coefficient(self, tmp_path, capsys):
         # z^2 + 0.05i: a quasicircle near the unit circle, dimension near 1
         code, out = run_cli(["hypdim", "--poly", "z^2+0.05i",

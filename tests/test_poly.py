@@ -24,6 +24,20 @@ def basilica_near_circles():
     return poly.bottcher_circle_means(BASILICA, (1.003, 1.001), MEANS_TS)
 
 
+@pytest.fixture
+def bottcher_calls(monkeypatch):
+    """The list that gets one entry per ``_bottcher_batch`` call."""
+    calls = []
+    batch = poly._bottcher_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "_bottcher_batch", counted)
+    return calls
+
+
 class TestPolynomial:
     def test_eval(self):
         assert Z2(1 + 1j) == 2j
@@ -552,21 +566,25 @@ class TestBottcher:
                                                MEANS_TS)
         assert reversed_.tobytes() == basilica_near_circles[::-1].tobytes()
 
-    def test_means_spectrum_continues_near_circles(self, monkeypatch):
+    def test_means_spectrum_continues_near_circles(self, bottcher_calls):
         # one continuation from the outer radius 4: a solve at 4, 9 steps
         # to 1.01 (r - 1 = 3 * 0.5^k until it would pass 0.01), 2 steps on
         # to 1.003 (0.005, 0.003) and 2 on to 1.001 (0.0015, 0.001)
-        calls = []
-        batch = poly._bottcher_batch
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return batch(*args, **kwargs)
-
-        monkeypatch.setattr(poly, "_bottcher_batch", counted)
         poly.bottcher_means_spectrum(BASILICA, (0.5, 1.0, 1.5),
                                      (1.01, 1.003, 1.001))
-        assert len(calls) == 14
+        assert len(bottcher_calls) == 14
+
+    def test_ray_continuation_schedule(self, bottcher_calls):
+        # from the outer radius 4 of z^2 - 1, r - 1 = 3 * 0.5^k for 11 steps
+        # and a 12th that lands on 1.001: 13 solves, none after the last
+        # step; points at or beyond the outer radius take one solve
+        theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        poly.bottcher_inverse(BASILICA, 1.001 * np.exp(1j * theta))
+        assert len(bottcher_calls) == 13
+        bottcher_calls.clear()
+        h, hp = poly.bottcher_inverse(BASILICA, np.array([4.0, 8j, -5.0]))
+        assert len(bottcher_calls) == 1
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(hp))
 
     @pytest.mark.parametrize("text", ["z^2", "z^2-1", "z^2-2", "z^3-0.5z",
                                       "z^2+0.25", "z^2+0.05i",
