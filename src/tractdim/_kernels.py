@@ -100,12 +100,15 @@ def _aberth_sums(z):
     subtracted at the end, so the result equals the dense (m, d, d) tensor
     form bit for bit (tests/test_kernels.py keeps that form as reference).
 
-    The loop is kept for speed, not bits: the dense form's sum(axis=2)
-    gives the same roots, but took perfbench's ``aberth_batch`` operation
-    (z^2 - 1, 4,096 targets, 10 solves) from 0.023 s to 0.026 s on a
-    2-core Xeon (numpy 2.4, medians of 7 per process over four alternating
-    process pairs); on ``poly._preimage_levels`` of z^3 - 0.5z at w = 5,
-    depth 12, the two forms stayed within host noise (0.08-0.12 s).
+    The loop is kept for speed, not bits.  The dense form is bit-identical
+    only when its difference tensor is built with np.subtract(...,
+    order="C"); with numpy's default order that temporary is not
+    C-contiguous, and degrees of 4 and up lose bit identity.  Even then
+    the dense form was slower on a 2-core Xeon (numpy 2.4.6, medians over
+    6 alternating process pairs): perfbench's ``aberth_batch`` operation
+    (z^2 - 1, 4,096 targets, 10 solves) went from 0.028 s to 0.042 s, and
+    ``poly.bowen_zero_poly`` of z^3 - 0.5z at depth 12 from 0.14 s to
+    0.18 s.
     """
 
     def term(k):

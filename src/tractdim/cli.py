@@ -4,6 +4,9 @@ Deterministic by construction: outputs carry no timestamps and sampling
 uses fixed low-discrepancy sequences, so identical configurations yield
 byte-identical files.  A command takes a flag for each RunConfig field it
 reads (``COMMANDS``, ``--node-budget`` for ``node_budget``) and no other.
+RunConfig holds settings only: a command that reads a function takes it
+from ``--function``, else from the config file's descriptor
+(``load_config``).
 
 An argument the library refuses with ValueError (a radius below the
 singular radius, a base point inside the reference circle, a polynomial
@@ -44,7 +47,6 @@ MAX_GRID_POINTS = 10_000
 
 @dataclass
 class RunConfig:
-    function: dict
     radius: float = float(math.e)
     Tjmin: int = int(math.log2(sp.DEFAULT_T_GRID[0]))
     Tjmax: int = int(math.log2(sp.DEFAULT_T_GRID[-1]))
@@ -57,7 +59,7 @@ class RunConfig:
     out: str = "out"
 
     def validate(self):
-        for f in _FLAG_FIELDS:
+        for f in dataclasses.fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError("%s must be finite" % f.name)
         for name in ("node_budget", "branch_budget"):
@@ -84,6 +86,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text):
+        """(settings, function descriptor or None) of a config file's text."""
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -91,18 +94,16 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object, not %s"
                               % type(data).__name__)
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
+        desc = data.pop("function", None)
+        extra = set(data) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ConfigError("unknown config keys: %s" % sorted(extra))
-        if "function" not in data:
-            raise ConfigError("config requires a function descriptor")
-        for f in _FLAG_FIELDS:
+        for f in dataclasses.fields(cls):
             if f.name in data and not _is_json_type(data[f.name], f.type):
                 raise ConfigError("config key %s must be %s, got %s"
                                   % (f.name, f.type.__name__,
                                      json.dumps(data[f.name])))
-        return cls(**data)
+        return cls(**data), desc
 
     def t_grid(self):
         grid, k = [], 0
@@ -119,11 +120,6 @@ class RunConfig:
 
     def T_grid(self):
         return [float(2 ** j) for j in range(self.Tjmin, self.Tjmax + 1)]
-
-
-#: The RunConfig fields set by a flag; ``function`` takes a spec string.
-_FLAG_FIELDS = tuple(f for f in dataclasses.fields(RunConfig)
-                     if f.name != "function")
 
 
 def _is_json_type(value, kind):
@@ -199,11 +195,14 @@ def function_from_spec(text):
 
 
 def load_config(args):
-    """Settings and handle; verify and hypdim --poly need no function.
+    """(settings, handle) of a command; the handle is None when the
+    command reads no function.
 
-    hypdim --poly reads only node_budget, so it refuses the flags of the
-    entire-side estimate; it still takes --function, and a config's
-    function descriptor, but builds no handle from either.
+    verify (whose checks build their own handles) and hypdim --poly read
+    none, and build no handle from a --function or config descriptor they
+    are given.  Any other command builds --function, else the config
+    file's descriptor, else exits 2 naming both.  hypdim --poly reads only
+    node_budget, so it refuses the flags of the entire-side estimate.
     """
     if args.poly is not None:
         unread = ["--" + name.replace("_", "-")
@@ -212,26 +211,29 @@ def load_config(args):
         if unread:
             raise ConfigError("hypdim --poly reads only --node-budget; "
                               "it does not take %s" % ", ".join(unread))
+    cfg, desc = RunConfig(), None
     if args.config:
         try:
             with open(args.config) as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("cannot read config %s: %s" % (args.config, exc))
-        cfg = RunConfig.from_json(text)
-    elif args.function or args.command == "verify" or args.poly is not None:
-        cfg = RunConfig(function={})
-    else:
-        raise ConfigError("need --config or --function")
-    handle = (function_from_spec(args.function)
-              if args.function and args.poly is None else None)
-    for f in _FLAG_FIELDS:
+        cfg, desc = RunConfig.from_json(text)
+    spec = args.function
+    if args.command == "verify" or args.poly is not None:
+        spec = desc = None
+    elif not spec and desc is None:
+        raise ConfigError("%s needs --function or a config file with a "
+                          "function descriptor" % args.command)
+    # --function is built before the flags are checked, a descriptor after
+    handle = function_from_spec(spec) if spec else None
+    for f in dataclasses.fields(cfg):
         val = getattr(args, f.name, None)
         if val is not None:
             setattr(cfg, f.name, val)
     cfg.validate()
-    if args.config and args.poly is None and handle is None:
-        handle = _descriptor_handle(cfg.function)
+    if handle is None and desc is not None:
+        handle = _descriptor_handle(desc)
     return cfg, handle
 
 
@@ -385,8 +387,9 @@ def cmd_hypdim(cfg, handle, poly_text=None):
     tables = sp.means_tables(branch, cfg.T_grid())
     theta = sp.theta_f(tables)
     # Without a closed-form contour map every tree node walks the
-    # quadrature path, so deep iteration is priced out; two levels and a
-    # small frontier already pin the zero to the reported bracket width.
+    # quadrature path, so deep iteration is priced out: a sampled tract
+    # takes two levels and at most 32 branches.  The bisection still
+    # stops at width 0.02, but no bracket is reported for this side.
     n_max = 2 if sampled else 3
     branch_budget = min(cfg.branch_budget, 32) if sampled \
         else cfg.branch_budget
@@ -478,7 +481,7 @@ def build_parser():
         if name != "verify":  # the checks fix their own handles
             p.add_argument("--config")
             p.add_argument("--function")
-        for f in _FLAG_FIELDS:
+        for f in dataclasses.fields(RunConfig):
             if f.name in fields.split() + ["out"]:
                 p.add_argument("--" + f.name.replace("_", "-"), type=f.type)
     sub.choices["tract-plot"].add_argument(

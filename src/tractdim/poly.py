@@ -476,17 +476,23 @@ def _step_in(r, stop):
     return max(stop, 1.0 + (r - 1.0) * 0.5)
 
 
+def gl4_panels(a, b, panels):
+    """(nodes, weights) of the composite 4-point Gauss-Legendre rule on
+    [a, b] over ``panels`` equal panels, each scaled by its own half-width."""
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * GL4_NODES[None, :]).reshape(-1)
+    weights = (half[:, None] * GL4_WEIGHTS[None, :]).reshape(-1)
+    return nodes, weights
+
+
 def _circle_grid(rad):
     """Composite 4-point Gauss-Legendre nodes theta and weights on
     [0, 2 pi] for the circle |z| = rad: min(8192, max(256, 16 pi/(rad - 1)))
     nodes, rounded down to whole panels."""
     n_nodes = int(min(8192, max(256, 8.0 * (2.0 * np.pi) / (rad - 1.0))))
-    edges = np.linspace(0.0, 2.0 * np.pi, n_nodes // 4 + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    theta = (mid[:, None] + half[:, None] * GL4_NODES[None, :]).reshape(-1)
-    weight = (half[:, None] * GL4_WEIGHTS[None, :]).reshape(-1)
-    return theta, weight
+    return gl4_panels(0.0, 2.0 * np.pi, n_nodes // 4)
 
 
 def bottcher_circle_means(p, r, t):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tract as tr
 from .errors import InvalidGrid, NoSignChange
-from .poly import GL4_NODES, GL4_WEIGHTS, logsumexp, solve_decreasing
+from .poly import gl4_panels, logsumexp, solve_decreasing
 
 DEFAULT_T_GRID = tuple(float(2**j) for j in range(3, 15))
 #: Largest dyadic exponent of the T grid on sampled (continued) branches,
@@ -44,11 +44,7 @@ def _node_table(branch, T, r):
         logw = []
         logd = []
         for a, b in ((-2.0, -1.0), (1.0, 2.0)):
-            edges = np.linspace(a, b, panels_per_unit + 1)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            y = (mids[:, None] + half * GL4_NODES[None, :]).ravel()
-            w = np.broadcast_to(half * GL4_WEIGHTS[None, :], (panels_per_unit, 4)).ravel()
+            y, w = gl4_panels(a, b, panels_per_unit)
             xi = T * (r + 1j * y)
             if (a, b) not in guesses:
                 z, dphi = tr.phi_path(branch, xi)

@@ -16,8 +16,10 @@ entry, log_weight, returns log|phi'/phi| of that shape for callers that
 drop phi: an e^{z^d} branch reads it from xi alone through
 TractBranch.weight, any other branch from one phi_path call.  Callers
 ask TractBranch.sampled where the cost of continuation matters to them.
-A sampled branch's anchor table is the only state a branch keeps;
-tract_scale and rescaled_map evaluate phi afresh on every call.
+A sampled branch carries two pieces of state from walk to walk: its
+anchor table and TractBranch._trust, the continuation step size its last
+walk ended with.  tract_scale and rescaled_map evaluate phi afresh on
+every call.
 """
 
 from __future__ import annotations

@@ -59,20 +59,34 @@ class TestRunConfig:
     def test_reads_literal_config(self):
         text = ('{"function": {"family": "exp_power", "lambda": [0.25, 0.0], '
                 '"d": 1}, "radius": 2.718281828459045, "tstep": 0.1}')
-        assert RunConfig.from_json(text) == RunConfig(
-            function={"family": "exp_power", "lambda": [0.25, 0.0], "d": 1},
-            radius=2.718281828459045, tstep=0.1)
+        assert RunConfig.from_json(text) == (
+            RunConfig(radius=2.718281828459045, tstep=0.1),
+            {"family": "exp_power", "lambda": [0.25, 0.0], "d": 1})
+        # the descriptor is optional: a file may hold settings only
+        assert RunConfig.from_json('{"radius": 3.0}') == (
+            RunConfig(radius=3.0), None)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_json('{"function": {}, "bogus": 1}')
 
-    def test_function_required(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_json('{"radius": 3.0}')
+    def test_function_required(self, tmp_path, capsys):
+        # a command that reads a function refuses to run without one, from
+        # a settings-only config file or with no config at all
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tstep": 0.25}))
+        for extra in (["--config", str(path)], []):
+            code, out = run_cli(["spectrum", "--out", str(tmp_path / "out")]
+                                + extra, capsys)
+            assert code == 2
+            assert json.loads(out) == {
+                "error": "ConfigError",
+                "detail": "spectrum needs --function or a config file with "
+                          "a function descriptor"}
+            assert not (tmp_path / "out").exists()
 
     def test_t_grid(self):
-        cfg = RunConfig(function={}, tmin=0.5, tmax=2.0, tstep=0.5)
+        cfg = RunConfig(tmin=0.5, tmax=2.0, tstep=0.5)
         assert cfg.t_grid() == [0.5, 1.0, 1.5, 2.0]
 
     @pytest.mark.parametrize("tmin,tmax,tstep", [(1e21, 1e21, 0.5),
@@ -82,30 +96,30 @@ class TestRunConfig:
         # 1e21 + 0.5 is 1e21, and 1e-13 rounds to 0 at 12 decimals: the
         # first repeated t is refused, so the grid can neither repeat a t
         # nor grow without end
-        cfg = RunConfig(function={}, tmin=tmin, tmax=tmax, tstep=tstep)
+        cfg = RunConfig(tmin=tmin, tmax=tmax, tstep=tstep)
         with pytest.raises(InvalidGrid, match="does not advance t"):
             cfg.validate().t_grid()
 
     def test_validation(self):
         with pytest.raises(InvalidGrid):
-            RunConfig(function={}, Tjmin=5, Tjmax=3).validate()
+            RunConfig(Tjmin=5, Tjmax=3).validate()
         with pytest.raises(InvalidGrid):
-            RunConfig(function={}, tstep=0.0).validate()
+            RunConfig(tstep=0.0).validate()
         with pytest.raises(ConfigError):
-            RunConfig(function={}, node_budget=0).validate()
+            RunConfig(node_budget=0).validate()
         # a grid above MAX_GRID_POINTS is refused before it is built
         with pytest.raises(InvalidGrid, match="T grid above 10000"):
-            RunConfig(function={}, Tjmin=-20000).validate()
+            RunConfig(Tjmin=-20000).validate()
         with pytest.raises(InvalidGrid, match="t grid above 10000"):
-            RunConfig(function={}, tstep=1e-4).validate()
-        RunConfig(function={}, Tjmin=-9984, tstep=2.0 / 9999).validate()
+            RunConfig(tstep=1e-4).validate()
+        RunConfig(Tjmin=-9984, tstep=2.0 / 9999).validate()
 
     @pytest.mark.parametrize("field", ["radius", "tmin", "tmax", "tstep"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         # an infinite tstep would give an empty t grid
         with pytest.raises(ConfigError, match=field):
-            RunConfig(function={}, **{field: value}).validate()
+            RunConfig(**{field: value}).validate()
 
 
 class TestFunctionSpec:
@@ -606,7 +620,7 @@ class TestCommands:
         monkeypatch.setattr(sp, "_node_table", counting)
         code, _ = run_cli(argv + ["--out", str(tmp_path)], capsys)
         assert code == 0
-        assert Ts == RunConfig(function={}).T_grid()
+        assert Ts == RunConfig().T_grid()
 
     def test_hypdim_quarter(self, tmp_path, capsys):
         code, out = run_cli(["hypdim", "--function", "quarter",
@@ -647,6 +661,33 @@ class TestCommands:
                            "--out", str(tmp_path)], capsys)
         assert code == 0
 
+    def test_settings_only_config_with_poly(self, tmp_path, capsys):
+        # hypdim --poly reads no function, so its config needs none
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"node_budget": 100000}))
+        argv = ["hypdim", "--poly", "z^2", "--out", str(tmp_path)]
+        flagged = run_cli(argv + ["--node-budget", "100000"], capsys)
+        assert flagged[0] == 0
+        assert run_cli(argv + ["--config", str(path)], capsys) == flagged
+
+    def test_settings_only_config_with_function(self, tmp_path, capsys):
+        # --function names the function; the file brings only settings
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tstep": 0.25}))
+        flag_dir, file_dir = tmp_path / "flag", tmp_path / "file"
+        base = ["spectrum", "--function", "exp", "--out"]
+        code, _ = run_cli(base + [str(flag_dir), "--tstep", "0.25"], capsys)
+        assert code == 0
+        code, _ = run_cli(base + [str(file_dir), "--config", str(path)],
+                          capsys)
+        assert code == 0
+        names = sorted(os.listdir(flag_dir))
+        assert names == ["spectrum.csv", "spectrum.json"]
+        assert sorted(os.listdir(file_dir)) == names
+        for name in names:
+            assert ((file_dir / name).read_bytes()
+                    == (flag_dir / name).read_bytes())
+
 
 def _count_builds(monkeypatch):
     builds = []
@@ -681,10 +722,9 @@ class TestOneBuild:
         builds = _count_builds(monkeypatch)
         args = cli.build_parser().parse_args(
             ["spectrum", "--config", str(path)])
-        cfg, handle = cli.load_config(args)
+        _, handle = cli.load_config(args)
         assert len(builds) == 1
         assert handle == want
-        assert cfg.function == desc
 
 
 class TestVerify:
