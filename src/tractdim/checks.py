@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linearizer as lz
-from . import poly
+from . import numerics, poly
 from . import spectrum as sp
 from . import tract as tr
 from . import transfer as tf
@@ -132,8 +132,8 @@ def check_arc_pressure_identity():
 
 
 def _disk_points(n, radius):
-    h2 = tr._halton(n, 2)
-    h3 = tr._halton(n, 3)
+    h2 = numerics.halton(n, 2)
+    h3 = numerics.halton(n, 3)
     return radius * np.sqrt(h2) * np.exp(2j * np.pi * h3)
 
 
@@ -161,8 +161,8 @@ def check_bottcher_golden():
     z = np.outer((1.2, 2.0, 4.0), np.exp(2j * np.pi * np.arange(8) / 8))
     err = float(np.abs(poly.bottcher_inverse(CHEB, z)[0] - (z + 1 / z)).max())
     # functional equation h(z^d) = p(h(z)), relative to 1 + |h(z)|
-    z = (1.2 + 3.0 * tr._halton(20, 2)) * np.exp(
-        2j * np.pi * tr._halton(20, 3))
+    z = (1.2 + 3.0 * numerics.halton(20, 2)) * np.exp(
+        2j * np.pi * numerics.halton(20, 3))
     resid = 0.0
     for p in (Z2, CHEB, BASILICA, COSH):
         h = poly.bottcher_inverse(p, z)[0]
@@ -213,13 +213,16 @@ def check_scaling_band():
 def check_composite_comparison():
     """Composite model spectrum bounded by the inner map's spectrum."""
     T_grid = sp.DEFAULT_T_GRID[:8]
+    ts = [0.5, 1.0, 1.5, 2.0]
     inner = tr.find_tracts(test_handle("composite").inner, math.e).tracts[0]
     comp = test_atlas("composite").tracts[0]
-    rep = sp.composite_spectrum_compare(sp.means_tables(inner, T_grid),
-                                        sp.means_tables(comp, T_grid),
-                                        [0.5, 1.0, 1.5, 2.0])
-    return rep["ok"], "theta %.4f <= %.4f + 0.05: %s" % (
-        rep["theta_composite"], rep["theta_inner"], rep["theta_ok"])
+    tables = [sp.means_tables(branch, T_grid) for branch in (inner, comp)]
+    inner_curve, comp_curve = [sp.spectrum_curve(t, ts) for t in tables]
+    theta_ok = comp_curve.theta_hat <= inner_curve.theta_hat + 0.05
+    beta_ok = all(bc <= bi + 0.05 for bi, bc in
+                  zip(inner_curve.beta_inf, comp_curve.beta_inf))
+    return beta_ok and theta_ok, "theta %.4f <= %.4f + 0.05: %s" % (
+        comp_curve.theta_hat, inner_curve.theta_hat, theta_ok)
 
 
 def check_boundary_figures():

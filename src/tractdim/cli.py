@@ -69,6 +69,8 @@ class RunConfig:
             raise ConfigError("k_budget must be >= 0 (0 = per-handle default)")
         if self.radius < 1:
             raise ConfigError("radius must be >= 1")
+        if os.path.exists(self.out) and not os.path.isdir(self.out):
+            raise ConfigError("out %s is not a directory" % self.out)
         if self.Tjmin > self.Tjmax:
             raise InvalidGrid("empty T grid: Tjmin > Tjmax")
         if self.Tjmax >= sys.float_info.max_exp:
@@ -243,10 +245,14 @@ def _json(obj):
 
 
 def _write(cfg, name, text):
-    os.makedirs(cfg.out, exist_ok=True)
+    """Write one output file under cfg.out; an OSError is a ConfigError."""
     path = os.path.join(cfg.out, name)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc))
     return path
 
 

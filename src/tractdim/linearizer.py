@@ -91,6 +91,7 @@ def make_koenigs(p, z0, kappa=1.0 + 0j):
     Solves f(lam*z) = p(f(z)) degree by degree (a_1 = 1; lam**n - lam never
     vanishes since |lam| > 1) in one pass, which stops at the first K in
     16, 32, ..., 256 whose tail |a_K| r0^K is below the tolerance.
+    Overflow if lam**n or r0**n leaves the float range first.
     """
     z0 = complex(z0)
     if not abs(p(z0) - z0) <= 1e-10:  # a nan z0 is refused too
@@ -105,26 +106,33 @@ def make_koenigs(p, z0, kappa=1.0 + 0j):
     f[0], f[1] = z0, 1.0
     coeffs = p.coefficients
     K = 16
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, _MAX_SERIES_K + 1):
-            # Horner composition of p with the partial series, truncated at z^n
-            g = np.zeros(n + 1, dtype=complex)
-            g[0] = coeffs[-1]
-            for c in coeffs[-2::-1]:
-                g = np.convolve(g, f[: n + 1])[: n + 1]
-                g[0] += c
-            f[n] = g[n] / (lam**n - lam)
-            if n < K:
-                continue
-            if not np.all(np.isfinite(f[1:n + 1])):
-                # a near-parabolic point (|lam| just above 1) divides by
-                # lam**n - lam ~ 0 at every order until the series overflows
-                raise NotRepelling("multiplier |%s| = %.9g is too close to 1: "
-                                   "Taylor coefficients overflow at K = %d"
-                                   % (lam, abs(lam), K))
-            if abs(f[n]) * r0 ** n < _TAIL_TOL:
-                break
-            K *= 2
+    # a Python complex or float power raises OverflowError, not inf
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(2, _MAX_SERIES_K + 1):
+                # Horner composition of p with the partial series,
+                # truncated at z^n
+                g = np.zeros(n + 1, dtype=complex)
+                g[0] = coeffs[-1]
+                for c in coeffs[-2::-1]:
+                    g = np.convolve(g, f[: n + 1])[: n + 1]
+                    g[0] += c
+                f[n] = g[n] / (lam**n - lam)
+                if n < K:
+                    continue
+                if not np.all(np.isfinite(f[1:n + 1])):
+                    # a near-parabolic point (|lam| just above 1) divides
+                    # by lam**n - lam ~ 0 at every order until the series
+                    # overflows
+                    raise NotRepelling("multiplier |%s| = %.9g is too close "
+                                       "to 1: Taylor coefficients overflow "
+                                       "at K = %d" % (lam, abs(lam), K))
+                if abs(f[n]) * r0 ** n < _TAIL_TOL:
+                    break
+                K *= 2
+    except OverflowError:
+        raise Overflow("Koenigs series leaves the float range at order "
+                       "n = %d (|lam| = %.9g)" % (n, abs(lam)))
     # Python complex coefficients keep the scalar series at interpreter speed
     taylor = tuple(complex(a) for a in f[1:n + 1])
     return KoenigsLinearizer(p, z0, lam, taylor, r0, complex(kappa))

@@ -1,15 +1,18 @@
-"""Polynomial dynamics kernel.
+"""Polynomial dynamics and Boettcher coordinates.
 
 Evaluation, preimage trees with chain-rule derivatives, the repelling
 fixed point a Koenigs handle linearizes at, Boettcher coordinates of the
-basin of infinity, tree pressure with Richardson extrapolation, its
-Bowen zero (hyperbolic dimension) and ``solve_decreasing``, the one
-bisection behind every printed zero.  A preimage tree solves its first
-level from the kernel's cold start and every later level from the roots
-of the level above, row i from row i mod m: a node's fiber lies near the
-fiber of the node with its first branch dropped (the shift identity in
-``_preimage_levels``).  It builds each level in blocks of ``_ROW_BLOCK``
-parent rows, one kernel call per block, straight to log|(p^k)'|.  Tree
+basin of infinity, tree pressure with Richardson extrapolation and its
+Bowen zero (hyperbolic dimension).  The bisection, log-sum-exp and
+quadrature rules these share with the entire-function layers live in
+``numerics``.
+
+A preimage tree solves its first level from the kernel's cold start and
+every later level from the roots of the level above, row i from row
+i mod m: a node's fiber lies near the fiber of the node with its first
+branch dropped (the shift identity in ``_preimage_levels``).  It builds
+each level in blocks of ``_ROW_BLOCK`` parent rows, one kernel call per
+block, straight to log|(p^k)'|.  Tree
 pressure has one entry, ``tree_pressure``, for one t or a t grid; it and
 ``bowen_zero_poly`` both reduce the log arrays through ``_pressure_from``.
 The Boettcher conjugacy has one entry,
@@ -34,8 +37,8 @@ from .errors import (
     BudgetExceeded,
     DegenerateDerivative,
     NonConvergence,
-    NoSignChange,
 )
+from .numerics import gl4_panels, logsumexp, solve_decreasing
 
 DEFAULT_NODE_BUDGET = 1 << 20
 _DERIV_FLOOR = 1e-300
@@ -47,14 +50,6 @@ _DERIV_FLOOR = 1e-300
 #: build time; 2,048 and 1,024 rows save 1.2 and 1.8 MiB more but build
 #: about 20% and 50% slower.
 _ROW_BLOCK = 4096
-#: The 4-point Gauss-Legendre rule on [-1, 1], the panel rule of the
-#: Boettcher circle means and of the spectrum's node tables: the values of
-#: numpy's leggauss(4), bit for bit, written out because importing
-#: numpy.polynomial here raised perfbench poly_side's peak RSS by 1.3 MB.
-GL4_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
-                      0.33998104358485626, 0.8611363115940526])
-GL4_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
-                        0.6521451548625464, 0.34785484513745357])
 
 
 @dataclass(frozen=True)
@@ -301,46 +296,6 @@ def bowen_zero_poly(p, depth, node_budget=DEFAULT_NODE_BUDGET):
     return BowenZero(value, (lo, hi), hi - lo)
 
 
-def solve_decreasing(f, lo, hi, width):
-    """Zero of a decreasing f, bisected on [lo, hi] to at most width.
-
-    Any value that is not <= 0 counts as positive: NaN and the +inf of a
-    divergent sum lie below the zero.  NoSignChange unless f(lo) is
-    positive and f(hi) is not.  Returns (root, (lo, hi)) with the root at
-    the middle of the final bracket.
-    """
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo <= 0 or not f_hi <= 0:
-        raise NoSignChange("no sign change on bracket; endpoints: "
-                           "[(%.6g, %.6g), (%.6g, %.6g)]"
-                           % (lo, f_lo, hi, f_hi))
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if f(mid) <= 0 else (mid, hi)
-    return 0.5 * (lo + hi), (lo, hi)
-
-
-def logsumexp(a):
-    """log(sum(exp(a))) over a whole real array, without overflow.
-
-    The reference algorithm that tests/test_poly.py compares against,
-    to the last bit: every tied maximum is masked to -inf where it
-    stands (numpy's pairwise summation order stays the same) and
-    counted.  The direct log(sum(exp(a))) replaces that result where it
-    is not finite, which is exactly when the maximum is +-inf or nan or
-    a is empty, so only then is it taken.
-    """
-    a = np.asarray(a, dtype=float)
-    a_max = np.max(a, initial=-np.inf)
-    if not np.isfinite(a_max):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.log(np.sum(np.exp(a)))
-    tied = a == a_max
-    m = np.count_nonzero(tied)
-    s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max)) / m
-    return np.log1p(s) + np.log(m) + a_max
-
-
 # ---------------------------------------------------------------------------
 # Boettcher coordinates of the basin of infinity.
 # ---------------------------------------------------------------------------
@@ -474,17 +429,6 @@ def _step_in(r, stop):
     the step ends at stop if it would pass it.  Started from the tangent
     predictor, a step's first Newton residual is second order in the step."""
     return max(stop, 1.0 + (r - 1.0) * 0.5)
-
-
-def gl4_panels(a, b, panels):
-    """(nodes, weights) of the composite 4-point Gauss-Legendre rule on
-    [a, b] over ``panels`` equal panels, each scaled by its own half-width."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * GL4_NODES[None, :]).reshape(-1)
-    weights = (half[:, None] * GL4_WEIGHTS[None, :]).reshape(-1)
-    return nodes, weights
 
 
 def _circle_grid(rad):

@@ -7,8 +7,9 @@ and the negative-spectrum diagnostic.
 
 The t-independent part of the spectrum, one node table (log weights,
 log|phi_T'|) per T at r = 1/T, is a plain value built once by means_tables;
-beta_infinity, theta_f, spectrum_curve and composite_spectrum_compare take
-that value, so t-scans and bisections cost one pass of logsumexp per T.
+beta_infinity, theta_f and spectrum_curve take that value, so t-scans and
+bisections cost one pass of logsumexp per T.  The bisection, logsumexp
+and the Gauss-Legendre panels come from ``numerics``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import tract as tr
 from .errors import InvalidGrid, NoSignChange
-from .poly import gl4_panels, logsumexp, solve_decreasing
+from .numerics import gl4_panels, logsumexp, solve_decreasing
 
 DEFAULT_T_GRID = tuple(float(2**j) for j in range(3, 15))
 #: Largest dyadic exponent of the T grid on sampled (continued) branches,
@@ -209,21 +210,3 @@ def negative_spectrum_check(curve):
     if not finite:
         summary["reason"] = "theta_hat is not finite: no threshold to test"
     return summary
-
-
-def composite_spectrum_compare(inner_tables, composite_tables, t_grid):
-    """Upper comparison of a composite model against its inner map."""
-    inner_curve = spectrum_curve(inner_tables, t_grid)
-    comp_curve = spectrum_curve(composite_tables, t_grid)
-    rows = [
-        {"t": t, "beta_inner": bi, "beta_composite": bc, "ok": bc <= bi + 0.05}
-        for t, bi, bc in zip(t_grid, inner_curve.beta_inf, comp_curve.beta_inf)
-    ]
-    return {
-        "theta_inner": inner_curve.theta_hat,
-        "theta_composite": comp_curve.theta_hat,
-        "theta_ok": comp_curve.theta_hat <= inner_curve.theta_hat + 0.05,
-        "rows": rows,
-        "ok": all(r["ok"] for r in rows)
-        and comp_curve.theta_hat <= inner_curve.theta_hat + 0.05,
-    }

@@ -14,8 +14,12 @@ independently from its nearest cached anchor, phi_path walks the points in
 order, and phi_refine polishes given guesses by batched Newton.  A fourth
 entry, log_weight, returns log|phi'/phi| of that shape for callers that
 drop phi: an e^{z^d} branch reads it from xi alone through
-TractBranch.weight, any other branch from one phi_path call.  Callers
-ask TractBranch.sampled where the cost of continuation matters to them.
+TractBranch.weight, any other branch from one phi_path call, and
+log_ratio is the same weight of (phi, phi') pairs a caller has walked.
+Callers ask TractBranch.sampled where the cost of continuation matters
+to them.  The figures taken over a sample of xi (condition (4.2), the
+Hoelder fit, the derivative-quotient bound) draw it from
+``numerics.halton``.
 A sampled branch carries two pieces of state from walk to walk: its
 anchor table and TractBranch._trust, the continuation step size its last
 walk ended with.  tract_scale and rescaled_map evaluate phi afresh on
@@ -31,6 +35,7 @@ import numpy as np
 
 from . import linearizer as lz
 from .errors import ContinuationStall, NoTractFound, ZeroDenominator
+from .numerics import halton
 
 MIN_OFFSET = 0.05  # Re xi floor; phi extends only continuously to the boundary
 _NEWTON_TOL = 1e-11
@@ -45,19 +50,6 @@ _TWO_PI = 2 * np.pi
 def _wrap_imag(w):
     """Reduce the imaginary part to (-pi, pi] — residuals live on the cylinder."""
     return complex(w.real, (w.imag + np.pi) % _TWO_PI - np.pi)
-
-
-def _halton(n, base):
-    """Points 1..n of the radical-inverse sequence in base, one digit
-    position at a time over all indices (a spent index adds 0.0)."""
-    out = np.zeros(n)
-    k = np.arange(1, n + 1)
-    f = 1.0
-    while k.any():
-        f /= base
-        out += f * (k % base)
-        k //= base
-    return out
 
 
 @dataclass
@@ -345,10 +337,10 @@ def log_weight(branch, xi):
     if branch.weight is not None:
         return branch.weight(xi)
     z, dphi = phi_path(branch, xi)
-    return _log_ratio(z, dphi)
+    return log_ratio(z, dphi)
 
 
-def _log_ratio(z, dphi):
+def log_ratio(z, dphi):
     """log|dphi| - log|z|, the log weight of walked (phi, phi') pairs."""
     return np.log(np.abs(dphi)) - np.log(np.abs(z))
 
@@ -436,7 +428,7 @@ def _sample_annulus_qt(T, samples):
     the sample scales exactly with T: reported ratios are bitwise
     T-independent for homogeneous phi (phi(T xi) = T^a phi(xi)).
     """
-    h2, h3 = _halton(4 * samples, 2), _halton(4 * samples, 3)
+    h2, h3 = halton(4 * samples, 2), halton(4 * samples, 3)
     re_n = MIN_OFFSET + (4 - MIN_OFFSET) * h2
     im_n = (2 * h3 - 1) * 4
     keep = ~((re_n < 0.5) & (np.abs(im_n) < 0.5))
@@ -457,8 +449,8 @@ def estimate_holder(branch, T, pairs=2000):
     normalized by |g'(1)| = T |phi'(T)|; returns (alpha_hat, H_hat)."""
     if pairs < 1000:
         raise ValueError("pairs must be >= 1000")
-    h2, h3 = _halton(pairs, 2), _halton(pairs, 3)
-    h5, h7 = _halton(pairs, 5), _halton(pairs, 7)
+    h2, h3 = halton(pairs, 2), halton(pairs, 3)
+    h5, h7 = halton(pairs, 5), halton(pairs, 7)
     z1 = (MIN_OFFSET + (4 - MIN_OFFSET) * h2) + 1j * (8 * h3 - 4)
     # half independent pairs, half correlated across a geometric range of
     # separations so every distance bin sees near-boundary geometry
@@ -491,7 +483,7 @@ def estimate_holder(branch, T, pairs=2000):
 def el_violations(branch, samples=10000):
     """Sampled xi of Q_16 violating |phi'(xi)/phi(xi)| <= 4 pi / Re xi; a
     nan quotient violates it too."""
-    h2, h3 = _halton(samples, 2), _halton(samples, 3)
+    h2, h3 = halton(samples, 2), halton(samples, 3)
     re = MIN_OFFSET + (64 - MIN_OFFSET) * h2
     im = (2 * h3 - 1) * 64
     xi = re + 1j * im

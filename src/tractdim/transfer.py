@@ -31,7 +31,7 @@ import numpy as np
 
 from . import tract as tr
 from .errors import BudgetExceeded, DivergenceDetected, Underflow
-from .poly import solve_decreasing
+from .numerics import solve_decreasing
 
 _TWO_PI = 2.0 * math.pi
 _REL_STOP = 1e-10
@@ -271,7 +271,7 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
                 rows = np.s_[b, lo:lo + len(sub)]
                 if expand:
                     child, dphi = tr.phi_path(branch, xi)
-                    logterm = tr._log_ratio(child, dphi)
+                    logterm = tr.log_ratio(child, dphi)
                     children[rows] = child.reshape(len(sub), -1)
                 else:
                     logterm = tr.log_weight(branch, xi)

@@ -377,6 +377,37 @@ class TestExitCodes:
         assert err["error"] == "ConfigError"
         assert "cannot read config" in err["detail"]
 
+    def test_out_file_exits_2_before_any_work(self, tmp_path, capsys,
+                                               monkeypatch):
+        # an --out that is a file is refused with the settings, before the
+        # first node table; it used to fail with FileExistsError after it
+        def no_tables(*args):
+            raise AssertionError("means_tables ran")
+
+        monkeypatch.setattr(cli.sp, "means_tables", no_tables)
+        out_file = tmp_path / "F"
+        out_file.write_text("kept\n")
+        code, out = run_cli(["spectrum", "--function", "exp",
+                             "--out", str(out_file)], capsys)
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "ConfigError",
+            "detail": "out %s is not a directory" % out_file}
+        assert out_file.read_text() == "kept\n"
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # a directory under a file cannot be made: NotADirectoryError
+        out_file = tmp_path / "F"
+        out_file.write_text("")
+        sub = out_file / "sub"
+        code, out = run_cli(["verify", "--only", "1", "--out", str(sub)],
+                            capsys)
+        assert code == 2
+        err = json.loads(out)
+        assert err["error"] == "ConfigError"
+        assert err["detail"].startswith(
+            "cannot write %s: " % (sub / "verify.txt"))
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         code, out = run_cli(["transfer", "--function", "exp",
                              "--tmin", "0.5", "--tmax", "0.5",
@@ -420,6 +451,20 @@ class TestExitCodes:
         err = json.loads(out)
         assert err["error"] == "NotRepelling"
         assert "too close to 1" in err["detail"]
+
+    @pytest.mark.parametrize("text, n", [("z^200", 134), ("z^600", 111)])
+    def test_series_past_float_range_exits_3(self, text, n, tmp_path,
+                                             capsys):
+        # the Koenigs series of z^d at z0 = 1 divides by lam**n - lam with
+        # lam = d, which leaves the float range before the tail is small
+        code, out = run_cli(["spectrum", "--function", "koenigs:" + text,
+                             "--out", str(tmp_path)], capsys)
+        assert code == 3
+        assert json.loads(out) == {
+            "error": "Overflow",
+            "detail": "Koenigs series leaves the float range at order "
+                      "n = %d (|lam| = %s)" % (n, text[2:])}
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("kappa", [0.5, 1e20, 1e300])
     @pytest.mark.parametrize("route", ["function", "config"])

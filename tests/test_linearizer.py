@@ -88,6 +88,19 @@ class TestCoefficients:
         with pytest.raises(NotRepelling, match=r"= 1\.000002 is too close"):
             lz.make_koenigs(p, z0)
 
+    def test_series_past_float_range_is_overflow(self):
+        # a Python complex or float power raises OverflowError: lam**n
+        # leaves the float range first for z^200 (|lam| = 200, n = 134),
+        # r0**n for z^2 + z0 - z0^2 at z0 = 2^33 (r0 = 2^65, n = 16)
+        with pytest.raises(Overflow, match=r"order n = 134 \(\|lam\| = 200\)"):
+            lz.make_koenigs(Polynomial.from_string("z^200"), 1.0)
+        z0 = 2.0 ** 33
+        with pytest.raises(Overflow, match=r"order n = 16 "):
+            lz.make_koenigs(Polynomial((z0 - z0 * z0, 0.0, 1.0)), z0)
+        # z^130 still builds: its tail is below tolerance at K = 128
+        assert len(lz.make_koenigs(Polynomial.from_string("z^130"),
+                                   1.0).taylor) == 128
+
     def test_not_fixed(self):
         with pytest.raises(ValueError):
             lz.make_koenigs(P_SQUARE, 3.0)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tractdim import _kernels, poly
+from tractdim import _kernels, numerics, poly
 from tractdim.errors import (BranchLoss, BudgetExceeded,
                              DegenerateDerivative, NoSignChange,
                              NonConvergence)
@@ -345,7 +345,7 @@ class TestTreePressure:
 
 def poincare_sums(p, t, w, n):
     """sum over p^{-N}(w) of |(p^N)'|^{-t}, N = 1..n, from tree_log_derivs."""
-    return [float(np.exp(poly.logsumexp(-t * ld)))
+    return [float(np.exp(numerics.logsumexp(-t * ld)))
             for ld in poly.tree_log_derivs(p, w, n)]
 
 
@@ -392,8 +392,8 @@ class TestBowenZero:
 
 class TestSolveDecreasing:
     def test_root_within_width(self):
-        root, (lo, hi) = poly.solve_decreasing(lambda t: 0.3 - t, 0.0, 1.0,
-                                               1e-3)
+        root, (lo, hi) = numerics.solve_decreasing(lambda t: 0.3 - t,
+                                                   0.0, 1.0, 1e-3)
         assert lo <= 0.3 <= hi and hi - lo <= 1e-3
         assert root == 0.5 * (lo + hi)
 
@@ -402,51 +402,52 @@ class TestSolveDecreasing:
         # below 0.55 the value is NaN or +inf (a divergent sum), above it
         # negative: the bracket closes on 0.55 from both sides
         f = lambda t: value if t < 0.55 else -1.0
-        root, (lo, hi) = poly.solve_decreasing(f, 0.0, 1.0, 0.01)
+        root, (lo, hi) = numerics.solve_decreasing(f, 0.0, 1.0, 0.01)
         assert lo < 0.55 <= hi and hi - lo <= 0.01
         # a NaN or +inf at the lower end still brackets
-        _, (lo, hi) = poly.solve_decreasing(
+        _, (lo, hi) = numerics.solve_decreasing(
             lambda t: value if t == 0.0 else -t, 0.0, 1.0, 0.1)
         assert lo == 0.0 and hi <= 0.1
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange) as info:
-            poly.solve_decreasing(lambda t: np.float64(-t), 0.1, 2.5, 0.02)
+            numerics.solve_decreasing(lambda t: np.float64(-t),
+                                      0.1, 2.5, 0.02)
         detail = str(info.value)
         assert detail.split(";")[0] == "no sign change on bracket"
         assert "np.float64" not in detail
         assert detail.endswith("[(0.1, -0.1), (2.5, -2.5)]")
         with pytest.raises(NoSignChange):
-            poly.solve_decreasing(lambda t: 1.0, 0.1, 2.5, 0.02)
+            numerics.solve_decreasing(lambda t: 1.0, 0.1, 2.5, 0.02)
         # a NaN at the upper end is positive too
         with pytest.raises(NoSignChange):
-            poly.solve_decreasing(lambda t: math.nan if t > 1 else 1.0,
-                                  0.1, 2.5, 0.02)
+            numerics.solve_decreasing(lambda t: math.nan if t > 1 else 1.0,
+                                      0.1, 2.5, 0.02)
 
 
 class TestLogSumExp:
     def test_closed_forms(self):
         for n in (1, 2, 7, 64, 1000):
-            assert poly.logsumexp(np.zeros(n)) == pytest.approx(
+            assert numerics.logsumexp(np.zeros(n)) == pytest.approx(
                 np.log(n), rel=1e-15)
         # two tied maxima of 1 and a third term e^0
-        assert poly.logsumexp(np.array([1.0, 0.0, 1.0])) == pytest.approx(
-            1.0 + np.log(2.0 + np.exp(-1.0)), rel=1e-15)
-        assert poly.logsumexp(np.full(4, -np.inf)) == -np.inf
-        assert poly.logsumexp(np.array([])) == -np.inf
-        assert poly.logsumexp(np.array([0.0, np.inf])) == np.inf
-        assert np.isnan(poly.logsumexp(np.array([0.0, np.nan])))
+        assert numerics.logsumexp(np.array([1.0, 0.0, 1.0])) == \
+            pytest.approx(1.0 + np.log(2.0 + np.exp(-1.0)), rel=1e-15)
+        assert numerics.logsumexp(np.full(4, -np.inf)) == -np.inf
+        assert numerics.logsumexp(np.array([])) == -np.inf
+        assert numerics.logsumexp(np.array([0.0, np.inf])) == np.inf
+        assert np.isnan(numerics.logsumexp(np.array([0.0, np.nan])))
 
     def test_no_overflow_at_800(self):
         a = np.array([800.0, 800.0, 799.0, -800.0])
         want = 800.0 + np.log(2.0 + np.exp(-1.0))
-        assert poly.logsumexp(a) == pytest.approx(want, rel=1e-15)
-        assert poly.logsumexp(a - 1600.0) == pytest.approx(want - 1600.0,
-                                                           rel=1e-15)
+        assert numerics.logsumexp(a) == pytest.approx(want, rel=1e-15)
+        assert numerics.logsumexp(a - 1600.0) == pytest.approx(
+            want - 1600.0, rel=1e-15)
 
     def test_input_untouched(self):
         a = np.array([2.0, 2.0, 1.0])
-        poly.logsumexp(a)
+        numerics.logsumexp(a)
         assert a.tolist() == [2.0, 2.0, 1.0]
 
     def test_bitwise_scipy(self):
@@ -458,7 +459,7 @@ class TestLogSumExp:
                 a = rng.normal(size=n) * scale
                 # rounding makes many tied maxima
                 for arr in (a, np.round(a), np.round(2.0 * a / scale)):
-                    got = poly.logsumexp(arr)
+                    got = numerics.logsumexp(arr)
                     want = special.logsumexp(arr)
                     assert np.float64(got).tobytes() == \
                         np.float64(want).tobytes(), (n, scale)
@@ -537,8 +538,8 @@ class TestBottcher:
 
     def test_gauss_legendre_table_is_leggauss(self):
         nodes, wts = np.polynomial.legendre.leggauss(4)
-        assert poly.GL4_NODES.tobytes() == nodes.tobytes()
-        assert poly.GL4_WEIGHTS.tobytes() == wts.tobytes()
+        assert numerics.GL4_NODES.tobytes() == nodes.tobytes()
+        assert numerics.GL4_WEIGHTS.tobytes() == wts.tobytes()
 
     def test_shared_continuation_cheb_oracle(self):
         # 1.003 and 1.001 both get 8192 nodes, so 1.001 is continued in

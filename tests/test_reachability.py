@@ -8,7 +8,8 @@ the pipeline or goes.  Private helpers are held to the same rule, so a
 helper that a refactor leaves without a caller fails here too.  Every
 field of a dataclass is held to it as well: some code in src/tractdim
 reads an attribute of that name, or perfbench/ names it.  The names that
-perfbench/tracer.py wraps must also still exist.
+perfbench/tracer.py wraps must also still exist.  And no module reads an
+underscore name of another: what one layer needs from another is public.
 """
 
 import ast
@@ -124,3 +125,34 @@ def test_every_traced_name_resolves():
                if not hasattr(importlib.import_module("tractdim." + module),
                               attr)]
     assert missing == []
+
+
+def _private_reads():
+    """module: other.name for each underscore attribute a tractdim module
+    reads from another one, through a module alias or a from-import."""
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> tractdim module, from "from . import"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        reads.append("%s: %s.%s"
+                                     % (path.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and node.attr.startswith("_")):
+                reads.append("%s: %s.%s" % (path.stem,
+                                            modules[node.value.id], node.attr))
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a helper another layer needs is public where it is defined, so each
+    # module's underscore names can change without a search of the others
+    assert _private_reads() == []

@@ -226,23 +226,29 @@ class TestTheta:
             sp.theta_f(exp_tables)
 
 
-class TestCompositeComparison:
-    def test_log_tract_upper_bound(self):
-        inner = lz.exp_power(np.exp(-6.0), 1)
-        bi = tr.find_tracts(inner, np.e).tracts[0]
-        bF = tr.find_tracts(lz.composite_exp(inner), np.e).tracts[0]
-        T_grid = sp.DEFAULT_T_GRID[:8]
-        rep = sp.composite_spectrum_compare(sp.means_tables(bi, T_grid),
-                                            sp.means_tables(bF, T_grid),
-                                            [0.5, 1.0, 1.5, 2.0])
-        assert rep["ok"], rep
-        assert rep["theta_composite"] <= rep["theta_inner"] + 0.05
+class TestContinuedMatchesExp:
+    """z^2's Koenigs map at z0 = 1 with kappa = 1/4 (check 8's handle) is
+    e^{z/4}: its continued phi is 4 xi, and the rescaled map reads exp's
+    node tables.  Depth >= 2 is left out: e^{z/4} is conjugate to e^z/4,
+    not to e^z, so the frontier sums differ."""
 
-    def test_identity_comparison(self, exp_tables):
-        rep = sp.composite_spectrum_compare(exp_tables, exp_tables, [1.0, 2.0])
-        assert rep["ok"]
-        for row in rep["rows"]:
-            assert row["beta_composite"] == pytest.approx(row["beta_inner"])
+    @pytest.fixture(scope="class")
+    def tables(self, exp_branch):
+        h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
+        branch = tr.find_tracts(h, np.e).tracts[0]
+        assert branch.sampled
+        T_grid = [float(2**j) for j in range(3, 10)]
+        return sp.means_tables(branch, T_grid), sp.means_tables(exp_branch,
+                                                                T_grid)
+
+    def test_beta_infinity(self, tables):
+        for t in (0.5, 1.0, 1.5, 2.0):
+            got, want = (sp.beta_infinity(tab, t).value for tab in tables)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_theta(self, tables):
+        got, want = (sp.theta_f(tab) for tab in tables)
+        assert abs(got - want) <= 1e-3
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from tractdim import checks, cli
+from tractdim import checks, cli, numerics
 from tractdim import linearizer as lz
 from tractdim import tract as tr
 from tractdim.errors import NoTractFound
@@ -324,8 +324,8 @@ class TestDistortion:
 
 def _xi_grid(shape):
     n = int(np.prod(shape))
-    re = tr.MIN_OFFSET + 60.0 * tr._halton(n, 2)
-    im = 120.0 * tr._halton(n, 3) - 60.0
+    re = tr.MIN_OFFSET + 60.0 * numerics.halton(n, 2)
+    im = 120.0 * numerics.halton(n, 3) - 60.0
     return (re + 1j * im).reshape(shape)
 
 
@@ -477,6 +477,6 @@ def scalar_halton(n, base):
 @pytest.mark.parametrize("base", [2, 3, 5, 7])
 def test_halton_matches_scalar_bitwise(base):
     for n in (0, 1, 10_000):
-        got = tr._halton(n, base)
+        got = numerics.halton(n, base)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert got.tobytes() == scalar_halton(n, base).tobytes()

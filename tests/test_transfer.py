@@ -56,6 +56,18 @@ class TestApplyPoint:
         brute = np.sum(np.abs(2.0 + 2j * np.pi * ks) ** -1.5)
         assert sample.value == pytest.approx(brute, rel=1e-12)
 
+    def test_continued_phi_matches_exp(self, exp_atlas):
+        # z^2's Koenigs map at z0 = 1 with kappa = 1/4 is e^{z/4}: its
+        # continued phi is 4 xi, so |phi'/phi| = 1/|xi| as for exp
+        h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
+        atlas = tr.find_tracts(h, np.e)
+        assert atlas.tracts[0].sampled
+        ts = (1.5, 2.0, 3.0)
+        got = tf.transfer_apply_point(atlas, ts, E2, 1024)
+        want = tf.transfer_apply_point(exp_atlas, ts, E2, 1024)
+        for g, w in zip(got, want):
+            assert g.value == pytest.approx(w.value, rel=1e-12, abs=0)
+
     def test_sample_invariants(self, exp_atlas):
         s = tf.transfer_apply_point(exp_atlas, 2.0, E2)
         assert s.value >= 0 and s.tail_estimate >= 0
