@@ -380,7 +380,7 @@ class TestExitCodes:
     def test_out_file_exits_2_before_any_work(self, tmp_path, capsys,
                                                monkeypatch):
         # an --out that is a file is refused with the settings, before the
-        # first node table; it used to fail with FileExistsError after it
+        # first node table
         def no_tables(*args):
             raise AssertionError("means_tables ran")
 
