@@ -13,11 +13,13 @@ builds a handle from its JSON descriptor.
   (f_kappa = f(kappa*z)).  Its Taylor series is solved in one pass, up to
   the first power-of-two order whose tail is below tolerance.  Its log f
   comes from one escape ladder for scalars and arrays
-  (``linearizer_log_eval``), each step a ``poly.escape_sums`` Horner pass
-  over p's precomputed (c_k, k*c_k) pairs; ``is_disjoint_type`` runs it
-  once over its whole disk grid, and ``make_disjoint_type`` once per kappa
-  trial.  ``eval(z)`` is the value ladder at a scalar, the reference check
-  6 holds the log ladder to.
+  (``linearizer_log_eval``): value steps v -> p(v), each a
+  ``poly.escape_sums`` Horner pass over p's precomputed (c_k, k*c_k)
+  pairs, a closed-form tail once |v| passes ``p.escape_bound``, and one
+  log per point; ``is_disjoint_type`` runs it once over its whole disk
+  grid, and ``make_disjoint_type`` once per kappa trial.  ``eval(z)``
+  steps the value without the tail (Overflow past the float range); check
+  6 holds the ladder's log f to it.
 * ``CompositeExpModel`` (built by ``composite_exp``): F = inner o exp, an
   infinite-order model built over an inner handle whose tract sits deep
   in the right half-plane.
@@ -37,7 +39,6 @@ from . import _kernels
 from .errors import NotRepelling, Overflow, ScaleFloor
 from .poly import Polynomial, escape_sums, finite_real
 
-_EXP_CAP = 700.0  # log of float range, with headroom
 _TAIL_TOL = 1e-14
 _MAX_SERIES_K = 256
 
@@ -147,28 +148,43 @@ def _series_eval(L, u):
     return L.z0 + u * s, s + u * ds
 
 
-def _exp_neg(logf):
-    """exp(-logf), or 0 once exp(logf) is past the float range."""
-    return cmath.exp(-logf) if logf.real < _EXP_CAP else 0j
+def _climb(p, v, q, m, max_abs, log):
+    """(log p^m(v), Q carried along) by value steps, then a closed-form tail.
+
+    Each step maps v -> p(v) and Q -> Q v p'(v)/p(v), one ``escape_sums``
+    pass over p's pairs taken leading first.  Once |v| reaches
+    ``p.escape_bound``, p(v) = c_d v^d to the rounding unit, so the
+    remaining m steps give d^m log v + (d^m - 1)/(d - 1) log c_d and
+    Q * d^m.  Array points cross the bound at their own step: the ones
+    still below it (or nan) climb on as a smaller array.
+    """
+    pairs, bound = p.escape_pairs[::-1], p.escape_bound
+    for m in range(m, 0, -1):
+        if max_abs(v) >= bound:  # a nan modulus steps on
+            break
+        v, s2 = escape_sums(pairs, v)
+        q = (s2 / v) * q
+    else:
+        return log(v), q
+    d, power = p.degree, p.degree**m
+    if power.bit_length() > 1024:  # d^m is past the float range
+        raise Overflow("log f leaves the float range: d^m = %d^%d" % (d, m))
+    lead = (power - 1) // (d - 1) * cmath.log(p.coefficients[-1])
+    if not np.ndim(v):
+        return power * log(v) + lead, power * q
+    logf = np.empty_like(v)
+    rest = ~(np.abs(v) >= bound)
+    if rest.any():
+        logf[rest], q[rest] = _climb(p, v[rest], q[rest], m, max_abs, log)
+    logf[~rest] = power * log(v[~rest]) + lead
+    q[~rest] *= power
+    return logf, q
 
 
-def _exp_neg_array(logf):
-    """exp(-logf) elementwise in one new array, 0 where Re logf is not below
-    the cap (nan included).  logf may be 0-d, where np.negative without
-    ``out=`` would return a numpy scalar."""
-    out = np.negative(logf, out=np.empty(np.shape(logf), dtype=complex))
-    np.exp(out, out=out)
-    out[~(np.real(logf) < _EXP_CAP)] = 0j
-    return out
-
-
-def _escape_ladder(L, u0, max_abs, log, exp_neg):
+def _escape_ladder(L, u0, max_abs, log):
     """Series at u0/lam^n inside the series disk, then n escape steps."""
-    lam = L.lam
-    abs_lam = abs(lam)
-    r0 = L.series_radius
-    n = 0
-    biggest = max_abs(u0)
+    lam, abs_lam, r0 = L.lam, abs(L.lam), L.series_radius
+    n, biggest = 0, max_abs(u0)
     if biggest == math.inf:  # no number of lam-divisions brings it in
         raise Overflow("linearizer argument kappa*z is infinite")
     while biggest > r0:
@@ -176,51 +192,48 @@ def _escape_ladder(L, u0, max_abs, log, exp_neg):
         biggest /= abs_lam
         n += 1
     g, dg = _series_eval(L, u0)
-    logf = log(g)
-    q = dg * (L.kappa / lam**n) / g
-    pairs = L.p.escape_pairs
-    d = L.p.degree
-    for _ in range(n):
-        s1, s2 = escape_sums(pairs, exp_neg(logf))
-        q = (s2 / s1) * q
-        logf = d * logf + log(s1)
-    return logf, q
+    return _climb(L.p, g, dg * (L.kappa / lam**n) / g, n, max_abs, log)
 
 
 def linearizer_log_eval(L, z):
     """(log f(kappa z), f'/f at kappa z times kappa) without overflow.
 
-    The ladder is rewritten through u = 1/value: with p(v) = v^d * S1(1/v)
-    and v p'(v) = v^d * S2(1/v), one step maps log f to d*log f + log S1 and
-    the logarithmic derivative Q = (log f)' to (S2/S1) * Q.  After escape
-    u -> 0, S1 -> lead and S2/S1 -> d, so both recursions saturate.  Each
-    step is one ``poly.escape_sums`` Horner pass over p's precomputed
-    (c_k, k*c_k) pairs, the helper the Boettcher orbit uses too.
+    The ladder steps the value: from the series value v at kappa*z/lam^n,
+    n steps v -> p(v) carry the logarithmic derivative Q = (log f)' by
+    Q -> Q v p'(v)/p(v), and log f = log v is taken once per point, on the
+    principal branch (the module contract is log f up to 2 pi i).  Past
+    ``p.escape_bound`` the remaining steps are exact in closed form (see
+    ``_climb``), so log f stays finite however far f escapes; Overflow
+    only if log f itself leaves the float range (d^m past it).  Downwards
+    f keeps the float range: below about e^-708 it loses precision, and an
+    orbit that underflows to 0 returns log f = -inf with Q = nan, the same
+    on both paths and without a warning (Q is nan too where an orbit lands
+    on an exact zero of p).
 
-    Accepts scalars or arrays; the descent count n is uniform over a batch
-    (extra lam-divisions are exact, the series just sees a smaller argument).
-    A scalar runs the ladder on Python complex numbers with cmath (a Python
-    complex goes there without asking numpy for its shape); an array (or a
-    scalar cmath refuses) takes its logs with ``_kernels.clog``.
+    Accepts scalars or arrays; the descent count n is uniform over a batch,
+    so a point much smaller than the batch's largest starts deeper in the
+    series disk and takes extra steps.  A scalar runs the ladder on Python
+    complex numbers with cmath (a Python complex goes there without asking
+    numpy for its shape); an array (or a scalar cmath refuses) takes its
+    log with ``_kernels.clog``, and its largest modulus skips nan points.
 
     The scalar fork is kept for speed.  With every scalar sent down the
     array path, ``transfer_apply_point`` on the ``koenigs:z^2-1`` atlas at
-    t = 2, w = e^2 took 7.1-7.3 s instead of 0.65-0.70 s, and check 8's
-    ``el_violations`` at 4,096 samples 0.46 s instead of 0.09-0.10 s
-    (2-core Xeon, Python 3.11, numpy 2.4; the transfer value also moved
-    in its last digit).
+    t = 2, w = e^2 took 3.8-5.1 s instead of 1.0-1.3 s, and check 8's
+    ``el_violations`` at 4,096 samples 0.27-0.31 s instead of 0.14-0.20 s
+    (three runs each on a 2-core VM, Python 3.11, numpy 2.4; the transfer
+    value also moved in its last digit).
     """
     scalar = isinstance(z, complex) or np.ndim(z) == 0
     if scalar:
         try:
-            return _escape_ladder(L, L.kappa * complex(z), abs, cmath.log,
-                                  _exp_neg)
+            return _escape_ladder(L, L.kappa * complex(z), abs, cmath.log)
         except (ArithmeticError, ValueError):
             pass  # cmath raises where numpy returns inf or nan: keep numpy's
     u0 = L.kappa * np.asarray(z, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        logf, q = _escape_ladder(L, u0, lambda u: np.max(np.abs(u)),
-                                 _kernels.clog, _exp_neg_array)
+    with np.errstate(all="ignore"):
+        logf, q = _escape_ladder(L, u0, lambda u: np.fmax.reduce(
+            np.abs(u), axis=None), _kernels.clog)
     if scalar:
         return complex(logf), complex(q)
     return logf, q

@@ -57,11 +57,18 @@ class Polynomial:
     """Polynomial with complex coefficients, constant term first, degree >= 2.
 
     escape_pairs holds the (c_k, k*c_k) pairs that ``escape_sums`` runs its
-    Horner steps over, derived from the coefficients at construction.
+    Horner steps over, derived from the coefficients at construction, and
+    escape_bound the radius past which every lower term of p(v)/(c_d v^d)
+    is below u/d (u = 2^-53, the rounding unit), so p(v) = c_d v^d and
+    v p'(v)/p(v) = d to rounding; it is 0 for a monomial.  Where one more
+    step from below that radius could overflow (degree about 18 and up),
+    the bound is the largest |v| >= 1 whose step cannot, and the dropped
+    terms there are a few rounding units.
     """
 
     coefficients: tuple
     escape_pairs: tuple = field(init=False, repr=False, compare=False)
+    escape_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coefficients)
@@ -74,6 +81,11 @@ class Polynomial:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "escape_pairs",
                            tuple((c, k * c) for k, c in enumerate(coeffs)))
+        d, lead = len(coeffs) - 1, abs(coeffs[-1])
+        exact = max([(d * 2.0**53 * abs(c) / lead) ** (1.0 / (d - k))
+                     for k, c in enumerate(coeffs[:-1]) if c], default=0.0)
+        safe = (sys.float_info.max / (d * sum(map(abs, coeffs)))) ** (1 / d)
+        object.__setattr__(self, "escape_bound", min(exact, safe))
 
     @property
     def degree(self):
@@ -304,9 +316,11 @@ def escape_sums(pairs, u):
     """S1 = u^d p(1/u) and S2 = sum_k k c_k u^(d-k) by reverse Horner.
 
     pairs is p's ``escape_pairs``, the (c_k, k*c_k) pairs constant first;
-    at v = 1/u, S1 = p(v)/v^d and S2 = v p'(v)/v^d.  The sums start from
-    0j, so u may be a Python complex or an array, and the first step's
-    0j*u keeps numpy's nan and inf where u has them.
+    at v = 1/u, S1 = p(v)/v^d and S2 = v p'(v)/v^d (the Boettcher orbit).
+    Taken leading first (``escape_pairs[::-1]``) the same pass gives
+    S1 = p(u) and S2 = u p'(u), one value step of the linearizer ladder.
+    The sums start from 0j, so u may be a Python complex or an array, and
+    the first step's 0j*u keeps numpy's nan and inf where u has them.
     """
     s1 = s2 = 0j
     for c, kc in pairs:
