@@ -227,6 +227,16 @@ class TestLogEval:
                     else:
                         assert not np.isfinite(a)
 
+    def test_nan_point_leaves_batch_alone(self):
+        # the batch's largest modulus skips nan: with np.max a nan point
+        # stopped the descent at n = 0 for every point of the array
+        L = cli.function_from_spec("koenigs:z^2-1")
+        logf, q = lz.linearizer_log_eval(L, np.array([np.nan, 400 + 50j]))
+        assert cmath.isnan(logf[0]) and cmath.isnan(q[0])
+        want = lz.linearizer_log_eval(L, 400 + 50j)
+        assert abs(logf[1] - want[0]) <= 1e-12 * abs(want[0])
+        assert abs(q[1] - want[1]) <= 1e-12 * abs(want[1])
+
     def test_underflow_returns_minus_inf(self):
         # 0 is superattracting for z^2 + 1e-3 z^3, so at Re z << 0 the
         # orbit underflows to 0: log f = -inf and Q = nan on both paths,
@@ -431,6 +441,19 @@ class TestLadderOracles:
                 assert np.all(err <= 1e-14)  # measured 7.5e-16
                 assert np.all(np.abs(L.lam**m * got_q - power * q)
                               <= 1e-14 * np.abs(power * q))  # 1.1e-15
+        # one 2-d batch of the circle's points with |f| > e, whose orbits
+        # pass the bound at different steps or not at all, matches the
+        # scalar calls (nearer the zeros of f both paths lose digits)
+        batch = circle[lz.linearizer_log_eval(L, circle)[0].real > 1.0]
+        batch = batch[: batch.size // 15 * 15].reshape(-1, 15)
+        got = np.array(lz.linearizer_log_eval(L, batch))
+        assert got.shape == (2,) + batch.shape
+        want = np.array([lz.linearizer_log_eval(L, complex(z))
+                         for z in batch.ravel()]).T.reshape(got.shape)
+        assert np.all(np.abs(wrapped(got[0] - want[0]))
+                      <= 1e-13 * (1 + np.abs(want[0])))  # measured 1.2e-14
+        assert np.all(np.abs(got[1] - want[1])
+                      <= 1e-13 * np.abs(want[1]))  # 4.7e-15
 
 
 class TestLadderBitwise:
