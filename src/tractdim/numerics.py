@@ -1,12 +1,14 @@
-"""Shared numerical rules: bisection, log-sum-exp, quadrature, sampling.
+"""Shared numerical rules: bisection, exp-sums, quadrature, sampling.
 
 Every printed zero comes from ``solve_decreasing``, the one bisection:
 the polynomial Bowen zero, the threshold Theta and the entire-side Bowen
 zero.  ``logsumexp`` reduces the log-space sums of tree pressure and of
-the spectrum's node tables.  ``gl4_panels`` is the composite 4-point
-Gauss-Legendre rule of the Boettcher circle means and of the spectrum's
-node tables, and ``halton`` the radical-inverse sequence behind every
-deterministic sample of a tract or a disk.
+the spectrum's node tables, and ``sum_exp`` the transfer sums, in
+numpy's own order without a temporary of the summed array's size.
+``gl4_panels`` is the composite 4-point Gauss-Legendre rule of the
+Boettcher circle means and of the spectrum's node tables, and ``halton``
+the radical-inverse sequence behind every deterministic sample of a
+tract or a disk.
 """
 
 import numpy as np
@@ -21,6 +23,12 @@ GL4_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
                       0.33998104358485626, 0.8611363115940526])
 GL4_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
                         0.6521451548625464, 0.34785484513745357])
+
+#: Elements per leaf of ``sum_exp``, and per slice of an array that its
+#: callers form piecewise so that no temporary exceeds a leaf.
+LEAF = 1 << 14
+#: numpy's pairwise sum adds a run of at most this many elements unsplit.
+_PAIRWISE_BLOCK = 128
 
 
 def solve_decreasing(f, lo, hi, width):
@@ -61,6 +69,35 @@ def logsumexp(a):
     m = np.count_nonzero(tied)
     s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max)) / m
     return np.log1p(s) + np.log(m) + a_max
+
+
+def sum_exp(x, t):
+    """Sum of e^(t x) over a 1-D float array x, equal to
+    float(np.sum(np.exp(t * x))) bit for bit.
+
+    It splits x as numpy's pairwise sum does, a run of n elements into
+    its first n2 = n//2 - (n//2) % 8 and the rest, down to runs of at most
+    ``LEAF`` elements (or numpy's unsplit block, if that is larger).  Each
+    such leaf is exponentiated in one reused buffer and summed by np.sum,
+    and the leaf sums are added back up the same tree, so the only
+    temporary is that buffer.  A numpy release that changes its reduction
+    order breaks the equality; tests/test_transfer.py checks it.
+    """
+    x = np.asarray(x, dtype=float)
+    buf = np.empty(min(len(x), max(LEAF, _PAIRWISE_BLOCK)))
+    return float(_sum_exp_run(x, t, buf, 0, len(x)))
+
+
+def _sum_exp_run(x, t, buf, lo, hi):
+    """The sum of e^(t x) over x[lo:hi], each leaf formed in buf."""
+    if hi - lo <= len(buf):
+        part = buf[:hi - lo]
+        np.multiply(x[lo:hi], t, out=part)
+        return np.sum(np.exp(part, out=part))
+    n2 = (hi - lo) // 2
+    n2 -= n2 % 8
+    return (_sum_exp_run(x, t, buf, lo, lo + n2)
+            + _sum_exp_run(x, t, buf, lo + n2, hi))
 
 
 def gl4_panels(a, b, panels):

@@ -21,7 +21,9 @@ The frontier's working memory is its levels plus one block of at most
 ``_FRONTIER_ROWS`` parent rows, as each level is filled in place and the
 last one sorted in place (22.1 MiB of numpy allocations for e^(z^2)'s
 16.6 MiB last level; 70.4 MiB when rows were concatenated and copied).
-``transfer_iterate`` uses one scratch array of the level's size.
+Every sum of e^(t * log weight), over a frontier level or a half of a
+dyadic block, is ``numerics.sum_exp``: numpy's own summation order, with
+one scratch buffer of at most ``numerics.LEAF`` elements.
 """
 
 import math
@@ -29,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from . import tract as tr
 from .errors import BudgetExceeded, DivergenceDetected, Underflow
-from .numerics import solve_decreasing
+from .numerics import solve_decreasing, sum_exp
 
 _TWO_PI = 2.0 * math.pi
 _REL_STOP = 1e-10
@@ -60,15 +63,36 @@ def _preimages(logw, argw, ks):
     return logw + 1j * (argw + _TWO_PI * np.asarray(ks, dtype=float))
 
 
-def _block_ks(n):
-    # Block 0 is |k| <= 1; block n covers 2^(n-1) < |k| <= 2^n.  Both
-    # halves are ordered walking away from the real axis so sampled
-    # branches continue from the previous block's anchors.
+def _block_halves(n):
+    """Block n's two halves as (sign, lo, hi): k = sign * j, lo <= j < hi.
+
+    Block 0 is |k| <= 1; block n covers 2^(n-1) < |k| <= 2^n.  Both
+    halves are ordered walking away from the real axis so sampled
+    branches continue from the previous block's anchors.
+    """
     if n == 0:
-        return np.array([-1]), np.array([0, 1])
-    lo, hi = (1 << (n - 1)) + 1, 1 << n
-    pos = np.arange(lo, hi + 1)
-    return -pos, pos
+        return (-1, 1, 2), (1, 0, 2)
+    lo, hi = (1 << (n - 1)) + 1, (1 << n) + 1
+    return (-1, lo, hi), (1, lo, hi)
+
+
+def _half_weights(branch, logw, argw, sign, lo, hi):
+    """log|phi'/phi| at the preimages of k = sign * j, lo <= j < hi.
+
+    A sampled half is one log_weight call, as its walk chains from term
+    to term.  A closed-form half is formed in slices of at most
+    ``numerics.LEAF`` terms, k's, preimages and weights alike, into one
+    float array, the only array of the half's size.
+    """
+    if branch.sampled:
+        ks = sign * np.arange(lo, hi)
+        return tr.log_weight(branch, _preimages(logw, argw, ks))
+    out = np.empty(hi - lo)
+    for a in range(lo, hi, numerics.LEAF):
+        b = min(a + numerics.LEAF, hi)
+        xi = _preimages(logw, argw, sign * np.arange(a, b))
+        out[a - lo:b - lo] = tr.log_weight(branch, xi)
+    return out
 
 
 def _check_outside(atlas, w):
@@ -119,7 +143,10 @@ def _dyadic_blocks(atlas, ts, w, k_budget):
     of walked blocks, which grows by one block the first time a t needs
     it.  So phi is walked once, in block order, each t's sums are those of
     a walk for it alone, and the grid raises what a loop over ts would
-    raise first.  The list holds at most 2 k_budget terms per branch.
+    raise first.  The walked log weights are all that is held, 2^(n+1) + 1
+    floats per branch once block n is walked.  The sums stream through
+    ``sum_exp`` and closed-form halves are formed slice by slice, so no
+    other array has a half's size.
     """
     logw, argw = _split_point(w)
     # blocks grow legitimately while 2 pi k < log|w|; divergence is only
@@ -130,15 +157,14 @@ def _dyadic_blocks(atlas, ts, w, k_budget):
         blocks, terms, streak, n = [], 0, 0, 0
         while True:
             if n == len(walked):
-                walked.append([[tr.log_weight(branch,
-                                              _preimages(logw, argw, ks))
-                                for ks in _block_ks(n)]
+                walked.append([[_half_weights(branch, logw, argw, *half)
+                                for half in _block_halves(n)]
                                for branch in atlas.tracts])
             block = 0.0
             for halves in walked[n]:
                 part = 0.0
                 for logterm in halves:
-                    part += float(np.sum(np.exp(t * logterm)))
+                    part += sum_exp(logterm, t)
                     terms += len(logterm)
                 block += part
             blocks.append(block)
@@ -304,8 +330,7 @@ def transfer_iterate(frontier, t, n):
     if n == 1:
         return transfer_apply_point(frontier.atlas, t, frontier.w,
                                     k_budget=frontier.branch_budget).value
-    buf = np.multiply(frontier.levels[n - 1], t)
-    return float(np.sum(np.exp(buf, out=buf)))
+    return sum_exp(frontier.levels[n - 1], t)
 
 
 @dataclass
