@@ -79,17 +79,15 @@ def _block_halves(n):
 def _half_weights(branch, logw, argw, sign, lo, hi):
     """log|phi'/phi| at the preimages of k = sign * j, lo <= j < hi.
 
-    A sampled half is one log_weight call, as its walk chains from term
-    to term.  A closed-form half is formed in slices of at most
-    ``numerics.LEAF`` terms, k's, preimages and weights alike, into one
-    float array, the only array of the half's size.
+    A closed-form half is formed in slices of at most ``numerics.LEAF``
+    terms, k's, preimages and weights alike, written into one float
+    array, the only array of the half's size.  A sampled half is one
+    log_weight call, as its walk chains from term to term.
     """
-    if branch.sampled:
-        ks = sign * np.arange(lo, hi)
-        return tr.log_weight(branch, _preimages(logw, argw, ks))
+    step = hi - lo if branch.sampled else numerics.LEAF
     out = np.empty(hi - lo)
-    for a in range(lo, hi, numerics.LEAF):
-        b = min(a + numerics.LEAF, hi)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
         xi = _preimages(logw, argw, sign * np.arange(a, b))
         out[a - lo:b - lo] = tr.log_weight(branch, xi)
     return out
