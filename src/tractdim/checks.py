@@ -38,7 +38,7 @@ HANDLE_NAMES = ("exp", "quarter", "square", "composite", "koenigs")
 def test_handle(name):
     """A fresh handle of one of the named families the suite exercises."""
     if name == "koenigs":
-        return lz.koenigs_handle(Z2, 1.0, kappa=0.25)
+        return lz.make_koenigs(Z2, 1.0, kappa=0.25)
     return lz.SHORTHANDS[name]()
 
 

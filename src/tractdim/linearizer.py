@@ -20,9 +20,8 @@ builds a handle from its JSON descriptor.
   grid, and ``make_disjoint_type`` once per kappa trial.  ``eval(z)``
   steps the value without the tail (Overflow past the float range); check
   6 holds the ladder's log f to it.
-* ``CompositeExpModel`` (built by ``composite_exp``): F = inner o exp, an
-  infinite-order model built over an inner handle whose tract sits deep
-  in the right half-plane.
+* ``CompositeExpModel``: F = inner o exp, an infinite-order model built
+  over an inner handle whose tract sits deep in the right half-plane.
 """
 
 from __future__ import annotations
@@ -272,7 +271,8 @@ def make_disjoint_type(L, R):
     raise ScaleFloor("no disjoint-type kappa above 1e-12")
 
 
-# make_koenigs under a name like exp_power and composite_exp
+# make_koenigs under the name perfbench/ops.py calls; nothing in the
+# package or its tests uses it
 koenigs_handle = make_koenigs
 
 
@@ -329,14 +329,12 @@ class CompositeExpModel:
         return lf, q * ez
 
 
-composite_exp = CompositeExpModel
-
 #: Named handles shared by the command line and the check suite.
 SHORTHANDS = {
     "exp": lambda: exp_power(1.0, 1),
     "quarter": lambda: exp_power(0.25, 1),  # e^z / 4
     "square": lambda: exp_power(1.0, 2),  # e^{z^2}
-    "composite": lambda: composite_exp(exp_power(math.exp(-6.0), 1)),
+    "composite": lambda: CompositeExpModel(exp_power(math.exp(-6.0), 1)),
 }
 
 

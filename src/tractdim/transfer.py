@@ -5,7 +5,8 @@ The operator acts on the constant function: its value at w is the sum of
 xi_k = log|w| + i(arg w + 2 pi k), accumulated per tract branch in dyadic
 k-blocks so that truncation and divergence are both visible from the
 block-sum profile.  The preimages do not depend on t, so
-``transfer_apply_point`` reads their weights once for a whole t grid.
+``transfer_apply_point`` forms each half of a block once for a whole t
+grid, sums it at every t and drops it before forming the next half.
 Weights come from ``tract.log_weight``; phi itself is walked only where
 its value is kept, at the frontier levels whose preimages expand.
 
@@ -26,6 +27,7 @@ dyadic block, is ``numerics.sum_exp``: numpy's own summation order, with
 one scratch buffer of at most ``numerics.LEAF`` elements.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,12 +48,6 @@ DEFAULT_K_SAMPLED = 1 << 10
 _FRONTIER_CAP = 1 << 24
 _FRONTIER_ROWS = 2048  # parent rows per block of a closed-form frontier level
 BASE_POINT = complex(math.e ** 2)
-
-
-def _default_budget(atlas):
-    if any(b.sampled for b in atlas.tracts):
-        return DEFAULT_K_SAMPLED
-    return DEFAULT_K_CLOSED
 
 
 def _preimages(logw, argw, ks):
@@ -134,63 +130,81 @@ class _GridSamples(list):
         return max((s.terms_used for s in self), default=0)
 
 
-def _dyadic_blocks(atlas, ts, w, k_budget):
-    """Yield (block sums, term count) at each t of ts, from one walk of phi.
+def _block_sums(atlas, logw, argw, n, ts):
+    """Block n's sum at each t of ts, in the one-t order of additions.
 
-    Each t in turn runs the one-t loop on log|phi'/phi| read from a list
-    of walked blocks, which grows by one block the first time a t needs
-    it.  So phi is walked once, in block order, each t's sums are those of
-    a walk for it alone, and the grid raises what a loop over ts would
-    raise first.  The walked log weights are all that is held, 2^(n+1) + 1
-    floats per branch once block n is walked.  The sums stream through
-    ``sum_exp`` and closed-form halves are formed slice by slice, so no
-    other array has a half's size.
+    Each half's log weights are formed once, summed at every t through
+    ``sum_exp`` and dropped before the next half is formed, so one half
+    is the only array of a half's size that the walk holds.
+    """
+    block = [0.0] * len(ts)
+    for branch in atlas.tracts:
+        part = [0.0] * len(ts)
+        for half in _block_halves(n):
+            logterm = _half_weights(branch, logw, argw, *half)
+            part = [p + sum_exp(logterm, t) for p, t in zip(part, ts)]
+            del logterm
+        block = [b + p for b, p in zip(block, part)]
+    return block
+
+
+def _end(t, blocks, knee, k_budget):
+    """How the walk at t ends after ``blocks``, its block sums so far.
+
+    A DivergenceDetected once each of the last ``_DIVERGENCE_STREAK``
+    blocks lies past the knee and grew, True once the last block settled
+    or reached the budget, None while the walk runs on.
+    """
+    n = len(blocks) - 1
+    if all(m > knee and blocks[m] >= blocks[m - 1] * (1.0 + _GROWTH_MARGIN)
+           for m in range(n + 1 - _DIVERGENCE_STREAK, n + 1)):
+        return DivergenceDetected("dyadic block sums growing over %d blocks "
+                                  "at t=%g" % (_DIVERGENCE_STREAK, t))
+    # a block whose every term underflowed is settled: the terms decay as
+    # |k| grows, so every later block underflows too
+    block = blocks[-1]
+    settled = block == 0.0 or (n >= 1 and block < blocks[-2]
+                               and block < _REL_STOP * math.fsum(blocks))
+    return True if settled or (1 << n) >= k_budget else None
+
+
+def _dyadic_blocks(atlas, ts, w, k_budget):
+    """The block sums at each t of ts, from one walk of the preimages.
+
+    Block n is walked once, in block order, summed at every t whose walk
+    has not ended and dropped before block n + 1 is formed, so each t's
+    sums are those of a walk for it alone.  A divergent t raises once
+    every t before it has ended, as a loop of one-t calls would, and the
+    walk stops once every t has ended.
     """
     logw, argw = _split_point(w)
     # blocks grow legitimately while 2 pi k < log|w|; divergence is only
     # judged past that knee, where the ratios have settled near 2^(1-t)
     knee = math.log2(max(logw, 2.0))
-    walked = []  # block n: log|phi'/phi| per branch and half
-    for t in ts:
-        blocks, terms, streak, n = [], 0, 0, 0
-        while True:
-            if n == len(walked):
-                walked.append([[_half_weights(branch, logw, argw, *half)
-                                for half in _block_halves(n)]
-                               for branch in atlas.tracts])
-            block = 0.0
-            for halves in walked[n]:
-                part = 0.0
-                for logterm in halves:
-                    part += sum_exp(logterm, t)
-                    terms += len(logterm)
-                block += part
-            blocks.append(block)
-            grew = n > knee and block >= blocks[-2] * (1.0 + _GROWTH_MARGIN)
-            streak = streak + 1 if grew else 0
-            if streak >= _DIVERGENCE_STREAK:
-                raise DivergenceDetected(
-                    "dyadic block sums growing over %d blocks at t=%g"
-                    % (_DIVERGENCE_STREAK, t))
-            # a block whose every term underflowed is settled: the terms
-            # decay as |k| grows, so every later block underflows too
-            settled = block == 0.0 or (
-                n >= 1 and block < blocks[-2]
-                and block < _REL_STOP * math.fsum(blocks))
-            if settled or (1 << n) >= k_budget:
-                break
-            n += 1
-        yield blocks, terms
+    blocks = [[] for _ in ts]
+    for n in itertools.count():
+        ends = [_end(t, sums, knee, k_budget) if sums else None
+                for t, sums in zip(ts, blocks)]
+        # the first t whose walk has not ended well: None while it runs
+        first = next((end for end in ends if end is not True), True)
+        if first is True:
+            return blocks
+        if first is not None:
+            raise first
+        live = [i for i, end in enumerate(ends) if end is None]
+        sums = _block_sums(atlas, logw, argw, n, [ts[i] for i in live])
+        for i, block in zip(live, sums):
+            blocks[i].append(block)
 
 
-def _sample(t, blocks, terms):
-    value = math.fsum(blocks)
+def _sample(atlas, t, blocks):
+    """One t's sample; blocks 0 ... n read 2^(n+1) + 1 terms per branch."""
+    ratio = _RATIO_CAP
     if len(blocks) >= 2 and blocks[-2] > 0:
         ratio = min(blocks[-1] / blocks[-2], _RATIO_CAP)
-    else:
-        ratio = _RATIO_CAP
-    tail = blocks[-1] / (1.0 - ratio)
-    return TransferSample(float(t), value, terms, tail, blocks)
+    terms = len(atlas.tracts) * ((1 << len(blocks)) + 1)
+    return TransferSample(float(t), math.fsum(blocks), terms,
+                          blocks[-1] / (1.0 - ratio), blocks)
 
 
 def transfer_apply_point(atlas, t, w, k_budget=None):
@@ -199,18 +213,21 @@ def transfer_apply_point(atlas, t, w, k_budget=None):
     t is a number, which gives one TransferSample, or a sequence, which
     gives a list of them in grid order from a single walk of the
     preimages; every sample equals a scalar call's at its t on a fresh
-    atlas.  Any t <= 0, or a w inside the reference circle, raises
-    ValueError before phi is evaluated.
+    atlas.  Any t that is not > 0 (NaN too), or a w inside the reference
+    circle, raises ValueError before phi is evaluated.  The default k
+    budget is ``DEFAULT_K_SAMPLED`` on an atlas with a sampled branch,
+    ``DEFAULT_K_CLOSED`` otherwise.
     """
     grid = np.ndim(t) > 0
     ts = list(t) if grid else [t]
-    if any(x <= 0 for x in ts):
+    if not all(x > 0 for x in ts):
         raise ValueError("t must be positive")
     _check_outside(atlas, w)
     if k_budget is None:
-        k_budget = _default_budget(atlas)
-    samples = [_sample(x, *walk)
-               for x, walk in zip(ts, _dyadic_blocks(atlas, ts, w, k_budget))]
+        sampled = any(b.sampled for b in atlas.tracts)
+        k_budget = DEFAULT_K_SAMPLED if sampled else DEFAULT_K_CLOSED
+    blocks = _dyadic_blocks(atlas, ts, w, k_budget)
+    samples = [_sample(atlas, x, sums) for x, sums in zip(ts, blocks)]
     return _GridSamples(samples) if grid else samples[0]
 
 
@@ -320,7 +337,7 @@ def transfer_iterate(frontier, t, n):
     powers sum e^(t * path sum) over the frontier's level n, whose
     ascending order t > 0 keeps.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     if not 1 <= n <= frontier.depth:
         raise ValueError("iterate depth limited to 1..%d by the frontier"

@@ -18,7 +18,7 @@ _handles = {}
 
 def _handle(spec):
     if spec not in _handles:
-        _handles[spec] = (lz.koenigs_handle(checks.Z2, 1.0, kappa=0.25)
+        _handles[spec] = (lz.make_koenigs(checks.Z2, 1.0, kappa=0.25)
                           if spec == "check8" else cli.function_from_spec(spec))
     return _handles[spec]
 

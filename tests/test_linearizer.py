@@ -558,7 +558,7 @@ class TestHandles:
 
     def test_composite(self):
         inner = lz.exp_power(np.exp(-6.0), 1)  # e^{z-6}
-        F = lz.composite_exp(inner)
+        F = lz.CompositeExpModel(inner)
         assert value(F, np.log(10)) == pytest.approx(np.exp(4.0), rel=1e-12)
 
     def test_exp_power_refuses_zero_lambda(self):
@@ -566,15 +566,15 @@ class TestHandles:
             lz.exp_power(0.0, 1)
 
     def test_koenigs_at_one(self):
-        h = lz.koenigs_handle(P_SQUARE, 1.0)
+        h = lz.make_koenigs(P_SQUARE, 1.0)
         assert h.eval(1.0) == pytest.approx(np.e, abs=1e-9)
 
     def test_derivative_consistency(self):
         handles = [
             lz.exp_power(0.25, 1),
             lz.exp_power(1.0, 2),
-            lz.koenigs_handle(P_SQUARE, 1.0),
-            lz.composite_exp(lz.exp_power(np.exp(-6.0), 1)),
+            lz.make_koenigs(P_SQUARE, 1.0),
+            lz.CompositeExpModel(lz.exp_power(np.exp(-6.0), 1)),
         ]
         h = 1e-6
         for handle in handles:
@@ -589,9 +589,9 @@ class TestHandles:
             ({"family": "exp_power", "lambda": [0.25, 0.1], "d": 3},
              lz.exp_power(0.25 + 0.1j, 3)),
             ({"family": "koenigs", "poly": cosh, "z0": 1, "kappa": [0.125, 0]},
-             lz.koenigs_handle(P_COSH, 1.0, kappa=0.125)),
+             lz.make_koenigs(P_COSH, 1.0, kappa=0.125)),
             ({"family": "composite_exp",
               "inner": {"family": "exp_power", "lambda": np.exp(-6.0)}},
-             lz.composite_exp(lz.exp_power(np.exp(-6.0), 1))),
+             lz.CompositeExpModel(lz.exp_power(np.exp(-6.0), 1))),
         ]:
             assert lz.handle_from_json(desc) == want

@@ -98,7 +98,7 @@ class TestBetaInfinity:
 
     @pytest.mark.parametrize("make", [
         lambda: lz.exp_power(1.0, 2),
-        lambda: lz.composite_exp(lz.exp_power(np.exp(-6.0), 1)),
+        lambda: lz.CompositeExpModel(lz.exp_power(np.exp(-6.0), 1)),
     ], ids=["square", "composite"])
     def test_tables_are_a_value(self, make):
         # two fresh branches give the same rows, bit for bit
@@ -119,7 +119,7 @@ class TestBetaInfinity:
         # the cap is a cost bound on continued phi; the tables themselves
         # are stubbed, since only the T they are built at matters here
         monkeypatch.setattr(sp, "_node_table", lambda branch, T, r: None)
-        h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
+        h = lz.make_koenigs(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
         koenigs = tr.find_tracts(h, np.e).tracts[0]
         assert koenigs.sampled and not exp_branch.sampled
         assert [T for T, _ in sp.means_tables(koenigs)] == [
@@ -138,7 +138,7 @@ class TestSpectrumShape:
             lambda: lz.exp_power(1.0, 1),
             lambda: lz.exp_power(0.25, 1),
             lambda: lz.exp_power(1.0, 2),
-            lambda: lz.composite_exp(lz.exp_power(np.exp(-6.0), 1)),
+            lambda: lz.CompositeExpModel(lz.exp_power(np.exp(-6.0), 1)),
         ],
         ids=["exp", "quarter", "square", "composite"],
     )
@@ -186,7 +186,7 @@ class TestTheta:
             assert theta == pytest.approx(1.0, abs=0.05)
 
     def test_koenigs_exp(self):
-        h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
+        h = lz.make_koenigs(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
         branch = tr.find_tracts(h, np.e).tracts[0]
         # Koenigs(z^2, 1) = e^z, so the threshold matches plain exp.
         tables = sp.means_tables(branch)
@@ -194,7 +194,7 @@ class TestTheta:
 
     def test_koenigs_chebyshev(self):
         p = Polynomial.from_string("2z^2 - 1")
-        h = lz.koenigs_handle(p, 1.0, kappa=0.25)
+        h = lz.make_koenigs(p, 1.0, kappa=0.25)
         branch = tr.find_tracts(h, np.e).tracts[0]
         got = sp.theta_f(sp.means_tables(branch))
         want = bowen_zero_poly(p, 14).value
@@ -234,7 +234,7 @@ class TestContinuedMatchesExp:
 
     @pytest.fixture(scope="class")
     def tables(self, exp_branch):
-        h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
+        h = lz.make_koenigs(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
         branch = tr.find_tracts(h, np.e).tracts[0]
         assert branch.sampled
         T_grid = [float(2**j) for j in range(3, 10)]

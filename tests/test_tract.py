@@ -27,7 +27,7 @@ def sq_branch():
 
 @pytest.fixture(scope="module")
 def koenigs_branch():
-    h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.125)
+    h = lz.make_koenigs(Polynomial.from_string("z^2"), 1.0, kappa=0.125)
     atlas = tr.find_tracts(h, np.e)
     assert len(atlas.tracts) == 1
     return atlas.tracts[0]
@@ -43,7 +43,7 @@ class TestFindTracts:
         assert len(atlas.tracts) == 1
 
     def test_composite_log_tract(self):
-        F = lz.composite_exp(lz.exp_power(np.exp(-6.0), 1))
+        F = lz.CompositeExpModel(lz.exp_power(np.exp(-6.0), 1))
         atlas = tr.find_tracts(F, np.e)
         (branch,) = atlas.tracts
         # inner tract is {Re z > 7}, so phi_F(xi) = log(xi + 6)
@@ -51,7 +51,7 @@ class TestFindTracts:
 
     def test_no_tract(self, monkeypatch):
         # escape requires Re z > 8 (log R + 1); cap the annulus below that
-        h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.125)
+        h = lz.make_koenigs(Polynomial.from_string("z^2"), 1.0, kappa=0.125)
         monkeypatch.setattr(tr, "_MAX_RHO", 100.0)
         with pytest.raises(NoTractFound):
             tr.find_tracts(h, 1e30)
@@ -60,7 +60,7 @@ class TestFindTracts:
 def _spec_handle(spec):
     """The check-8 handle, or a handle from a CLI function spec."""
     if spec == "check8":
-        return lz.koenigs_handle(checks.Z2, 1.0, kappa=0.25)
+        return lz.make_koenigs(checks.Z2, 1.0, kappa=0.25)
     return cli.function_from_spec(spec)
 
 
@@ -119,7 +119,7 @@ class TestPhiEval:
             assert abs(val - np.exp(xi)) < 1e-9 * (1 + abs(val))
 
     def test_cold_cache_coherence(self):
-        h = lz.koenigs_handle(Polynomial.from_string("2z^2-1"), 1.0, kappa=0.125)
+        h = lz.make_koenigs(Polynomial.from_string("2z^2-1"), 1.0, kappa=0.125)
         xi = 9 + 4j
         a = tr.phi_eval(tr.find_tracts(h, np.e).tracts[0], xi)[0]
         warm = tr.find_tracts(h, np.e).tracts[0]
@@ -185,7 +185,7 @@ def _full_newton(branch, xi, z):
 
 class TestRefine:
     def test_active_set_matches_full_newton(self, monkeypatch):
-        branch = tr.find_tracts(lz.koenigs_handle(checks.Z2, 1.0, kappa=0.25),
+        branch = tr.find_tracts(lz.make_koenigs(checks.Z2, 1.0, kappa=0.25),
                                 np.e).tracts[0]
         T = 64.0
         y = np.linspace(1.0, 2.0, 33)

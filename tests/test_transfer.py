@@ -37,7 +37,7 @@ def square_atlas():
 
 @pytest.fixture(scope="module")
 def koenigs_atlas():
-    h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
+    h = lz.make_koenigs(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
     return tr.find_tracts(h, np.e)
 
 
@@ -60,7 +60,7 @@ class TestApplyPoint:
     def test_continued_phi_matches_exp(self, exp_atlas):
         # z^2's Koenigs map at z0 = 1 with kappa = 1/4 is e^{z/4}: its
         # continued phi is 4 xi, so |phi'/phi| = 1/|xi| as for exp
-        h = lz.koenigs_handle(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
+        h = lz.make_koenigs(Polynomial.from_string("z^2"), 1.0, kappa=0.25)
         atlas = tr.find_tracts(h, np.e)
         assert atlas.tracts[0].sampled
         ts = (1.5, 2.0, 3.0)
@@ -203,9 +203,22 @@ class TestPointGrid:
     def test_nonpositive_t_raises_before_any_walk(self, exp_atlas,
                                                   monkeypatch):
         walks = count_walks(monkeypatch)
-        with pytest.raises(ValueError):
-            tf.transfer_apply_point(exp_atlas, (2.0, 1.5, 0.0), E2)
+        for t in ((2.0, 1.5, 0.0), math.nan, (2.0, math.nan, 1.5)):
+            with pytest.raises(ValueError, match="t must be positive"):
+                tf.transfer_apply_point(exp_atlas, t, E2)
         assert walks[0] == 0
+
+    @pytest.mark.parametrize("spec", ["exp", "composite"])
+    def test_divergence_raises_once_earlier_t_end(self, spec, monkeypatch):
+        # t = 0.5 diverges at block 5, but t = 6 before it ends only at
+        # block 6, so the grid raises after blocks 0 ... 6 (14 calls, one
+        # per half), as a loop of one-t calls does; a walk that raised
+        # only once every t ended would run t = 1.2 on to block 14
+        atlas = fresh_atlas(spec)
+        walks = count_walks(monkeypatch)
+        with pytest.raises(DivergenceDetected, match="at t=0.5$"):
+            tf.transfer_apply_point(atlas, (6.0, 0.5, 1.2), E2, 1 << 14)
+        assert walks[0] == 14
 
     def test_koenigs_grid_free_of_call_history(self):
         # a sampled atlas keeps the anchors its walks leave, so a second
@@ -324,8 +337,9 @@ class TestIterate:
         for n in (0, 3):
             with pytest.raises(ValueError):
                 tf.transfer_iterate(frontier, 2.0, n)
-        with pytest.raises(ValueError, match="t must be positive"):
-            tf.transfer_iterate(frontier, 0.0, 2)
+        for t, n in ((0.0, 2), (math.nan, 2), (math.nan, 1)):
+            with pytest.raises(ValueError, match="t must be positive"):
+                tf.transfer_iterate(frontier, t, n)
 
     def test_frontier_cap(self, exp_atlas):
         with pytest.raises(BudgetExceeded):
@@ -419,17 +433,19 @@ class TestSumExp:
         assert [float_bits(tf.transfer_iterate(frontier, t, 2))
                 for t in ts] == [float_bits(v) for v in deep]
 
-    def test_point_operator_memory(self, exp_atlas):
-        # 1,048,577 walked log weights (8.0 MiB) are held across the grid;
-        # each half is formed, and each sum taken, one leaf at a time
-        # (20.0 MiB of numpy allocations when halves were formed whole)
-        tracemalloc.start()
-        try:
-            tf.transfer_apply_point(exp_atlas, (1.2, 1.7), E2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * 2**20
+    def test_point_operator_memory(self, exp_atlas, square_atlas):
+        # one half of a block (2.0 MiB at block 19) is held at a time, and
+        # each half is formed, and each sum taken, one leaf at a time:
+        # 2.9 MiB of numpy allocations on e^z and e^(z^2); holding a whole
+        # block gives 4.9 and 8.9 MiB, every walked block 8.9 and 16.9 MiB
+        for atlas in (exp_atlas, square_atlas):
+            tracemalloc.start()
+            try:
+                tf.transfer_apply_point(atlas, (1.2, 1.7), E2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2**20
 
 
 def unblocked_levels(atlas, w, n, branch_budget):
