@@ -185,7 +185,8 @@ def _dyadic_blocks(atlas, ts, w, k_budget):
     for n in itertools.count():
         ends = [_end(t, sums, knee, k_budget) if sums else None
                 for t, sums in zip(ts, blocks)]
-        # the first t whose walk has not ended well: None while it runs
+        # a loop of one-t calls would stop at the first t that still runs
+        # (None) or diverged (its error); True once every t has ended
         first = next((end for end in ends if end is not True), True)
         if first is True:
             return blocks
