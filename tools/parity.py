@@ -1,12 +1,13 @@
 """Compare the command-line output of two source trees byte for byte.
 
-    python3 tools/parity.py PARENT CHANGE [--jobs N] [--work DIR]
+    python3 tools/parity.py PARENT CHANGE [--work DIR]
 
 PARENT and CHANGE are two checkouts of this repository, for example two
 ``git archive`` copies.  Each route of ``ROUTES`` runs once per tree as
 ``tractdim.cli.main`` with ``PYTHONPATH`` set to the tree's ``src`` and
 the same relative ``--out`` directory, so no path in an output differs.
-Exit codes, stdout and the output trees (``diff -r``) are compared;
+Exit codes, stdout, stderr (with each tree's ``src`` path written as
+``<src>``) and the output trees (``diff -r``) are compared;
 ``verify_seconds.json`` holds timings and is left out.  The script
 prints each differing route and each tree's ``src/tractdim`` code lines
 (tokens other than comments, docstrings and blank lines), and exits 1
@@ -34,19 +35,20 @@ ROUTES = [
                             ["pressure", "--tmin", "1.5"], ["hypdim"],
                             ["tract-plot"])
 ] + [["hypdim", "--poly", p] for p in POLYS] + [["verify"]]
+JOBS = 2  # routes run at once
 CLI = "import sys; from tractdim.cli import main; sys.exit(main(sys.argv[1:]))"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def run(tree, work, i):
-    """Route i on tree, from work: (exit code, stdout)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()),
-               PYTHONDONTWRITEBYTECODE="1")
+    """Route i on tree, from work: (exit code, stdout, stderr)."""
+    src = str(Path(tree, "src").resolve())
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", CLI, *ROUTES[i], "--out", "route%02d" % i],
         cwd=work, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr.replace(src, "<src>")
 
 
 def code_lines(path):
@@ -66,29 +68,37 @@ def code_lines(path):
     return len(lines - docs)
 
 
-def compare(trees, work, jobs):
+def compare(trees, work):
     """Run every route on both trees; the number of routes that differ."""
     dirs = [Path(work, side) for side in ("parent", "change")]
     for d in dirs:
         d.mkdir(parents=True)
-    with ThreadPoolExecutor(jobs) as pool:
+    with ThreadPoolExecutor(JOBS) as pool:
         results = [[pool.submit(run, tree, d, i) for i in range(len(ROUTES))]
                    for tree, d in zip(trees, dirs)]
         results = [[r.result() for r in side] for side in results]
     differing = 0
     for i, route in enumerate(ROUTES):
-        (rc_p, out_p), (rc_c, out_c) = results[0][i], results[1][i]
-        out = "route%02d" % i
-        files = subprocess.run(
-            ["diff", "-r", "-x", TIMINGS, *(str(d / out) for d in dirs)],
-            capture_output=True, text=True).stdout
+        rc_p, out_p, err_p = results[0][i]
+        rc_c, out_c, err_c = results[1][i]
+        outs = [str(d / ("route%02d" % i)) for d in dirs]
+        # A route that writes no output on either tree has equal files;
+        # one written on a single tree makes diff exit 2.
+        diff = subprocess.run(
+            ["diff", "-r", "-x", TIMINGS, *outs], capture_output=True,
+            text=True) if any(map(os.path.exists, outs)) else None
+        files = diff.stdout + diff.stderr if diff else ""
         found = [what for what, differs in (
             ("exit %d vs %d" % (rc_p, rc_c), rc_p != rc_c),
-            ("stdout", out_p != out_c), ("files", bool(files))) if differs]
+            ("stdout", out_p != out_c), ("stderr", err_p != err_c),
+            ("files", bool(diff and diff.returncode))) if differs]
         print("%-5s exit %d  %s%s" % ("DIFF" if found else "same", rc_p,
                                       " ".join(route),
                                       "  (%s)" % ", ".join(found)
                                       if found else ""))
+        if err_p != err_c:
+            print("parent stderr:\n%schange stderr:\n%s" % (err_p, err_c),
+                  end="")
         if files:
             print(files, end="")
         differing += bool(found)
@@ -99,17 +109,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="routes run at once (default 2)")
     parser.add_argument("--work", help="keep the outputs in this new "
                         "directory (default: a temporary one)")
     args = parser.parse_args(argv)
     trees = (args.parent, args.change)
     if args.work:
-        differing = compare(trees, args.work, args.jobs)
+        differing = compare(trees, args.work)
     else:
         with tempfile.TemporaryDirectory() as work:
-            differing = compare(trees, work, args.jobs)
+            differing = compare(trees, work)
     for name, tree in zip(("parent", "change"), trees):
         package = sorted(Path(tree, "src", "tractdim").glob("*.py"))
         print("%s src/tractdim code lines: %d"
