@@ -24,7 +24,6 @@ from . import transfer as tf
 from .errors import DivergenceDetected, NoSignChange, TractdimError
 from .poly import Polynomial
 
-_E2 = complex(math.e ** 2)
 _E4 = complex(math.e ** 4)
 
 Z2 = Polynomial.from_string("z^2")
@@ -64,7 +63,7 @@ class CheckResult:
 def check_transfer_closed_form():
     """Exponential transfer sums against the cotangent identity."""
     errs = []
-    for w, want in ((_E2, math.cosh(1) / math.sinh(1) / 4),
+    for w, want in ((tf.BASE_POINT, math.cosh(1) / math.sinh(1) / 4),
                     (_E4, math.cosh(2) / math.sinh(2) / 8)):
         got = tf.transfer_apply_point(test_atlas("exp"), 2.0, w).value
         errs.append(abs(got - want))
@@ -75,12 +74,12 @@ def check_transfer_closed_form():
 def check_divergence_dichotomy():
     """Finite sums above t=1, detected divergence below."""
     samples = tf.transfer_apply_point(test_atlas("exp"), (1.2, 1.5, 2.0),
-                                      _E2)
+                                      tf.BASE_POINT)
     finite = [math.isfinite(s.value) and s.value > 0 for s in samples]
     diverged = []
     for t in (0.5, 0.8):
         try:
-            tf.transfer_apply_point(test_atlas("exp"), t, _E2)
+            tf.transfer_apply_point(test_atlas("exp"), t, tf.BASE_POINT)
             diverged.append(False)
         except DivergenceDetected:
             diverged.append(True)

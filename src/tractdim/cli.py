@@ -8,21 +8,25 @@ RunConfig holds settings only: a command that reads a function takes it
 from ``--function``, else from the config file's descriptor
 (``load_config``).
 
-An argument the library refuses with ValueError (a radius below the
-singular radius, a base point inside the reference circle, a polynomial
-without a repelling fixed point) reaches the user through ``_refused`` as
-a ConfigError of the same text, so exit 2.  Every JSON file and a
-command's stdout are written by ``_json``.
+``_refused`` is the one translator of a refused argument or unreadable
+input into a ConfigError, so exit 2: an argument the library refuses
+with ValueError (a radius below the singular radius, a base point inside
+the reference circle, a polynomial without a repelling fixed point) keeps
+its text, and polynomial text, a function descriptor or a config file
+that cannot be read gets a prefix naming it.  Every JSON file and a
+command's stdout are written by ``_json``.  Each ``cmd_<name>(cfg,
+handle, args)`` is looked up on this module when ``main`` runs, so a
+wrapper set on it after import (the benchmark's tracer) sees every call.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import linearizer as lz
 from . import poly
@@ -89,10 +93,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, text):
         """(settings, function descriptor or None) of a config file's text."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config is not valid JSON: %s" % exc)
+        data = _refused(json.loads, text, what="config is not valid JSON: ")
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object, not %s"
                               % type(data).__name__)
@@ -131,30 +132,25 @@ def _is_json_type(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _refused(call, *args):
-    """call(*args), with a ValueError (an argument the library refuses) as
-    a ConfigError of the same text."""
+def _refused(call, *args, what="", errors=ValueError):
+    """call(*args), with an exception of the errors classes (an argument
+    the library refuses, input that cannot be read) as a ConfigError whose
+    detail is what followed by the exception's text."""
     try:
         return call(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    except errors as exc:
+        raise ConfigError(what + str(exc))
+
+
+#: How a descriptor that cannot be read (nor its JSON text) is refused.
+_BAD_DESCRIPTOR = {"what": "bad function descriptor: ",
+                   "errors": (ValueError, KeyError, TypeError)}
 
 
 def _parse_poly(text):
     """Polynomial.from_string, with text it cannot parse as a ConfigError."""
-    try:
-        return Polynomial.from_string(text)
-    except ValueError as exc:
-        raise ConfigError("bad polynomial %r: %s" % (text, exc))
-
-
-@contextlib.contextmanager
-def _descriptor_errors():
-    """A descriptor that cannot be read (nor its JSON text) as a ConfigError."""
-    try:
-        yield
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError("bad function descriptor: %s" % exc)
+    return _refused(Polynomial.from_string, text,
+                    what="bad polynomial %r: " % text)
 
 
 def _descriptor_handle(desc):
@@ -164,8 +160,7 @@ def _descriptor_handle(desc):
     shorthand's disjoint-type test at R = e; halving it is left to the
     writer of the descriptor.
     """
-    with _descriptor_errors():
-        handle = lz.handle_from_json(desc)
+    handle = _refused(lz.handle_from_json, desc, **_BAD_DESCRIPTOR)
     if (isinstance(handle, lz.KoenigsLinearizer)
             and not lz.is_disjoint_type(handle, math.e)):
         raise ConfigError("Koenigs kappa %s is not disjoint type: the "
@@ -184,9 +179,8 @@ def function_from_spec(text):
     """
     text = text.strip()
     if text.startswith("{"):
-        with _descriptor_errors():
-            desc = json.loads(text)
-        return _descriptor_handle(desc)
+        return _descriptor_handle(_refused(json.loads, text,
+                                           **_BAD_DESCRIPTOR))
     if text in lz.SHORTHANDS:
         return lz.SHORTHANDS[text]()
     if text.startswith("koenigs:"):
@@ -215,12 +209,10 @@ def load_config(args):
                               "it does not take %s" % ", ".join(unread))
     cfg, desc = RunConfig(), None
     if args.config:
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError("cannot read config %s: %s" % (args.config, exc))
-        cfg, desc = RunConfig.from_json(text)
+        cfg, desc = RunConfig.from_json(_refused(
+            Path(args.config).read_text,
+            what="cannot read config %s: " % args.config,
+            errors=(OSError, UnicodeDecodeError)))
     spec = args.function
     if args.command == "verify" or args.poly is not None:
         spec = desc = None
@@ -311,14 +303,14 @@ def boundary_figure(atlas, T):
 # Commands
 
 
-def cmd_tract_plot(cfg, handle, T_list):
+def cmd_tract_plot(cfg, handle, args):
     # refuse a T before any file: 4T is the rectangle path's far corner
-    for T in T_list:
+    for T in args.Tlist:
         if not (T >= 1 and math.isfinite(4 * T)):
             raise InvalidGrid("T must be finite and >= 1, got %g" % T)
     atlas = _refused(tr.find_tracts, handle, cfg.radius)
     written = []
-    for T in T_list:
+    for T in args.Tlist:
         svg, csv = boundary_figure(atlas, T)
         stem = "tract_T%g" % T
         written.append(_write(cfg, stem + ".svg", svg))
@@ -326,7 +318,7 @@ def cmd_tract_plot(cfg, handle, T_list):
     return {"written": written}
 
 
-def cmd_spectrum(cfg, handle):
+def cmd_spectrum(cfg, handle, args):
     t_grid = cfg.t_grid()
     atlas = _refused(tr.find_tracts, handle, cfg.radius)
     tables = sp.means_tables(atlas.tracts[0], cfg.T_grid())
@@ -349,7 +341,7 @@ def _positive_t_grid(cfg):
     return grid
 
 
-def cmd_transfer(cfg, handle):
+def cmd_transfer(cfg, handle, args):
     t_grid = _positive_t_grid(cfg)
     atlas = _refused(tr.find_tracts, handle, cfg.radius)
     w = tf.BASE_POINT
@@ -367,7 +359,7 @@ def cmd_transfer(cfg, handle):
     return {"written": written}
 
 
-def cmd_pressure(cfg, handle):
+def cmd_pressure(cfg, handle, args):
     t_grid = _positive_t_grid(cfg)
     atlas = _refused(tr.find_tracts, handle, cfg.radius)
     # one frontier at the base point serves every t
@@ -381,9 +373,9 @@ def cmd_pressure(cfg, handle):
     return {"written": written}
 
 
-def cmd_hypdim(cfg, handle, poly_text=None):
-    if poly_text is not None:
-        p = _parse_poly(poly_text)
+def cmd_hypdim(cfg, handle, args):
+    if args.poly is not None:
+        p = _parse_poly(args.poly)
         bz = poly.bowen_zero_poly(p, 12, node_budget=cfg.node_budget)
         return {"result": {"bowen_zero": bz.value, "width": bz.width,
                            "bracket": list(bz.bracket)}}
@@ -422,13 +414,17 @@ def cmd_hypdim(cfg, handle, poly_text=None):
     return {"result": result}
 
 
-def cmd_verify(cfg, idents=None):
+def cmd_verify(cfg, handle, args):
     from . import checks
 
-    unknown = sorted(set(idents or ()) - {cid for cid, _, _ in checks.CHECKS})
+    idents = args.only or ()
+    unknown = sorted(set(idents) - {cid for cid, _, _ in checks.CHECKS})
     if unknown:
         raise ConfigError("unknown check ids: %s" % unknown)
-    results = checks.run_all(idents)
+    repeated = sorted({i for i in idents if idents.count(i) > 1})
+    if repeated:
+        raise ConfigError("repeated check ids: %s" % repeated)
+    results = checks.run_all(args.only)
     report = "tractdim verify\n" + checks.format_report(results)
     _write(cfg, "verify.txt", report)
     # durations vary run to run, so they stay out of verify.txt
@@ -511,19 +507,14 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         cfg, handle = load_config(args)
-        if args.command == "tract-plot":
-            out = cmd_tract_plot(cfg, handle, args.Tlist)
-        elif args.command == "spectrum":
-            out = cmd_spectrum(cfg, handle)
-        elif args.command == "transfer":
-            out = cmd_transfer(cfg, handle)
-        elif args.command == "pressure":
-            out = cmd_pressure(cfg, handle)
-        elif args.command == "hypdim":
-            out = cmd_hypdim(cfg, handle, args.poly)
-        elif args.command == "verify":
-            return cmd_verify(cfg, args.only)
-        sys.stdout.write(_json(out))
+        # verify writes its report as stdout and returns the exit code
+        if args.command == "verify":
+            return cmd_verify(cfg, handle, args)
+        # looked up per call, so a wrapper set on this module is what runs
+        run = {"tract-plot": cmd_tract_plot, "spectrum": cmd_spectrum,
+               "transfer": cmd_transfer, "pressure": cmd_pressure,
+               "hypdim": cmd_hypdim}[args.command]
+        sys.stdout.write(_json(run(cfg, handle, args)))
         return 0
     except (ConfigError, InvalidGrid) as exc:
         _emit_error(exc)

@@ -212,6 +212,9 @@ class TestExitCodes:
          {"error": "ConfigError",
           "detail": "R = 1.5 is below the singular radius 2"}),
         (["verify", "--only", "99"], "ConfigError"),
+        # a repeated id would run its check twice and count it twice
+        (["verify", "--only", "7,1,7"],
+         {"error": "ConfigError", "detail": "repeated check ids: [7]"}),
         (["verify", "--only", "x"], "ConfigError"),
         (["tract-plot", "--function", "exp", "--Tlist", "a"], "ConfigError"),
         # the base point e^2 of the frontier lies inside |w| = 8
@@ -254,7 +257,8 @@ class TestExitCodes:
         (["spectrum", "--function", "exp", "--radius", "0.5"], "ConfigError"),
         (["transfer", "--function", "exp", "--k-budget", "-1"],
          "ConfigError"),
-    ], ids=["radius-below-singular", "unknown-check", "bad-only",
+    ], ids=["radius-below-singular", "unknown-check", "repeated-check",
+            "bad-only",
             "bad-Tlist", "pressure-radius-over-base",
             "hypdim-radius-over-base", "transfer-radius-over-base",
             "spectrum-Tjmin-0", "hypdim-Tjmin-negative",
@@ -358,7 +362,11 @@ class TestExitCodes:
         '{"function": {"family": "exp_power"}, "radius": "x"}',
         '{"function": {"family": "exp_power"}, "tstep": null}',
         '[{"function": {"family": "exp_power"}}]',
-    ], ids=["malformed-json", "string-radius", "null-tstep", "top-level-list"])
+        # json.loads refuses an integer over Python's digit limit with a
+        # ValueError that is not a JSONDecodeError
+        '{"function": {"family": "exp_power"}, "radius": %s}' % ("1" * 5000),
+    ], ids=["malformed-json", "string-radius", "null-tstep", "top-level-list",
+            "integer-over-digit-limit"])
     def test_bad_config_file_exits_2(self, text, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -808,6 +816,27 @@ class TestVerify:
         assert lines[2].startswith("FAIL   4  tree-pressure")
         assert lines[2].endswith("BudgetExceeded: 2^14 nodes exceed budget 1")
         assert lines[3] == "1/2 checks passed"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_main_runs_the_command_the_module_holds(command, tmp_path, capsys,
+                                                monkeypatch):
+    # perfbench/tracer.py wraps cli.cmd_* with setattr after import, so
+    # main must look each command up when it is called
+    calls = []
+
+    def stub(cfg, handle, args):
+        calls.append(args.command)
+        return 1 if command == "verify" else {"stub": command}
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), stub)
+    function = [] if command == "verify" else ["--function", "exp"]
+    code, out = run_cli([command, *function, "--out", str(tmp_path)], capsys)
+    assert calls == [command]
+    if command == "verify":  # its return value is the exit code
+        assert (code, out) == (1, "")
+    else:
+        assert (code, json.loads(out)) == (0, {"stub": command})
 
 
 def test_cli_import_leaves_scipy_out():

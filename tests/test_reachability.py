@@ -8,8 +8,9 @@ the pipeline or goes.  Private helpers are held to the same rule, so a
 helper that a refactor leaves without a caller fails here too.  Every
 field of a dataclass is held to it as well: some code in src/tractdim
 reads an attribute of that name, or perfbench/ names it.  The names that
-perfbench/tracer.py wraps must also still exist.  And no module reads an
-underscore name of another: what one layer needs from another is public.
+perfbench/tracer.py wraps must also still exist, and be looked up when
+they are called.  And no module reads an underscore name of another: what
+one layer needs from another is public.
 """
 
 import ast
@@ -113,18 +114,75 @@ def test_allowed_names_still_exist():
     assert ALLOWED <= names
 
 
-def test_every_traced_name_resolves():
-    # perfbench/tracer.py wraps these by name at run time; a rename or a
-    # deletion in src/tractdim must fail here, not in a traced benchmark
-    # run.  The file is executed from its text, so nothing is written
-    # under perfbench/.
+def _wrapped():
+    """(module, name) of each function perfbench/tracer.py wraps.  The file
+    is executed from its text, so nothing is written under perfbench/."""
     path = PERFBENCH / "tracer.py"
     tracer = types.ModuleType("tracer")
     exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
-    missing = [(module, attr) for module, attr, *_ in tracer.WRAPPED
+    return {(module, attr) for module, attr, *_ in tracer.WRAPPED}
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracer.py wraps these by name at run time; a rename or a
+    # deletion in src/tractdim must fail here, not in a traced benchmark
+    # run
+    missing = [(module, attr) for module, attr in sorted(_wrapped())
                if not hasattr(importlib.import_module("tractdim." + module),
                               attr)]
     assert missing == []
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _definition_parts(function):
+    """The decorators and defaults of a function or lambda node: they run
+    when it is defined, its body when it is called."""
+    return [*getattr(function, "decorator_list", ()), *function.args.defaults,
+            *filter(None, function.args.kw_defaults)]
+
+
+def _run_at_import(node):
+    """node and the nodes under it that run when node's module is imported."""
+    yield node
+    for child in (_definition_parts(node) if isinstance(node, _FUNCTIONS)
+                  else ast.iter_child_nodes(node)):
+        yield from _run_at_import(child)
+
+
+def _early_binds(wrapped):
+    """module:line name for each place in src/tractdim that takes a wrapped
+    function before the call that runs it: a from-import, a load at module
+    or class level, a default argument or a decorator."""
+    names = {attr for _, attr in wrapped}
+    binds = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        early = list(_run_at_import(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, _FUNCTIONS):
+                early.extend(sub for part in _definition_parts(node)
+                             for sub in ast.walk(part))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.removeprefix("tractdim.")
+                binds.extend("%s:%d %s" % (path.stem, node.lineno, a.name)
+                             for a in node.names
+                             if (module, a.name) in wrapped)
+        for node in early:
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name in names and isinstance(node.ctx, ast.Load):
+                binds.append("%s:%d %s" % (path.stem, node.lineno, name))
+    return sorted(set(binds))
+
+
+def test_traced_names_are_looked_up_at_call_time():
+    # perfbench/tracer.py replaces each wrapped function on its module after
+    # import; a reference taken earlier keeps the unwrapped function, and
+    # the calls through it drop out of the traced spans
+    assert _early_binds(_wrapped()) == []
 
 
 def _private_reads():

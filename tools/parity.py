@@ -3,9 +3,12 @@
     python3 tools/parity.py PARENT CHANGE [--work DIR]
 
 PARENT and CHANGE are two checkouts of this repository, for example two
-``git archive`` copies.  Each route of ``ROUTES`` runs once per tree as
-``tractdim.cli.main`` with ``PYTHONPATH`` set to the tree's ``src`` and
-the same relative ``--out`` directory, so no path in an output differs.
+``git archive`` copies.  ``ROUTES`` runs each command on each shorthand
+function, ``hypdim --poly``, ``verify``, and inputs that the front end
+refuses (exit 2 or 3), so the refusal texts are compared too.  Each
+route runs once per tree as ``tractdim.cli.main`` with ``PYTHONPATH`` set
+to the tree's ``src`` and the same relative ``--out`` directory, so no
+path in an output differs.
 Exit codes, stdout, stderr (with each tree's ``src`` path written as
 ``<src>``) and the output trees (``diff -r``) are compared;
 ``verify_seconds.json`` holds timings and is left out.  The script
@@ -34,7 +37,19 @@ ROUTES = [
     for command, *extra in (["spectrum"], ["transfer", "--tmin", "1.2"],
                             ["pressure", "--tmin", "1.5"], ["hypdim"],
                             ["tract-plot"])
-] + [["hypdim", "--poly", p] for p in POLYS] + [["verify"]]
+] + [["hypdim", "--poly", p] for p in POLYS] + [["verify"]] + [
+    # refusals: each exits 2 (3 for the fixed point) and writes no file
+    ["hypdim", "--poly", "z"], ["hypdim", "--poly", "z^2+"],
+    *(["spectrum", "--function", f] for f in (
+        '{"family": "nonsense"}', '{"family": "exp_power", "d": 2.0}',
+        '{"family": "koenigs", "poly": {"coeffs": [[0,0],[0,0],[1,0]]}}',
+        "{bad", "koenigs:z^2+0.25")),
+    ["spectrum", "--function", "exp", "--radius", "0.5"],
+    ["transfer", "--function", "exp"],
+    ["transfer", "--function", "exp", "--tmin", "1.2", "--radius", "8"],
+    *(["spectrum", "--config", c] for c in ("/dev/null", ".", "missing.json")),
+    ["verify", "--only", "99"],
+]
 JOBS = 2  # routes run at once
 CLI = "import sys; from tractdim.cli import main; sys.exit(main(sys.argv[1:]))"
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
