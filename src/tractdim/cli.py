@@ -308,11 +308,16 @@ def cmd_tract_plot(cfg, handle, args):
     for T in args.Tlist:
         if not (T >= 1 and math.isfinite(4 * T)):
             raise InvalidGrid("T must be finite and >= 1, got %g" % T)
+    # heights that print alike (5 and 5.0, or 20 and 20.000001 under %g)
+    # would trace twice into one pair of files
+    stems = ["tract_T%g" % T for T in args.Tlist]
+    shared = [T for T, stem in zip(args.Tlist, stems) if stems.count(stem) > 1]
+    if shared:
+        raise ConfigError("--Tlist heights share an output file: %s" % shared)
     atlas = _refused(tr.find_tracts, handle, cfg.radius)
     written = []
-    for T in args.Tlist:
+    for T, stem in zip(args.Tlist, stems):
         svg, csv = boundary_figure(atlas, T)
-        stem = "tract_T%g" % T
         written.append(_write(cfg, stem + ".svg", svg))
         written.append(_write(cfg, stem + ".csv", csv))
     return {"written": written}

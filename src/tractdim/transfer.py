@@ -12,16 +12,17 @@ its value is kept, at the frontier levels whose preimages expand.
 
 Iterated powers split into a t-independent part and a per-t sum:
 ``iterate_frontier`` walks the preimage tree at w once and keeps, per
-depth, the sorted path sums of log|phi'/phi| along every preimage chain,
-and ``transfer_iterate`` and ``pressure_entire`` evaluate one t on that
-frontier as a sum of e^(t * path sum).  A pressure curve or a Bowen-zero
-bisection therefore walks the frontier and sorts its sums once, not
-once per t; only depth 1, the point operator with its divergence check,
-reads its own k-blocks of weights again at every t.
+depth, the path sums of log|phi'/phi| along every preimage chain, in the
+order the walk builds them, and ``transfer_iterate`` and
+``pressure_entire`` evaluate one t on that frontier as a sum of
+e^(t * path sum).  A pressure curve or a Bowen-zero bisection therefore
+walks the frontier once, not once per t; only depth 1, the point
+operator with its divergence check, reads its own k-blocks of weights
+again at every t.
 The frontier's working memory is its levels plus one block of at most
-``_FRONTIER_ROWS`` parent rows, as each level is filled in place and the
-last one sorted in place (22.1 MiB of numpy allocations for e^(z^2)'s
-16.6 MiB last level; 70.4 MiB when rows were concatenated and copied).
+``_FRONTIER_ROWS`` parent rows, as each level is filled in place (21.6
+MiB of numpy allocations for e^(z^2)'s 16.6 MiB last level; 70.4 MiB
+when rows were concatenated and copied).
 Every sum of e^(t * log weight), over a frontier level or a half of a
 dyadic block, is ``numerics.sum_exp``: numpy's own summation order, with
 one scratch buffer of at most ``numerics.LEAF`` elements.
@@ -199,13 +200,17 @@ def _dyadic_blocks(atlas, ts, w, k_budget):
 
 
 def _sample(atlas, t, blocks):
-    """One t's sample; blocks 0 ... n read 2^(n+1) + 1 terms per branch."""
+    """One t's sample; blocks 0 ... n read 2^(n+1) + 1 terms per branch.
+
+    The tail estimate is the geometric remainder past block n, the blocks
+    after it shrinking by the last ratio: block_n * ratio / (1 - ratio).
+    """
     ratio = _RATIO_CAP
     if len(blocks) >= 2 and blocks[-2] > 0:
         ratio = min(blocks[-1] / blocks[-2], _RATIO_CAP)
     terms = len(atlas.tracts) * ((1 << len(blocks)) + 1)
     return TransferSample(float(t), math.fsum(blocks), terms,
-                          blocks[-1] / (1.0 - ratio), blocks)
+                          blocks[-1] * ratio / (1.0 - ratio), blocks)
 
 
 def transfer_apply_point(atlas, t, w, k_budget=None):
@@ -249,10 +254,11 @@ def level_budgets(branch_budget, n):
 class IterateFrontier:
     """The t-independent part of the iterated operator at w.
 
-    ``levels[j]`` holds, in ascending order, one path sum per preimage of
-    depth j + 1: the sum of log|phi'/phi| along its chain of preimages
-    back to w, each step under one tract branch and for |k| <=
-    ``level_budgets(...)[j]``.  Each level is a read-only float array.
+    ``levels[j]`` holds one path sum per preimage of depth j + 1: the sum
+    of log|phi'/phi| along its chain of preimages back to w, each step
+    under one tract branch and for |k| <= ``level_budgets(...)[j]``.  Each
+    level is a read-only float array laid out (branch, parent, k), the
+    parents in the previous level's order.
     """
 
     atlas: object
@@ -320,23 +326,17 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
                 np.add(logterm.reshape(len(sub), -1), sums[sub][:, None],
                        out=out[rows])
         sums, zs = out.ravel(), children.ravel()
-        if not expand:  # only an expanding level is read in walk order
-            sums.sort()
-        levels.append(_read_only(np.sort(sums) if expand else sums))
+        sums.flags.writeable = False
+        levels.append(sums)
     return IterateFrontier(atlas, complex(w), branch_budget, tuple(levels))
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
 
 
 def transfer_iterate(frontier, t, n):
     """n-th operator power on the constant function at the frontier's w.
 
     Depth 1 is ``transfer_apply_point``, with its divergence check; deeper
-    powers sum e^(t * path sum) over the frontier's level n, whose
-    ascending order t > 0 keeps.
+    powers sum e^(t * path sum) over the frontier's level n, in its walk
+    order.
     """
     if not t > 0:
         raise ValueError("t must be positive")

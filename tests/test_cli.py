@@ -217,6 +217,15 @@ class TestExitCodes:
          {"error": "ConfigError", "detail": "repeated check ids: [7]"}),
         (["verify", "--only", "x"], "ConfigError"),
         (["tract-plot", "--function", "exp", "--Tlist", "a"], "ConfigError"),
+        # heights printed alike by %g would trace into one pair of files
+        (["tract-plot", "--function", "exp", "--Tlist", "5,5,5.0"],
+         {"error": "ConfigError",
+          "detail": "--Tlist heights share an output file: "
+                    "[5.0, 5.0, 5.0]"}),
+        (["tract-plot", "--function", "exp", "--Tlist", "20,20.000001"],
+         {"error": "ConfigError",
+          "detail": "--Tlist heights share an output file: "
+                    "[20.0, 20.000001]"}),
         # the base point e^2 of the frontier lies inside |w| = 8
         (["pressure", "--function", "quarter", "--tmin", "1.5",
           "--radius", "8"], OUTSIDE_8),
@@ -259,7 +268,8 @@ class TestExitCodes:
          "ConfigError"),
     ], ids=["radius-below-singular", "unknown-check", "repeated-check",
             "bad-only",
-            "bad-Tlist", "pressure-radius-over-base",
+            "bad-Tlist", "repeated-Tlist", "Tlist-sharing-a-stem",
+            "pressure-radius-over-base",
             "hypdim-radius-over-base", "transfer-radius-over-base",
             "spectrum-Tjmin-0", "hypdim-Tjmin-negative",
             "spectrum-Tjmax-overflow", "spectrum-tstep-too-fine",

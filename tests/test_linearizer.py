@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tractdim import _kernels, cli, linearizer as lz, poly
+from tractdim import _kernels, cli, linearizer as lz, numerics, poly
 from tractdim.errors import NotRepelling, Overflow, ScaleFloor
 from tractdim.poly import Polynomial
 
@@ -226,6 +226,25 @@ class TestLogEval:
                         assert abs(a - b[0]) <= 1e-12 * abs(b[0])
                     else:
                         assert not np.isfinite(a)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the escape ladder descends every point of an "
+                              "array by the largest modulus in it")
+    def test_wide_batch_matches_scalar(self):
+        # one array of |z| from 1e-3 to 1e10: a small point descends as far
+        # as the largest, so its series deviation is rounded away before
+        # the extra steps amplify it (6.9e-8 in log f, 7.8e-8 in Q); one
+        # array call per point matches the scalars to 8e-16.  The angles
+        # keep |arg z| < 2.5, away from the zeros of cosh.
+        L = lz.make_koenigs(Polynomial.from_string("z^2-2"), 2.0, 0.125)
+        n = 210
+        zs = np.logspace(-3, 10, n) * np.exp(
+            2.5j * (2 * numerics.halton(n, 2) - 1))
+        logf, q = lz.linearizer_log_eval(L, zs)
+        want = np.array([lz.linearizer_log_eval(L, complex(z)) for z in zs]).T
+        assert np.all(np.abs(wrapped(logf - want[0]))
+                      <= 1e-13 * (1 + np.abs(want[0])))
+        assert np.all(np.abs(q - want[1]) <= 1e-13 * np.abs(want[1]))
 
     def test_nan_point_leaves_batch_alone(self):
         # the batch's largest modulus skips nan: with np.max a nan point

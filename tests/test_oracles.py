@@ -20,6 +20,10 @@ ITEM_4 = ("ROADMAP item 4: the entire-side zero comes from truncated, "
           "eigenvalue")
 ITEM_10 = ("ROADMAP item 10: beta_infinity keeps the finite-T bias of its "
            "top slopes")
+ITEM_19 = ("ROADMAP item 19: the point operator's value is its k-sum cut at "
+           "the budget, with no tail added")
+ITEM_20 = ("ROADMAP item 20: the Koenigs point operator's block test does "
+           "not see its sum diverge below HD J(p)")
 
 
 def run(argv, tmp_path, capsys):
@@ -74,3 +78,26 @@ def test_composite_spectrum_theta_is_one(tmp_path, capsys):
     # e^{-6} e^{e^z} has theta 1 in closed form; prints 0.9035
     out = run(["spectrum", "--function", "composite"], tmp_path, capsys)
     assert abs(out["summary"]["theta_hat"] - 1.0) <= 0.005
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_19)
+@pytest.mark.parametrize("spec,want", [
+    # an explicit sum to 2^23 with an analytic tail (ROADMAP appendix B);
+    # prints 1.5739492828 and 1.3472503403, 4.8% and 5.5% low
+    ("exp", 1.6530663339108318), ("quarter", 1.42636739139545)])
+def test_transfer_value_at_t_1_2(spec, want, tmp_path, capsys):
+    run(["transfer", "--function", spec, "--tmin", "1.2", "--tmax", "1.2"],
+        tmp_path, capsys)
+    row = (tmp_path / "transfer.csv").read_text().splitlines()[1]
+    assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_20)
+def test_koenigs_transfer_diverges_below_dimension(tmp_path, capsys):
+    # t = 1.2 lies below HD J(z^2-1) = 1.2683, where the sum diverges;
+    # exits 0 with 3.1142044811
+    code = cli.main(["transfer", "--function", "koenigs:z^2-1", "--tmin",
+                     "1.2", "--tmax", "1.2", "--out", str(tmp_path)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "DivergenceDetected"

@@ -49,6 +49,9 @@ ROUTES = [
     ["transfer", "--function", "exp", "--tmin", "1.2", "--radius", "8"],
     *(["spectrum", "--config", c] for c in ("/dev/null", ".", "missing.json")),
     ["verify", "--only", "99"],
+    # heights whose tract_T%g files coincide
+    *(["tract-plot", "--function", "exp", "--Tlist", heights]
+      for heights in ("5,5,5.0", "20,20.000001")),
 ]
 JOBS = 2  # routes run at once
 CLI = "import sys; from tractdim.cli import main; sys.exit(main(sys.argv[1:]))"
