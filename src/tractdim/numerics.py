@@ -72,32 +72,44 @@ def logsumexp(a):
 
 
 def sum_exp(x, t):
-    """Sum of e^(t x) over a 1-D float array x, equal to
-    float(np.sum(np.exp(t * x))) bit for bit.
+    """Sum of e^(t x) over a float array x of any shape, in C order, equal
+    to float(np.sum(np.exp(t * x))) bit for bit.
 
     It splits x as numpy's pairwise sum does, a run of n elements into
     its first n2 = n//2 - (n//2) % 8 and the rest, down to runs of at most
     ``LEAF`` elements (or numpy's unsplit block, if that is larger).  Each
-    such leaf is exponentiated in one reused buffer and summed by np.sum,
-    and the leaf sums are added back up the same tree, so the only
-    temporary is that buffer.  A numpy release that changes its reduction
-    order breaks the equality; tests/test_transfer.py checks it.
+    such leaf is exponentiated in one reused buffer, filled from whole-row
+    slices of x's rows (a 1-D x is one row), and summed by np.sum, and the
+    leaf sums are added back up the same tree, so the only temporary is
+    that buffer, even where x is a broadcast view.  A numpy release that
+    changes its reduction order breaks the equality;
+    tests/test_transfer.py checks it.
     """
     x = np.asarray(x, dtype=float)
-    buf = np.empty(min(len(x), max(LEAF, _PAIRWISE_BLOCK)))
-    return float(_sum_exp_run(x, t, buf, 0, len(x)))
+    if not x.size:
+        return 0.0
+    rows = x.reshape(-1, x.shape[-1] if x.ndim else 1)
+    buf = np.empty(min(x.size, max(LEAF, _PAIRWISE_BLOCK)))
+    return float(_sum_exp_run(rows, t, buf, 0, x.size))
 
 
-def _sum_exp_run(x, t, buf, lo, hi):
-    """The sum of e^(t x) over x[lo:hi], each leaf formed in buf."""
+def _sum_exp_run(rows, t, buf, lo, hi):
+    """The sum of e^(t x) over x[lo:hi], x being rows in C order, each
+    leaf formed in buf."""
     if hi - lo <= len(buf):
+        width = rows.shape[1]
+        a = lo
+        while a < hi:
+            r, c = divmod(a, width)
+            b = min(hi, a - c + width)
+            np.multiply(rows[r, c:c + b - a], t, out=buf[a - lo:b - lo])
+            a = b
         part = buf[:hi - lo]
-        np.multiply(x[lo:hi], t, out=part)
         return np.sum(np.exp(part, out=part))
     n2 = (hi - lo) // 2
     n2 -= n2 % 8
-    return (_sum_exp_run(x, t, buf, lo, lo + n2)
-            + _sum_exp_run(x, t, buf, lo + n2, hi))
+    return (_sum_exp_run(rows, t, buf, lo, lo + n2)
+            + _sum_exp_run(rows, t, buf, lo + n2, hi))
 
 
 def gl4_panels(a, b, panels):

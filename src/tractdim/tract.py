@@ -86,6 +86,16 @@ class TractAtlas:
     radius: float
     tracts: list
 
+    @property
+    def shared_weight(self):
+        """The closed-form weight every branch carries, when they all carry
+        the same one (the rotated tracts of e^(z^d)), else None: its
+        branches' log weights at any xi are then the same floats."""
+        weight = self.tracts[0].weight
+        if all(b.weight is weight for b in self.tracts):
+            return weight
+        return None
+
 
 # ---------------------------------------------------------------------------
 # Tract location

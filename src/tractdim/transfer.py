@@ -20,9 +20,14 @@ walks the frontier once, not once per t; only depth 1, the point
 operator with its divergence check, reads its own k-blocks of weights
 again at every t.
 The frontier's working memory is its levels plus one block of at most
-``_FRONTIER_ROWS`` parent rows, as each level is filled in place (21.6
-MiB of numpy allocations for e^(z^2)'s 16.6 MiB last level; 70.4 MiB
-when rows were concatenated and copied).
+``_FRONTIER_ROWS`` parent rows, as each level is filled in place.  Tract
+branches that share a closed-form weight (``TractAtlas.shared_weight``,
+the d rotated tracts of e^(z^d)) have the same path sums at the last
+level, so it is formed for one branch and broadcast over the others, and
+the point operator weighs each half block once for all of them: 13.3 MiB
+of numpy allocations for e^(z^2)'s last level of 8.3 MiB stored (21.6
+MiB when both branches' 16.6 MiB were stored; 70.4 MiB when rows were
+concatenated and copied).
 Every sum of e^(t * log weight), over a frontier level or a half of a
 dyadic block, is ``numerics.sum_exp``: numpy's own summation order, with
 one scratch buffer of at most ``numerics.LEAF`` elements.
@@ -136,15 +141,21 @@ def _block_sums(atlas, logw, argw, n, ts):
 
     Each half's log weights are formed once, summed at every t through
     ``sum_exp`` and dropped before the next half is formed, so one half
-    is the only array of a half's size that the walk holds.
+    is the only array of a half's size that the walk holds.  Branches
+    that share a closed-form weight (``TractAtlas.shared_weight``) share
+    their half sums, so only the first branch forms them, and each
+    branch's part is added as its own.
     """
+    shared = atlas.shared_weight is not None
     block = [0.0] * len(ts)
+    part = None
     for branch in atlas.tracts:
-        part = [0.0] * len(ts)
-        for half in _block_halves(n):
-            logterm = _half_weights(branch, logw, argw, *half)
-            part = [p + sum_exp(logterm, t) for p, t in zip(part, ts)]
-            del logterm
+        if part is None or not shared:
+            part = [0.0] * len(ts)
+            for half in _block_halves(n):
+                logterm = _half_weights(branch, logw, argw, *half)
+                part = [p + sum_exp(logterm, t) for p, t in zip(part, ts)]
+                del logterm
         block = [b + p for b, p in zip(block, part)]
     return block
 
@@ -257,8 +268,10 @@ class IterateFrontier:
     ``levels[j]`` holds one path sum per preimage of depth j + 1: the sum
     of log|phi'/phi| along its chain of preimages back to w, each step
     under one tract branch and for |k| <= ``level_budgets(...)[j]``.  Each
-    level is a read-only float array laid out (branch, parent, k), the
-    parents in the previous level's order.
+    level is a read-only float array whose C order is laid out (branch,
+    parent, k), the parents in the previous level's order: 1-D, except a
+    last level whose several branches share a closed-form weight, which is
+    one branch's path sums broadcast to shape (branches, n).
     """
 
     atlas: object
@@ -277,7 +290,9 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
     The preimages and their log|phi'/phi| do not depend on t, so one
     frontier serves ``transfer_iterate`` at every t and every depth up to
     n (``level_budgets`` is prefix-stable).  w must lie outside the
-    reference circle, or no preimage of it lies in a tract.
+    reference circle, or no preimage of it lies in a tract; a level none
+    of whose parents lies outside it is refused with ValueError too, as it
+    would hold no term.
     """
     if not 1 <= n <= 4:
         raise ValueError("iterate depth limited to 1..4")
@@ -287,12 +302,18 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
     zs = np.array([complex(w)])
     sums = np.array([0.0])  # path sum of each point of zs, in walk order
     levels = []
-    for level, B in enumerate(level_budgets(branch_budget, n)):
+    budgets = level_budgets(branch_budget, n)
+    for level, B in enumerate(budgets):
         ks = np.arange(-B, B + 1)
         # a preimage lies in a tract only while its image stays outside
         # the reference circle, so shallower points have no expandable
         # children
         kept = np.flatnonzero(np.log(np.abs(zs)) > log_radius)
+        if not len(kept):
+            raise ValueError(
+                "iterate frontier level %d is empty: every preimage of depth "
+                "%d with |k| <= %d lies inside the reference circle |w| = %g"
+                % (level + 1, level, budgets[level - 1], atlas.radius))
         # out[b, r] holds row r's preimages under branch b
         shape = (len(atlas.tracts), len(kept), 2 * B + 1)
         if math.prod(shape) > _FRONTIER_CAP:
@@ -300,9 +321,13 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
                 "iterate frontier exceeds cap at level %d" % (level + 1)
             )
         # the last level's preimages expand no further, so only their
-        # path sums are kept and phi is not formed
+        # path sums are kept and phi is not formed; branches that share a
+        # closed-form weight share those sums, so one copy is formed
         expand = level < n - 1
-        out = np.empty(shape)
+        copies = len(atlas.tracts)
+        if not expand and atlas.shared_weight is not None:
+            copies = 1
+        out = np.empty((copies,) + shape[1:])
         children = np.empty(shape if expand else (0, 0, 0), dtype=complex)
         # continuation walks one point at a time, in frontier order,
         # because each walk starts from the anchors the last one left
@@ -315,7 +340,7 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
                 logw = np.log(np.abs(zs[sub]))[:, None]
                 argw = np.angle(zs[sub])[:, None]
             xi = _preimages(logw, argw, ks)
-            for b, branch in enumerate(atlas.tracts):
+            for b, branch in enumerate(atlas.tracts[:copies]):
                 rows = np.s_[b, lo:lo + len(sub)]
                 if expand:
                     child, dphi = tr.phi_path(branch, xi)
@@ -326,6 +351,10 @@ def iterate_frontier(atlas, w, n, branch_budget=128):
                 np.add(logterm.reshape(len(sub), -1), sums[sub][:, None],
                        out=out[rows])
         sums, zs = out.ravel(), children.ravel()
+        if copies < shape[0]:
+            # a read-only view whose C order is the (branch, parent, k)
+            # layout of the copies it stands for
+            sums = np.broadcast_to(sums, (shape[0], sums.size))
         sums.flags.writeable = False
         levels.append(sums)
     return IterateFrontier(atlas, complex(w), branch_budget, tuple(levels))

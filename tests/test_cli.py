@@ -29,6 +29,10 @@ BASILICA = {"family": "koenigs",
 OUTSIDE_8 = {"error": "ConfigError",
              "detail": "|w| = 7.38906 is not outside the reference circle "
                        "|w| = 8"}
+EMPTY_LEVEL_2 = {"error": "ConfigError",
+                 "detail": "iterate frontier level 2 is empty: every "
+                           "preimage of depth 1 with |k| <= 8 lies inside "
+                           "the reference circle |w| = 7.3"}
 
 
 def run_cli(argv, capsys):
@@ -230,6 +234,13 @@ class TestExitCodes:
         (["pressure", "--function", "quarter", "--tmin", "1.5",
           "--radius", "8"], OUTSIDE_8),
         (["hypdim", "--function", "quarter", "--radius", "8"], OUTSIDE_8),
+        # e^2 lies outside |w| = 7.3, but its depth-1 preimages under
+        # e^(z^2) with |k| <= 8 have |phi| <= |2 + 16 pi i|^(1/2) = 7.09, so
+        # depth 2 has no terms: refused, not reported as an underflow
+        (["pressure", "--function", "square", "--radius", "7.3",
+          "--branch-budget", "8", "--tmin", "1.5"], EMPTY_LEVEL_2),
+        (["hypdim", "--function", "square", "--radius", "7.3",
+          "--branch-budget", "8"], EMPTY_LEVEL_2),
         (["transfer", "--function", "exp", "--tmin", "1.2", "--radius", "10"],
          {"error": "ConfigError",
           "detail": "|w| = 7.38906 is not outside the reference circle "
@@ -270,7 +281,8 @@ class TestExitCodes:
             "bad-only",
             "bad-Tlist", "repeated-Tlist", "Tlist-sharing-a-stem",
             "pressure-radius-over-base",
-            "hypdim-radius-over-base", "transfer-radius-over-base",
+            "hypdim-radius-over-base", "pressure-empty-level",
+            "hypdim-empty-level", "transfer-radius-over-base",
             "spectrum-Tjmin-0", "hypdim-Tjmin-negative",
             "spectrum-Tjmax-overflow", "spectrum-tstep-too-fine",
             "transfer-tstep-below-float-spacing",

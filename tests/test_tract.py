@@ -450,6 +450,18 @@ class TestLogWeight:
             assert read._anchors[:, :n].tolist() == \
                 walked._anchors[:, :n].tolist()
 
+    @pytest.mark.parametrize("spec, shared", [
+        ("exp", True), ("square", True), ("composite", False),
+        ("koenigs:z^2-1", False)])
+    def test_shared_weight(self, spec, shared):
+        # the rotated tracts of e^(z^d) carry one weight; a composite or
+        # sampled branch has none to share
+        atlas = tr.find_tracts(_spec_handle(spec), np.e)
+        weight = atlas.shared_weight
+        assert (weight is not None) == shared
+        if shared:
+            assert all(b.weight is weight for b in atlas.tracts)
+
     @pytest.mark.parametrize("spec", ["exp", "square", "composite"])
     def test_scalar_matches_array(self, spec):
         branch = _fresh_branch(spec)

@@ -42,14 +42,29 @@ def koenigs_atlas():
 
 
 class TestApplyPoint:
-    def test_cotangent_closed_form(self, exp_atlas):
-        # sum over k of (b^2 + 4 pi^2 k^2)^(-1) = coth(b/2)/(2b)
-        s1 = tf.transfer_apply_point(exp_atlas, 2.0, E2)
-        assert s1.value == pytest.approx(math.cosh(1) / math.sinh(1) / 4,
-                                         abs=1e-6)
-        s2 = tf.transfer_apply_point(exp_atlas, 2.0, E4)
-        assert s2.value == pytest.approx(math.cosh(2) / math.sinh(2) / 8,
-                                         abs=1e-6)
+    def test_cotangent_closed_form(self, exp_atlas, square_atlas):
+        # sum over k of (b^2 + 4 pi^2 k^2)^(-1) = coth(b/2)/(2b); e^(z^2)
+        # has two tracts, each weighing 1/(4|xi|^2), so half that again
+        for atlas, scale in ((exp_atlas, 1.0), (square_atlas, 0.5)):
+            s1 = tf.transfer_apply_point(atlas, 2.0, E2)
+            assert s1.value == pytest.approx(
+                scale * math.cosh(1) / math.sinh(1) / 4, abs=1e-6)
+            s2 = tf.transfer_apply_point(atlas, 2.0, E4)
+            assert s2.value == pytest.approx(
+                scale * math.cosh(2) / math.sinh(2) / 8, abs=1e-6)
+
+    def test_shared_weight_formed_once(self, square_atlas, monkeypatch):
+        # e^(z^2)'s two tracts share one closed-form weight, so each half
+        # of a dyadic block (at most 65 terms here, one slice) is weighed
+        # once, not once per tract
+        calls = []
+        log_weight = tr.log_weight
+        monkeypatch.setattr(tr, "log_weight", lambda branch, xi: (
+            calls.append(np.size(xi)), log_weight(branch, xi))[1])
+        sample = tf.transfer_apply_point(square_atlas, 2.0, E2, k_budget=64)
+        assert len(calls) == 2 * len(sample.block_sums)
+        # every preimage term is weighed once and counted under each tract
+        assert sample.terms_used == 2 * sum(calls)
 
     def test_brute_force_oracle(self, exp_atlas):
         sample = tf.transfer_apply_point(exp_atlas, 1.5, E2, k_budget=4096)
@@ -354,7 +369,7 @@ class TestIterate:
         with pytest.raises(BudgetExceeded):
             tf.iterate_frontier(exp_atlas, E2, 4, 4096)
 
-    def test_frontier_is_frozen(self, exp_atlas):
+    def test_frontier_is_frozen(self, exp_atlas, square_atlas):
         frontier = tf.iterate_frontier(exp_atlas, E2, 2, 32)
         assert frontier.depth == 2
         # exp's preimages of e^2 are 2 + 2 pi i k, and all but k = 0 lie
@@ -367,6 +382,28 @@ class TestIterate:
             assert level.dtype == float and level.ndim == 1
             with pytest.raises(ValueError):
                 level[0] = 0.0
+        # e^(z^2)'s two tracts share their closed-form weight, so its last
+        # level is one tract's path sums, broadcast over both
+        frontier = tf.iterate_frontier(square_atlas, E2, 2, 32)
+        first, last = frontier.levels
+        assert first.ndim == 1 and first.size == 2 * (2 * B1 + 1)
+        # the depth-1 preimages with |k| <= 1, 2 per tract, have
+        # |phi|^2 = |2 + 2 pi i k| < e^2 and do not expand
+        assert last.dtype == float
+        assert last.shape == (2, (first.size - 6) * (2 * B2 + 1))
+        assert np.shares_memory(last[0], last[1])
+        with pytest.raises(ValueError):
+            last[0, 0] = 0.0
+
+    def test_empty_level_refused(self):
+        # e^2 lies outside |w| = 7.3, but none of its depth-1 preimages
+        # under e^(z^2) with |k| <= 8 does (|phi| <= 7.09): depth 2 would
+        # have no terms, and its value would read as an underflow
+        atlas = tr.find_tracts(lz.exp_power(1.0, 2), 7.3)
+        with pytest.raises(ValueError, match="level 2 is empty: every "
+                           r"preimage of depth 1 with \|k\| <= 8 lies inside "
+                           r"the reference circle \|w\| = 7.3"):
+            tf.iterate_frontier(atlas, E2, 3, 8)
 
     @pytest.mark.parametrize("spec", ["exp", "quarter", "square", "composite"])
     def test_path_sums_match_per_t_gather(self, spec):
@@ -425,6 +462,19 @@ class TestSumExp:
             x[n // 3] = -np.inf if fill == "-inf" else np.nan
         want = float(np.sum(np.exp(t * x)))
         assert float_bits(numerics.sum_exp(x, t)) == float_bits(want)
+
+    @pytest.mark.parametrize("t", [0.5, 1.5, 900.0])
+    @pytest.mark.parametrize("width", ["leaf-1", "leaf+3", 0])
+    def test_rows_in_c_order(self, width, t):
+        # leaves cross rows: of a broadcast (2, n) view, as a frontier
+        # level shared by two tracts, and of a 2-D array of 3 rows
+        n = {"leaf-1": numerics.LEAF - 1,
+             "leaf+3": numerics.LEAF + 3}.get(width, width)
+        x = np.random.default_rng(n).uniform(-8.0, 0.5, n)
+        for a in (np.broadcast_to(x, (2, n)),
+                  np.random.default_rng(n + 1).uniform(-8.0, 0.5, (3, n))):
+            want = float(np.sum(np.exp(t * a)))
+            assert float_bits(numerics.sum_exp(a, t)) == float_bits(want)
 
     @pytest.mark.parametrize("spec", ["exp", "quarter", "square", "composite"])
     def test_leaf_seams(self, spec, monkeypatch):
@@ -515,10 +565,11 @@ class TestFrontierBlocks:
                     float(np.sum(np.exp(t * level)))
 
     def test_memory_stays_bounded(self, square_atlas):
-        # the last level (16.6 MiB) is filled in row blocks: 70.4 MiB of
-        # numpy allocations when rows were concatenated; the sum at one t
-        # streams through one leaf buffer, where it took a scratch array
-        # of the level's size
+        # the last level is one tract's 8.3 MiB of path sums, broadcast
+        # over both tracts and filled in row blocks: 13.3 MiB of numpy
+        # allocations (21.6 MiB holding both tracts' 16.6 MiB, 70.4 MiB
+        # when rows were concatenated); the sum at one t streams through
+        # one leaf buffer, where it took a scratch array of the level's size
         tracemalloc.start()
         try:
             frontier = tf.iterate_frontier(square_atlas, E2, 3, 128)
@@ -529,7 +580,7 @@ class TestFrontierBlocks:
             extra = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert build_peak <= 28 * 2**20
+        assert build_peak <= 16 * 2**20
         assert extra <= 2**20
 
 

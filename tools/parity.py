@@ -14,7 +14,9 @@ Exit codes, stdout, stderr (with each tree's ``src`` path written as
 ``verify_seconds.json`` holds timings and is left out.  The script
 prints each differing route and each tree's ``src/tractdim`` code lines
 (tokens other than comments, docstrings and blank lines), and exits 1
-on any difference.
+on any difference.  Each route's process peak memory (``ru_maxrss``) is
+printed as ``rss P → C MB`` where the two trees' peaks differ by 5% or
+more; memory is reported, not compared.
 """
 
 import argparse
@@ -49,24 +51,40 @@ ROUTES = [
     ["transfer", "--function", "exp", "--tmin", "1.2", "--radius", "8"],
     *(["spectrum", "--config", c] for c in ("/dev/null", ".", "missing.json")),
     ["verify", "--only", "99"],
+    # e^2's depth-1 preimages with |k| <= 8 all lie inside |w| = 7.3
+    ["pressure", "--function", "square", "--radius", "7.3",
+     "--branch-budget", "8", "--tmin", "1.5"],
     # heights whose tract_T%g files coincide
     *(["tract-plot", "--function", "exp", "--Tlist", heights]
       for heights in ("5,5,5.0", "20,20.000001")),
 ]
 JOBS = 2  # routes run at once
-CLI = "import sys; from tractdim.cli import main; sys.exit(main(sys.argv[1:]))"
+#: Runs the command line on argv[2:] and, at exit, writes the process's
+#: peak resident set (ru_maxrss, KiB) to the file argv[1].
+CLI = ("import atexit, resource, sys; from tractdim.cli import main; "
+       "atexit.register(lambda: open(sys.argv[1], 'w').write('%d' % "
+       "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)); "
+       "sys.exit(main(sys.argv[2:]))")
+RSS_GAP = 0.05  # relative gap in peak memory that compare reports
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def run(tree, work, i):
-    """Route i on tree, from work: (exit code, stdout, stderr)."""
+    """Route i on tree, from work: (exit code, stdout, stderr, peak MB).
+
+    The peak is written beside the route's output directory, not in it,
+    so the compared trees hold only what the command wrote.
+    """
     src = str(Path(tree, "src").resolve())
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    rss = Path(work, "route%02d.rss" % i)
     proc = subprocess.run(
-        [sys.executable, "-c", CLI, *ROUTES[i], "--out", "route%02d" % i],
+        [sys.executable, "-c", CLI, str(rss), *ROUTES[i],
+         "--out", "route%02d" % i],
         cwd=work, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr.replace(src, "<src>")
+    return (proc.returncode, proc.stdout, proc.stderr.replace(src, "<src>"),
+            int(rss.read_text()) / 1024)
 
 
 def code_lines(path):
@@ -97,8 +115,8 @@ def compare(trees, work):
         results = [[r.result() for r in side] for side in results]
     differing = 0
     for i, route in enumerate(ROUTES):
-        rc_p, out_p, err_p = results[0][i]
-        rc_c, out_c, err_c = results[1][i]
+        rc_p, out_p, err_p, rss_p = results[0][i]
+        rc_c, out_c, err_c, rss_c = results[1][i]
         outs = [str(d / ("route%02d" % i)) for d in dirs]
         # A route that writes no output on either tree has equal files;
         # one written on a single tree makes diff exit 2.
@@ -114,6 +132,8 @@ def compare(trees, work):
                                       " ".join(route),
                                       "  (%s)" % ", ".join(found)
                                       if found else ""))
+        if abs(rss_c - rss_p) >= RSS_GAP * rss_p:
+            print("      rss %.1f → %.1f MB" % (rss_p, rss_c))
         if err_p != err_c:
             print("parent stderr:\n%schange stderr:\n%s" % (err_p, err_c),
                   end="")
