@@ -12,14 +12,16 @@ builds a handle from its JSON descriptor.
   z0 of a polynomial p, optionally precomposed with a scale kappa
   (f_kappa = f(kappa*z)).  Its Taylor series is solved in one pass, up to
   the first power-of-two order whose tail is below tolerance.  Its log f
-  comes from one escape ladder for scalars and arrays
-  (``linearizer_log_eval``): value steps v -> p(v), each a
-  ``poly.escape_sums`` Horner pass over p's precomputed (c_k, k*c_k)
-  pairs, a closed-form tail once |v| passes ``p.escape_bound``, and one
-  log per point; ``is_disjoint_type`` runs it once over its whole disk
-  grid, and ``make_disjoint_type`` once per kappa trial.  ``eval(z)``
-  steps the value without the tail (Overflow past the float range); check
-  6 holds the ladder's log f to it.
+  comes from the escape ladder (``linearizer_log_eval``): value steps
+  v -> p(v), each a Horner pass over p's (c_k, k*c_k) pairs, a
+  closed-form tail once |v| passes ``p.escape_bound``, and one log per
+  point.  Two kernels run it with the same arithmetic, a straight-line
+  one on a Python complex and a numpy one on an array, in which every
+  point descends by its own count; ``is_disjoint_type`` runs the array
+  kernel once over its whole disk grid, and ``make_disjoint_type`` once
+  per kappa trial.  ``eval(z)`` steps the value without the tail
+  (Overflow past the float range); check 6 holds the ladder's log f to
+  it.
 * ``CompositeExpModel``: F = inner o exp, an infinite-order model built
   over an inner handle whose tract sits deep in the right half-plane.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NotRepelling, Overflow, ScaleFloor
-from .poly import Polynomial, escape_sums, finite_real
+from .poly import Polynomial, finite_real
 
 _TAIL_TOL = 1e-14
 _MAX_SERIES_K = 256
@@ -147,51 +149,152 @@ def _series_eval(L, u):
     return L.z0 + u * s, s + u * ds
 
 
-def _climb(p, v, q, m, max_abs, log):
-    """(log p^m(v), Q carried along) by value steps, then a closed-form tail.
+def _tail(p, m):
+    """(d^m, (d^m - 1)/(d - 1) log c_d): the closed form of m more steps.
 
-    Each step maps v -> p(v) and Q -> Q v p'(v)/p(v), one ``escape_sums``
-    pass over p's pairs taken leading first.  Once |v| reaches
-    ``p.escape_bound``, p(v) = c_d v^d to the rounding unit, so the
-    remaining m steps give d^m log v + (d^m - 1)/(d - 1) log c_d and
-    Q * d^m.  Array points cross the bound at their own step: the ones
-    still below it (or nan) climb on as a smaller array.
+    Past ``p.escape_bound``, p(v) = c_d v^d to the rounding unit, so m
+    further steps map log v to d^m log v plus this lead term, and Q to
+    d^m Q.  Overflow once d^m itself is past the float range.
     """
-    pairs, bound = p.escape_pairs[::-1], p.escape_bound
-    for m in range(m, 0, -1):
-        if max_abs(v) >= bound:  # a nan modulus steps on
-            break
-        v, s2 = escape_sums(pairs, v)
-        q = (s2 / v) * q
-    else:
-        return log(v), q
     d, power = p.degree, p.degree**m
-    if power.bit_length() > 1024:  # d^m is past the float range
+    if power.bit_length() > 1024:
         raise Overflow("log f leaves the float range: d^m = %d^%d" % (d, m))
-    lead = (power - 1) // (d - 1) * cmath.log(p.coefficients[-1])
-    if not np.ndim(v):
-        return power * log(v) + lead, power * q
-    logf = np.empty_like(v)
-    rest = ~(np.abs(v) >= bound)
-    if rest.any():
-        logf[rest], q[rest] = _climb(p, v[rest], q[rest], m, max_abs, log)
-    logf[~rest] = power * log(v[~rest]) + lead
-    q[~rest] *= power
-    return logf, q
+    return power, (power - 1) // (d - 1) * cmath.log(p.coefficients[-1])
 
 
-def _escape_ladder(L, u0, max_abs, log):
-    """Series at u0/lam^n inside the series disk, then n escape steps."""
-    lam, abs_lam, r0 = L.lam, abs(L.lam), L.series_radius
-    n, biggest = 0, max_abs(u0)
-    if biggest == math.inf:  # no number of lam-divisions brings it in
+def _descent_count(L, r):
+    """How many lam-divisions, one at a time, bring a modulus r to the
+    series disk; Overflow at r = inf, which no number of them brings in."""
+    if r == math.inf:
         raise Overflow("linearizer argument kappa*z is infinite")
-    while biggest > r0:
-        u0 = u0 / lam
+    n = 0
+    while r > L.series_radius:
+        r /= abs(L.lam)
+        n += 1
+    return n
+
+
+def _scalar_ladder(L, z):
+    """The ladder on one Python complex, in cmath.
+
+    A climb step is p's Horner pass, leading first, written out: it starts
+    from c_d v and skips each addition of a zero coefficient but the
+    constant term's, whose addition turns a -0.0 part into +0.0 as the
+    full pass does, so the bits are those of ``poly.escape_sums``.
+    """
+    lam, p = L.lam, L.p
+    u = L.kappa * complex(z)
+    biggest, abs_lam, n = abs(u), abs(lam), 0
+    if biggest == math.inf:  # as _descent_count, inline for speed
+        raise Overflow("linearizer argument kappa*z is infinite")
+    while biggest > L.series_radius:
+        u = u / lam
         biggest /= abs_lam
         n += 1
-    g, dg = _series_eval(L, u0)
-    return _climb(L.p, g, dg * (L.kappa / lam**n) / g, n, max_abs, log)
+    s = ds = 0j  # _series_eval, inline for speed
+    for a in reversed(L.taylor):
+        ds = ds * u + s
+        s = s * u + a
+    v = L.z0 + u * s
+    q = (s + u * ds) * (L.kappa / lam**n) / v
+    pairs, bound = p.escape_pairs, p.escape_bound
+    (lead, lead_k), lower, (c0, kc0) = pairs[-1], pairs[-2:0:-1], pairs[0]
+    for m in range(n, 0, -1):
+        if abs(v) >= bound:  # a nan modulus steps on
+            power, shift = _tail(p, m)
+            return power * cmath.log(v) + shift, power * q
+        s1, s2 = lead * v, lead_k * v
+        for c, kc in lower:
+            if c:
+                s1, s2 = s1 + c, s2 + kc
+            s1, s2 = s1 * v, s2 * v
+        v, s2 = s1 + c0, s2 + kc0
+        q = (s2 / v) * q
+    return cmath.log(v), q
+
+
+def _batch_ladder(L, z):
+    """The ladder on an array, each point with its own descent count.
+
+    A division is monotone in the modulus, so once the moduli are sorted
+    (largest first, nan last) the points that still divide, and later
+    still climb, at a step are a prefix of the array; a batch whose
+    largest and smallest moduli take the same count needs no sort.  The
+    temporaries go into buffers through ``out=``, with the scalar kernel's
+    skips and operand order (numpy's complex product is not symmetric to
+    the last bit).  A point whose modulus reaches ``p.escape_bound`` takes
+    the tail with its own remaining count, then steps on quietly as nan.
+    The input order is restored at the end, so no point's result depends
+    on the rest of the batch.
+    """
+    lam, p = L.lam, L.p
+    u = L.kappa * np.asarray(z, dtype=complex).ravel()
+    mod = np.abs(u)
+    # the largest count and the smallest (fmax skips nan, minimum takes it
+    # and counts 0); a batch whose ends agree needs no sort
+    top = _descent_count(L, float(np.fmax.reduce(mod)))
+    active = [u.size] * _descent_count(L, float(np.minimum.reduce(mod)))
+    order = None
+    if len(active) < top:
+        # -|u| sorted up, nan last.  A division keeps the order, so the
+        # points still outside the series disk (and later still climbing)
+        # are the first active[k] after k divisions.
+        order = np.argsort(-mod)
+        u, mod = u[order], -mod[order]
+        for _ in active:
+            np.divide(mod, abs(lam), out=mod)
+        while c := np.searchsorted(mod, -L.series_radius):
+            active.append(c)
+            np.divide(mod[:c], abs(lam), out=mod[:c])
+    for c in active:
+        np.divide(u[:c], lam, out=u[:c])
+    n = np.searchsorted(-np.array(active, dtype=int), -np.arange(u.size))
+    # _series_eval's Horner from 0j.  No product is written over one of its
+    # own factors: on a one-point array numpy rounds such a product in
+    # another loop, and the point's bits would depend on its batch.
+    tmp, ds, s = 0j * u, np.empty_like(u), np.empty_like(u)
+    np.add(tmp, 0j, out=ds)
+    np.add(tmp, L.taylor[-1], out=s)
+    for a in L.taylor[-2::-1]:
+        np.multiply(ds, u, out=tmp)
+        np.add(tmp, s, out=ds)
+        np.multiply(s, u, out=tmp)
+        np.add(tmp, a, out=s)
+    v = L.z0 + u * s
+    q = (s + u * ds) * np.array([L.kappa / lam**k for k in range(
+        len(active) + 1)])[n] / v
+    pairs, tails = p.escape_pairs, []
+    (lead, lead_k), lower, (c0, kc0) = pairs[-1], pairs[-2:0:-1], pairs[0]
+    for j, c in enumerate(active):
+        vj, qj = v[:c], q[:c]
+        if np.fmax.reduce(np.abs(vj, out=mod[:c])) >= p.escape_bound:
+            up = np.flatnonzero(mod[:c] >= p.escape_bound)
+            m = n[up] - j  # steps left, non-increasing
+            power, shift = np.array([_tail(p, k) for k in range(
+                m[-1], m[0] + 1)], dtype=complex)[m - m[-1]].T
+            tails.append((up, power * _kernels.clog(vj[up]) + shift,
+                          qj[up] * power))
+            vj[up] = np.nan
+        s1, t1, s2, t2 = s[:c], ds[:c], tmp[:c], u[:c]
+        np.multiply(lead, vj, out=s1)
+        np.multiply(lead_k, vj, out=s2)
+        for c_k, kc_k in lower:
+            if c_k:
+                np.add(s1, c_k, out=s1)
+                np.add(s2, kc_k, out=s2)
+            np.multiply(s1, vj, out=t1)
+            np.multiply(s2, vj, out=t2)
+            s1, t1, s2, t2 = t1, s1, t2, s2
+        np.add(s1, c0, out=vj)
+        np.add(s2, kc0, out=s2)
+        np.divide(s2, vj, out=s2)
+        qj[...] = np.multiply(s2, qj, out=t2)
+    logf = _kernels.clog(v)
+    for up, lf, qt in tails:
+        logf[up], q[up] = lf, qt
+    if order is not None:
+        logf[order], q[order] = logf.copy(), q.copy()
+    return logf.reshape(np.shape(z)), q.reshape(np.shape(z))
 
 
 def linearizer_log_eval(L, z):
@@ -202,37 +305,35 @@ def linearizer_log_eval(L, z):
     Q -> Q v p'(v)/p(v), and log f = log v is taken once per point, on the
     principal branch (the module contract is log f up to 2 pi i).  Past
     ``p.escape_bound`` the remaining steps are exact in closed form (see
-    ``_climb``), so log f stays finite however far f escapes; Overflow
-    only if log f itself leaves the float range (d^m past it).  Downwards
-    f keeps the float range: below about e^-708 it loses precision, and an
+    ``_tail``), so log f stays finite however far f escapes; Overflow only
+    if log f itself leaves the float range (d^m past it).  Downwards f
+    keeps the float range: below about e^-708 it loses precision, and an
     orbit that underflows to 0 returns log f = -inf with Q = nan, the same
     on both paths and without a warning (Q is nan too where an orbit lands
     on an exact zero of p).
 
-    Accepts scalars or arrays; the descent count n is uniform over a batch,
-    so a point much smaller than the batch's largest starts deeper in the
-    series disk and takes extra steps.  A scalar runs the ladder on Python
-    complex numbers with cmath (a Python complex goes there without asking
-    numpy for its shape); an array (or a scalar cmath refuses) takes its
-    log with ``_kernels.clog``, and its largest modulus skips nan points.
+    Accepts scalars or arrays, through two kernels with one arithmetic.  A
+    scalar runs ``_scalar_ladder`` on Python complex numbers with cmath (a
+    Python complex goes there without asking numpy for its shape); an
+    array, or a scalar that cmath refuses, runs ``_batch_ladder``.  Each
+    point of an array descends by its own count, the one the scalar kernel
+    takes, so an array call gives every point the bits of its one-point
+    array call; those agree with the scalar kernel to rounding (numpy and
+    Python round a complex product differently).
 
-    The scalar fork is kept for speed.  With every scalar sent down the
-    array path, ``transfer_apply_point`` on the ``koenigs:z^2-1`` atlas at
-    t = 2, w = e^2 took 3.8-5.1 s instead of 1.0-1.3 s, and check 8's
-    ``el_violations`` at 4,096 samples 0.27-0.31 s instead of 0.14-0.20 s
-    (three runs each on a 2-core VM, Python 3.11, numpy 2.4; the transfer
-    value also moved in its last digit).
+    The scalar kernel is kept for speed.  On the 73,843 scalar calls of
+    one ``sampled_tracts`` benchmark pass it took 0.53 s; the same calls
+    as one-point arrays through the array kernel took 11.5 s (best of
+    three on a 2-core VM, Python 3.11, numpy 2.4).
     """
     scalar = isinstance(z, complex) or np.ndim(z) == 0
     if scalar:
         try:
-            return _escape_ladder(L, L.kappa * complex(z), abs, cmath.log)
+            return _scalar_ladder(L, z)
         except (ArithmeticError, ValueError):
             pass  # cmath raises where numpy returns inf or nan: keep numpy's
-    u0 = L.kappa * np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        logf, q = _escape_ladder(L, u0, lambda u: np.fmax.reduce(
-            np.abs(u), axis=None), _kernels.clog)
+        logf, q = _batch_ladder(L, z)
     if scalar:
         return complex(logf), complex(q)
     return logf, q

@@ -318,9 +318,12 @@ def escape_sums(pairs, u):
     pairs is p's ``escape_pairs``, the (c_k, k*c_k) pairs constant first;
     at v = 1/u, S1 = p(v)/v^d and S2 = v p'(v)/v^d (the Boettcher orbit).
     Taken leading first (``escape_pairs[::-1]``) the same pass gives
-    S1 = p(u) and S2 = u p'(u), one value step of the linearizer ladder.
-    The sums start from 0j, so u may be a Python complex or an array, and
-    the first step's 0j*u keeps numpy's nan and inf where u has them.
+    S1 = p(u) and S2 = u p'(u), one value step of the linearizer ladder,
+    whose kernels write the pass out without the 0j start and the
+    additions of zero coefficients; the tests hold the scalar kernel to
+    this function bit for bit.  The sums start from 0j, so u may be a
+    Python complex or an array, and the first step's 0j*u keeps numpy's
+    nan and inf where u has them.
     """
     s1 = s2 = 0j
     for c, kc in pairs:

@@ -211,11 +211,15 @@ class TestLogEval:
             assert abs(q - kappa) <= 1e-12 * kappa
 
     def test_scalar_matches_array(self):
+        # the dense cubic has no zero coefficient, so neither kernel skips
+        # a product (lam = 4.49 at its repelling fixed point)
+        dense = Polynomial.from_string("z^3+0.2z^2-0.5z+0.1")
         linearizers = [
             lz.make_koenigs(P_SQUARE, 1.0, 0.25),
             lz.make_koenigs(P_COSH, 1.0, 0.125),
             lz.make_koenigs(Polynomial.from_string("z^2-1"), (1 + np.sqrt(5)) / 2,
                             0.1),
+            lz.make_koenigs(dense, poly.repelling_fixed_point(dense), 0.1),
         ]
         for L in linearizers:
             for z in sample_ring(200, 1.0, 1e5, seed=5):
@@ -227,15 +231,11 @@ class TestLogEval:
                     else:
                         assert not np.isfinite(a)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the escape ladder descends every point of an "
-                              "array by the largest modulus in it")
     def test_wide_batch_matches_scalar(self):
-        # one array of |z| from 1e-3 to 1e10: a small point descends as far
-        # as the largest, so its series deviation is rounded away before
-        # the extra steps amplify it (6.9e-8 in log f, 7.8e-8 in Q); one
-        # array call per point matches the scalars to 8e-16.  The angles
-        # keep |arg z| < 2.5, away from the zeros of cosh.
+        # one array of |z| from 1e-3 to 1e10: each point descends by its
+        # own count, so a small point no longer starts as deep as the
+        # largest (which put it off by 6.9e-8 in log f and 7.8e-8 in Q).
+        # The angles keep |arg z| < 2.5, away from the zeros of cosh.
         L = lz.make_koenigs(Polynomial.from_string("z^2-2"), 2.0, 0.125)
         n = 210
         zs = np.logspace(-3, 10, n) * np.exp(
@@ -245,6 +245,26 @@ class TestLogEval:
         assert np.all(np.abs(wrapped(logf - want[0]))
                       <= 1e-13 * (1 + np.abs(want[0])))
         assert np.all(np.abs(q - want[1]) <= 1e-13 * np.abs(want[1]))
+
+    def test_batch_point_is_its_one_point_call(self):
+        # counts from 0 to 15 in one 2-d batch, points that pass the escape
+        # bound at different steps, an exact zero and a nan: every result
+        # has the bits of the same point's one-point call
+        p = Polynomial.from_string("z^2-2")
+        L = lz.make_koenigs(p, 2.0, 0.125)
+        n = 60
+        zs = np.logspace(-3, 10, n) * np.exp(
+            2.5j * (2 * numerics.halton(n, 3) - 1))
+        zs[[7, 31]] = 0.0, complex(np.nan, 1.0)
+        counts = [descent_count(L, z) for z in zs[~np.isnan(zs)]]
+        assert min(counts) == 0 and max(counts) == 15
+        logf, q = lz.linearizer_log_eval(L, zs.reshape(6, 10))
+        assert logf.shape == q.shape == (6, 10)
+        assert np.sum(logf.real > math.log(p.escape_bound)) >= 10
+        assert cmath.isnan(logf.flat[31]) and cmath.isnan(q.flat[31])
+        for z, got in zip(zs, zip(logf.ravel(), q.ravel())):
+            want = lz.linearizer_log_eval(L, np.array([z]))
+            assert np.array_equal(bits(got), bits(np.ravel(want)))
 
     def test_nan_point_leaves_batch_alone(self):
         # the batch's largest modulus skips nan: with np.max a nan point
@@ -375,8 +395,7 @@ def cosh_closed(L, z):
 def closed_form_errors(L, zs, closed, log_eval):
     """Max and rms errors of log f (mod 2 pi i, relative to 1 + |log f|) and
     of Q (relative): scalar calls, then one array call per row of 15 points
-    of similar modulus (the descent count is uniform over a batch), over
-    the first multiple of 15 points by modulus."""
+    of similar modulus, over the first multiple of 15 points by modulus."""
     rows = zs[np.argsort(np.abs(zs))][: zs.size // 15 * 15].reshape(-1, 15)
     want_lf, want_q = closed(L, rows)
     scalar = np.array([[log_eval(L, complex(z)) for z in row] for row in rows])
@@ -475,7 +494,55 @@ class TestLadderOracles:
                       <= 1e-13 * np.abs(want[1]))  # 4.7e-15
 
 
+def ref_value_ladder(L, z):
+    """The scalar value ladder before its climb was written out (frozen
+    copy): each step one full ``poly.escape_sums`` pass, leading first,
+    from 0j over every pair."""
+    u, n, biggest = L.kappa * complex(z), 0, abs(L.kappa * complex(z))
+    while biggest > L.series_radius:
+        u = u / L.lam
+        biggest /= abs(L.lam)
+        n += 1
+    v, dv = ref_series_eval(L, u)
+    q = dv * (L.kappa / L.lam**n) / v
+    p = L.p
+    for m in range(n, 0, -1):
+        if abs(v) >= p.escape_bound:
+            d, power = p.degree, p.degree**m
+            lead = (power - 1) // (d - 1) * cmath.log(p.coefficients[-1])
+            return power * cmath.log(v) + lead, power * q
+        v, s2 = poly.escape_sums(p.escape_pairs[::-1], v)
+        q = (s2 / v) * q
+    return cmath.log(v), q
+
+
 class TestLadderBitwise:
+    @pytest.mark.parametrize("spec", ["z^2-1", "z^2-2", "z^3-0.5z", "2z^2-1",
+                                      "z^2+0.05i", "z^3+0.2z^2-0.5z+0.1"])
+    def test_scalar_kernel_matches_full_pass(self, spec):
+        # skipping the zero coefficients (and the 0j start) changes no bit,
+        # on the axes either, where only signed zeros could tell
+        p = Polynomial.from_string(spec)
+        L = lz.make_koenigs(p, poly.repelling_fixed_point(p), 0.1)
+        r = np.logspace(-3, 9, 100)
+        zs = np.concatenate([sample_ring(400, 1e-3, 1e9, seed=9),
+                             r, -r, 1j * r, -1j * r])
+        escaped = 0
+        for z in zs:
+            try:
+                want = ref_value_ladder(L, z)
+            except (ArithmeticError, ValueError) as error:
+                # an orbit through an exact zero of p (z^2-1 on the real
+                # axis): the kernel raises alike, and numpy takes over
+                with pytest.raises(type(error)):
+                    lz._scalar_ladder(L, z)
+                continue
+            got = lz.linearizer_log_eval(L, complex(z))
+            assert type(got[0]) is complex and type(got[1]) is complex
+            assert np.array_equal(bits(got), bits(want))
+            escaped += got[0].real > math.log(p.escape_bound)
+        assert escaped >= 100  # so the tail is held to the full pass too
+
     @pytest.mark.parametrize("z", [3, -8000])
     def test_scalar_input_types(self, z):
         # every scalar type takes the cmath path and gives the same bits;

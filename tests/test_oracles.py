@@ -65,6 +65,23 @@ def test_koenigs_chebyshev_theta_is_one(tmp_path, capsys):
     assert abs(out["result"]["theta_hat"] - 1.0) <= 0.01
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_1)
+def test_koenigs_basilica_hypdim_theta(tmp_path, capsys):
+    # HD J(z^2-1) = 1.2683 (McMullen); exits 3 with NoSignChange,
+    # b(1) = 0.786
+    out = run(["hypdim", "--function", "koenigs:z^2-1"], tmp_path, capsys)
+    assert abs(out["result"]["theta_hat"] - 1.2683) <= 0.01
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_1)
+def test_koenigs_cubic_spectrum_theta(tmp_path, capsys):
+    # HD J(z^3-0.5z) = 1.0277 (ROADMAP item 3's eigenvalue); prints
+    # 1.437890625
+    out = run(["spectrum", "--function", "koenigs:z^3-0.5z"], tmp_path,
+              capsys)
+    assert abs(out["summary"]["theta_hat"] - 1.0277) <= 0.005
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4)
 def test_quarter_zero_matches_eigenvalue(tmp_path, capsys):
     # the transfer-operator eigenvalue puts the zero of e^z/4 at 1.2448;

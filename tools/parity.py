@@ -4,8 +4,9 @@
 
 PARENT and CHANGE are two checkouts of this repository, for example two
 ``git archive`` copies.  ``ROUTES`` runs each command on each shorthand
-function, ``hypdim --poly``, ``verify``, and inputs that the front end
-refuses (exit 2 or 3), so the refusal texts are compared too.  Each
+function, ``spectrum`` and ``hypdim`` on two more Koenigs linearizers,
+``hypdim --poly``, ``verify``, and inputs that the front end refuses
+(exit 2 or 3), so the refusal texts are compared too.  Each
 route runs once per tree as ``tractdim.cli.main`` with ``PYTHONPATH`` set
 to the tree's ``src`` and the same relative ``--out`` directory, so no
 path in an output differs.
@@ -31,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 FUNCTIONS = ("exp", "quarter", "square", "composite", "koenigs:z^2-1")
+KOENIGS = ("koenigs:z^2-2", "koenigs:z^3-0.5z")
 POLYS = ("z^2", "z^2-1", "z^3-0.5z", "z^2+0.05i")
 TIMINGS = "verify_seconds.json"
 ROUTES = [
@@ -39,6 +41,11 @@ ROUTES = [
     for command, *extra in (["spectrum"], ["transfer", "--tmin", "1.2"],
                             ["pressure", "--tmin", "1.5"], ["hypdim"],
                             ["tract-plot"])
+] + [
+    # the ladder on a second quadratic and on a cubic with two zero
+    # coefficients; pressure is left out there for run time
+    [command, "--function", f] for f in KOENIGS for command in ("spectrum",
+                                                                 "hypdim")
 ] + [["hypdim", "--poly", p] for p in POLYS] + [["verify"]] + [
     # refusals: each exits 2 (3 for the fixed point) and writes no file
     ["hypdim", "--poly", "z"], ["hypdim", "--poly", "z^2+"],
