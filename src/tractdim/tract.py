@@ -493,6 +493,8 @@ def estimate_holder(branch, T, pairs=2000):
 def el_violations(branch, samples=10000):
     """Sampled xi of Q_16 violating |phi'(xi)/phi(xi)| <= 4 pi / Re xi; a
     nan quotient violates it too."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     h2, h3 = halton(samples, 2), halton(samples, 3)
     re = MIN_OFFSET + (64 - MIN_OFFSET) * h2
     im = (2 * h3 - 1) * 64

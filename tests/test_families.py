@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from tractdim import checks, cli
 from tractdim import linearizer as lz
+from tractdim import tract as tr
 
-#: handle -> largest |z| sampled; the exp-family radii keep f in float range
-RADII = {"exp": 20.0, "quarter": 20.0, "square": 4.0, "composite": 4.0,
+#: handle -> largest |z| (Koenigs) or |xi| (closed form) sampled; the
+#: exp-family radii keep f in float range
+RADII = {"exp": 20.0, "quarter": 20.0, "square": 20.0, "composite": 20.0,
          "check8": 40.0, "koenigs:z^2-1": 40.0}
 _handles = {}
 
@@ -41,26 +44,36 @@ def _closed_form(spec, z):
                             allow_infinity=False))
 def test_family_interface(spec, u):
     h = _handle(spec)
-    z = RADII[spec] * u
-    logf, q = h.log_f_and_q(z)
     if isinstance(h, lz.KoenigsLinearizer):
+        z = RADII[spec] * u
+        logf, q = h.log_f_and_q(z)
         # the value ladder, and f(lam z) = p(f(z)) differentiated
         f = h.eval(z)
         lhs = h.lam * h.log_f_and_q(h.lam * z)[1]
         assert _close(lhs, q * f * h.p.derivative(f) / h.p(f))
-    else:
-        f, want_q = _closed_form(spec, z)
-        assert _close(q, want_q)
-    assert _close(cmath.exp(logf), f)
+        assert _close(cmath.exp(logf), f)
+        return
+    # a closed family is read through its tract builder: on every branch,
+    # the written-out f maps phi(xi) to e^xi and phi' (f'/f)(phi) = 1
+    xi = 1.0 + RADII[spec] * complex(abs(u.real), u.imag)
+    for branch in tr.find_tracts(h, math.e).tracts:
+        z, dphi = tr.phi_eval(branch, xi)
+        f, q = _closed_form(spec, complex(z))
+        res = cmath.log(f) - xi
+        res = complex(res.real, math.remainder(res.imag, 2 * math.pi))
+        assert abs(res) <= 1e-9 * (1 + abs(xi))
+        assert _close(complex(dphi) * q, 1.0)
 
 
 @pytest.mark.parametrize("cls, extra", [
     (lz.ExpPower, set()), (lz.CompositeExpModel, set()),
-    # the value ladder that check 6 holds the log ladder to
-    (lz.KoenigsLinearizer, {"eval"})])
+    # the sampled branch's log f and the value ladder that check 6 holds
+    # it to
+    (lz.KoenigsLinearizer, {"log_f_and_q", "eval"})])
 def test_handle_members(cls, extra):
-    # the pipeline reads a handle only through these two members, so a
-    # test-only member cannot return unnoticed
+    # the pipeline reads a closed family only through its tract builder
+    # and a Koenigs handle also through log_f_and_q, so a test-only member
+    # cannot return unnoticed
     fields = {f.name for f in dataclasses.fields(cls)}
     members = {name for name in dir(cls) if not name.startswith("_")}
-    assert members - fields == {"log_f_and_q", "singular_radius"} | extra
+    assert members - fields == {"singular_radius"} | extra

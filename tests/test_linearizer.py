@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tractdim import _kernels, cli, linearizer as lz, numerics, poly
+from tractdim import tract as tr
 from tractdim.errors import NotRepelling, Overflow, ScaleFloor
 from tractdim.poly import Polynomial
 
@@ -631,21 +632,36 @@ class TestDisjointType:
 
 
 def value(h, z):
-    """f(z) from the handle's log f."""
+    """f(z) from a Koenigs handle's log f."""
     return cmath.exp(h.log_f_and_q(z)[0])
 
 
+def tract_points(handle, xi):
+    """(phi, phi') at xi on each tract of a closed family, R = e."""
+    return [tr.phi_eval(b, xi) for b in tr.find_tracts(handle, np.e).tracts]
+
+
 class TestHandles:
+    # A closed family is read through its tract builder, so each test holds
+    # the production map phi to f written out: f(phi(xi)) = e^xi, and
+    # phi'(xi) (f'/f)(phi(xi)) = 1.
     def test_exp_power_eval(self):
-        h = lz.exp_power(1.0, 2)
-        assert value(h, 1 + 1j) == pytest.approx(
-            -0.4161468 + 0.9092974j, abs=1e-6
-        )
+        h = lz.exp_power(1.0, 2)  # e^{z^2}: phi(3 + 4i) = +-(2 + i)
+        xi = 3 + 4j
+        got = sorted(tract_points(h, xi), key=lambda zd: zd[0].real)
+        for (z, dphi), want in zip(got, (-2 - 1j, 2 + 1j)):
+            assert z == pytest.approx(want, abs=1e-12)
+            assert cmath.exp(z**2) == pytest.approx(cmath.exp(xi), rel=1e-12)
+            assert dphi * 2 * z == pytest.approx(1.0, abs=1e-12)
 
     def test_composite(self):
         inner = lz.exp_power(np.exp(-6.0), 1)  # e^{z-6}
-        F = lz.CompositeExpModel(inner)
-        assert value(F, np.log(10)) == pytest.approx(np.exp(4.0), rel=1e-12)
+        F = lz.CompositeExpModel(inner)  # e^{-6} e^{e^z}: phi(4) = log 10
+        [(z, dphi)] = tract_points(F, 4.0)
+        assert z == pytest.approx(np.log(10), rel=1e-12)
+        assert np.exp(-6.0) * cmath.exp(cmath.exp(z)) == pytest.approx(
+            np.exp(4.0), rel=1e-12)
+        assert dphi * cmath.exp(z) == pytest.approx(1.0, abs=1e-12)
 
     def test_exp_power_refuses_zero_lambda(self):
         with pytest.raises(ValueError, match="lambda must be nonzero"):
@@ -656,18 +672,23 @@ class TestHandles:
         assert h.eval(1.0) == pytest.approx(np.e, abs=1e-9)
 
     def test_derivative_consistency(self):
-        handles = [
-            lz.exp_power(0.25, 1),
-            lz.exp_power(1.0, 2),
-            lz.make_koenigs(P_SQUARE, 1.0),
-            lz.CompositeExpModel(lz.exp_power(np.exp(-6.0), 1)),
-        ]
         h = 1e-6
-        for handle in handles:
-            for z in sample_disk(100, 2.0, seed=6) + 2.5:
-                num = (value(handle, z + h) - value(handle, z - h)) / (2 * h)
-                d = handle.log_f_and_q(z)[1] * value(handle, z)
-                assert d == pytest.approx(num, rel=1e-5)
+        handle = lz.make_koenigs(P_SQUARE, 1.0)
+        for z in sample_disk(100, 2.0, seed=6) + 2.5:
+            num = (value(handle, z + h) - value(handle, z - h)) / (2 * h)
+            d = handle.log_f_and_q(z)[1] * value(handle, z)
+            assert d == pytest.approx(num, rel=1e-5)
+        # a closed family: phi' against f' by differences at phi(xi)
+        for handle, f in [
+            (lz.exp_power(0.25, 1), lambda z: 0.25 * cmath.exp(z)),
+            (lz.exp_power(1.0, 2), lambda z: cmath.exp(z * z)),
+            (lz.CompositeExpModel(lz.exp_power(np.exp(-6.0), 1)),
+             lambda z: np.exp(-6.0) * cmath.exp(cmath.exp(z))),
+        ]:
+            for xi in sample_disk(100, 2.0, seed=6) + 2.5:
+                for z, dphi in tract_points(handle, xi):
+                    num = (f(z + h) - f(z - h)) / (2 * h)
+                    assert dphi * num / f(z) == pytest.approx(1.0, rel=1e-5)
 
     def test_reads_literal_descriptors(self):
         cosh = {"coeffs": [[-1, 0], [0, 0], [2.0, 0.0]]}

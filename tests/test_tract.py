@@ -294,6 +294,19 @@ class TestDistortion:
         for branch in (exp_branch, sq_branch, koenigs_branch):
             assert tr.el_violations(branch, samples=1000) == 0
 
+    def test_el_sample_floor(self, exp_branch, koenigs_branch, monkeypatch):
+        # no sample cannot violate the bound: refused before any phi call
+        def unreachable(branch, xi):
+            raise AssertionError("phi evaluated")
+
+        with monkeypatch.context() as m:
+            m.setattr(tr, "phi_eval", unreachable)
+            for branch in (exp_branch, koenigs_branch):
+                for samples in (0, -1):
+                    with pytest.raises(ValueError, match="samples must be"):
+                        tr.el_violations(branch, samples=samples)
+        assert tr.el_violations(exp_branch, samples=1) == 0
+
     def test_real_axis_distortion(self, sq_branch, koenigs_branch):
         for branch in (sq_branch, koenigs_branch):
             d1 = abs(tr.phi_eval(branch, 1.0)[1])

@@ -159,7 +159,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     trees = (args.parent, args.change)
     if args.work:
-        differing = compare(trees, args.work)
+        # absolute: each route runs from inside it and reads its .rss back
+        differing = compare(trees, os.path.abspath(args.work))
     else:
         with tempfile.TemporaryDirectory() as work:
             differing = compare(trees, work)
