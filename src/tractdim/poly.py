@@ -510,7 +510,9 @@ def bottcher_means_spectrum(p, t, r_list):
     (returns an ndarray of slopes, one per exponent).
     """
     x = np.asarray(r_list, dtype=float) - 1.0
-    if np.unique(x).size < 3:
+    # counted on a sorted copy: a bare np.unique imports numpy.ma (numpy 2.4)
+    s = np.sort(x, axis=None)
+    if np.count_nonzero(s[1:] != s[:-1]) < 2:
         raise ValueError("the r -> 1 fit needs at least 3 distinct radii")
     t = np.asarray(t, dtype=float)
     ys = np.log(bottcher_circle_means(p, r_list, t))

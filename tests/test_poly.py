@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -658,6 +661,19 @@ class TestBottcher:
         with pytest.raises(BranchLoss):
             poly.bottcher_circle_means(Polynomial.from_string("z^2+0.5"),
                                        1.01, 1.0)
+
+    def test_means_spectrum_leaves_numpy_ma_out(self):
+        # a bare np.unique imports numpy.ma (13-18 ms, 1.3 MB in numpy 2.4)
+        code = ("import sys, tractdim.poly as poly; "
+                "p = poly.Polynomial.from_string('z^2-1'); "
+                "poly.bottcher_means_spectrum(p, 1.0, (1.1, 1.03, 1.01)); "
+                "print('numpy.ma' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(poly.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert out.strip() == "False"
 
     def test_means_spectrum_flat_for_exceptional(self):
         for p in (Z2, CHEB):

@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tractdim.cli as cli
 import tractdim.linearizer as lz
 import tractdim.spectrum as sp
 import tractdim.tract as tr
@@ -127,6 +129,20 @@ class TestBetaInfinity:
         assert [T for T, _ in sp.means_tables(exp_branch)][-1] == 2.0 ** 14
         with pytest.raises(InvalidGrid, match=r"cap 2\^9"):
             sp.means_tables(koenigs, (256.0, 512.0, 1024.0))
+
+    def test_sampled_tables_scratch_stays_bounded(self):
+        # the 16,384-point phi_refine calls at T = 2^8 and 2^9 polish in
+        # blocks, so the peak is 4.2 MiB of allocations for 1.1 MiB of
+        # tables, against 7.1 MiB when each level is one Newton batch
+        h = cli.function_from_spec("koenigs:z^2-1")
+        branch = tr.find_tracts(h, np.e).tracts[0]
+        tracemalloc.start()
+        try:
+            sp.means_tables(branch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
 
 
 class TestSpectrumShape:

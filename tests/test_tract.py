@@ -211,6 +211,39 @@ class TestRefine:
         _, q = branch.handle.log_f_and_q(z)
         assert np.all(np.abs(dphi * q - 1) <= 1e-12)
 
+    def test_blocks_keep_the_bits_of_one_batch(self, monkeypatch):
+        # 10,001 points (two full blocks and a partial one) with guesses
+        # interpolated from a coarser walk, as the node tables make them
+        branch = _fresh_branch("koenigs:z^2-1")
+        T = 256.0
+        y0 = np.linspace(1.0, 2.0, 257)
+        z0, _ = tr.phi_path(branch, T * (1.0 / T + 1j * y0))
+        y = np.linspace(1.0, 2.0, 10_001)
+        xi = (T * (1.0 / T + 1j * y)).reshape(73, 137)
+        guess = (np.interp(y, y0, z0.real)
+                 + 1j * np.interp(y, y0, z0.imag)).reshape(xi.shape)
+        sizes = []
+        log_f_and_q = lz.KoenigsLinearizer.log_f_and_q
+
+        def counting(handle, z):
+            sizes.append(np.size(z))
+            return log_f_and_q(handle, z)
+
+        monkeypatch.setattr(lz.KoenigsLinearizer, "log_f_and_q", counting)
+        z, dphi = tr.phi_refine(branch, xi, guess)
+        monkeypatch.undo()
+        assert tr._REFINE_BLOCK < xi.size
+        assert max(sizes) == tr._REFINE_BLOCK
+        flat = [tr.phi_refine(branch, xi.flat[i:i + 1000], guess.flat[i:i + 1000])
+                for i in range(0, xi.size, 1000)]
+        assert z.ravel().tobytes() == np.concatenate([a for a, _ in flat]).tobytes()
+        assert dphi.ravel().tobytes() == \
+            np.concatenate([b for _, b in flat]).tobytes()
+        monkeypatch.setattr(tr, "_REFINE_BLOCK", xi.size)
+        whole = tr.phi_refine(branch, xi, guess)
+        assert z.tobytes() == whole[0].tobytes()
+        assert dphi.tobytes() == whole[1].tobytes()
+
 
 class TestRescaling:
     def test_exp_fixed_point(self, exp_branch):
