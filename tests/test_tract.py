@@ -234,6 +234,8 @@ class TestRefine:
         monkeypatch.undo()
         assert tr._REFINE_BLOCK < xi.size
         assert max(sizes) == tr._REFINE_BLOCK
+        _, q = branch.handle.log_f_and_q(z.ravel())
+        assert np.all(np.abs(dphi.ravel() * q - 1) <= 1e-12)
         flat = [tr.phi_refine(branch, xi.flat[i:i + 1000], guess.flat[i:i + 1000])
                 for i in range(0, xi.size, 1000)]
         assert z.ravel().tobytes() == np.concatenate([a for a, _ in flat]).tobytes()
