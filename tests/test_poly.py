@@ -663,7 +663,7 @@ class TestBottcher:
                                        1.01, 1.0)
 
     def test_means_spectrum_leaves_numpy_ma_out(self):
-        # a bare np.unique imports numpy.ma (13-18 ms, 1.3 MB in numpy 2.4)
+        # a bare np.unique imports numpy.ma in numpy 2.4, for nothing here
         code = ("import sys, tractdim.poly as poly; "
                 "p = poly.Polynomial.from_string('z^2-1'); "
                 "poly.bottcher_means_spectrum(p, 1.0, (1.1, 1.03, 1.01)); "
